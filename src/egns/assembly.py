@@ -19,11 +19,11 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .eg_space import DofMap, EGField, element_ops, local_dof_vectors
 from .quadrature import gauss_1d, quadrature_rule
+from .reconstruction import rt_basis
 
 logger = logging.getLogger(__name__)
 
@@ -37,7 +37,6 @@ __all__ = [
     "assemble_neumann",
     "dirichlet_dof_map",
     "apply_dirichlet",
-    "export_matrix_market",
 ]
 
 
@@ -101,23 +100,13 @@ def assemble_divergence(mesh):
     return cache["divergence"]
 
 
-def _reconstruction_quadrature(mesh, degree):
-    """Reconstructed basis values at quadrature points, (NT, nq, 3, 2)."""
-    ops = element_ops(mesh)
-    rule = quadrature_rule(degree)
-    X = rule.physical_points(mesh)
-    P = mesh.vertices[mesh.triangles]
-    fac = ops["L"] * ops["sig"] / (2.0 * mesh.areas[:, None])
-    phi = fac[:, None, :, None] * (X[:, :, None, :] - P[:, None, :, :])
-    return rule, X, phi
-
-
 def _convection_geometry(mesh):
     # element tensors M[t,k,l] = |T| sum_q w_q cross2(phi_k, phi_l),
     # degree-2 quadrature is exact for the quadratic integrand
     cache = mesh._cache
     if "convection_m" not in cache:
-        rule, _, phi = _reconstruction_quadrature(mesh, 2)
+        rule = quadrature_rule(2)
+        phi = rt_basis(mesh, rule.physical_points(mesh))
         cross = (
             phi[..., :, None, 0] * phi[..., None, :, 1]
             - phi[..., :, None, 1] * phi[..., None, :, 0]
@@ -176,7 +165,9 @@ def assemble_load(mesh, f, degree=5):
     edge scalars, which is what makes gradient forces drop out on the
     discretely divergence-free subspace.
     """
-    rule, X, phi = _reconstruction_quadrature(mesh, degree)
+    rule = quadrature_rule(degree)
+    X = rule.physical_points(mesh)
+    phi = rt_basis(mesh, X)
     fv = np.asarray(f(X.reshape(-1, 2)), dtype=float).reshape(X.shape)
     vals = mesh.areas[:, None] * np.einsum("q,tqkd,tqd->tk", rule.weights, phi, fv)
     vec = np.zeros(_total_dofs(mesh))
@@ -367,7 +358,14 @@ class SteadyProblem:
             if self.body_force is None:
                 self._load = np.zeros(_total_dofs(self.mesh))
             else:
-                self._load = assemble_load(self.mesh, self.body_force, self.load_degree)
+                load = assemble_load(self.mesh, self.body_force, self.load_degree)
+                bad = ~np.isfinite(load)
+                if bad.any():
+                    raise ValueError(
+                        f"body force is not finite: {int(bad.sum())} load "
+                        f"entries are NaN or infinite"
+                    )
+                self._load = load
         return self._load
 
     def newton_system(self, u_n):
@@ -398,11 +396,3 @@ class SteadyProblem:
             dof_map=DofMap.unconstrained(mesh),
         )
         return apply_dirichlet(mesh, system, self.dirichlet, self.edge_gauss)
-
-
-def export_matrix_market(system, prefix):
-    """Write A and B in coordinate text format next to the given prefix."""
-    prefix = str(prefix)
-    scipy.io.mmwrite(prefix + "_A.mtx", system.A.tocoo())
-    scipy.io.mmwrite(prefix + "_B.mtx", system.B.tocoo())
-    logger.info("wrote %s_A.mtx and %s_B.mtx", prefix, prefix)

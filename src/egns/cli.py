@@ -48,7 +48,7 @@ import numpy as np
 from .assembly import SteadyProblem
 from .eg_space import EGField, element_divergence, element_ops, local_dof_vectors
 from .mesh import MeshError, build_rect_uniform, build_step_domain, import_mesh
-from .reconstruction import reconstruct, rt_at_centroids
+from .reconstruction import rt_at_centroids
 from .solver import (
     NewtonConfig,
     NonConvergenceError,
@@ -59,6 +59,7 @@ from .solver import (
 )
 from .verification import (
     STEP_RECIRCULATION_BOX,
+    ConvergenceTable,
     case_cavity,
     case_noflow,
     case_step,
@@ -72,8 +73,6 @@ from .verification import (
 )
 
 logger = logging.getLogger(__name__)
-
-CSV_HEADER = "h,e_l2,order,e_h1,order,e_p,order"
 
 
 class ConfigError(Exception):
@@ -260,7 +259,7 @@ def write_vtk(mesh, solution, path) -> None:
         ("divergence", element_divergence(mesh, fld)),
         ("vorticity", np.einsum("tk,tk->t", ops["curl"], loc[:, :6])),
     ]
-    recon = rt_at_centroids(mesh, reconstruct(mesh, fld))
+    recon = rt_at_centroids(mesh, fld)
 
     out = [
         "# vtk DataFile Version 3.0",
@@ -308,6 +307,18 @@ def _log_report(report) -> None:
     logger.info("%s", report.to_log())
 
 
+def _solve(cfg: RunConfig, factory, nu: float, ncfg: NewtonConfig):
+    """Solve at viscosity nu, through the viscosity ladder if configured.
+
+    factory maps a viscosity to a SteadyProblem. Returns the solution and
+    the Newton reports, one per continuation stage.
+    """
+    if cfg.continuation:
+        return nu_continuation(factory, default_schedule(nu), ncfg)
+    sol, report = newton_solve(factory(nu), ncfg)
+    return sol, [report]
+
+
 def cmd_converge(cfg: RunConfig) -> int:
     levels = cfg.levels or [16, 32, 64, 128]
     nu = _resolve_nu(cfg, 1.0)
@@ -315,21 +326,14 @@ def cmd_converge(cfg: RunConfig) -> int:
 
     def run_level(n):
         mesh = build_rect_uniform(n, n)
-        if cfg.continuation:
-            sol, reports = nu_continuation(
-                lambda v: case_vortex_2d(v).problem(mesh),
-                default_schedule(nu),
-                ncfg,
-            )
-            iters = sum(r.iterations for r in reports)
-        else:
-            sol, report = newton_solve(case_vortex_2d(nu).problem(mesh), ncfg)
-            iters = report.iterations
+        sol, reports = _solve(
+            cfg, lambda v: case_vortex_2d(v).problem(mesh), nu, ncfg
+        )
         case = case_vortex_2d(nu)
         errs = error_norms(
             mesh, sol, case.velocity, case.pressure, case.velocity_gradient
         )
-        return errs, iters
+        return errs, sum(r.iterations for r in reports)
 
     done = []
     failure = None
@@ -363,16 +367,15 @@ def cmd_converge(cfg: RunConfig) -> int:
     errs = [d[0] for d in done]
     if len(done) >= 2:
         table = convergence_table(hs, errs)
-        csv = table.to_csv()
         print(table.to_log())
     else:
-        lines = [CSV_HEADER]
-        for h, e in zip(hs, errs):
-            cells = [f"{h:.10g}"]
-            for v in e:
-                cells.extend([f"{v:.6e}", ""])
-            lines.append(",".join(cells))
-        csv = "\n".join(lines) + "\n"
+        # orders need two levels: write the errors with blank orders
+        table = ConvergenceTable(
+            h=np.asarray(hs, dtype=float),
+            errors=np.asarray(errs, dtype=float).reshape(-1, 3),
+            orders=np.full((len(hs), 3), np.nan),
+        )
+    csv = table.to_csv()
 
     out = _ensure_out(cfg) / "convergence.csv"
     out.write_text(csv)
@@ -463,33 +466,19 @@ def cmd_step(cfg: RunConfig) -> int:
         mesh.num_triangles,
         re,
     )
-    problem = case.problem(mesh)
-    ncfg = _newton_config(cfg)
-    if cfg.continuation:
-        sol, reports = nu_continuation(problem, default_schedule(case.nu), ncfg)
-        report = reports[-1]
-        iters = sum(r.iterations for r in reports)
-    else:
-        sol, report = newton_solve(problem, ncfg)
-        iters = report.iterations
-    _log_report(report)
-    print(f"Newton iterations: {iters}")
+    sol, reports = _solve(
+        cfg, case.problem(mesh).with_nu, case.nu, _newton_config(cfg)
+    )
+    _log_report(reports[-1])
+    print(f"Newton iterations: {sum(r.iterations for r in reports)}")
 
-    hit, mn = recirculation_detect(mesh, sol[0], STEP_RECIRCULATION_BOX)
+    hit, mn, reversed_flow = recirculation_detect(
+        mesh, sol[0], STEP_RECIRCULATION_BOX
+    )
     print(f"recirculation: {hit} (min u_x = {mn:.6e})")
     if hit:
-        xmin, xmax, ymin, ymax = STEP_RECIRCULATION_BOX
-        x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-        reversed_flow = (
-            (x >= xmin)
-            & (x <= xmax)
-            & (y >= ymin)
-            & (y <= ymax)
-            & (sol[0].vertex_values[:, 0] < -1e-3)
-        )
-        print(
-            f"approximate reattachment x = {float(x[reversed_flow].max()):.3f}"
-        )
+        x = mesh.vertices[reversed_flow, 0]
+        print(f"approximate reattachment x = {float(x.max()):.3f}")
 
     out = _ensure_out(cfg)
     write_vtk(mesh, sol, out / "step.vtk")
@@ -583,13 +572,8 @@ def cmd_run(cfg: RunConfig) -> int:
     problem = SteadyProblem(
         mesh, nu=nu, dirichlet=dirichlet, neumann_tags=neumann
     )
-    ncfg = _newton_config(cfg)
-    if cfg.continuation:
-        sol, reports = nu_continuation(problem, default_schedule(nu), ncfg)
-        report = reports[-1]
-    else:
-        sol, report = newton_solve(problem, ncfg)
-    _log_report(report)
+    sol, reports = _solve(cfg, problem.with_nu, nu, _newton_config(cfg))
+    _log_report(reports[-1])
     out = _ensure_out(cfg)
     write_vtk(mesh, sol, out / "run.vtk")
     print(f"wrote {out / 'run.vtk'}")

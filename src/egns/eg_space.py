@@ -27,13 +27,8 @@ __all__ = [
     "EGField",
     "DofMap",
     "SingularElementError",
-    "edge_normal_average",
     "interpolate",
-    "normal_trace_average",
     "local_dof_vectors",
-    "modified_gradient_local",
-    "modified_divergence_local",
-    "stabilization_local",
     "element_divergence",
     "energy_norm",
 ]
@@ -88,15 +83,6 @@ class DofMap:
     def total(self):
         return 2 * self.num_vertices + self.num_edges
 
-    def vx(self, i):
-        return i
-
-    def vy(self, i):
-        return self.num_vertices + i
-
-    def edge(self, e):
-        return 2 * self.num_vertices + e
-
     def free_indices(self):
         return np.flatnonzero(~self.constrained)
 
@@ -111,23 +97,6 @@ class DofMap:
             vertex_values=np.column_stack([vec[:nv], vec[nv : 2 * nv]]),
             edge_values=vec[2 * nv :].copy(),
         )
-
-    def copy(self):
-        return DofMap(
-            self.num_vertices, self.num_edges, self.constrained.copy(), self.values.copy()
-        )
-
-
-def edge_normal_average(endpoint_values, n_e):
-    """Average normal component of a linear trace given its endpoint values."""
-    return float(0.5 * (endpoint_values[0] + endpoint_values[1]) @ n_e)
-
-
-def normal_trace_average(mesh, field):
-    """Per-edge average of the continuous part's normal component, (NE,)."""
-    va = field.vertex_values[mesh.edges[:, 0]]
-    vb = field.vertex_values[mesh.edges[:, 1]]
-    return np.einsum("ed,ed->e", 0.5 * (va + vb), mesh.edge_normal)
 
 
 def interpolate(mesh, u, edge_gauss=4):
@@ -238,33 +207,6 @@ def local_dof_vectors(mesh, field):
         ],
         axis=1,
     )
-
-
-def modified_gradient_local(mesh, t, local_dofs):
-    """Broken gradient on element t for a local dof vector, as a 2x2 tensor."""
-    ops = element_ops(mesh)
-    return (ops["D"][t] @ np.asarray(local_dofs)).reshape(2, 2)
-
-
-def modified_divergence_local(mesh, t, edge_values):
-    """Broken divergence on element t from its three local edge scalars."""
-    ops = element_ops(mesh)
-    return float(
-        (ops["L"][t] * ops["sig"][t] * np.asarray(edge_values)).sum() / mesh.areas[t]
-    )
-
-
-def stabilization_local(mesh, t):
-    """Symmetric positive semidefinite 9x9 penalty kernel on element t.
-
-    Quadratic form: (1/h_T) sum over the element's edges of edge length
-    times the squared gap between the average continuous normal trace and
-    the edge scalar.  Viscosity is applied at assembly.
-    """
-    ops = element_ops(mesh)
-    qb = ops["QB"][t]
-    w = ops["stab_w"][t]
-    return np.einsum("k,ki,kj->ij", w, qb, qb)
 
 
 def element_divergence(mesh, field):

@@ -185,15 +185,16 @@ class Mesh2D:
                 raise MeshError(msg)
             notes.append(msg)
 
+        # the first two triangles of each edge, in triangle order, fill its
+        # two slots; a non-manifold edge's further triangles are dropped
         edge_to_triangles = np.full((ne, 2), -1, dtype=np.int64)
         order = np.argsort(tri_edge_flat, kind="stable")
         tri_of_flat = np.repeat(np.arange(nt, dtype=np.int64), 3)[order]
         sorted_edges = tri_edge_flat[order]
-        slot = np.zeros(ne, dtype=np.int64)
-        for eidx, tidx in zip(sorted_edges, tri_of_flat):
-            if slot[eidx] < 2:
-                edge_to_triangles[eidx, slot[eidx]] = tidx
-                slot[eidx] += 1
+        first = np.cumsum(counts) - counts
+        slot = np.arange(3 * nt) - first[sorted_edges]
+        keep = slot < 2
+        edge_to_triangles[sorted_edges[keep], slot[keep]] = tri_of_flat[keep]
 
         dvec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
         edge_lengths = np.hypot(dvec[:, 0], dvec[:, 1])
@@ -219,14 +220,12 @@ class Mesh2D:
 
         # Re-orient boundary edges so the assigned normal points outward.
         is_boundary = edge_to_triangles[:, 1] < 0
-        for e in np.flatnonzero(is_boundary):
-            t = edge_to_triangles[e, 0]
-            if t < 0:
-                continue
-            k = int(np.flatnonzero(triangle_edges[t] == e)[0])
-            if sign[t, k] == -1:
-                edge_normal[e] = -edge_normal[e]
-                sign[t, k] = 1
+        be = np.flatnonzero(is_boundary)
+        bt = edge_to_triangles[be, 0]
+        bk = np.argmax(triangle_edges[bt] == be[:, None], axis=1)
+        flip = sign[bt, bk] == -1
+        edge_normal[be[flip]] = -edge_normal[be[flip]]
+        sign[bt[flip], bk[flip]] = 1
 
         boundary_tags = np.full(ne, TAG_INTERIOR, dtype=np.int64)
         bidx = np.flatnonzero(is_boundary)
@@ -289,36 +288,28 @@ def build_rect_uniform(nx, ny, bounds=(0.0, 0.0, 1.0, 1.0)):
     X, Y = np.meshgrid(xs, ys)
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            ll = vid(i, j)
-            lr = vid(i + 1, j)
-            ur = vid(i + 1, j + 1)
-            ul = vid(i, j + 1)
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-    triangles = np.array(tris, dtype=np.int64)
+    # cells row by row, two triangles per cell
+    j, i = np.divmod(np.arange(nx * ny, dtype=np.int64), nx)
+    ll = j * (nx + 1) + i
+    lr = ll + 1
+    ul = ll + nx + 1
+    ur = ul + 1
+    triangles = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
 
     tol = 1e-9 * max(x1 - x0, y1 - y0)
 
     def tags(mids):
-        out = np.empty(mids.shape[0], dtype=np.int64)
-        for i, (mx, my) in enumerate(mids):
-            if abs(my - y0) < tol:
-                out[i] = TAG_BOTTOM
-            elif abs(mx - x1) < tol:
-                out[i] = TAG_RIGHT
-            elif abs(my - y1) < tol:
-                out[i] = TAG_TOP
-            elif abs(mx - x0) < tol:
-                out[i] = TAG_LEFT
-            else:
-                raise MeshError("boundary edge midpoint off every side")
-        return out
+        mx, my = mids[:, 0], mids[:, 1]
+        # the first matching side wins
+        sides = [
+            np.abs(my - y0) < tol,
+            np.abs(mx - x1) < tol,
+            np.abs(my - y1) < tol,
+            np.abs(mx - x0) < tol,
+        ]
+        if not np.logical_or.reduce(sides).all():
+            raise MeshError("boundary edge midpoint off every side")
+        return np.select(sides, [TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT])
 
     return Mesh2D.from_arrays(vertices, triangles, tag_lookup=tags)
 

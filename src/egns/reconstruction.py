@@ -7,114 +7,44 @@ edge (relative to the assigned edge normal), the coefficients are exactly
 the edge scalars of the enriched field.  The reconstruction preserves the
 broken divergence elementwise and is normal-continuous across edges, which
 is what decouples the discrete velocity from the pressure's gradient part.
+
+On element T the basis function of local edge k is s_k (x - p_k), with p_k
+the vertex opposite the edge and s_k = sigma_k |e_k| / (2 |T|).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .quadrature import QuadratureRule, gauss_1d, quadrature_rule, refined_rule  # noqa: F401
-
-__all__ = [
-    "RTField",
-    "reconstruct",
-    "rt_evaluate",
-    "rt_evaluate_batch",
-    "rt_at_centroids",
-    "rt_divergence",
-    "rt_divergence_all",
-    "QuadratureRule",
-    "quadrature_rule",
-]
+__all__ = ["rt_basis", "reconstruct", "rt_at_centroids"]
 
 
-@dataclass
-class RTField:
-    """Edge coefficients of a lowest-order Raviart-Thomas field.
-
-    Coefficient e is the (constant) normal component along edge e relative
-    to the assigned edge normal.
-    """
-
-    edge_coeff: np.ndarray  # (NE,)
-
-
-def reconstruct(mesh, field):
-    """Flux-matching reconstruction; a plain copy in the normalized basis."""
-    return RTField(edge_coeff=np.array(field.edge_values, dtype=float, copy=True))
-
-
-def _basis_data(mesh, t):
-    tri = mesh.triangles[t]
-    area = mesh.areas[t]
-    L = mesh.edge_lengths[mesh.triangle_edges[t]]
-    sig = mesh.triangle_edge_sign[t]
-    opposite = mesh.vertices[tri]  # vertex k is opposite local edge k
-    return area, L, sig, opposite
-
-
-def rt_evaluate(mesh, rt, t, point):
-    """Evaluate the reconstructed field at a point of element t.
-
-    Points outside the element (barycentric coordinates below -1e-12) are
-    rejected.
-    """
-    point = np.asarray(point, dtype=float)
-    tri = mesh.triangles[t]
-    p = mesh.vertices[tri]
-    area2 = 2.0 * mesh.areas[t]
-    lam = np.empty(3)
-    for k in range(3):
-        a = p[(k + 1) % 3]
-        b = p[(k + 2) % 3]
-        cross = (b[0] - a[0]) * (point[1] - a[1]) - (b[1] - a[1]) * (point[0] - a[0])
-        lam[k] = cross / area2
-    if lam.min() < -1e-12:
-        raise ValueError(
-            f"point {point.tolist()} lies outside triangle {t} "
-            f"(barycentric minimum {lam.min():.3e})"
-        )
-    area, L, sig, opposite = _basis_data(mesh, t)
-    coeff = rt.edge_coeff[mesh.triangle_edges[t]]
-    out = np.zeros(2)
-    for k in range(3):
-        out += coeff[k] * sig[k] * (L[k] / (2.0 * area)) * (point - opposite[k])
-    return out
-
-
-def rt_evaluate_batch(mesh, rt, points):
-    """Evaluate on per-element point sets, points (NT, nq, 2) -> (NT, nq, 2).
-
-    No containment check; callers supply quadrature points of each element.
-    """
-    coeff = rt.edge_coeff[mesh.triangle_edges]  # (NT, 3)
-    sig = mesh.triangle_edge_sign
+def _scale(mesh):
+    """Basis scales s_k = sigma_k |e_k| / (2 |T|), (NT, 3)."""
     L = mesh.edge_lengths[mesh.triangle_edges]
-    fac = coeff * sig * L / (2.0 * mesh.areas[:, None])  # (NT, 3)
-    P = mesh.vertices[mesh.triangles]  # (NT, 3, 2)
+    return L * mesh.triangle_edge_sign / (2.0 * mesh.areas[:, None])
+
+
+def rt_basis(mesh, points):
+    """Basis values on per-element point sets, points (NT, nq, 2) -> (NT, nq, 3, 2)."""
+    P = mesh.vertices[mesh.triangles]  # vertex k is opposite local edge k
+    return _scale(mesh)[:, None, :, None] * (points[:, :, None, :] - P[:, None, :, :])
+
+
+def reconstruct(mesh, field, points):
+    """Reconstructed velocity on per-element point sets, (NT, nq, 2) -> (NT, nq, 2).
+
+    No containment check; callers supply points of each element.
+    """
+    fac = field.edge_values[mesh.triangle_edges] * _scale(mesh)  # (NT, 3)
+    P = mesh.vertices[mesh.triangles]
     # sum_k fac_k (x - p_k) = (sum_k fac_k) x - sum_k fac_k p_k
     s = fac.sum(axis=1)
     shift = np.einsum("tk,tkd->td", fac, P)
     return s[:, None, None] * points - shift[:, None, :]
 
 
-def rt_at_centroids(mesh, rt):
+def rt_at_centroids(mesh, field):
     """Reconstructed velocity at element centroids, (NT, 2)."""
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    return rt_evaluate_batch(mesh, rt, centroids[:, None, :])[:, 0, :]
-
-
-def rt_divergence(mesh, rt, t):
-    """Constant divergence of the reconstructed field on element t."""
-    area, L, sig, _ = _basis_data(mesh, t)
-    coeff = rt.edge_coeff[mesh.triangle_edges[t]]
-    return float((L * sig * coeff).sum() / area)
-
-
-def rt_divergence_all(mesh, rt):
-    """Divergence per element, (NT,)."""
-    coeff = rt.edge_coeff[mesh.triangle_edges]
-    L = mesh.edge_lengths[mesh.triangle_edges]
-    return (L * mesh.triangle_edge_sign * coeff).sum(axis=1) / mesh.areas
+    return reconstruct(mesh, field, centroids[:, None, :])[:, 0, :]

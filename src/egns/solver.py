@@ -139,28 +139,38 @@ def solve_saddle(system):
     else:
         pressure = x[nf:].copy()
 
-    # residuals of the full block equations at the returned state
-    ru = float(
-        np.linalg.norm(A_ff @ uf - B_f.T @ pressure - system.rhs_u[free])
-    )
-    rp_vec = B_f @ uf - system.rhs_p
-    if pinned:
-        rp_vec = rp_vec - ((a @ rp_vec) / (a @ a)) * a
-    rp = float(np.linalg.norm(rp_vec))
+    xf = np.zeros(dm.total)
+    xf[free] = uf
+    ru, rp, scale = _block_residuals(system, free, xf, pressure)
+    # written so that NaN residuals or data fail the check
+    if not (ru <= 1e-10 * scale and rp <= 1e-10 * scale):
+        raise SolverError(
+            f"saddle solve residuals too large: momentum {ru:.3e}, "
+            f"mass {rp:.3e}, data scale {scale:.3e}"
+        )
+    return dm.unpack(np.where(dm.constrained, dm.values, xf)), pressure
+
+
+def _block_residuals(system, free, xf, pressure):
+    """Momentum and mass residual norms and the data scale at a state.
+
+    xf is the full velocity vector with zeros on the constrained entries,
+    whose data the right-hand sides already carry.  The momentum residual
+    is taken on the free rows.  With a pinned pressure the mass residual
+    is projected off the mean constraint, the one mass equation that the
+    pinned solve drops.
+    """
+    ru = (system.A @ xf - system.B.T @ pressure - system.rhs_u)[free]
+    rp = system.B @ xf - system.rhs_p
+    a = system.mean_constraint
+    if a is not None:
+        rp = rp - ((a @ rp) / (a @ a)) * a
     scale = max(
         float(np.linalg.norm(system.rhs_u[free])),
         float(np.linalg.norm(system.rhs_p)),
         _TINY,
     )
-    if max(ru, rp) > 1e-10 * scale:
-        raise SolverError(
-            f"saddle solve residuals too large: momentum {ru:.3e}, "
-            f"mass {rp:.3e}, data scale {scale:.3e}"
-        )
-
-    full = np.where(dm.constrained, dm.values, 0.0)
-    full[free] = uf
-    return dm.unpack(full), pressure
+    return float(np.linalg.norm(ru)), float(np.linalg.norm(rp)), scale
 
 
 def _stacked(system, fld, pressure):
@@ -175,19 +185,9 @@ def _nonlinear_residual(system, fld, pressure):
     value terms on the right cancel the linearization overshoot exactly.
     """
     dm = system.dof_map
-    free = dm.free_indices()
     xf = np.where(dm.constrained, 0.0, dm.pack(fld))
-    ru = (system.A @ xf - system.B.T @ pressure - system.rhs_u)[free]
-    rp = system.B @ xf - system.rhs_p
-    if system.mean_constraint is not None:
-        a = system.mean_constraint
-        rp = rp - ((a @ rp) / (a @ a)) * a
-    scale = max(
-        float(np.linalg.norm(system.rhs_u[free])),
-        float(np.linalg.norm(system.rhs_p)),
-        _TINY,
-    )
-    return max(float(np.linalg.norm(ru)), float(np.linalg.norm(rp))) / scale
+    ru, rp, scale = _block_residuals(system, dm.free_indices(), xf, pressure)
+    return max(ru, rp) / scale
 
 
 def newton_solve(problem, config=None, initial=None):

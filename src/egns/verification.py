@@ -460,17 +460,19 @@ def kinematic_pressure(mesh: Mesh2D, fld: EGField, pressure) -> np.ndarray:
 def recirculation_detect(mesh: Mesh2D, fld: EGField, region, threshold=-1e-3):
     """Scan vertex velocities in an axis-aligned box for reversed flow.
 
-    region is (xmin, xmax, ymin, ymax). Returns (detected, min u_x); the
-    flow counts as recirculating when some vertex has u_x below the
-    threshold, which filters solver-level noise around zero.
+    region is (xmin, xmax, ymin, ymax). Returns (detected, min u_x,
+    reversed), where reversed masks the box vertices with u_x below the
+    threshold; the flow counts as recirculating when that mask is not
+    empty. The threshold filters solver-level noise around zero.
     """
     xmin, xmax, ymin, ymax = region
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     inside = (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
     if not inside.any():
         raise VerificationError("recirculation region contains no mesh vertices")
-    mn = float(fld.vertex_values[inside, 0].min())
-    return mn < threshold, mn
+    ux = fld.vertex_values[:, 0]
+    mn = float(ux[inside].min())
+    return mn < threshold, mn, inside & (ux < threshold)
 
 
 @dataclass

@@ -19,10 +19,16 @@ from egns.assembly import (
     assemble_neumann,
     assemble_viscous,
     dirichlet_dof_map,
-    export_matrix_market,
 )
 
 ALL_SIDES = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)
+
+
+def export_matrix_market(system, prefix):
+    """Write A and B in coordinate text format next to the given prefix."""
+    prefix = str(prefix)
+    scipy.io.mmwrite(prefix + "_A.mtx", system.A.tocoo())
+    scipy.io.mmwrite(prefix + "_B.mtx", system.B.tocoo())
 
 
 def _random_field(mesh, rng):

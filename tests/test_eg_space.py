@@ -11,16 +11,54 @@ from egns.eg_space import (
     DofMap,
     EGField,
     SingularElementError,
-    edge_normal_average,
     element_divergence,
+    element_ops,
     energy_norm,
     interpolate,
     local_dof_vectors,
-    modified_divergence_local,
-    modified_gradient_local,
-    normal_trace_average,
-    stabilization_local,
 )
+
+
+# Per-element and per-edge oracles over the batched element operators.
+
+
+def edge_normal_average(endpoint_values, n_e):
+    """Average normal component of a linear trace given its endpoint values."""
+    return float(0.5 * (endpoint_values[0] + endpoint_values[1]) @ n_e)
+
+
+def normal_trace_average(mesh, field):
+    """Per-edge average of the continuous part's normal component, (NE,)."""
+    va = field.vertex_values[mesh.edges[:, 0]]
+    vb = field.vertex_values[mesh.edges[:, 1]]
+    return np.einsum("ed,ed->e", 0.5 * (va + vb), mesh.edge_normal)
+
+
+def modified_gradient_local(mesh, t, local_dofs):
+    """Broken gradient on element t for a local dof vector, as a 2x2 tensor."""
+    ops = element_ops(mesh)
+    return (ops["D"][t] @ np.asarray(local_dofs)).reshape(2, 2)
+
+
+def modified_divergence_local(mesh, t, edge_values):
+    """Broken divergence on element t from its three local edge scalars."""
+    ops = element_ops(mesh)
+    return float(
+        (ops["L"][t] * ops["sig"][t] * np.asarray(edge_values)).sum() / mesh.areas[t]
+    )
+
+
+def stabilization_local(mesh, t):
+    """Symmetric positive semidefinite 9x9 penalty kernel on element t.
+
+    Quadratic form: (1/h_T) sum over the element's edges of edge length
+    times the squared gap between the average continuous normal trace and
+    the edge scalar.  Viscosity is applied at assembly.
+    """
+    ops = element_ops(mesh)
+    qb = ops["QB"][t]
+    w = ops["stab_w"][t]
+    return np.einsum("k,ki,kj->ij", w, qb, qb)
 
 
 def _quintic_vortex(xy):
@@ -276,10 +314,14 @@ class TestDofMap:
     def test_layout_and_total(self):
         mesh = build_rect_uniform(2, 2)
         dm = DofMap.unconstrained(mesh)
-        assert dm.total == 2 * mesh.num_vertices + mesh.num_edges
-        assert dm.vx(3) == 3
-        assert dm.vy(3) == mesh.num_vertices + 3
-        assert dm.edge(5) == 2 * mesh.num_vertices + 5
+        nv = mesh.num_vertices
+        assert dm.total == 2 * nv + mesh.num_edges
+        field = EGField.zeros(mesh)
+        field.vertex_values[3] = (1.0, 2.0)
+        field.edge_values[5] = 3.0
+        vec = dm.pack(field)
+        assert np.array_equal(np.flatnonzero(vec), [3, nv + 3, 2 * nv + 5])
+        assert np.array_equal(vec[[3, nv + 3, 2 * nv + 5]], [1.0, 2.0, 3.0])
 
     def test_pack_unpack_round_trip(self):
         mesh = build_rect_uniform(3, 2)
@@ -298,9 +340,9 @@ class TestDofMap:
     def test_free_indices_with_constraints(self):
         mesh = build_rect_uniform(2, 2)
         dm = DofMap.unconstrained(mesh)
-        dm.constrained[dm.vx(0)] = True
-        dm.values[dm.vx(0)] = 2.5
-        assert dm.vx(0) not in dm.free_indices()
+        dm.constrained[0] = True
+        dm.values[0] = 2.5
+        assert 0 not in dm.free_indices()
         assert dm.free_indices().size == dm.total - 1
 
 

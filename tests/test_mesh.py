@@ -315,3 +315,139 @@ class TestValidate:
     def test_step_mesh_validates(self):
         report = validate_mesh(build_step_domain(0.5))
         assert report.ok
+
+
+# Oracle: the edge-by-edge and cell-by-cell loops the mesh builders
+# vectorize.  Every array they produce must match the builders bitwise.
+
+
+def _loop_rect(nx, ny):
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
+    X, Y = np.meshgrid(xs, ys)
+    vertices = np.column_stack([X.ravel(), Y.ravel()])
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            ll = j * (nx + 1) + i
+            lr, ul = ll + 1, ll + nx + 1
+            tris.append((ll, lr, ul + 1))
+            tris.append((ll, ul + 1, ul))
+
+    def tags(mids):
+        out = np.empty(mids.shape[0], dtype=np.int64)
+        for i, (mx, my) in enumerate(mids):
+            if abs(my) < 1e-9:
+                out[i] = TAG_BOTTOM
+            elif abs(mx - 1.0) < 1e-9:
+                out[i] = TAG_RIGHT
+            elif abs(my - 1.0) < 1e-9:
+                out[i] = TAG_TOP
+            elif abs(mx) < 1e-9:
+                out[i] = TAG_LEFT
+            else:
+                raise MeshError("boundary edge midpoint off every side")
+        return out
+
+    return vertices, np.array(tris, dtype=np.int64), tags
+
+
+def _loop_topology(vertices, triangles, tag_lookup):
+    nv, nt = vertices.shape[0], triangles.shape[0]
+    ea = triangles[:, [1, 2, 0]].ravel()
+    eb = triangles[:, [2, 0, 1]].ravel()
+    keys = np.minimum(ea, eb) * np.int64(nv) + np.maximum(ea, eb)
+    uniq, tri_edge_flat = np.unique(keys, return_inverse=True)
+    ne = uniq.shape[0]
+    edges = np.column_stack([uniq // nv, uniq % nv])
+    triangle_edges = tri_edge_flat.reshape(nt, 3)
+
+    edge_to_triangles = np.full((ne, 2), -1, dtype=np.int64)
+    slot = np.zeros(ne, dtype=np.int64)
+    for t in range(nt):
+        for e in triangle_edges[t]:
+            if slot[e] < 2:
+                edge_to_triangles[e, slot[e]] = t
+                slot[e] += 1
+
+    dvec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
+    edge_lengths = np.hypot(dvec[:, 0], dvec[:, 1])
+    tvec = dvec / edge_lengths[:, None]
+    edge_normal = np.column_stack([-tvec[:, 1], tvec[:, 0]])
+    sign = np.zeros((nt, 3), dtype=np.int64)
+    for k in range(3):
+        d = vertices[triangles[:, (k + 2) % 3]] - vertices[triangles[:, (k + 1) % 3]]
+        out = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+        dot = np.einsum("ij,ij->i", edge_normal[triangle_edges[:, k]], out)
+        sign[:, k] = np.where(dot >= 0, 1, -1)
+
+    boundary_tags = np.full(ne, -1, dtype=np.int64)
+    for e in np.flatnonzero(edge_to_triangles[:, 1] < 0):
+        t = edge_to_triangles[e, 0]
+        k = int(np.flatnonzero(triangle_edges[t] == e)[0])
+        if sign[t, k] == -1:
+            edge_normal[e] = -edge_normal[e]
+            sign[t, k] = 1
+        pair = (int(edges[e, 0]), int(edges[e, 1]))
+        if callable(tag_lookup):
+            boundary_tags[e] = tag_lookup(vertices[edges[e]].mean(axis=0)[None])[0]
+        else:
+            boundary_tags[e] = tag_lookup[pair]
+    return {
+        "vertices": vertices,
+        "triangles": triangles,
+        "edges": edges,
+        "edge_normal": edge_normal,
+        "edge_lengths": edge_lengths,
+        "edge_to_triangles": edge_to_triangles,
+        "triangle_edges": triangle_edges,
+        "triangle_edge_sign": sign,
+        "boundary_tags": boundary_tags,
+    }
+
+
+def _step_tags(mids):
+    out = np.full(mids.shape[0], TAG_WALL, dtype=np.int64)
+    out[np.abs(mids[:, 0] + 4.0) < 1e-9 * 24.0] = TAG_INLET
+    out[np.abs(mids[:, 0] - 20.0) < 1e-9 * 24.0] = TAG_OUTLET
+    return out
+
+
+def _shuffled_mesh_file(path):
+    # perturbed interior vertices under a random numbering, so boundary
+    # normals start out both inward and outward
+    rng = np.random.default_rng(8)
+    base = build_rect_uniform(5, 4)
+    interior = ~base.boundary_vertex_mask
+    verts = base.vertices.copy()
+    verts[interior] += rng.uniform(-0.03, 0.03, (int(interior.sum()), 2))
+    perm = rng.permutation(base.num_vertices)
+    new_id = np.argsort(perm)
+    tris = new_id[base.triangles]
+    lines = [f"{base.num_vertices} {base.num_triangles} {base.boundary_edge_indices.size}"]
+    lines += [f"{float(x)!r} {float(y)!r}" for x, y in verts[perm]]
+    lines += [f"{i} {j} {k}" for i, j, k in tris]
+    tag_map = {}
+    for e in base.boundary_edge_indices:
+        a, b = sorted(int(v) for v in new_id[base.edges[e]])
+        tag_map[(a, b)] = int(base.boundary_tags[e]) + 10
+        lines.append(f"{b} {a} {tag_map[(a, b)]}")
+    path.write_text("\n".join(lines) + "\n")
+    return verts[perm], tris, tag_map
+
+
+def test_vectorized_builders_match_loop_oracle(tmp_path):
+    path = tmp_path / "shuffled.m2d"
+    verts, tris, tag_map = _shuffled_mesh_file(path)
+    step = build_step_domain(0.25)
+    cases = [
+        (build_rect_uniform(7, 5), _loop_rect(7, 5)),
+        (step, (step.vertices, step.triangles, _step_tags)),
+        (import_mesh(path), (verts, tris, tag_map)),
+    ]
+    for mesh, (vertices, triangles, tags) in cases:
+        want = _loop_topology(vertices, triangles, tags)
+        for name, arr in want.items():
+            got = getattr(mesh, name)
+            assert got.dtype == arr.dtype, name
+            assert np.array_equal(got, arr), name

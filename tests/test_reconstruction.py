@@ -7,14 +7,50 @@ import pytest
 
 from egns.mesh import Mesh2D, build_rect_uniform
 from egns.eg_space import EGField, element_divergence, interpolate
-from egns.reconstruction import (
-    RTField,
-    reconstruct,
-    rt_at_centroids,
-    rt_divergence,
-    rt_divergence_all,
-    rt_evaluate,
-)
+from egns.reconstruction import reconstruct, rt_at_centroids, rt_basis
+
+
+def _rt_evaluate(mesh, edge_values, t, point):
+    """Oracle: pointwise evaluation on element t, one basis function at a time.
+
+    Points outside the element (barycentric coordinates below -1e-12) are
+    rejected.
+    """
+    point = np.asarray(point, dtype=float)
+    tri = mesh.triangles[t]
+    p = mesh.vertices[tri]
+    area2 = 2.0 * mesh.areas[t]
+    lam = np.empty(3)
+    for k in range(3):
+        a = p[(k + 1) % 3]
+        b = p[(k + 2) % 3]
+        cross = (b[0] - a[0]) * (point[1] - a[1]) - (b[1] - a[1]) * (point[0] - a[0])
+        lam[k] = cross / area2
+    if lam.min() < -1e-12:
+        raise ValueError(
+            f"point {point.tolist()} lies outside triangle {t} "
+            f"(barycentric minimum {lam.min():.3e})"
+        )
+    out = np.zeros(2)
+    for k in range(3):
+        e = mesh.triangle_edges[t, k]
+        L = mesh.edge_lengths[e]
+        sig = mesh.triangle_edge_sign[t, k]
+        out += edge_values[e] * sig * (L / (2.0 * mesh.areas[t])) * (point - p[k])
+    return out
+
+
+def _rt_divergence_all(mesh, field):
+    """Oracle: divergence of the reconstruction per element, (NT,)."""
+    coeff = field.edge_values[mesh.triangle_edges]
+    L = mesh.edge_lengths[mesh.triangle_edges]
+    return (L * mesh.triangle_edge_sign * coeff).sum(axis=1) / mesh.areas
+
+
+def _evaluate_at(mesh, field, t, point):
+    """The reconstruction on element t at one point."""
+    points = np.broadcast_to(np.asarray(point, dtype=float), (mesh.num_triangles, 1, 2))
+    return reconstruct(mesh, field, points)[t, 0]
 
 
 def _reference_mesh():
@@ -22,6 +58,15 @@ def _reference_mesh():
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         np.array([[0, 1, 2]]),
     )
+
+
+def _hypotenuse_field(mesh):
+    # the edge joining (1,0) and (0,1) sits opposite vertex (0,0)
+    field = EGField.zeros(mesh)
+    for e in range(3):
+        if set(mesh.edges[e]) == {1, 2}:
+            field.edge_values[e] = 1.0
+    return field
 
 
 def _random_field(mesh, seed):
@@ -34,47 +79,41 @@ def _random_field(mesh, seed):
 
 class TestReconstruct:
     def test_coefficients_copy_edge_values(self):
+        # the basis coefficients are the edge values, and the field is
+        # left untouched
         mesh = build_rect_uniform(3, 3)
         field = _random_field(mesh, 1)
-        rt = reconstruct(mesh, field)
-        assert isinstance(rt, RTField)
-        assert np.array_equal(rt.edge_coeff, field.edge_values)
-        # independent storage
-        rt.edge_coeff[0] += 1.0
-        assert rt.edge_coeff[0] != field.edge_values[0]
+        before = field.edge_values.copy()
+        points = mesh.vertices[mesh.triangles].mean(axis=1)[:, None, :] + 0.01
+        got = reconstruct(mesh, field, points)
+        coeff = field.edge_values[mesh.triangle_edges]
+        want = np.einsum("tqkd,tk->tqd", rt_basis(mesh, points), coeff)
+        assert np.abs(got - want).max() < 1e-13
+        assert np.array_equal(field.edge_values, before)
 
     def test_divergence_preserved_exactly(self):
         mesh = build_rect_uniform(4, 3)
         field = _random_field(mesh, 2)
-        rt = reconstruct(mesh, field)
-        assert np.array_equal(rt_divergence_all(mesh, rt), element_divergence(mesh, field))
+        assert np.array_equal(_rt_divergence_all(mesh, field), element_divergence(mesh, field))
 
 
 class TestEvaluate:
     def test_hypotenuse_basis_on_reference_triangle(self):
         mesh = _reference_mesh()
-        # the edge joining (1,0) and (0,1) sits opposite vertex (0,0)
-        hyp = None
-        for e in range(3):
-            if set(mesh.edges[e]) == {1, 2}:
-                hyp = e
-        rt = RTField(edge_coeff=np.zeros(3))
-        rt.edge_coeff[hyp] = 1.0
-        got = rt_evaluate(mesh, rt, 0, np.array([1.0 / 3, 1.0 / 3]))
+        got = _evaluate_at(mesh, _hypotenuse_field(mesh), 0, [1.0 / 3, 1.0 / 3])
         want = math.sqrt(2.0) * np.array([1.0 / 3, 1.0 / 3])
         assert np.allclose(got, want, atol=1e-14)
 
     def test_normal_component_matches_edge_value_from_both_sides(self):
         mesh = build_rect_uniform(3, 3)
         field = _random_field(mesh, 3)
-        rt = reconstruct(mesh, field)
         for e in range(mesh.num_edges):
             t0, t1 = mesh.edge_to_triangles[e]
             mid = mesh.vertices[mesh.edges[e]].mean(axis=0)
             for t in (t0, t1):
                 if t < 0:
                     continue
-                val = rt_evaluate(mesh, rt, int(t), mid)
+                val = _evaluate_at(mesh, field, int(t), mid)
                 assert val @ mesh.edge_normal[e] == pytest.approx(
                     field.edge_values[e], rel=1e-12, abs=1e-13
                 )
@@ -87,62 +126,53 @@ class TestEvaluate:
 
         mesh = build_rect_uniform(4, 4)
         field = interpolate(mesh, w)
-        rt = reconstruct(mesh, field)
         for e in (0, 9, 20, mesh.num_edges - 1):
             t = int(mesh.edge_to_triangles[e, 0])
             mid = mesh.vertices[mesh.edges[e]].mean(axis=0)
-            val = rt_evaluate(mesh, rt, t, mid)
+            val = _evaluate_at(mesh, field, t, mid)
             assert val @ mesh.edge_normal[e] == pytest.approx(
                 field.edge_values[e], rel=1e-13
             )
 
     def test_outside_point_rejected(self):
         mesh = _reference_mesh()
-        rt = RTField(edge_coeff=np.ones(3))
         with pytest.raises(ValueError, match="outside"):
-            rt_evaluate(mesh, rt, 0, np.array([0.8, 0.8]))
+            _rt_evaluate(mesh, np.ones(3), 0, np.array([0.8, 0.8]))
 
     def test_point_on_edge_accepted(self):
         mesh = _reference_mesh()
-        rt = RTField(edge_coeff=np.ones(3))
-        rt_evaluate(mesh, rt, 0, np.array([0.5, 0.5]))
-        rt_evaluate(mesh, rt, 0, np.array([0.0, 0.0]))
+        _rt_evaluate(mesh, np.ones(3), 0, np.array([0.5, 0.5]))
+        _rt_evaluate(mesh, np.ones(3), 0, np.array([0.0, 0.0]))
 
 
 class TestDivergence:
     def test_hypotenuse_value_on_reference_triangle(self):
         mesh = _reference_mesh()
-        hyp = None
-        for e in range(3):
-            if set(mesh.edges[e]) == {1, 2}:
-                hyp = e
-        rt = RTField(edge_coeff=np.zeros(3))
-        rt.edge_coeff[hyp] = 1.0
-        assert rt_divergence(mesh, rt, 0) == pytest.approx(2 * math.sqrt(2), rel=1e-14)
+        got = element_divergence(mesh, _hypotenuse_field(mesh))
+        assert got[0] == pytest.approx(2 * math.sqrt(2), rel=1e-14)
 
     def test_matches_finite_differences(self):
         mesh = build_rect_uniform(2, 2)
         field = _random_field(mesh, 4)
-        rt = reconstruct(mesh, field)
         t = 3
         centroid = mesh.vertices[mesh.triangles[t]].mean(axis=0)
         h = 1e-6
         dx = (
-            rt_evaluate(mesh, rt, t, centroid + [h, 0])
-            - rt_evaluate(mesh, rt, t, centroid - [h, 0])
+            _evaluate_at(mesh, field, t, centroid + [h, 0])
+            - _evaluate_at(mesh, field, t, centroid - [h, 0])
         ) / (2 * h)
         dy = (
-            rt_evaluate(mesh, rt, t, centroid + [0, h])
-            - rt_evaluate(mesh, rt, t, centroid - [0, h])
+            _evaluate_at(mesh, field, t, centroid + [0, h])
+            - _evaluate_at(mesh, field, t, centroid - [0, h])
         ) / (2 * h)
-        assert dx[0] + dy[1] == pytest.approx(rt_divergence(mesh, rt, t), abs=1e-7)
+        assert dx[0] + dy[1] == pytest.approx(element_divergence(mesh, field)[t], abs=1e-7)
 
 
 def test_centroid_values_match_pointwise_evaluation():
     mesh = build_rect_uniform(3, 2)
     field = _random_field(mesh, 5)
-    rt = reconstruct(mesh, field)
-    vals = rt_at_centroids(mesh, rt)
+    vals = rt_at_centroids(mesh, field)
     for t in (0, 4, mesh.num_triangles - 1):
         centroid = mesh.vertices[mesh.triangles[t]].mean(axis=0)
-        assert np.allclose(vals[t], rt_evaluate(mesh, rt, t, centroid), atol=1e-14)
+        want = _rt_evaluate(mesh, field.edge_values, t, centroid)
+        assert np.allclose(vals[t], want, atol=1e-14)

@@ -1,8 +1,11 @@
 """Saddle-point solves, Newton iteration, viscosity continuation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import egns.solver
 from egns.mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, TAG_TOP, build_rect_uniform
 from egns.quadrature import quadrature_rule
 from egns.eg_space import DofMap, EGField, energy_norm
@@ -11,6 +14,7 @@ from egns.solver import (
     NewtonConfig,
     NonConvergenceError,
     SingularSystemError,
+    SolverError,
     SolveReport,
     default_schedule,
     newton_solve,
@@ -148,8 +152,28 @@ class TestSolveSaddle:
         with pytest.raises(SingularSystemError):
             solve_saddle(broken)
 
+    def test_non_finite_data_fails_residual_check(self):
+        system = _cavity_problem(4, 1.0).newton_system(None)
+        rhs_u = system.rhs_u.copy()
+        rhs_u[system.dof_map.free_indices()[0]] = np.nan
+        with pytest.raises(SolverError, match="residuals"):
+            solve_saddle(dataclasses.replace(system, rhs_u=rhs_u))
+
 
 class TestNewtonSolve:
+    @pytest.mark.parametrize("convect", [False, True])
+    def test_non_finite_body_force_named_before_any_solve(self, convect, monkeypatch):
+        solves = []
+        real = egns.solver.solve_saddle
+        monkeypatch.setattr(
+            egns.solver, "solve_saddle", lambda system: solves.append(1) or real(system)
+        )
+        prob = _cavity_problem(4, 1.0, f=lambda xy: np.full(xy.shape, np.nan),
+                               convect=convect)
+        with pytest.raises(ValueError, match="body force is not finite"):
+            newton_solve(prob, NewtonConfig(max_iter=5))
+        assert solves == []
+
     def test_zero_data_zero_solution_one_iteration(self):
         prob = _homogeneous_problem(4, 1.0)
         (field, pressure), report = newton_solve(prob)

@@ -440,8 +440,11 @@ class TestRecirculation:
         mesh = build_rect_uniform(4, 4)
         field = EGField.zeros(mesh)
         field.vertex_values[:, 0] = 1.0
-        hit, mn = recirculation_detect(mesh, field, (0.2, 0.8, 0.2, 0.8))
+        hit, mn, reversed_flow = recirculation_detect(
+            mesh, field, (0.2, 0.8, 0.2, 0.8)
+        )
         assert not hit
+        assert not reversed_flow.any()
         assert mn == pytest.approx(1.0)
 
     def test_detects_reversed_flow(self):
@@ -452,16 +455,22 @@ class TestRecirculation:
             (mesh.vertices[:, 0] > 0.4) & (mesh.vertices[:, 1] > 0.4)
         )
         field.vertex_values[inside[0], 0] = -0.01
-        hit, mn = recirculation_detect(mesh, field, (0.0, 1.0, 0.0, 1.0))
+        hit, mn, reversed_flow = recirculation_detect(
+            mesh, field, (0.0, 1.0, 0.0, 1.0)
+        )
         assert hit
         assert mn == pytest.approx(-0.01)
+        assert np.array_equal(np.flatnonzero(reversed_flow), inside[:1])
 
     def test_below_threshold_not_flagged(self):
         mesh = build_rect_uniform(4, 4)
         field = EGField.zeros(mesh)
         field.vertex_values[:, 0] = -5e-4
-        hit, _ = recirculation_detect(mesh, field, (0.0, 1.0, 0.0, 1.0))
+        hit, _, reversed_flow = recirculation_detect(
+            mesh, field, (0.0, 1.0, 0.0, 1.0)
+        )
         assert not hit
+        assert not reversed_flow.any()
 
     def test_empty_region_rejected(self):
         mesh = build_rect_uniform(4, 4)
