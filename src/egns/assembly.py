@@ -9,7 +9,9 @@ forces enter exclusively through edge degrees of freedom.
 
 Dirichlet data is removed by symmetric elimination: constrained entries
 keep their rows in the stored matrices, and the solver works on the free
-index set with the known values folded into both right-hand sides.
+index set with the known values folded into both right-hand sides.  The
+constrained set and its values depend only on the problem, so each
+problem builds its dof map once and shares it with every Newton system.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import dataclasses
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .eg_space import DofMap, EGField, element_ops, local_dof_vectors
-from .quadrature import gauss_1d, quadrature_rule
+from .eg_space import DofMap, EGField, edge_trace, element_ops, local_dof_vectors
+from .quadrature import EDGE_RULE, quadrature_rule
 from .reconstruction import rt_basis
 
 logger = logging.getLogger(__name__)
@@ -158,14 +161,14 @@ def assemble_convection_newton(mesh, u_n):
     return C, r
 
 
-def assemble_load(mesh, f, degree=5):
-    """Body force tested against the reconstructed basis.
+def assemble_load(mesh, f):
+    """Body force tested against the reconstructed basis, degree-5 rule.
 
     Vertex entries are identically zero: the reconstruction sees only the
     edge scalars, which is what makes gradient forces drop out on the
     discretely divergence-free subspace.
     """
-    rule = quadrature_rule(degree)
+    rule = quadrature_rule(5)
     X = rule.physical_points(mesh)
     phi = rt_basis(mesh, X)
     fv = np.asarray(f(X.reshape(-1, 2)), dtype=float).reshape(X.shape)
@@ -175,7 +178,7 @@ def assemble_load(mesh, f, degree=5):
     return vec
 
 
-def assemble_neumann(mesh, tags, u_n, u_N=None, edge_gauss=4):
+def assemble_neumann(mesh, tags, u_n, u_N=None):
     """Outflow-boundary contributions on the edges tagged in `tags`.
 
     Returns (matrix, vector).  The matrix linearizes the quadratic
@@ -220,15 +223,9 @@ def assemble_neumann(mesh, tags, u_n, u_N=None, edge_gauss=4):
     np.add.at(vec, rows_e, 0.5 * L * quad)
 
     if u_N is not None:
-        tq, wq = gauss_1d(edge_gauss)
-        pts = (
-            mesh.vertices[a][:, None, :] * (1.0 - tq)[None, :, None]
-            + mesh.vertices[b][:, None, :] * tq[None, :, None]
-        )
-        g = np.asarray(u_N(pts.reshape(-1, 2)), dtype=float).reshape(
-            sel.size, edge_gauss, 2
-        )
-        np.add.at(vec, rows_e, L * np.einsum("q,eqd,ed->e", wq, g, ne))
+        tq, wq = EDGE_RULE
+        g, g_n = edge_trace(mesh, u_N, sel)
+        np.add.at(vec, rows_e, L * g_n)
         # tangential part: cross(n, u_N) against cross(n, hat)
         cr = ne[:, None, 0] * g[..., 1] - ne[:, None, 1] * g[..., 0]
         int_a = L * np.einsum("q,eq->e", wq * (1.0 - tq), cr)
@@ -246,17 +243,18 @@ def _normalize_tags(tags):
     return tuple(int(t) for t in tags)
 
 
-def dirichlet_dof_map(mesh, bcs, edge_gauss=4):
+def dirichlet_dof_map(mesh, bcs):
     """Constrained dof map for ordered Dirichlet segments.
 
     bcs is a sequence of (tags, u_D) pairs.  Later segments win at shared
     vertices (corner overrides are logged), which is how a driven lid
-    takes precedence over side walls.
+    takes precedence over side walls.  Data that is NaN or infinite at a
+    vertex or an edge quadrature point is rejected, naming its tags.  The
+    returned map is read-only: every system of a problem shares it.
     """
     dm = DofMap.unconstrained(mesh)
     nv = mesh.num_vertices
     be = mesh.boundary_edge_indices
-    tq, wq = gauss_1d(edge_gauss)
     for tags, u_d in bcs:
         tags = _normalize_tags(tags)
         sel = be[np.isin(mesh.boundary_tags[be], tags)]
@@ -264,6 +262,12 @@ def dirichlet_dof_map(mesh, bcs, edge_gauss=4):
             continue
         verts = np.unique(mesh.edges[sel])
         vals = np.asarray(u_d(mesh.vertices[verts]), dtype=float)
+        _, flux = edge_trace(mesh, u_d, sel)
+        if not (np.isfinite(vals).all() and np.isfinite(flux).all()):
+            raise ValueError(
+                f"Dirichlet data on tags {tags} is NaN or infinite at a "
+                "boundary vertex or edge quadrature point"
+            )
 
         revisit = dm.constrained[verts]
         if revisit.any():
@@ -280,53 +284,21 @@ def dirichlet_dof_map(mesh, bcs, edge_gauss=4):
         dm.constrained[nv + verts] = True
         dm.values[verts] = vals[:, 0]
         dm.values[nv + verts] = vals[:, 1]
-
-        av = mesh.vertices[mesh.edges[sel, 0]]
-        bv = mesh.vertices[mesh.edges[sel, 1]]
-        pts = av[:, None, :] * (1.0 - tq)[None, :, None] + bv[:, None, :] * tq[
-            None, :, None
-        ]
-        gv = np.asarray(u_d(pts.reshape(-1, 2)), dtype=float).reshape(
-            sel.size, edge_gauss, 2
-        )
         dm.constrained[2 * nv + sel] = True
-        dm.values[2 * nv + sel] = np.einsum(
-            "q,eqd,ed->e", wq, gv, mesh.edge_normal[sel]
-        )
+        dm.values[2 * nv + sel] = flux
+    dm.constrained.flags.writeable = dm.values.flags.writeable = False
     return dm
 
 
-def apply_dirichlet(mesh, system, bcs, edge_gauss=4):
-    """Fold Dirichlet data into the right-hand sides, returning a new system.
+def apply_dirichlet(dof_map, A, B, rhs_u, rhs_p):
+    """Fold a dof map's constrained values into the right-hand sides.
 
+    Returns new (rhs_u, rhs_p); the inputs and the map stay as they are.
     Constrained rows stay in A and B; the solver restricts to the free
-    index set.  For pure-Dirichlet problems the net prescribed boundary
-    flux must vanish up to roundoff or the pressure problem is
-    inconsistent; a violation is logged as a warning.
+    index set.
     """
-    dm = dirichlet_dof_map(mesh, bcs, edge_gauss)
-    vvec = np.where(dm.constrained, dm.values, 0.0)
-    rhs_u = system.rhs_u - system.A @ vvec
-    rhs_p = system.rhs_p - system.B @ vvec
-    if system.mean_constraint is not None:
-        be = mesh.boundary_edge_indices
-        flux = float(mesh.edge_lengths[be] @ vvec[2 * mesh.num_vertices + be])
-        perimeter = float(mesh.edge_lengths[be].sum())
-        if abs(flux) > 1e-10 * perimeter:
-            logger.warning(
-                "Dirichlet data compatibility violated: net boundary flux "
-                "%.3e exceeds 1e-10 x perimeter %.3e",
-                flux,
-                perimeter,
-            )
-    return SaddleSystem(
-        A=system.A,
-        B=system.B,
-        rhs_u=rhs_u,
-        rhs_p=rhs_p,
-        mean_constraint=system.mean_constraint,
-        dof_map=dm,
-    )
+    vvec = np.where(dof_map.constrained, dof_map.values, 0.0)
+    return rhs_u - A @ vvec, rhs_p - B @ vvec
 
 
 @dataclass
@@ -335,8 +307,9 @@ class SteadyProblem:
 
     dirichlet is an ordered list of (tags, u_D) segments; neumann_tags
     name the do-nothing/outflow sides (with optional data).  The load
-    vector is computed once per problem instance and reused across Newton
-    iterations.
+    vector and the Dirichlet dof map are computed once per problem
+    instance and reused across Newton iterations; with_nu returns a new
+    instance.
     """
 
     mesh: object
@@ -346,34 +319,52 @@ class SteadyProblem:
     neumann_tags: tuple = ()
     neumann_data: object = None
     convect: bool = True
-    load_degree: int = 5
-    edge_gauss: int = 4
-    _load: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def with_nu(self, nu):
         return dataclasses.replace(self, nu=nu)
 
+    @cached_property
     def load_vector(self):
-        if self._load is None:
-            if self.body_force is None:
-                self._load = np.zeros(_total_dofs(self.mesh))
-            else:
-                load = assemble_load(self.mesh, self.body_force, self.load_degree)
-                bad = ~np.isfinite(load)
-                if bad.any():
-                    raise ValueError(
-                        f"body force is not finite: {int(bad.sum())} load "
-                        f"entries are NaN or infinite"
-                    )
-                self._load = load
-        return self._load
+        if self.body_force is None:
+            return np.zeros(_total_dofs(self.mesh))
+        load = assemble_load(self.mesh, self.body_force)
+        bad = ~np.isfinite(load)
+        if bad.any():
+            raise ValueError(
+                f"body force is not finite: {int(bad.sum())} load "
+                f"entries are NaN or infinite"
+            )
+        return load
+
+    @cached_property
+    def dof_map(self):
+        """The Dirichlet dof map.
+
+        For pure-Dirichlet problems the net prescribed boundary flux must
+        vanish up to roundoff or the pressure problem is inconsistent; a
+        violation is logged as a warning.
+        """
+        mesh = self.mesh
+        dm = dirichlet_dof_map(mesh, self.dirichlet)
+        if not self.neumann_tags:
+            be = mesh.boundary_edge_indices
+            flux = float(mesh.edge_lengths[be] @ dm.values[2 * mesh.num_vertices + be])
+            perimeter = float(mesh.edge_lengths[be].sum())
+            if abs(flux) > 1e-10 * perimeter:
+                logger.warning(
+                    "Dirichlet data compatibility violated: net boundary flux "
+                    "%.3e exceeds 1e-10 x perimeter %.3e",
+                    flux,
+                    perimeter,
+                )
+        return dm
 
     def newton_system(self, u_n):
         """Assemble the linearized saddle system at state u_n (None = rest)."""
         mesh = self.mesh
         A = assemble_viscous(mesh, self.nu)
         B = assemble_divergence(mesh)
-        rhs_u = self.load_vector().copy()
+        rhs_u = self.load_vector.copy()
 
         if u_n is not None and self.convect:
             C, r = assemble_convection_newton(mesh, u_n)
@@ -382,17 +373,19 @@ class SteadyProblem:
         if self.neumann_tags:
             state = u_n if u_n is not None else EGField.zeros(mesh)
             D, vec = assemble_neumann(
-                mesh, self.neumann_tags, state, self.neumann_data, self.edge_gauss
+                mesh, self.neumann_tags, state, self.neumann_data
             )
             A = A + D
             rhs_u += vec
 
-        system = SaddleSystem(
-            A=A.tocsr(),
+        A = A.tocsr()
+        dm = self.dof_map
+        rhs_u, rhs_p = apply_dirichlet(dm, A, B, rhs_u, np.zeros(mesh.num_triangles))
+        return SaddleSystem(
+            A=A,
             B=B,
             rhs_u=rhs_u,
-            rhs_p=np.zeros(mesh.num_triangles),
+            rhs_p=rhs_p,
             mean_constraint=None if self.neumann_tags else mesh.areas.copy(),
-            dof_map=DofMap.unconstrained(mesh),
+            dof_map=dm,
         )
-        return apply_dirichlet(mesh, system, self.dirichlet, self.edge_gauss)

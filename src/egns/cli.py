@@ -136,7 +136,10 @@ def _parse_value(section, key, raw, kind):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not np.isfinite(value):
+                raise ConfigError(f"[{section}] {key}: {raw!r} is not finite")
+            return value
         if kind == "ints":
             vals = [int(tok) for tok in raw.split()]
             if not vals:
@@ -353,6 +356,8 @@ def cmd_converge(cfg: RunConfig) -> int:
                     done.append(fut.result())
                 except SolverError as exc:
                     failure = (n, exc)
+                    # later levels would be discarded: drop those not started
+                    pool.shutdown(cancel_futures=True)
                     break
 
     for n, (errs, iters) in zip(levels, done):
@@ -505,6 +510,10 @@ def _parabolic_velocity(scale, y0, y1):
     return fn
 
 
+# boundary recipe -> number of numeric arguments
+_RECIPE_ARITY = {"noslip": 0, "velocity": 2, "parabolic": 3, "outflow": 0}
+
+
 def _boundary_setup(cfg: RunConfig, mesh):
     if not cfg.boundary:
         raise ConfigError("the run subcommand needs a [boundary] section")
@@ -522,32 +531,24 @@ def _boundary_setup(cfg: RunConfig, mesh):
     dirichlet = []
     neumann = []
     for tag in sorted(cfg.boundary):
-        words = cfg.boundary[tag].split()
-        kind = words[0] if words else ""
+        recipe = cfg.boundary[tag]
+        kind, *words = recipe.split() or [""]
+        if _RECIPE_ARITY.get(kind) != len(words):
+            raise ConfigError(f"unknown boundary recipe {recipe!r} for tag {tag}")
         try:
-            if kind == "noslip" and len(words) == 1:
-                dirichlet.append(((tag,), _const_velocity(0.0, 0.0)))
-            elif kind == "velocity" and len(words) == 3:
-                dirichlet.append(
-                    ((tag,), _const_velocity(float(words[1]), float(words[2])))
-                )
-            elif kind == "parabolic" and len(words) == 4:
-                dirichlet.append(
-                    (
-                        (tag,),
-                        _parabolic_velocity(*(float(w) for w in words[1:])),
-                    )
-                )
-            elif kind == "outflow" and len(words) == 1:
-                neumann.append(tag)
-            else:
-                raise ConfigError(
-                    f"unknown boundary recipe {cfg.boundary[tag]!r} for tag {tag}"
-                )
+            nums = [float(w) for w in words]
         except ValueError:
-            raise ConfigError(
-                f"bad numbers in boundary recipe {cfg.boundary[tag]!r}"
-            ) from None
+            raise ConfigError(f"bad numbers in boundary recipe {recipe!r}") from None
+        if not np.isfinite(nums).all():
+            raise ConfigError(f"non-finite number in boundary recipe {recipe!r}")
+        if kind == "noslip":
+            dirichlet.append(((tag,), _const_velocity(0.0, 0.0)))
+        elif kind == "velocity":
+            dirichlet.append(((tag,), _const_velocity(*nums)))
+        elif kind == "parabolic":
+            dirichlet.append(((tag,), _parabolic_velocity(*nums)))
+        else:
+            neumann.append(tag)
     return dirichlet, tuple(neumann)
 
 

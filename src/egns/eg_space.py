@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import gauss_1d
+from .quadrature import EDGE_RULE
 
 __all__ = [
     "EGField",
     "DofMap",
     "SingularElementError",
     "interpolate",
+    "edge_trace",
     "local_dof_vectors",
     "element_divergence",
     "energy_norm",
@@ -51,9 +52,6 @@ class EGField:
             vertex_values=np.zeros((mesh.num_vertices, 2)),
             edge_values=np.zeros(mesh.num_edges),
         )
-
-    def copy(self):
-        return EGField(self.vertex_values.copy(), self.edge_values.copy())
 
 
 @dataclass
@@ -99,21 +97,26 @@ class DofMap:
         )
 
 
-def interpolate(mesh, u, edge_gauss=4):
-    """Interpolate an analytic vector field: nodal values plus edge averages
-    of the normal component.  u maps (..., 2) points to (..., 2) values;
-    the edge rule must be exact for the trace degree (default handles
-    degree 7).
-    """
-    vertex_values = np.asarray(u(mesh.vertices), dtype=float)
-    tq, wq = gauss_1d(edge_gauss)
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
+def edge_trace(mesh, u, edges):
+    """u at the EDGE_RULE points of the given edges, (len(edges), nq, 2),
+    and the edge averages of its component along the assigned normals."""
+    tq, wq = EDGE_RULE
+    a = mesh.vertices[mesh.edges[edges, 0]]
+    b = mesh.vertices[mesh.edges[edges, 1]]
     pts = a[:, None, :] * (1.0 - tq)[None, :, None] + b[:, None, :] * tq[None, :, None]
     vals = np.asarray(u(pts.reshape(-1, 2)), dtype=float).reshape(
-        mesh.num_edges, edge_gauss, 2
+        len(edges), tq.size, 2
     )
-    edge_values = np.einsum("q,eqd,ed->e", wq, vals, mesh.edge_normal)
+    return vals, np.einsum("q,eqd,ed->e", wq, vals, mesh.edge_normal[edges])
+
+
+def interpolate(mesh, u):
+    """Interpolate an analytic vector field: nodal values plus edge averages
+    of the normal component.  u maps (..., 2) points to (..., 2) values;
+    the edge averages are exact for traces up to degree 7.
+    """
+    vertex_values = np.asarray(u(mesh.vertices), dtype=float)
+    _, edge_values = edge_trace(mesh, u, np.arange(mesh.num_edges))
     return EGField(vertex_values=vertex_values, edge_values=edge_values)
 
 

@@ -269,6 +269,16 @@ class Mesh2D:
         return mesh
 
 
+def _cell_triangles(i, j, nx):
+    """Two triangles per grid cell (i, j) of a vertex grid nx + 1 wide,
+    split along the lower-left to upper-right diagonal, in cell order."""
+    ll = j * (nx + 1) + i
+    lr = ll + 1
+    ul = ll + nx + 1
+    ur = ul + 1
+    return np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
+
+
 def build_rect_uniform(nx, ny, bounds=(0.0, 0.0, 1.0, 1.0)):
     """Uniform triangulation of a rectangle, nx by ny cells.
 
@@ -288,13 +298,8 @@ def build_rect_uniform(nx, ny, bounds=(0.0, 0.0, 1.0, 1.0)):
     X, Y = np.meshgrid(xs, ys)
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    # cells row by row, two triangles per cell
     j, i = np.divmod(np.arange(nx * ny, dtype=np.int64), nx)
-    ll = j * (nx + 1) + i
-    lr = ll + 1
-    ul = ll + nx + 1
-    ur = ul + 1
-    triangles = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
+    triangles = _cell_triangles(i, j, nx)
 
     tol = 1e-9 * max(x1 - x0, y1 - y0)
 
@@ -332,23 +337,10 @@ def build_step_domain(h_target):
     xs = np.linspace(-4.0, 20.0, nx + 1)
     ys = np.linspace(0.0, 2.0, ny + 1)
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            cx = -4.0 + (i + 0.5) * dx
-            cy = (j + 0.5) * dy
-            if cx < 0.0 and cy < 1.0:
-                continue
-            ll = vid(i, j)
-            lr = vid(i + 1, j)
-            ur = vid(i + 1, j + 1)
-            ul = vid(i, j + 1)
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-    triangles = np.array(tris, dtype=np.int64)
+    # cells row by row, except those whose center lies under the step
+    j, i = np.divmod(np.arange(nx * ny, dtype=np.int64), nx)
+    keep = ~((-4.0 + (i + 0.5) * dx < 0.0) & ((j + 0.5) * dy < 1.0))
+    triangles = _cell_triangles(i[keep], j[keep], nx)
 
     X, Y = np.meshgrid(xs, ys)
     vertices_full = np.column_stack([X.ravel(), Y.ravel()])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureRule", "quadrature_rule", "refined_rule", "gauss_1d"]
+__all__ = ["QuadratureRule", "quadrature_rule", "refined_rule", "gauss_1d", "EDGE_RULE"]
 
 
 @dataclass(frozen=True)
@@ -161,3 +161,8 @@ def gauss_1d(n):
         raise ValueError(f"need at least one point, got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+# the edge rule of boundary data and interpolation: exact to degree 7
+EDGE_RULE = gauss_1d(4)
+EDGE_RULE[0].flags.writeable = EDGE_RULE[1].flags.writeable = False

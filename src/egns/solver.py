@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-from .assembly import SteadyProblem
 
 logger = logging.getLogger(__name__)
 
@@ -65,17 +63,12 @@ class NonConvergenceError(SolverError):
 class NewtonConfig:
     rel_tol: float = 1e-7
     max_iter: int = 1000
-    continuation: list | None = None
 
     def __post_init__(self):
         if self.rel_tol <= 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.continuation is not None:
-            seq = list(self.continuation)
-            if any(not a > b for a, b in zip(seq, seq[1:])):
-                raise ValueError("continuation schedule must be strictly decreasing")
 
 
 @dataclass
@@ -193,22 +186,21 @@ def _nonlinear_residual(system, fld, pressure):
 def newton_solve(problem, config=None, initial=None):
     """Run the Newton loop on a steady problem from rest or a warm start.
 
-    Returns ((velocity, pressure), report).  Raises NonConvergenceError
-    with the last iterate attached if the iteration budget runs out.
+    problem only needs newton_system(state), which returns the saddle
+    system linearized at a velocity field (None = rest).  initial is a
+    (velocity, pressure) pair.  Returns ((velocity, pressure), report).
+    Raises NonConvergenceError with the last iterate attached if the
+    iteration budget runs out.
     """
     config = config or NewtonConfig()
     t0 = time.perf_counter()
 
     if initial is None:
-        state_field = None
-        prev = None
+        system = problem.newton_system(None)
+        prev = 0.0  # the rest state: the first update is the whole iterate
     else:
-        state_field, state_pressure = initial
-        prev = None  # set after the first system is available
-
-    system = problem.newton_system(state_field)
-    if initial is not None:
-        prev = _stacked(system, state_field, state_pressure)
+        system = problem.newton_system(initial[0])
+        prev = _stacked(system, *initial)
 
     history = []
     residual_tol = 1e-2 * config.rel_tol
@@ -217,8 +209,6 @@ def newton_solve(problem, config=None, initial=None):
     for it in range(1, config.max_iter + 1):
         fld, pressure = solve_saddle(system)
         new = _stacked(system, fld, pressure)
-        if prev is None:
-            prev = np.zeros_like(new)
         denom = max(float(np.linalg.norm(new)), _TINY)
         rel = float(np.linalg.norm(new - prev)) / denom
         history.append(rel)
@@ -264,22 +254,18 @@ def default_schedule(nu_target, start=1e-3):
     return schedule
 
 
-def nu_continuation(problem_or_factory, schedule, config=None):
+def nu_continuation(factory, schedule, config=None):
     """Solve a decreasing viscosity sequence, warm-starting each stage.
 
-    Accepts either a SteadyProblem (rebuilt per stage via with_nu) or a
-    callable nu -> SteadyProblem for viscosity-dependent forcing.
-    Returns ((velocity, pressure), [stage reports]).
+    factory maps a viscosity to a problem, for example a problem's
+    with_nu, or a callable that also rebuilds viscosity-dependent
+    forcing.  Returns ((velocity, pressure), [stage reports]).
     """
     schedule = list(schedule)
     if not schedule:
         raise ValueError("continuation schedule is empty")
     if any(not a > b for a, b in zip(schedule, schedule[1:])):
         raise ValueError("continuation schedule must be strictly decreasing")
-    if isinstance(problem_or_factory, SteadyProblem):
-        factory = problem_or_factory.with_nu
-    else:
-        factory = problem_or_factory
 
     state = None
     reports = []

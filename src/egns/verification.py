@@ -16,8 +16,8 @@ sits far below the discretization error being measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -396,17 +396,16 @@ def error_norms(
     velocity: VectorFn,
     pressure: ScalarFn,
     velocity_gradient: Optional[VectorFn] = None,
-    degree: int = 8,
 ):
     """L2 and broken H1 errors of the continuous velocity part and the
     L2 pressure error, as a (e_l2, e_h1, e_p) tuple.
 
     ``solution`` is an (EGField, element pressures) pair. The exact fields
-    are sampled on a refined high-degree rule; the gradient falls back to
-    central differences of ``velocity`` when no closed form is supplied.
+    are sampled on the degree-8 rule refined once; the gradient falls back
+    to central differences of ``velocity`` when no closed form is supplied.
     """
     fld, p_h = solution
-    rule = refined_rule(quadrature_rule(degree))
+    rule = refined_rule(quadrature_rule(8))
     X = rule.physical_points(mesh)  # (NT, nq, 2)
     w = rule.weights
     areas = mesh.areas

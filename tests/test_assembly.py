@@ -10,7 +10,6 @@ from egns.mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, TAG_TOP, build_rect_unifo
 from egns.quadrature import gauss_1d, quadrature_rule
 from egns.eg_space import DofMap, EGField, energy_norm, interpolate, local_dof_vectors
 from egns.assembly import (
-    SaddleSystem,
     SteadyProblem,
     apply_dirichlet,
     assemble_convection_newton,
@@ -376,10 +375,16 @@ class TestDirichlet:
         mesh = build_rect_uniform(4, 4)
         walls = lambda xy: np.zeros_like(xy)
         lid = lambda xy: np.broadcast_to((1.0, 0.0), xy.shape)
+        prob = SteadyProblem(
+            mesh=mesh, nu=1.0,
+            dirichlet=[((TAG_BOTTOM, TAG_LEFT, TAG_RIGHT), walls), ((TAG_TOP,), lid)],
+        )
         with caplog.at_level(logging.INFO, logger="egns.assembly"):
-            dm = dirichlet_dof_map(
-                mesh, [((TAG_BOTTOM, TAG_LEFT, TAG_RIGHT), walls), ((TAG_TOP,), lid)]
-            )
+            sys0 = prob.newton_system(None)
+            sys1 = prob.newton_system(EGField.zeros(mesh))
+        # the map is built once per problem and shared by its systems
+        assert sys1.dof_map is sys0.dof_map
+        dm = sys0.dof_map
         nv = mesh.num_vertices
         for i in range(nv):
             x, y = mesh.vertices[i]
@@ -390,50 +395,64 @@ class TestDirichlet:
         # lid edges carry zero flux: (1,0) is tangential to the top
         for e in mesh.boundary_edge_indices:
             assert dm.values[2 * nv + e] == pytest.approx(0.0, abs=1e-15)
-        assert any("overrid" in r.message for r in caplog.records)
+        assert sum("overrid" in r.message for r in caplog.records) == 1
 
     def test_elimination_moves_data_to_rhs(self):
         mesh = build_rect_uniform(2, 2)
         nu = 1.0
         A = assemble_viscous(mesh, nu)
         B = assemble_divergence(mesh)
-        dm0 = DofMap.unconstrained(mesh)
-        rhs_u = np.zeros(dm0.total)
-        system = SaddleSystem(
-            A=A, B=B, rhs_u=rhs_u.copy(), rhs_p=np.zeros(mesh.num_triangles),
-            mean_constraint=mesh.areas, dof_map=dm0,
-        )
 
         def u_d(xy):
             x, y = xy[..., 0], xy[..., 1]
             return np.stack([y, -x], axis=-1)
 
-        out = apply_dirichlet(mesh, system, [(ALL_SIDES, u_d)])
-        vvec = np.where(out.dof_map.constrained, out.dof_map.values, 0.0)
-        free = out.dof_map.free_indices()
+        dm = dirichlet_dof_map(mesh, [(ALL_SIDES, u_d)])
+        values = dm.values.copy()
+        rhs_u = np.zeros(dm.total)
+        rhs_p = np.zeros(mesh.num_triangles)
+        out_u, out_p = apply_dirichlet(dm, A, B, rhs_u, rhs_p)
+        vvec = np.where(dm.constrained, dm.values, 0.0)
+        free = dm.free_indices()
         want_u = -(A @ vvec)[free]
         want_p = -(B @ vvec)
-        assert np.allclose(out.rhs_u[free], want_u, atol=1e-14)
-        assert np.allclose(out.rhs_p, want_p, atol=1e-14)
-        # original untouched
-        assert np.abs(system.rhs_u).max() == 0.0
+        assert np.allclose(out_u[free], want_u, atol=1e-14)
+        assert np.allclose(out_p, want_p, atol=1e-14)
+        # inputs and the shared map untouched; the map cannot be written
+        assert np.abs(rhs_u).max() == 0.0
+        assert np.abs(rhs_p).max() == 0.0
+        assert np.array_equal(dm.values, values)
+        with pytest.raises(ValueError):
+            dm.values[0] = 1.0
+        with pytest.raises(ValueError):
+            dm.constrained[0] = False
 
     def test_incompatible_data_warns(self, caplog):
         mesh = build_rect_uniform(2, 2)
-        A = assemble_viscous(mesh, 1.0)
-        B = assemble_divergence(mesh)
-        system = SaddleSystem(
-            A=A, B=B, rhs_u=np.zeros(DofMap.unconstrained(mesh).total),
-            rhs_p=np.zeros(mesh.num_triangles), mean_constraint=mesh.areas,
-            dof_map=DofMap.unconstrained(mesh),
-        )
 
         def u_d(xy):  # net outflow through the boundary
             return np.array(xy, dtype=float)
 
+        prob = SteadyProblem(mesh=mesh, nu=1.0, dirichlet=[(ALL_SIDES, u_d)])
         with caplog.at_level(logging.WARNING, logger="egns.assembly"):
-            apply_dirichlet(mesh, system, [(ALL_SIDES, u_d)])
-        assert any("compatib" in r.message for r in caplog.records)
+            prob.newton_system(None)
+            prob.newton_system(EGField.zeros(mesh))
+        assert sum("compatib" in r.message for r in caplog.records) == 1
+
+    @pytest.mark.parametrize("where", ["vertex", "edge"])
+    def test_non_finite_data_names_tags(self, where):
+        mesh = build_rect_uniform(4, 4)
+
+        def lid(xy):  # NaN only at grid vertices, or only between them
+            on_grid = np.all(np.abs(4 * xy - np.round(4 * xy)) < 1e-12, axis=-1)
+            bad = on_grid if where == "vertex" else ~on_grid
+            return np.where(bad[..., None], np.nan, np.zeros_like(xy))
+
+        walls = lambda xy: np.zeros_like(xy)
+        with pytest.raises(ValueError, match=r"tags \(3,\)"):
+            dirichlet_dof_map(
+                mesh, [((TAG_BOTTOM, TAG_LEFT, TAG_RIGHT), walls), ((TAG_TOP,), lid)]
+            )
 
 
 class TestSteadyProblem:

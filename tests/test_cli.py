@@ -1,10 +1,12 @@
 """Command line interface: config parsing, VTK export, subcommand contracts."""
 
 import re
+import time
 
 import numpy as np
 import pytest
 
+import egns.cli
 from egns.cli import ConfigError, RunConfig, load_config, main, worker_count, write_vtk
 from egns.eg_space import EGField, interpolate
 from egns.mesh import build_rect_uniform, export_mesh
@@ -55,6 +57,14 @@ class TestLoadConfig:
         path = _cfg(tmp_path, "[physics]\nnu = fast\n")
         with pytest.raises(ConfigError, match="nu"):
             load_config(path)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_number_rejected(self, tmp_path, raw, capsys):
+        path = _cfg(tmp_path, f"[physics]\nforcing_scale = {raw}\n")
+        with pytest.raises(ConfigError, match="forcing_scale.*not finite"):
+            load_config(path)
+        assert main(["cavity", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_nu_reynolds_conflict(self, tmp_path):
         path = _cfg(tmp_path, "[physics]\nnu = 0.1\nreynolds = 10\n")
@@ -267,6 +277,26 @@ class TestConvergeCommand:
         csv = (tmp_path / "convergence.csv").read_text().splitlines()
         assert csv == ["h,e_l2,order,e_h1,order,e_p,order"]
 
+    def test_failed_level_cancels_queued_levels(self, tmp_path, monkeypatch, capsys):
+        started = []
+
+        def fake_mesh(nx, ny):
+            started.append(nx)
+            if nx == 1:
+                raise egns.cli.SolverError("fails at once")
+            time.sleep(0.5)
+            raise egns.cli.SolverError("slow level")
+
+        monkeypatch.setattr(egns.cli, "build_rect_uniform", fake_mesh)
+        monkeypatch.setenv("EGNS_THREADS", "2")
+        path = _cfg(tmp_path, "[mesh]\nlevels = " + " ".join(map(str, range(1, 11))) + "\n")
+        rc = main(["converge", "--config", path, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "level n=1 failed: fails at once" in capsys.readouterr().err
+        # level 2 runs beside level 1, and the freed worker may take level 3
+        # before the failure is seen; the other seven never start
+        assert len(started) <= 3
+
     def test_continuation_through_cli(self, tmp_path):
         path = _cfg(
             tmp_path,
@@ -366,6 +396,15 @@ class TestRunCommand:
             "[mesh]\nresolution = 8\n\n[physics]\nnu = 1.0\n\n[boundary]\n1 = wiggle\n",
         )
         assert main(["run", "--config", path]) == 2
+
+    def test_non_finite_recipe_number(self, tmp_path, capsys):
+        path = _cfg(
+            tmp_path,
+            "[mesh]\nresolution = 4\n\n[physics]\nnu = 1.0\n\n"
+            "[boundary]\n1 = noslip\n2 = noslip\n4 = noslip\n3 = velocity nan 0\n",
+        )
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "non-finite number in boundary recipe" in capsys.readouterr().err
 
     def test_viscosity_required(self, tmp_path):
         path = _cfg(

@@ -182,6 +182,15 @@ class TestStepDomain:
         assert len(inlet) == 4
         assert len(outlet) == 8
 
+    @pytest.mark.parametrize("h", [1.0, 0.3, 0.25, 0.125])
+    def test_cells_match_loop_oracle(self, h):
+        vertices, triangles = _loop_step(h)
+        mesh = build_step_domain(h)
+        assert mesh.vertices.dtype == vertices.dtype
+        assert np.array_equal(mesh.vertices, vertices)
+        assert mesh.triangles.dtype == triangles.dtype
+        assert np.array_equal(mesh.triangles, triangles)
+
     def test_spacing_snaps_to_divide_step_corner(self):
         mesh = build_step_domain(0.3)
         xs = np.unique(mesh.vertices[:, 0])
@@ -404,6 +413,34 @@ def _loop_topology(vertices, triangles, tag_lookup):
         "triangle_edge_sign": sign,
         "boundary_tags": boundary_tags,
     }
+
+
+def _loop_step(h_target):
+    """Step-channel vertices and triangles, built cell by cell."""
+    kx = max(1, round(4.0 / h_target))
+    ky = max(1, round(1.0 / h_target))
+    dx = 4.0 / kx
+    dy = 1.0 / ky
+    nx = 6 * kx
+    ny = 2 * ky
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            if -4.0 + (i + 0.5) * dx < 0.0 and (j + 0.5) * dy < 1.0:
+                continue
+            ll = j * (nx + 1) + i
+            lr = ll + 1
+            ur = ll + nx + 2
+            ul = ll + nx + 1
+            tris.append((ll, lr, ur))
+            tris.append((ll, ur, ul))
+    triangles = np.array(tris, dtype=np.int64)
+    X, Y = np.meshgrid(np.linspace(-4.0, 20.0, nx + 1), np.linspace(0.0, 2.0, ny + 1))
+    vertices_full = np.column_stack([X.ravel(), Y.ravel()])
+    used = np.unique(triangles)
+    remap = np.full(vertices_full.shape[0], -1, dtype=np.int64)
+    remap[used] = np.arange(used.size)
+    return vertices_full[used], remap[triangles]
 
 
 def _step_tags(mids):

@@ -66,17 +66,12 @@ class TestNewtonConfig:
         cfg = NewtonConfig()
         assert cfg.rel_tol == 1e-7
         assert cfg.max_iter == 1000
-        assert cfg.continuation is None
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             NewtonConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             NewtonConfig(max_iter=0)
-
-    def test_rejects_nonmonotone_continuation(self):
-        with pytest.raises(ValueError, match="decreas"):
-            NewtonConfig(continuation=[1e-3, 1e-3])
 
 
 class TestDefaultSchedule:
@@ -174,6 +169,22 @@ class TestNewtonSolve:
             newton_solve(prob, NewtonConfig(max_iter=5))
         assert solves == []
 
+    def test_infinite_dirichlet_data_named_before_any_solve(self, monkeypatch):
+        solves = []
+        real = egns.solver.solve_saddle
+        monkeypatch.setattr(
+            egns.solver, "solve_saddle", lambda system: solves.append(1) or real(system)
+        )
+        mesh = build_rect_uniform(4, 4)
+        lid = lambda xy: np.broadcast_to((np.inf, 0.0), xy.shape)
+        prob = SteadyProblem(
+            mesh=mesh, nu=1.0,
+            dirichlet=[((TAG_BOTTOM, TAG_LEFT, TAG_RIGHT), _zero_bc), ((TAG_TOP,), lid)],
+        )
+        with pytest.raises(ValueError, match=r"Dirichlet data on tags \(3,\)"):
+            newton_solve(prob, NewtonConfig(max_iter=5))
+        assert solves == []
+
     def test_zero_data_zero_solution_one_iteration(self):
         prob = _homogeneous_problem(4, 1.0)
         (field, pressure), report = newton_solve(prob)
@@ -259,7 +270,7 @@ class TestNewtonSolve:
 class TestContinuation:
     def test_single_entry_matches_plain_solve(self):
         prob = _cavity_problem(6, 0.1)
-        (fa, pa), reports = nu_continuation(prob, [0.1])
+        (fa, pa), reports = nu_continuation(prob.with_nu, [0.1])
         (fb, pb), _ = newton_solve(prob)
         assert len(reports) == 1
         assert np.array_equal(fa.vertex_values, fb.vertex_values)
@@ -281,9 +292,9 @@ class TestContinuation:
     def test_rejects_bad_schedule(self):
         prob = _cavity_problem(4, 0.1)
         with pytest.raises(ValueError):
-            nu_continuation(prob, [])
+            nu_continuation(prob.with_nu, [])
         with pytest.raises(ValueError):
-            nu_continuation(prob, [1e-3, 1e-3])
+            nu_continuation(prob.with_nu, [1e-3, 1e-3])
 
     def test_stage_failure_is_attributed(self):
         with pytest.raises(NonConvergenceError) as ei:
