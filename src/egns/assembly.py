@@ -309,7 +309,7 @@ class SteadyProblem:
     name the do-nothing/outflow sides (with optional data).  The load
     vector and the Dirichlet dof map are computed once per problem
     instance and reused across Newton iterations; with_nu returns a new
-    instance.
+    instance that shares both, since neither depends on nu.
     """
 
     mesh: object
@@ -321,7 +321,9 @@ class SteadyProblem:
     convect: bool = True
 
     def with_nu(self, nu):
-        return dataclasses.replace(self, nu=nu)
+        new = dataclasses.replace(self, nu=nu)
+        new.load_vector, new.dof_map = self.load_vector, self.dof_map
+        return new
 
     @cached_property
     def load_vector(self):

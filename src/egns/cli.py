@@ -528,8 +528,7 @@ def _boundary_setup(cfg: RunConfig, mesh):
             f"boundary recipe for nonexistent tag(s) {sorted(given - present)}"
         )
 
-    dirichlet = []
-    neumann = []
+    noslip, dirichlet, neumann = [], [], []
     for tag in sorted(cfg.boundary):
         recipe = cfg.boundary[tag]
         kind, *words = recipe.split() or [""]
@@ -542,14 +541,16 @@ def _boundary_setup(cfg: RunConfig, mesh):
         if not np.isfinite(nums).all():
             raise ConfigError(f"non-finite number in boundary recipe {recipe!r}")
         if kind == "noslip":
-            dirichlet.append(((tag,), _const_velocity(0.0, 0.0)))
+            noslip.append(((tag,), _const_velocity(0.0, 0.0)))
         elif kind == "velocity":
             dirichlet.append(((tag,), _const_velocity(*nums)))
         elif kind == "parabolic":
             dirichlet.append(((tag,), _parabolic_velocity(*nums)))
         else:
             neumann.append(tag)
-    return dirichlet, tuple(neumann)
+    # later segments win at shared corners, so walls go first and the lid
+    # or inflow keeps its corners, as in case_cavity
+    return noslip + dirichlet, tuple(neumann)
 
 
 def _build_mesh(cfg: RunConfig):

@@ -191,8 +191,6 @@ def element_ops(mesh):
         "l2g": l2g,
         "L": L,
         "sig": sig,
-        "nout": nout,
-        "n_e": n_e,
         "gradl": gradl,
     }
     cache["eg_ops"] = ops

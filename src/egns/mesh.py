@@ -14,6 +14,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +80,6 @@ class Mesh2D:
     areas: np.ndarray
     h_T: np.ndarray
     h: float
-    construction_notes: list = field(default_factory=list)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -105,14 +106,15 @@ class Mesh2D:
         return mask
 
     @classmethod
-    def from_arrays(cls, vertices, triangles, tag_lookup=None, strict=True,
-                    tri_lines=None):
+    def from_arrays(cls, vertices, triangles, tag_lookup=None, tri_lines=None):
         """Build full topology from raw vertex and triangle arrays.
 
-        tag_lookup assigns boundary tags: either a callable mapping edge
-        midpoints (B, 2) to an int array, or a dict keyed by sorted endpoint
-        pairs.  With strict=False, topology defects are recorded in
-        construction_notes instead of raising (validate_mesh reports them).
+        Every defect raises MeshError: bad shapes or indices, repeated or
+        unused vertices, clockwise or degenerate triangles, non-manifold or
+        zero-length edges, and parts that share no edge.  tag_lookup maps
+        the boundary edges' endpoint pairs (B, 2), smaller index first, to
+        their int tags; None tags them 0.  tri_lines holds a source line per
+        triangle for error messages.
         """
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -124,15 +126,19 @@ class Mesh2D:
         nt = triangles.shape[0]
         if nt == 0:
             raise MeshError("mesh has no triangles")
-        if triangles.min() < 0 or triangles.max() >= nv:
-            raise MeshError("triangle vertex index out of range")
-
-        notes = []
 
         def _loc(t):
             if tri_lines is not None:
                 return f"line {tri_lines[t]}: "
             return ""
+
+        outside = (triangles < 0) | (triangles >= nv)
+        if outside.any():
+            t, k = (int(i[0]) for i in np.nonzero(outside))
+            raise MeshError(
+                f"{_loc(t)}triangle {t} references vertex {triangles[t, k]} "
+                f"outside 0..{nv - 1}"
+            )
 
         dup = (
             (triangles[:, 0] == triangles[:, 1])
@@ -141,32 +147,30 @@ class Mesh2D:
         )
         if dup.any():
             t = int(np.flatnonzero(dup)[0])
-            msg = f"{_loc(t)}triangle {t} repeats a vertex index"
-            if strict:
-                raise MeshError(msg)
-            notes.append(msg)
+            raise MeshError(f"{_loc(t)}triangle {t} repeats a vertex index")
 
         p = vertices[triangles]
         signed = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         bad = signed <= 0.0
         if bad.any():
             t = int(np.flatnonzero(bad)[0])
-            msg = (
+            raise MeshError(
                 f"{_loc(t)}triangle {t} is degenerate or not counterclockwise "
                 f"(signed area {signed[t]:.3e})"
             )
-            if strict:
-                raise MeshError(msg)
-            notes.append(msg)
         areas = np.abs(signed)
+
+        unused = np.bincount(triangles.ravel(), minlength=nv) == 0
+        if unused.any():
+            raise MeshError(
+                f"vertex {int(np.flatnonzero(unused)[0])} is used by no triangle"
+            )
 
         # Deduplicate edges.  Local edge k of a triangle joins local vertices
         # (k+1)%3 and (k+2)%3, i.e. it is opposite local vertex k.
         ea = triangles[:, [1, 2, 0]].ravel()
         eb = triangles[:, [2, 0, 1]].ravel()
-        lo = np.minimum(ea, eb)
-        hi = np.maximum(ea, eb)
-        keys = lo * np.int64(nv) + hi
+        keys = np.minimum(ea, eb) * np.int64(nv) + np.maximum(ea, eb)
         uniq, tri_edge_flat = np.unique(keys, return_inverse=True)
         ne = uniq.shape[0]
         edges = np.column_stack([uniq // nv, uniq % nv])
@@ -177,24 +181,28 @@ class Mesh2D:
             e = int(np.argmax(counts))
             owners = np.flatnonzero((triangle_edges == e).any(axis=1))
             t = int(owners[2])
-            msg = (
+            raise MeshError(
                 f"{_loc(t)}edge ({edges[e, 0]}, {edges[e, 1]}) is shared by "
                 f"{counts[e]} triangles: mesh is not manifold"
             )
-            if strict:
-                raise MeshError(msg)
-            notes.append(msg)
 
-        # the first two triangles of each edge, in triangle order, fill its
-        # two slots; a non-manifold edge's further triangles are dropped
+        # the triangles of each edge, in triangle order, fill its two slots
         edge_to_triangles = np.full((ne, 2), -1, dtype=np.int64)
         order = np.argsort(tri_edge_flat, kind="stable")
-        tri_of_flat = np.repeat(np.arange(nt, dtype=np.int64), 3)[order]
         sorted_edges = tri_edge_flat[order]
-        first = np.cumsum(counts) - counts
-        slot = np.arange(3 * nt) - first[sorted_edges]
-        keep = slot < 2
-        edge_to_triangles[sorted_edges[keep], slot[keep]] = tri_of_flat[keep]
+        slot = np.arange(3 * nt) - (np.cumsum(counts) - counts)[sorted_edges]
+        edge_to_triangles[sorted_edges, slot] = order // 3
+
+        is_boundary = edge_to_triangles[:, 1] < 0
+        t0, t1 = edge_to_triangles[~is_boundary].T
+        graph = coo_matrix((np.ones(t0.size), (t0, t1)), shape=(nt, nt))
+        ncomp, label = connected_components(graph, directed=False)
+        if ncomp > 1:
+            t = int(np.flatnonzero(label != label[0])[0])
+            raise MeshError(
+                f"{_loc(t)}mesh has {ncomp} parts that share no edge: triangle "
+                f"{t} is not connected to triangle 0"
+            )
 
         dvec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
         edge_lengths = np.hypot(dvec[:, 0], dvec[:, 1])
@@ -204,22 +212,12 @@ class Mesh2D:
         tvec = dvec / edge_lengths[:, None]
         edge_normal = np.column_stack([-tvec[:, 1], tvec[:, 0]])
 
-        # Outward normals per triangle edge: local edge k runs from local
-        # vertex (k+1)%3 to (k+2)%3 along the counterclockwise boundary, so
-        # outward is the clockwise rotation of the edge direction.
-        sign = np.zeros((nt, 3), dtype=np.int64)
-        for k in range(3):
-            a = triangles[:, (k + 1) % 3]
-            b = triangles[:, (k + 2) % 3]
-            d = vertices[b] - vertices[a]
-            dn = np.hypot(d[:, 0], d[:, 1])
-            dn[dn == 0] = 1.0
-            out = np.column_stack([d[:, 1], -d[:, 0]]) / dn[:, None]
-            dot = np.einsum("ij,ij->i", edge_normal[triangle_edges[:, k]], out)
-            sign[:, k] = np.where(dot >= 0, 1, -1)
+        # The assigned normal turns low -> high counterclockwise; the outward
+        # normal turns the triangle's own edge direction ea -> eb clockwise.
+        # They agree exactly when the triangle walks the edge high -> low.
+        sign = np.where(ea > eb, 1, -1).reshape(nt, 3)
 
         # Re-orient boundary edges so the assigned normal points outward.
-        is_boundary = edge_to_triangles[:, 1] < 0
         be = np.flatnonzero(is_boundary)
         bt = edge_to_triangles[be, 0]
         bk = np.argmax(triangle_edges[bt] == be[:, None], axis=1)
@@ -228,30 +226,12 @@ class Mesh2D:
         sign[bt[flip], bk[flip]] = 1
 
         boundary_tags = np.full(ne, TAG_INTERIOR, dtype=np.int64)
-        bidx = np.flatnonzero(is_boundary)
-        if bidx.size:
-            if callable(tag_lookup):
-                mids = 0.5 * (vertices[edges[bidx, 0]] + vertices[edges[bidx, 1]])
-                boundary_tags[bidx] = tag_lookup(mids)
-            elif isinstance(tag_lookup, dict):
-                for e in bidx:
-                    key = (int(edges[e, 0]), int(edges[e, 1]))
-                    boundary_tags[e] = tag_lookup.get(key, 0)
-            else:
-                boundary_tags[bidx] = 0
+        boundary_tags[be] = 0 if tag_lookup is None else tag_lookup(edges[be])
 
-        pe = vertices[triangles]
-        side = np.stack(
-            [
-                pe[:, 2] - pe[:, 1],
-                pe[:, 0] - pe[:, 2],
-                pe[:, 1] - pe[:, 0],
-            ],
-            axis=1,
-        )
+        side = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
         h_T = np.sqrt((side**2).sum(axis=2)).max(axis=1)
 
-        mesh = cls(
+        return cls(
             vertices=_freeze(vertices),
             triangles=_freeze(triangles),
             edges=_freeze(edges),
@@ -264,9 +244,7 @@ class Mesh2D:
             areas=_freeze(areas),
             h_T=_freeze(h_T),
             h=float(h_T.max()),
-            construction_notes=notes,
         )
-        return mesh
 
 
 def _cell_triangles(i, j, nx):
@@ -303,7 +281,8 @@ def build_rect_uniform(nx, ny, bounds=(0.0, 0.0, 1.0, 1.0)):
 
     tol = 1e-9 * max(x1 - x0, y1 - y0)
 
-    def tags(mids):
+    def tags(pairs):
+        mids = vertices[pairs].mean(axis=1)
         mx, my = mids[:, 0], mids[:, 1]
         # the first matching side wins
         sides = [
@@ -352,7 +331,8 @@ def build_step_domain(h_target):
 
     tol = 1e-9 * 24.0
 
-    def tags(mids):
+    def tags(pairs):
+        mids = vertices[pairs].mean(axis=1)
         out = np.full(mids.shape[0], TAG_WALL, dtype=np.int64)
         out[np.abs(mids[:, 0] + 4.0) < tol] = TAG_INLET
         out[np.abs(mids[:, 0] - 20.0) < tol] = TAG_OUTLET
@@ -420,51 +400,54 @@ def import_mesh(path):
         if len(tok) != 3:
             raise MeshError(f"{path}: line {lineno}: triangle needs exactly 'i j k'")
         try:
-            tri = [int(s) for s in tok]
-        except ValueError:
+            triangles[t] = [int(s) for s in tok]
+        except (ValueError, OverflowError):
             raise MeshError(f"{path}: line {lineno}: bad triangle indices") from None
-        if len(set(tri)) != 3:
-            raise MeshError(
-                f"{path}: line {lineno}: triangle {t} repeats a vertex index"
-            )
-        if min(tri) < 0 or max(tri) >= nv:
-            raise MeshError(
-                f"{path}: line {lineno}: triangle {t} references vertex "
-                f"{max(tri, key=abs)} outside 0..{nv - 1}"
-            )
-        triangles[t] = tri
 
-    tag_map = {}
-    tag_rows = []
+    # boundary records as (smaller index, larger index, tag) rows
+    records = np.empty((nb, 3), dtype=np.int64)
+    rec_lines = np.empty(nb, dtype=np.int64)
     for r in range(nb):
         lineno, tok = rows[1 + nv + nt + r]
+        rec_lines[r] = lineno
         if len(tok) != 3:
             raise MeshError(f"{path}: line {lineno}: boundary record needs 'a b tag'")
         try:
             a, b, tag = (int(s) for s in tok)
-        except ValueError:
+            records[r] = (min(a, b), max(a, b), tag)
+        except (ValueError, OverflowError):
             raise MeshError(f"{path}: line {lineno}: bad boundary record") from None
         if not (0 <= a < nv and 0 <= b < nv) or a == b:
             raise MeshError(f"{path}: line {lineno}: bad boundary edge ({a}, {b})")
-        tag_map[(min(a, b), max(a, b))] = tag
-        tag_rows.append((lineno, (min(a, b), max(a, b))))
+
+    keys = records[:, 0] * nv + records[:, 1]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+
+    def tag_lookup(pairs):
+        """Tag each boundary edge from its one record."""
+        want = pairs[:, 0] * nv + pairs[:, 1]
+        again = np.zeros(nb, dtype=bool)
+        again[order[1:]] = sorted_keys[1:] == sorted_keys[:-1]
+        stray = ~np.isin(keys, want)
+        if (again | stray).any():
+            r = int(np.flatnonzero(again | stray)[0])
+            why = "is listed twice" if again[r] else "is not a boundary edge"
+            raise MeshError(
+                f"line {rec_lines[r]}: edge ({records[r, 0]}, {records[r, 1]}) {why}"
+            )
+        missing = ~np.isin(want, keys)
+        if missing.any():
+            a, b = pairs[np.flatnonzero(missing)[0]]
+            raise MeshError(f"boundary edge ({a}, {b}) has no tag record")
+        return records[order[np.searchsorted(sorted_keys, want)], 2]
 
     try:
-        mesh = Mesh2D.from_arrays(
-            vertices, triangles, tag_lookup=tag_map, tri_lines=tri_lines
+        return Mesh2D.from_arrays(
+            vertices, triangles, tag_lookup=tag_lookup, tri_lines=tri_lines
         )
     except MeshError as err:
         raise MeshError(f"{path}: {err}") from None
-
-    boundary = set()
-    for e in mesh.boundary_edge_indices:
-        boundary.add((int(mesh.edges[e, 0]), int(mesh.edges[e, 1])))
-    for lineno, pair in tag_rows:
-        if pair not in boundary:
-            raise MeshError(
-                f"{path}: line {lineno}: edge {pair} is not a boundary edge"
-            )
-    return mesh
 
 
 def export_mesh(mesh, path):
@@ -504,11 +487,11 @@ def validate_mesh(mesh):
     Invariants checked: positive orientation, unit normals perpendicular to
     their edges, opposite incidence signs across interior edges, +1 signs and
     outward normals on boundary edges, the per-triangle closed-polygon
-    identity (length-weighted signed normals sum to zero), tag placement,
-    and any defects recorded during a non-strict build.
+    identity (length-weighted signed normals sum to zero), and tag
+    placement.
     """
     v = mesh.vertices
-    violations = list(mesh.construction_notes)
+    violations = []
 
     p = v[mesh.triangles]
     signed = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])

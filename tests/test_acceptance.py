@@ -40,6 +40,8 @@ from egns.verification import (
     velocity_l2_norm,
 )
 
+pytestmark = pytest.mark.slow
+
 LEVELS = (16, 32, 64, 128)
 
 # Reference error magnitudes for the vortex benchmark on these meshes.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.io
 
+import egns.assembly
 from egns.mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, TAG_TOP, build_rect_uniform
 from egns.quadrature import gauss_1d, quadrature_rule
 from egns.eg_space import DofMap, EGField, energy_norm, interpolate, local_dof_vectors
@@ -493,3 +494,29 @@ class TestSteadyProblem:
         b = scipy.io.mmread(tmp_path / "sys_B.mtx")
         assert a.shape == system.A.shape
         assert b.shape == system.B.shape
+
+    def test_with_nu_shares_load_and_dof_map(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            fn = getattr(egns.assembly, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("assemble_load", "dirichlet_dof_map"):
+            monkeypatch.setattr(egns.assembly, name, counted(name))
+        mesh = build_rect_uniform(2, 2)
+        prob = SteadyProblem(
+            mesh=mesh, nu=1.0, body_force=lambda xy: np.ones_like(xy),
+            dirichlet=[(ALL_SIDES, lambda xy: np.zeros_like(xy))],
+        )
+        stages = [prob.with_nu(0.5), prob.with_nu(0.25).with_nu(0.125)]
+        assert [p.nu for p in stages] == [0.5, 0.125]
+        for p in stages:
+            assert p.load_vector is prob.load_vector
+            assert p.dof_map is prob.dof_map
+        assert sorted(calls) == ["assemble_load", "dirichlet_dof_map"]

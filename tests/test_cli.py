@@ -1,11 +1,13 @@
 """Command line interface: config parsing, VTK export, subcommand contracts."""
 
+import logging
 import re
 import time
 
 import numpy as np
 import pytest
 
+import egns.assembly
 import egns.cli
 from egns.cli import ConfigError, RunConfig, load_config, main, worker_count, write_vtk
 from egns.eg_space import EGField, interpolate
@@ -383,6 +385,71 @@ class TestRunCommand:
         rc = main(["run", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "run.vtk").is_file()
+
+    @pytest.mark.parametrize(
+        "body, cause",
+        [
+            # a unit square plus a vertex no triangle uses
+            (
+                "5 2 4\n0 0\n1 0\n0 1\n1 1\n0.5 0.5\n0 1 3\n0 3 2\n"
+                "0 1 1\n1 3 1\n2 3 1\n0 2 1\n",
+                "vertex 4 is used by no triangle",
+            ),
+            # two unit squares one unit apart
+            (
+                "8 4 8\n0 0\n1 0\n0 1\n1 1\n2 0\n3 0\n2 1\n3 1\n"
+                "0 1 3\n0 3 2\n4 5 7\n4 7 6\n"
+                "0 1 1\n1 3 1\n2 3 1\n0 2 1\n4 5 1\n5 7 1\n6 7 1\n4 6 1\n",
+                "2 parts that share no edge",
+            ),
+        ],
+        ids=["unused-vertex", "two-parts"],
+    )
+    def test_defective_imported_mesh(self, tmp_path, capsys, body, cause):
+        mesh_file = tmp_path / "bad.m2d"
+        mesh_file.write_text(body)
+        path = _cfg(
+            tmp_path,
+            f"[mesh]\ngenerator = import\npath = {mesh_file}\n\n"
+            "[physics]\nnu = 1.0\n\n[boundary]\n1 = noslip\n",
+        )
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        assert cause in capsys.readouterr().err
+
+    def test_lid_corners_match_cavity(self, tmp_path):
+        # the README's [boundary] section: the lid keeps both top corners
+        path = _cfg(
+            tmp_path,
+            "[mesh]\ngenerator = unit_square\nresolution = 8\n\n"
+            "[physics]\nnu = 1.0\n\n"
+            "[boundary]\n1 = noslip\n2 = noslip\n3 = velocity 1 0\n4 = noslip\n",
+        )
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
+        cav = _cfg(tmp_path, "[mesh]\nresolution = 8\n\n[physics]\nnu = 1.0\n", "cav.ini")
+        assert main(["cavity", "--config", cav, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "run.vtk").read_bytes() == (tmp_path / "cavity_f1.vtk").read_bytes()
+
+    def test_continuation_stages_share_boundary_data(self, tmp_path, caplog, monkeypatch):
+        calls = []
+        build = egns.assembly.dirichlet_dof_map
+
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(egns.assembly, "dirichlet_dof_map", counted)
+        path = _cfg(
+            tmp_path,
+            "[mesh]\ngenerator = unit_square\nresolution = 8\n\n"
+            "[physics]\nreynolds = 4000\ncontinuation = yes\n\n"
+            "[boundary]\n1 = noslip\n2 = noslip\n3 = velocity 1 0\n4 = noslip\n",
+        )
+        with caplog.at_level(logging.INFO):
+            assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
+        stages = [r for r in caplog.records if "continuation stage" in r.message]
+        assert len(stages) == 3
+        assert sum("overrid" in r.message for r in caplog.records) == 1
+        assert len(calls) == 1
 
     def test_missing_boundary_section(self, tmp_path):
         path = _cfg(

@@ -350,7 +350,7 @@ class TestDegenerateElements:
     def test_sliver_triggers_singular_element_error(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-16]])
         tris = np.array([[0, 1, 2]])
-        mesh = Mesh2D.from_arrays(verts, tris, strict=False)
+        mesh = Mesh2D.from_arrays(verts, tris)
         with pytest.raises(SingularElementError):
             modified_gradient_local(mesh, 0, np.zeros(9))
 

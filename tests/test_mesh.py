@@ -1,9 +1,11 @@
 """Mesh construction, topology, interchange format, and validation checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from egns.mesh import (
     MeshError,
@@ -287,6 +289,29 @@ class TestInterchangeFormat:
         with pytest.raises(MeshError, match="manifold"):
             import_mesh(path)
 
+    def test_huge_vertex_index_reported_with_line(self, tmp_path):
+        path = tmp_path / "m.m2d"
+        path.write_text("3 1 0\n0 0\n1 0\n0 1\n0 1 99999999999999999999\n")
+        with pytest.raises(MeshError, match="line 5"):
+            import_mesh(path)
+
+    def test_unlisted_boundary_edge_rejected(self, tmp_path):
+        path = tmp_path / "m.m2d"
+        path.write_text(
+            "4 2 3\n0 0\n1 0\n0 1\n1 1\n0 1 3\n0 3 2\n0 1 7\n1 3 7\n2 3 7\n"
+        )
+        with pytest.raises(MeshError, match=r"boundary edge \(0, 2\) has no tag"):
+            import_mesh(path)
+
+    def test_edge_listed_twice_rejected(self, tmp_path):
+        path = tmp_path / "m.m2d"
+        path.write_text(
+            "4 2 5\n0 0\n1 0\n0 1\n1 1\n0 1 3\n0 3 2\n"
+            "0 1 7\n1 3 7\n2 3 7\n0 2 7\n1 0 8\n"
+        )
+        with pytest.raises(MeshError, match=r"line 12: edge \(0, 1\) is listed twice"):
+            import_mesh(path)
+
     def test_tag_for_non_boundary_edge_rejected(self, tmp_path):
         path = tmp_path / "m.m2d"
         path.write_text(
@@ -294,6 +319,38 @@ class TestInterchangeFormat:
         )
         with pytest.raises(MeshError, match="line 8"):
             import_mesh(path)
+
+
+class TestConstructionDefects:
+    def test_index_out_of_range_names_triangle(self):
+        base = build_rect_uniform(1, 1)
+        tris = base.triangles.copy()
+        tris[1, 2] = 7
+        with pytest.raises(MeshError, match="triangle 1 references vertex 7"):
+            Mesh2D.from_arrays(base.vertices, tris)
+
+    def test_unused_vertex_rejected(self):
+        base = build_rect_uniform(4, 4)
+        verts = np.vstack([base.vertices, [[0.5, 0.5]]])
+        with pytest.raises(MeshError, match="vertex 25 is used by no triangle"):
+            Mesh2D.from_arrays(verts, base.triangles)
+
+    @pytest.mark.parametrize(
+        "vertices, triangles",
+        [
+            # two unit squares one unit apart
+            (
+                [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [3, 0], [2, 1], [3, 1]],
+                [[0, 1, 3], [0, 3, 2], [4, 5, 7], [4, 7, 6]],
+            ),
+            # a bow tie: two triangles that share only vertex 0
+            ([[0, 0], [1, 0], [1, 1], [-1, 0], [-1, -1]], [[0, 1, 2], [0, 3, 4]]),
+        ],
+        ids=["two-squares", "bow-tie"],
+    )
+    def test_parts_sharing_no_edge_rejected(self, vertices, triangles):
+        with pytest.raises(MeshError, match="2 parts that share no edge"):
+            Mesh2D.from_arrays(np.array(vertices, dtype=float), triangles)
 
 
 class TestValidate:
@@ -308,9 +365,19 @@ class TestValidate:
         assert report.max_shape_ratio == pytest.approx(2 + 2 * math.sqrt(2), rel=1e-12)
 
     def test_duplicated_triangle_flagged(self):
+        # the constructor rejects this mesh, so hand-build the defective one
         base = build_rect_uniform(1, 1)
-        tris = np.vstack([base.triangles, base.triangles[:1]])
-        mesh = Mesh2D.from_arrays(base.vertices.copy(), tris, strict=False)
+
+        def again(a):
+            return np.concatenate([a, a[:1]])
+
+        mesh = dataclasses.replace(
+            base,
+            triangles=again(base.triangles),
+            triangle_edges=again(base.triangle_edges),
+            triangle_edge_sign=again(base.triangle_edge_sign),
+            h_T=again(base.h_T),
+        )
         report = validate_mesh(mesh)
         assert not report.ok
         assert any("inciden" in v for v in report.violations)
@@ -450,11 +517,12 @@ def _step_tags(mids):
     return out
 
 
-def _shuffled_mesh_file(path):
+def _shuffled_mesh_file(path, seed=8, nx=5, ny=4):
     # perturbed interior vertices under a random numbering, so boundary
-    # normals start out both inward and outward
-    rng = np.random.default_rng(8)
-    base = build_rect_uniform(5, 4)
+    # normals start out both inward and outward; the perturbation keeps
+    # every triangle counterclockwise while nx, ny <= 5
+    rng = np.random.default_rng(seed)
+    base = build_rect_uniform(nx, ny)
     interior = ~base.boundary_vertex_mask
     verts = base.vertices.copy()
     verts[interior] += rng.uniform(-0.03, 0.03, (int(interior.sum()), 2))
@@ -473,6 +541,13 @@ def _shuffled_mesh_file(path):
     return verts[perm], tris, tag_map
 
 
+def _assert_matches_oracle(mesh, vertices, triangles, tags):
+    for name, arr in _loop_topology(vertices, triangles, tags).items():
+        got = getattr(mesh, name)
+        assert got.dtype == arr.dtype, name
+        assert np.array_equal(got, arr), name
+
+
 def test_vectorized_builders_match_loop_oracle(tmp_path):
     path = tmp_path / "shuffled.m2d"
     verts, tris, tag_map = _shuffled_mesh_file(path)
@@ -483,8 +558,16 @@ def test_vectorized_builders_match_loop_oracle(tmp_path):
         (import_mesh(path), (verts, tris, tag_map)),
     ]
     for mesh, (vertices, triangles, tags) in cases:
-        want = _loop_topology(vertices, triangles, tags)
-        for name, arr in want.items():
-            got = getattr(mesh, name)
-            assert got.dtype == arr.dtype, name
-            assert np.array_equal(got, arr), name
+        _assert_matches_oracle(mesh, vertices, triangles, tags)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 5),
+    ny=st.integers(1, 5),
+)
+def test_shuffled_meshes_match_loop_oracle(tmp_path_factory, seed, nx, ny):
+    path = tmp_path_factory.mktemp("shuffled") / "m.m2d"
+    verts, tris, tag_map = _shuffled_mesh_file(path, seed, nx, ny)
+    _assert_matches_oracle(import_mesh(path), verts, tris, tag_map)
