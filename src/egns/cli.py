@@ -49,14 +49,7 @@ from .assembly import SteadyProblem
 from .eg_space import EGField, element_divergence, element_ops, local_dof_vectors
 from .mesh import MeshError, build_rect_uniform, build_step_domain, import_mesh
 from .reconstruction import rt_at_centroids
-from .solver import (
-    NewtonConfig,
-    NonConvergenceError,
-    SolverError,
-    default_schedule,
-    newton_solve,
-    nu_continuation,
-)
+from .solver import NewtonConfig, SolverError, newton_solve, nu_continuation
 from .verification import (
     STEP_RECIRCULATION_BOX,
     ConvergenceTable,
@@ -272,8 +265,11 @@ def write_vtk(mesh, solution, path) -> None:
         f"POINTS {mesh.num_vertices} double",
     ]
     zero = _F(0.0)
-    for x, y in mesh.vertices:
-        out.append(f"{_F(x + 0.0)} {_F(y + 0.0)} {zero}")
+
+    def vectors(rows):
+        return (f"{_F(a + 0.0)} {_F(b + 0.0)} {zero}" for a, b in rows)
+
+    out.extend(vectors(mesh.vertices))
     out.append(f"CELLS {mesh.num_triangles} {4 * mesh.num_triangles}")
     for i, j, k in mesh.triangles:
         out.append(f"3 {i} {j} {k}")
@@ -282,8 +278,7 @@ def write_vtk(mesh, solution, path) -> None:
 
     out.append(f"POINT_DATA {mesh.num_vertices}")
     out.append("VECTORS velocity double")
-    for ux, uy in fld.vertex_values:
-        out.append(f"{_F(ux + 0.0)} {_F(uy + 0.0)} {zero}")
+    out.extend(vectors(fld.vertex_values))
 
     out.append(f"CELL_DATA {mesh.num_triangles}")
     for name, arr in cell_scalars:
@@ -291,8 +286,7 @@ def write_vtk(mesh, solution, path) -> None:
         out.append("LOOKUP_TABLE default")
         out.extend(_F(v + 0.0) for v in arr)
     out.append("VECTORS reconstructed_velocity double")
-    for vx, vy in recon:
-        out.append(f"{_F(vx + 0.0)} {_F(vy + 0.0)} {zero}")
+    out.extend(vectors(recon))
 
     path = Path(path)
     try:
@@ -306,18 +300,14 @@ def _ensure_out(cfg: RunConfig) -> Path:
     return cfg.out_dir
 
 
-def _log_report(report) -> None:
-    logger.info("%s", report.to_log())
-
-
 def _solve(cfg: RunConfig, factory, nu: float, ncfg: NewtonConfig):
-    """Solve at viscosity nu, through the viscosity ladder if configured.
+    """Solve at viscosity nu, through viscosity continuation if configured.
 
     factory maps a viscosity to a SteadyProblem. Returns the solution and
-    the Newton reports, one per continuation stage.
+    the Newton reports, one per continuation trial, rejected ones included.
     """
     if cfg.continuation:
-        return nu_continuation(factory, default_schedule(nu), ncfg)
+        return nu_continuation(factory, nu, ncfg)
     sol, report = newton_solve(factory(nu), ncfg)
     return sol, [report]
 
@@ -398,7 +388,7 @@ def cmd_noflow(cfg: RunConfig) -> int:
     mesh = build_rect_uniform(n, n)
     problem = case_noflow(cfg.ra).problem(mesh, nu=nu)
     sol, report = newton_solve(problem, _newton_config(cfg))
-    _log_report(report)
+    logger.info("%s", report.to_log())
     fld = sol[0]
     mx = float(np.abs(fld.vertex_values[:, 0]).max())
     my = float(np.abs(fld.vertex_values[:, 1]).max())
@@ -429,8 +419,8 @@ def cmd_cavity(cfg: RunConfig) -> int:
 
     sol1, rep1 = newton_solve(plain.problem(mesh), ncfg)
     sol2, rep2 = newton_solve(forced.problem(mesh, body_force=body), ncfg)
-    _log_report(rep1)
-    _log_report(rep2)
+    logger.info("%s", rep1.to_log())
+    logger.info("%s", rep2.to_log())
 
     denom = velocity_l2_norm(mesh, sol1[0])
     diff = velocity_l2_difference(mesh, sol1[0], sol2[0])
@@ -464,17 +454,12 @@ def cmd_step(cfg: RunConfig) -> int:
         raise ConfigError(str(exc)) from None
 
     mesh = build_step_domain(h)
-    logger.info(
-        "step mesh: h=%g, %d vertices, %d triangles, Re=%g",
-        h,
-        mesh.num_vertices,
-        mesh.num_triangles,
-        re,
-    )
+    logger.info("step mesh: h=%g, %d vertices, %d triangles, Re=%g",
+                h, mesh.num_vertices, mesh.num_triangles, re)
     sol, reports = _solve(
         cfg, case.problem(mesh).with_nu, case.nu, _newton_config(cfg)
     )
-    _log_report(reports[-1])
+    logger.info("%s", reports[-1].to_log())
     print(f"Newton iterations: {sum(r.iterations for r in reports)}")
 
     hit, mn, reversed_flow = recirculation_detect(
@@ -574,8 +559,12 @@ def cmd_run(cfg: RunConfig) -> int:
     problem = SteadyProblem(
         mesh, nu=nu, dirichlet=dirichlet, neumann_tags=neumann
     )
+    try:
+        problem.dof_map  # cached: the solves reuse it
+    except ValueError as exc:
+        raise ConfigError(f"boundary recipes: {exc}") from None
     sol, reports = _solve(cfg, problem.with_nu, nu, _newton_config(cfg))
-    _log_report(reports[-1])
+    logger.info("%s", reports[-1].to_log())
     out = _ensure_out(cfg)
     write_vtk(mesh, sol, out / "run.vtk")
     print(f"wrote {out / 'run.vtk'}")
@@ -624,13 +613,10 @@ def main(argv=None) -> int:
     except MeshError as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return 2
-    except NonConvergenceError as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            _log_report(exc.report)
-        return 1
     except SolverError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
+        if getattr(exc, "report", None) is not None:  # a NonConvergenceError
+            logger.info("%s", exc.report.to_log())
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

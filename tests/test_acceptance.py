@@ -5,6 +5,7 @@ and its wall-clock budget.  The nu = 1 vortex convergence study is shared
 by the robustness and stability criteria through module fixtures.
 """
 
+import logging
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from egns.assembly import (
     assemble_viscous,
     dirichlet_dof_map,
 )
+from egns.cli import main
 from egns.eg_space import EGField, element_divergence, energy_norm, interpolate
 from egns.mesh import (
     TAG_BOTTOM,
@@ -26,7 +28,7 @@ from egns.mesh import (
 )
 from egns.quadrature import quadrature_rule
 from egns.reconstruction import reconstruct
-from egns.solver import default_schedule, newton_solve, nu_continuation
+from egns.solver import newton_solve, nu_continuation
 from egns.verification import (
     STEP_RECIRCULATION_BOX,
     case_cavity,
@@ -98,13 +100,12 @@ def vortex_nu1():
 @pytest.fixture(scope="module")
 def vortex_nu1e5(vortex_nu1):
     """Same study at nu = 1e-5, solved through viscosity continuation."""
-    schedule = default_schedule(1e-5)
     case = case_vortex_2d(1e-5)
     t0 = time.perf_counter()
     errors = []
     for mesh, _ in vortex_nu1["runs"]:
         sol, _ = nu_continuation(
-            lambda v, m=mesh: case_vortex_2d(v).problem(m), schedule
+            lambda v, m=mesh: case_vortex_2d(v).problem(m), 1e-5
         )
         errors.append(
             error_norms(mesh, sol, case.velocity, case.pressure,
@@ -262,6 +263,25 @@ def test_step_recirculation_smoke():
     hit, min_ux, _ = recirculation_detect(mesh, fld, STEP_RECIRCULATION_BOX)
     assert hit, f"no recirculation detected (min u_x = {min_ux:.3e})"
     assert wall <= 180.0, f"step run took {wall:.0f}s"
+
+
+def test_lid_cavity_re2000_continuation_from_rest(tmp_path, caplog):
+    """egns run reaches Re = 2000 on n = 64 from rest, with no schedule given."""
+    cfg = tmp_path / "re2000.ini"
+    cfg.write_text(
+        "[mesh]\ngenerator = unit_square\nresolution = 64\n\n"
+        "[physics]\nreynolds = 2000\ncontinuation = yes\n\n"
+        "[boundary]\n1 = noslip\n2 = noslip\n3 = velocity 1 0\n4 = noslip\n"
+    )
+    t0 = time.perf_counter()
+    with caplog.at_level(logging.INFO):
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    wall = time.perf_counter() - t0
+    assert rc == 0
+    stages = [r.message for r in caplog.records if "continuation stage" in r.message]
+    assert "nu=0.0005 accepted" in stages[-1]
+    assert (tmp_path / "run.vtk").is_file()
+    assert wall <= 300.0, f"Re = 2000 cavity took {wall:.0f}s"
 
 
 def test_excluded_large_benchmarks():

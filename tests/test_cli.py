@@ -446,8 +446,9 @@ class TestRunCommand:
         )
         with caplog.at_level(logging.INFO):
             assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
-        stages = [r for r in caplog.records if "continuation stage" in r.message]
-        assert len(stages) == 3
+        stages = [r.message for r in caplog.records if "continuation stage" in r.message]
+        assert len(stages) >= 2
+        assert stages[-1].startswith(f"continuation stage {len(stages) - 1}: nu=0.00025 accepted")
         assert sum("overrid" in r.message for r in caplog.records) == 1
         assert len(calls) == 1
 
@@ -472,6 +473,20 @@ class TestRunCommand:
         )
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
         assert "non-finite number in boundary recipe" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_recipe_data_is_config_error(self, tmp_path, capsys):
+        # finite numbers whose samples overflow: the dof map rejects them
+        path = _cfg(
+            tmp_path,
+            "[mesh]\nresolution = 4\n\n[physics]\nnu = 1.0\n\n"
+            "[boundary]\n1 = noslip\n2 = noslip\n3 = noslip\n4 = parabolic 1e308 0 1e308\n",
+        )
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "tags (4,)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run.vtk").exists()
 
     def test_viscosity_required(self, tmp_path):
         path = _cfg(

@@ -1,6 +1,7 @@
 """Saddle-point solves, Newton iteration, viscosity continuation."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from egns.solver import (
     SingularSystemError,
     SolverError,
     SolveReport,
-    default_schedule,
     newton_solve,
     nu_continuation,
     solve_saddle,
@@ -72,19 +72,6 @@ class TestNewtonConfig:
             NewtonConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             NewtonConfig(max_iter=0)
-
-
-class TestDefaultSchedule:
-    def test_reference_schedule(self):
-        want = [1e-3, 5e-4, 2.5e-4, 1.25e-4, 6.25e-5, 3.125e-5, 1.5625e-5, 1e-5]
-        assert default_schedule(1e-5) == want
-
-    def test_target_at_or_above_start(self):
-        assert default_schedule(1e-3) == [1e-3]
-        assert default_schedule(1.0) == [1.0]
-
-    def test_exact_halving_target_not_duplicated(self):
-        assert default_schedule(2.5e-4) == [1e-3, 5e-4, 2.5e-4]
 
 
 class TestSolveSaddle:
@@ -266,42 +253,161 @@ class TestNewtonSolve:
         assert len(lines) == report.iterations + 1
         assert "1" in lines[0]
 
+    def test_per_iteration_records_match_history(self):
+        _, report = newton_solve(_cavity_problem(6, 0.1))
+        assert len(report.residuals) == len(report.steps) == len(report.history)
+        assert report.steps == [1.0] * report.iterations
+        assert report.accepted and report.nu is None
+
+
+class TestDamping:
+    def test_full_step_raising_residual_is_damped(self):
+        # from rest, the full Newton step of this cavity raises the residual
+        prob = _cavity_problem(8, 0.005)
+        (field, pressure), report = newton_solve(prob)
+        assert min(report.steps) < 1.0
+        assert set(report.steps) <= {2.0**-k for k in range(7)}
+        res = [r for r in report.residuals if not np.isnan(r)]
+        assert all(b <= a for a, b in zip(res, res[1:]))
+        # the damped iterates end on a solution of the discrete equations
+        system = prob.newton_system(field)
+        assert egns.solver._nonlinear_residual(system, field, pressure) < 1e-8
+
+    def test_lambda_floor_raises_named_error(self, monkeypatch):
+        # with no damping allowed, a step that raises the residual ends the
+        # solve at once, carrying the last accepted iterate: here the rest
+        monkeypatch.setattr(egns.solver, "_MIN_LAMBDA", 1.0)
+        prob = _cavity_problem(8, 0.005)
+        with pytest.raises(NonConvergenceError, match="line search") as ei:
+            newton_solve(prob)
+        err = ei.value
+        assert err.report.iterations == 1
+        assert err.report.steps == [0.0]
+        assert not err.report.converged
+        field, pressure = err.best
+        dm = prob.dof_map
+        assert np.array_equal(dm.pack(field), dm.values)
+        assert np.abs(pressure).max() == 0.0
+
+
+def _fail_first_solve_at(monkeypatch, target):
+    """Force a stage failure: the first solve at target gets one Newton
+    iteration, which cannot converge.  Returns the (nu, initial) calls."""
+    calls = []
+    real = egns.solver.newton_solve
+
+    def spy(problem, config=None, initial=None):
+        if problem.nu == target and all(nu != target for nu, _ in calls):
+            config = NewtonConfig(max_iter=1)
+        calls.append((problem.nu, initial))
+        return real(problem, config, initial)
+
+    monkeypatch.setattr(egns.solver, "newton_solve", spy)
+    return calls
+
 
 class TestContinuation:
     def test_single_entry_matches_plain_solve(self):
         prob = _cavity_problem(6, 0.1)
-        (fa, pa), reports = nu_continuation(prob.with_nu, [0.1])
+        (fa, pa), reports = nu_continuation(prob.with_nu, 0.1)
         (fb, pb), _ = newton_solve(prob)
         assert len(reports) == 1
         assert np.array_equal(fa.vertex_values, fb.vertex_values)
         assert np.array_equal(pa, pb)
 
-    def test_warm_start_descends_schedule(self):
+    def test_warm_start_descends_schedule(self, monkeypatch):
+        starts = []
+        real = egns.solver.newton_solve
+
+        def spy(problem, config=None, initial=None):
+            starts.append(initial)
+            return real(problem, config, initial)
+
+        monkeypatch.setattr(egns.solver, "newton_solve", spy)
+        (field, _), reports = nu_continuation(lambda nu: _cavity_problem(6, nu), 5e-4)
+        assert [r.nu for r in reports] == [1e-3, 5e-4]
+        assert starts[0] is None
+        assert starts[1] is not None
+        assert np.abs(field.vertex_values).max() > 0.1
+
+    def test_rejects_bad_schedule(self):
+        # the controller picks the schedule; only its end, the target
+        # viscosity, comes from the caller
+        prob = _cavity_problem(4, 0.1)
+        for target in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="target viscosity"):
+                nu_continuation(prob.with_nu, target)
+
+    def test_stage_failure_is_attributed(self):
+        # one iteration never converges, so the starts from rest at 0.1
+        # (stage 0) and at 1 (stage 1) both fail; stage 1 is the last try
+        with pytest.raises(NonConvergenceError) as ei:
+            nu_continuation(
+                lambda nu: _cavity_problem(6, nu),
+                0.1,
+                NewtonConfig(max_iter=1),
+            )
+        assert ei.value.stage == 1
+        assert "stage 1 (nu=1)" in str(ei.value)
+        assert ei.value.report.nu == 1.0
+
+    def test_step_floor_is_attributed(self, monkeypatch):
+        # with a floor above every step, the first failed trial ends the
+        # continuation, named by its stage and viscosity
+        monkeypatch.setattr(egns.solver, "_MIN_LOG_STEP", 10.0)
+        _fail_first_solve_at(monkeypatch, 1e-4)
+        with pytest.raises(NonConvergenceError, match="step in log") as ei:
+            nu_continuation(lambda nu: _cavity_problem(4, nu), 1e-4)
+        assert ei.value.stage == 1
+        assert "stage 1 (nu=0.0001)" in str(ei.value)
+
+    def test_failed_trial_halves_step_and_retries(self, monkeypatch):
+        target = 1e-4
+        calls = _fail_first_solve_at(monkeypatch, target)
+        (field, _), reports = nu_continuation(
+            lambda nu: _cavity_problem(4, nu), target
+        )
+        nus = [nu for nu, _ in calls]
+        assert [r.nu for r in reports] == nus
+        assert nus[:2] == [1e-3, target]
+        assert not reports[1].accepted
+        assert nus[2] == pytest.approx(math.sqrt(1e-3 * target), rel=1e-12)
+        # the retry starts from the last converged state, stage 0's
+        assert calls[2][1] is calls[1][1]
+        assert nus[-1] == target and reports[-1].accepted
+        assert np.abs(field.vertex_values).max() > 0.1
+
+
+class TestStepControl:
+    """The viscosities the continuation asks its factory for."""
+
+    @staticmethod
+    def _seen(target, n=6):
         seen = []
 
         def factory(nu):
             seen.append(nu)
-            return _cavity_problem(6, nu)
+            return _cavity_problem(n, nu)
 
-        schedule = [0.2, 0.1, 0.05]
-        (field, _), reports = nu_continuation(factory, schedule)
-        assert seen == schedule
-        assert len(reports) == 3
-        assert np.abs(field.vertex_values).max() > 0.1
+        _, reports = nu_continuation(factory, target)
+        assert [r.nu for r in reports] == seen
+        return seen, reports
 
-    def test_rejects_bad_schedule(self):
-        prob = _cavity_problem(4, 0.1)
-        with pytest.raises(ValueError):
-            nu_continuation(prob.with_nu, [])
-        with pytest.raises(ValueError):
-            nu_continuation(prob.with_nu, [1e-3, 1e-3])
+    def test_target_at_or_above_start(self):
+        for target in (1e-3, 0.05):
+            seen, _ = self._seen(target)
+            assert seen == [target]
 
-    def test_stage_failure_is_attributed(self):
-        with pytest.raises(NonConvergenceError) as ei:
-            nu_continuation(
-                lambda nu: _cavity_problem(6, nu),
-                [0.2, 0.1],
-                NewtonConfig(max_iter=1),
-            )
-        assert ei.value.stage == 0
-        assert "stage" in str(ei.value)
+    def test_nus_strictly_decreasing(self):
+        seen, _ = self._seen(5e-4)
+        assert len(seen) >= 2
+        assert all(a > b for a, b in zip(seen, seen[1:]))
+
+    def test_ends_exactly_on_target(self):
+        # the direct jump to 2.5e-4 fails on this mesh and is retried
+        seen, reports = self._seen(2.5e-4)
+        accepted = [r.nu for r in reports if r.accepted]
+        assert any(not r.accepted for r in reports)
+        assert all(a > b for a, b in zip(accepted, accepted[1:]))
+        assert accepted[-1] == 2.5e-4
+        assert accepted.count(2.5e-4) == 1
