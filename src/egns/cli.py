@@ -1,24 +1,22 @@
 """Config-driven experiment runner.
 
-Subcommands:
+Every subcommand takes its viscosity, mesh, solve and VTK output through
+the same helpers and differs only in its data and its report; `egns
+--help` lists them. Configuration is an INI file with sections
+[experiment], [mesh], [physics], [newton], [output], and [boundary].
+Unknown sections or keys are rejected, and so is a key the chosen
+subcommand does not read:
 
-converge
-    Manufactured-vortex mesh refinement study; writes convergence.csv.
-noflow
-    Hydrostatic balance check; reports the spurious velocity maxima.
-cavity
-    Lid-driven cavity solved twice, with and without a large gradient
-    forcing; reports the relative velocity difference and writes both
-    fields plus their difference as VTK.
-step
-    Backward-facing step channel; reports recirculation behind the step.
-run
-    Generic runner: mesh generator or imported mesh, per-tag boundary
-    recipes, optional viscosity continuation.
+    all       [experiment] name; [physics] nu reynolds reynolds_scale
+              continuation; [newton] rel_tol max_iter; [output] directory
+    converge  [mesh] levels
+    noflow    [mesh] resolution; [physics] ra threshold
+    cavity    [mesh] resolution; [physics] forcing_scale
+    step      [mesh] h; [physics] inlet
+    run       [mesh] generator resolution h path; [boundary]
 
-Configuration is an INI file with sections [experiment], [mesh],
-[physics], [newton], [output], and [boundary]. Unknown sections or keys
-are rejected. Boundary recipes (run subcommand) map integer edge tags to
+`continuation = yes` reaches the viscosity by continuation in every
+subcommand. Boundary recipes (run subcommand) map integer edge tags to
 one of::
 
     noslip
@@ -28,7 +26,7 @@ one of::
 
 Exit codes: 0 success, 1 solver or check failure, 2 config/mesh error.
 The environment variable EGNS_THREADS caps the worker count used by the
-converge subcommand; --serial forces single-threaded execution.
+converge subcommand; EGNS_THREADS=1 runs its levels one after another.
 """
 
 from __future__ import annotations
@@ -72,28 +70,31 @@ class ConfigError(Exception):
     """The run configuration cannot be parsed or is inconsistent."""
 
 
-# section -> key -> parser; keys not listed here are rejected
+_ALL = "converge noflow cavity step run"
+
+# section -> key -> (parser, the subcommands that read it); keys not
+# listed here are rejected
 _SCHEMA = {
-    "experiment": {"name": "str"},
+    "experiment": {"name": ("str", _ALL)},
     "mesh": {
-        "generator": "str",
-        "resolution": "int",
-        "levels": "ints",
-        "h": "float",
-        "path": "str",
+        "generator": ("str", "run"),
+        "resolution": ("int", "noflow cavity run"),
+        "levels": ("ints", "converge"),
+        "h": ("float", "step run"),
+        "path": ("str", "run"),
     },
     "physics": {
-        "nu": "float",
-        "reynolds": "float",
-        "reynolds_scale": "float",
-        "continuation": "bool",
-        "ra": "float",
-        "inlet": "str",
-        "forcing_scale": "float",
-        "threshold": "float",
+        "nu": ("float", _ALL),
+        "reynolds": ("float", _ALL),
+        "reynolds_scale": ("float", _ALL),
+        "continuation": ("bool", _ALL),
+        "ra": ("float", "noflow"),
+        "inlet": ("str", "step"),
+        "forcing_scale": ("float", "cavity"),
+        "threshold": ("float", "noflow"),
     },
-    "newton": {"rel_tol": "float", "max_iter": "int"},
-    "output": {"directory": "str"},
+    "newton": {"rel_tol": ("float", _ALL), "max_iter": ("int", _ALL)},
+    "output": {"directory": ("str", _ALL)},
 }
 
 # (section, key) -> RunConfig attribute, where the names differ
@@ -119,7 +120,6 @@ class RunConfig:
     rel_tol: float = 1e-7
     max_iter: int = 1000
     out_dir: Path = Path(".")
-    serial: bool = False
     boundary: dict = field(default_factory=dict)
 
 
@@ -150,7 +150,8 @@ def _parse_value(section, key, raw, kind):
         ) from None
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, command=None) -> RunConfig:
+    """Parse an INI file; with a command, reject the keys it does not read."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -163,6 +164,8 @@ def load_config(path) -> RunConfig:
     cfg = RunConfig()
     for section in parser.sections():
         if section == "boundary":
+            if command not in (None, "run"):
+                raise ConfigError(f"[boundary] is not read by the {command} command")
             for key, raw in parser.items("boundary"):
                 try:
                     tag = int(key)
@@ -177,7 +180,12 @@ def load_config(path) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            value = _parse_value(section, key, raw, _SCHEMA[section][key])
+            kind, readers = _SCHEMA[section][key]
+            if command is not None and command not in readers.split():
+                raise ConfigError(
+                    f"[{section}] {key} is not read by the {command} command"
+                )
+            value = _parse_value(section, key, raw, kind)
             attr = _ATTR.get((section, key), key)
             if attr == "out_dir":
                 value = Path(value)
@@ -214,14 +222,8 @@ def _resolve_nu(cfg: RunConfig, default: Optional[float] = None) -> float:
     return default
 
 
-def _newton_config(cfg: RunConfig) -> NewtonConfig:
-    return NewtonConfig(rel_tol=cfg.rel_tol, max_iter=cfg.max_iter)
-
-
-def worker_count(serial: bool, jobs: int) -> int:
+def worker_count(jobs: int) -> int:
     """Workers for level-parallel runs, honoring EGNS_THREADS."""
-    if serial or jobs <= 1:
-        return 1
     env = os.environ.get("EGNS_THREADS", "")
     cap = None
     if env:
@@ -295,34 +297,59 @@ def write_vtk(mesh, solution, path) -> None:
         raise OSError(f"cannot write VTK file {path}: {exc}") from exc
 
 
-def _ensure_out(cfg: RunConfig) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.out_dir
+def _build_mesh(cfg: RunConfig, default_generator: str):
+    generator = cfg.generator or default_generator
+    if generator == "unit_square":
+        n = cfg.resolution or 32
+        mesh = build_rect_uniform(n, n)
+    elif generator == "step":
+        mesh = build_step_domain(cfg.h or 0.25)
+    elif generator == "import":
+        if not cfg.mesh_path:
+            raise ConfigError("[mesh] path is required for generator = import")
+        mesh = import_mesh(cfg.mesh_path)
+    else:
+        raise ConfigError(f"unknown mesh generator {generator!r}")
+    logger.info("%s mesh: %d vertices, %d triangles",
+                generator, mesh.num_vertices, mesh.num_triangles)
+    return mesh
 
 
-def _solve(cfg: RunConfig, factory, nu: float, ncfg: NewtonConfig):
+def _solve(cfg: RunConfig, factory, nu: float):
     """Solve at viscosity nu, through viscosity continuation if configured.
 
-    factory maps a viscosity to a SteadyProblem. Returns the solution and
-    the Newton reports, one per continuation trial, rejected ones included.
+    factory maps a viscosity to a SteadyProblem. Logs the last Newton
+    report and returns the solution and the reports, one per continuation
+    trial, rejected ones included.
     """
+    ncfg = NewtonConfig(rel_tol=cfg.rel_tol, max_iter=cfg.max_iter)
     if cfg.continuation:
-        return nu_continuation(factory, nu, ncfg)
-    sol, report = newton_solve(factory(nu), ncfg)
-    return sol, [report]
+        sol, reports = nu_continuation(factory, nu, ncfg)
+    else:
+        sol, report = newton_solve(factory(nu), ncfg)
+        reports = [report]
+    logger.info("%s", reports[-1].to_log())
+    return sol, reports
+
+
+def _write_vtk_files(cfg: RunConfig, mesh, solutions: dict) -> None:
+    """Write each solution to its file name in the output directory."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    for name, sol in solutions.items():
+        write_vtk(mesh, sol, cfg.out_dir / name)
+        print(f"wrote {cfg.out_dir / name}")
 
 
 def cmd_converge(cfg: RunConfig) -> int:
     levels = cfg.levels or [16, 32, 64, 128]
     nu = _resolve_nu(cfg, 1.0)
-    ncfg = _newton_config(cfg)
+    case = case_vortex_2d(nu)
 
     def run_level(n):
         mesh = build_rect_uniform(n, n)
         sol, reports = _solve(
-            cfg, lambda v: case_vortex_2d(v).problem(mesh), nu, ncfg
+            cfg, lambda v: case_vortex_2d(v).problem(mesh), nu
         )
-        case = case_vortex_2d(nu)
         errs = error_norms(
             mesh, sol, case.velocity, case.pressure, case.velocity_gradient
         )
@@ -330,25 +357,16 @@ def cmd_converge(cfg: RunConfig) -> int:
 
     done = []
     failure = None
-    workers = worker_count(cfg.serial, len(levels))
-    if workers == 1:
-        for n in levels:
+    with ThreadPoolExecutor(max_workers=worker_count(len(levels))) as pool:
+        futures = [pool.submit(run_level, n) for n in levels]
+        for n, fut in zip(levels, futures):
             try:
-                done.append(run_level(n))
+                done.append(fut.result())
             except SolverError as exc:
                 failure = (n, exc)
+                # later levels would be discarded: drop those not started
+                pool.shutdown(cancel_futures=True)
                 break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_level, n) for n in levels]
-            for n, fut in zip(levels, futures):
-                try:
-                    done.append(fut.result())
-                except SolverError as exc:
-                    failure = (n, exc)
-                    # later levels would be discarded: drop those not started
-                    pool.shutdown(cancel_futures=True)
-                    break
 
     for n, (errs, iters) in zip(levels, done):
         logger.info(
@@ -370,10 +388,10 @@ def cmd_converge(cfg: RunConfig) -> int:
             errors=np.asarray(errs, dtype=float).reshape(-1, 3),
             orders=np.full((len(hs), 3), np.nan),
         )
-    csv = table.to_csv()
 
-    out = _ensure_out(cfg) / "convergence.csv"
-    out.write_text(csv)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    out = cfg.out_dir / "convergence.csv"
+    out.write_text(table.to_csv())
     print(f"wrote {out}")
     if failure is not None:
         n, exc = failure
@@ -383,13 +401,9 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 
 def cmd_noflow(cfg: RunConfig) -> int:
-    n = cfg.resolution or 32
-    nu = _resolve_nu(cfg, 1.0)
-    mesh = build_rect_uniform(n, n)
-    problem = case_noflow(cfg.ra).problem(mesh, nu=nu)
-    sol, report = newton_solve(problem, _newton_config(cfg))
-    logger.info("%s", report.to_log())
-    fld = sol[0]
+    mesh = _build_mesh(cfg, "unit_square")
+    problem = case_noflow(cfg.ra).problem(mesh)
+    (fld, _), _ = _solve(cfg, problem.with_nu, _resolve_nu(cfg, 1.0))
     mx = float(np.abs(fld.vertex_values[:, 0]).max())
     my = float(np.abs(fld.vertex_values[:, 1]).max())
     mb = float(np.abs(fld.edge_values).max())
@@ -404,62 +418,40 @@ def cmd_noflow(cfg: RunConfig) -> int:
 
 
 def cmd_cavity(cfg: RunConfig) -> int:
-    n = cfg.resolution or 32
+    mesh = _build_mesh(cfg, "unit_square")
     nu = _resolve_nu(cfg, 1.0)
-    mesh = build_rect_uniform(n, n)
-    ncfg = _newton_config(cfg)
+    forced = case_cavity("f2")
 
-    plain = case_cavity("f1", nu)
-    forced = case_cavity("f2", nu)
-    body = forced.body_force
-    if cfg.forcing_scale != 1.0:
-        scale = cfg.forcing_scale
-        inner = forced.body_force
-        body = lambda xy: scale * inner(xy)
+    def body(xy):
+        return cfg.forcing_scale * forced.body_force(xy)
 
-    sol1, rep1 = newton_solve(plain.problem(mesh), ncfg)
-    sol2, rep2 = newton_solve(forced.problem(mesh, body_force=body), ncfg)
-    logger.info("%s", rep1.to_log())
-    logger.info("%s", rep2.to_log())
+    sol1, _ = _solve(cfg, case_cavity("f1").problem(mesh).with_nu, nu)
+    sol2, _ = _solve(cfg, forced.problem(mesh, body_force=body).with_nu, nu)
 
     denom = velocity_l2_norm(mesh, sol1[0])
     diff = velocity_l2_difference(mesh, sol1[0], sol2[0])
     rel = diff / denom if denom > 0 else diff
     print(f"relative velocity difference = {rel:.6e}")
 
-    out = _ensure_out(cfg)
-    write_vtk(mesh, sol1, out / "cavity_f1.vtk")
-    write_vtk(mesh, sol2, out / "cavity_f2.vtk")
     dfield = EGField(
         sol2[0].vertex_values - sol1[0].vertex_values,
         sol2[0].edge_values - sol1[0].edge_values,
     )
-    write_vtk(mesh, (dfield, sol2[1] - sol1[1]), out / "cavity_diff.vtk")
-    for name in ("cavity_f1.vtk", "cavity_f2.vtk", "cavity_diff.vtk"):
-        print(f"wrote {out / name}")
+    _write_vtk_files(cfg, mesh, {
+        "cavity_f1.vtk": sol1,
+        "cavity_f2.vtk": sol2,
+        "cavity_diff.vtk": (dfield, sol2[1] - sol1[1]),
+    })
     return 0
 
 
 def cmd_step(cfg: RunConfig) -> int:
-    h = cfg.h or 0.25
-    if cfg.reynolds is not None:
-        re = cfg.reynolds * cfg.reynolds_scale
-    elif cfg.nu is not None:
-        re = 1.0 / cfg.nu
-    else:
-        re = 100.0
     try:
-        case = case_step(re=re, inlet=cfg.inlet)
+        case = case_step(inlet=cfg.inlet)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    mesh = build_step_domain(h)
-    logger.info("step mesh: h=%g, %d vertices, %d triangles, Re=%g",
-                h, mesh.num_vertices, mesh.num_triangles, re)
-    sol, reports = _solve(
-        cfg, case.problem(mesh).with_nu, case.nu, _newton_config(cfg)
-    )
-    logger.info("%s", reports[-1].to_log())
+    mesh = _build_mesh(cfg, "step")
+    sol, reports = _solve(cfg, case.problem(mesh).with_nu, _resolve_nu(cfg, 0.01))
     print(f"Newton iterations: {sum(r.iterations for r in reports)}")
 
     hit, mn, reversed_flow = recirculation_detect(
@@ -469,10 +461,7 @@ def cmd_step(cfg: RunConfig) -> int:
     if hit:
         x = mesh.vertices[reversed_flow, 0]
         print(f"approximate reattachment x = {float(x.max()):.3f}")
-
-    out = _ensure_out(cfg)
-    write_vtk(mesh, sol, out / "step.vtk")
-    print(f"wrote {out / 'step.vtk'}")
+    _write_vtk_files(cfg, mesh, {"step.vtk": sol})
     return 0
 
 
@@ -538,46 +527,35 @@ def _boundary_setup(cfg: RunConfig, mesh):
     return noslip + dirichlet, tuple(neumann)
 
 
-def _build_mesh(cfg: RunConfig):
-    generator = cfg.generator or "unit_square"
-    if generator == "unit_square":
-        n = cfg.resolution or 32
-        return build_rect_uniform(n, n)
-    if generator == "step":
-        return build_step_domain(cfg.h or 0.25)
-    if generator == "import":
-        if not cfg.mesh_path:
-            raise ConfigError("[mesh] path is required for generator = import")
-        return import_mesh(cfg.mesh_path)
-    raise ConfigError(f"unknown mesh generator {generator!r}")
-
-
 def cmd_run(cfg: RunConfig) -> int:
-    mesh = _build_mesh(cfg)
+    mesh = _build_mesh(cfg, "unit_square")
     dirichlet, neumann = _boundary_setup(cfg, mesh)
-    nu = _resolve_nu(cfg)
     problem = SteadyProblem(
-        mesh, nu=nu, dirichlet=dirichlet, neumann_tags=neumann
+        mesh, nu=_resolve_nu(cfg), dirichlet=dirichlet, neumann_tags=neumann
     )
     try:
         problem.dof_map  # cached: the solves reuse it
     except ValueError as exc:
         raise ConfigError(f"boundary recipes: {exc}") from None
-    sol, reports = _solve(cfg, problem.with_nu, nu, _newton_config(cfg))
-    logger.info("%s", reports[-1].to_log())
-    out = _ensure_out(cfg)
-    write_vtk(mesh, sol, out / "run.vtk")
-    print(f"wrote {out / 'run.vtk'}")
+    sol, _ = _solve(cfg, problem.with_nu, problem.nu)
+    _write_vtk_files(cfg, mesh, {"run.vtk": sol})
     return 0
 
 
-COMMANDS = {
-    "converge": cmd_converge,
-    "noflow": cmd_noflow,
-    "cavity": cmd_cavity,
-    "step": cmd_step,
-    "run": cmd_run,
+# name -> (function, one-line description)
+_COMMAND_TABLE = {
+    "converge": (cmd_converge, "manufactured-vortex refinement study; "
+                 "writes convergence.csv"),
+    "noflow": (cmd_noflow, "hydrostatic balance check; reports the "
+               "spurious velocity maxima"),
+    "cavity": (cmd_cavity, "lid-driven cavity with and without a large "
+               "gradient forcing; reports their velocity difference"),
+    "step": (cmd_step, "backward-facing step channel; reports "
+             "recirculation behind the step"),
+    "run": (cmd_run, "any generated or imported mesh with per-tag "
+            "boundary recipes"),
 }
+COMMANDS = {name: fn for name, (fn, _) in _COMMAND_TABLE.items()}
 
 
 def main(argv=None) -> int:
@@ -587,13 +565,10 @@ def main(argv=None) -> int:
         "incompressible Navier-Stokes flow.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=(fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else None)
+    for name, (_, text) in _COMMAND_TABLE.items():
+        p = sub.add_parser(name, help=text, description=text)
         p.add_argument("--config", default=None, help="INI configuration file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--serial", action="store_true", help="disable level parallelism"
-        )
     args = parser.parse_args(argv)
 
     if not logging.getLogger().handlers:
@@ -602,10 +577,9 @@ def main(argv=None) -> int:
         )
 
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
+        cfg = load_config(args.config, args.command) if args.config else RunConfig()
         if args.out is not None:
             cfg.out_dir = Path(args.out)
-        cfg.serial = bool(args.serial)
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,13 +1,12 @@
 """Benchmark case definitions, error norms, and flow diagnostics.
 
-Cases come in two flavours. A :class:`ManufacturedCase` carries closed-form
-velocity, pressure, and body force, and is validated at construction time:
-the stored force is compared against a finite-difference evaluation of the
-rotational-form momentum equation, and the velocity is checked to be
-divergence free. Typos in hand-derived forcing terms surface immediately
-instead of as mysterious convergence-rate losses. A :class:`BenchmarkCase`
-only carries boundary data and forcing; there is no exact solution to
-validate against.
+A :class:`FlowCase` carries the data of one flow: viscosity, boundary
+data and forcing. A manufactured case also carries closed-form velocity
+and pressure, and is validated at construction time: the stored force is
+compared against a finite-difference evaluation of the rotational-form
+momentum equation, and the velocity is checked to be divergence free.
+Typos in hand-derived forcing terms surface immediately instead of as
+mysterious convergence-rate losses.
 
 Error norms integrate the continuous velocity part against the exact
 fields with a refined high-order quadrature so that the quadrature error
@@ -37,8 +36,7 @@ from .quadrature import quadrature_rule, refined_rule
 
 __all__ = [
     "VerificationError",
-    "ManufacturedCase",
-    "BenchmarkCase",
+    "FlowCase",
     "case_vortex_2d",
     "case_noflow",
     "case_cavity",
@@ -79,7 +77,7 @@ def _fd_gradient_fn(u: VectorFn, h=1e-6) -> VectorFn:
     return grad
 
 
-def _check_manufactured(case: "ManufacturedCase") -> None:
+def _check_manufactured(case: "FlowCase") -> None:
     rng = np.random.default_rng(7)
     (x0, x1), (y0, y1) = case.bounds
     lo = np.array([x0, y0])
@@ -147,7 +145,7 @@ def _check_manufactured(case: "ManufacturedCase") -> None:
         + omega[:, None] * np.stack([-u[:, 1], u[:, 0]], axis=-1)
         + gradp
     )
-    f = case.body_force(pts)
+    f = case.body_force(pts) if case.body_force is not None else 0.0 * u
     fscale = max(
         float(np.abs(f).max()), case.nu * float(np.abs(lap).max()), 1.0
     )
@@ -160,43 +158,16 @@ def _check_manufactured(case: "ManufacturedCase") -> None:
 
 
 @dataclass
-class ManufacturedCase:
-    """Closed-form exact solution plus matching body force.
+class FlowCase:
+    """Boundary data and forcing of one flow, with its exact solution if known.
 
     All field callables take points with shape (..., 2); velocity and
-    body_force return (..., 2), pressure returns (...,), and the optional
-    velocity_gradient returns (..., 2, 2) with [i, j] = du_i/dx_j.
-    Construction cross-checks the fields against each other and raises
-    VerificationError on any mismatch.
+    body_force return (..., 2), pressure returns (...,), and
+    velocity_gradient returns (..., 2, 2) with [i, j] = du_i/dx_j. Given
+    an exact velocity and pressure, construction cross-checks them against
+    each other and the body force and raises VerificationError on any
+    mismatch.
     """
-
-    name: str
-    nu: float
-    velocity: VectorFn
-    velocity_gradient: Optional[VectorFn]
-    pressure: ScalarFn
-    body_force: VectorFn
-    dirichlet: list
-    bounds: tuple = ((0.0, 1.0), (0.0, 1.0))
-
-    def __post_init__(self):
-        if self.nu <= 0:
-            raise VerificationError("viscosity must be positive")
-        _check_manufactured(self)
-
-    def problem(self, mesh: Mesh2D, **overrides) -> SteadyProblem:
-        kw = dict(
-            nu=self.nu,
-            body_force=self.body_force,
-            dirichlet=list(self.dirichlet),
-        )
-        kw.update(overrides)
-        return SteadyProblem(mesh, **kw)
-
-
-@dataclass
-class BenchmarkCase:
-    """Boundary data and forcing for a flow without a closed-form solution."""
 
     name: str
     nu: float
@@ -204,10 +175,20 @@ class BenchmarkCase:
     body_force: Optional[VectorFn] = None
     neumann_tags: tuple = ()
     neumann_data: Optional[VectorFn] = None
+    velocity: Optional[VectorFn] = None
+    velocity_gradient: Optional[VectorFn] = None
+    pressure: Optional[ScalarFn] = None
+    bounds: tuple = ((0.0, 1.0), (0.0, 1.0))
 
     def __post_init__(self):
         if self.nu <= 0:
             raise VerificationError("viscosity must be positive")
+        if (self.velocity is None) != (self.pressure is None):
+            raise VerificationError(
+                f"case {self.name!r}: exact velocity and pressure come together"
+            )
+        if self.velocity is not None:
+            _check_manufactured(self)
 
     def problem(self, mesh: Mesh2D, **overrides) -> SteadyProblem:
         kw = dict(
@@ -221,7 +202,7 @@ class BenchmarkCase:
         return SteadyProblem(mesh, **kw)
 
 
-def case_vortex_2d(nu: float = 1.0) -> ManufacturedCase:
+def case_vortex_2d(nu: float = 1.0) -> FlowCase:
     """Polynomial vortex on the unit square with a bilinear pressure.
 
     The stream function is 5*a(x)*a(y) with a(s) = s^2 (s-1)^2, so the
@@ -273,7 +254,7 @@ def case_vortex_2d(nu: float = 1.0) -> ManufacturedCase:
         return np.stack([f1, f2], axis=-1)
 
     sides = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)
-    return ManufacturedCase(
+    return FlowCase(
         name=f"vortex_nu{nu:g}",
         nu=nu,
         velocity=velocity,
@@ -284,7 +265,7 @@ def case_vortex_2d(nu: float = 1.0) -> ManufacturedCase:
     )
 
 
-def case_noflow(ra: float = 1000.0) -> ManufacturedCase:
+def case_noflow(ra: float = 1000.0) -> FlowCase:
     """Hydrostatic balance: zero velocity, gravity-like forcing.
 
     The force is the exact gradient of a quadratic pressure, so any
@@ -306,7 +287,7 @@ def case_noflow(ra: float = 1000.0) -> ManufacturedCase:
         return np.stack([np.zeros_like(y), ra * (1.0 - y)], axis=-1)
 
     sides = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)
-    return ManufacturedCase(
+    return FlowCase(
         name="noflow",
         nu=1.0,
         velocity=velocity,
@@ -317,7 +298,7 @@ def case_noflow(ra: float = 1000.0) -> ManufacturedCase:
     )
 
 
-def case_cavity(forcing: str = "f1", nu: float = 1.0) -> BenchmarkCase:
+def case_cavity(forcing: str = "f1", nu: float = 1.0) -> FlowCase:
     """Lid-driven cavity, optionally with a large gradient body force.
 
     forcing "f1" is unforced; "f2" adds the gradient field
@@ -341,7 +322,7 @@ def case_cavity(forcing: str = "f1", nu: float = 1.0) -> BenchmarkCase:
         shape = xy.shape[:-1]
         return np.stack([np.ones(shape), np.zeros(shape)], axis=-1)
 
-    return BenchmarkCase(
+    return FlowCase(
         name=f"cavity_{forcing}",
         nu=nu,
         dirichlet=[
@@ -352,7 +333,7 @@ def case_cavity(forcing: str = "f1", nu: float = 1.0) -> BenchmarkCase:
     )
 
 
-def case_step(re: float = 100.0, inlet: str = "parabolic") -> BenchmarkCase:
+def case_step(re: float = 100.0, inlet: str = "parabolic") -> FlowCase:
     """Backward-facing step channel at Reynolds number ``re``.
 
     The inlet occupies x = -4, 1 <= y <= 2. The parabolic profile
@@ -381,7 +362,7 @@ def case_step(re: float = 100.0, inlet: str = "parabolic") -> BenchmarkCase:
     def walls(xy):
         return np.zeros(xy.shape)
 
-    return BenchmarkCase(
+    return FlowCase(
         name=f"step_re{re:g}_{inlet}",
         nu=1.0 / re,
         dirichlet=[((TAG_WALL,), walls), ((TAG_INLET,), inflow)],

@@ -1,10 +1,18 @@
 """The traced benchmark run wraps the library attributes listed in
 bench/child.py TARGETS; each one must still exist.  The file is parsed,
-not imported, so this test neither runs nor changes the benchmark."""
+not imported, so this test neither runs nor changes the benchmark.
+
+It also wraps every entry of egns.cli.COMMANDS and swaps
+egns.cli.ThreadPoolExecutor for a subclass that sees every level of
+``egns converge``; those seams are checked here too."""
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
+
+import egns.cli
 
 CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
 
@@ -33,3 +41,25 @@ def test_traced_benchmark_targets_resolve():
     assert targets
     for owner, attr, _span in targets:
         assert callable(getattr(_resolve(owner), attr, None)), f"{owner}.{attr}"
+
+
+def test_cli_commands_are_the_five_callables():
+    assert list(egns.cli.COMMANDS) == ["converge", "noflow", "cavity", "step", "run"]
+    assert all(callable(fn) for fn in egns.cli.COMMANDS.values())
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_converge_submits_every_level_to_the_pool(tmp_path, monkeypatch, threads):
+    submitted = []
+
+    class RecordingPool(egns.cli.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(egns.cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setenv("EGNS_THREADS", threads)
+    config = tmp_path / "run.ini"
+    config.write_text("[mesh]\nlevels = 2 4\n")
+    assert egns.cli.main(["converge", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert submitted == [(2,), (4,)]

@@ -98,20 +98,20 @@ class TestLoadConfig:
 
 class TestWorkerCount:
     def test_serial_forces_one(self, monkeypatch):
-        monkeypatch.setenv("EGNS_THREADS", "8")
-        assert worker_count(True, 4) == 1
+        monkeypatch.setenv("EGNS_THREADS", "1")
+        assert worker_count(4) == 1
 
     def test_env_caps_workers(self, monkeypatch):
         monkeypatch.setenv("EGNS_THREADS", "3")
-        assert worker_count(False, 8) == 3
+        assert worker_count(8) == 3
 
     def test_jobs_cap(self, monkeypatch):
         monkeypatch.setenv("EGNS_THREADS", "16")
-        assert worker_count(False, 2) == 2
+        assert worker_count(2) == 2
 
     def test_garbage_env_ignored(self, monkeypatch):
         monkeypatch.setenv("EGNS_THREADS", "lots")
-        assert worker_count(False, 4) >= 1
+        assert worker_count(4) >= 1
 
 
 class TestWriteVtk:
@@ -212,6 +212,52 @@ class TestMainPlumbing:
         path = _cfg(tmp_path, "[mesh]\nwobble = 1\n")
         assert main(["noflow", "--config", path]) == 2
 
+    def test_help_describes_every_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per command
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name in ("converge", "noflow", "cavity", "step", "run"):
+            assert re.search(rf"^ +{name} +\w", out, re.M), out
+
+
+class TestCommandKeys:
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("noflow", "mesh", "generator", "import"),
+            ("noflow", "mesh", "path", "/nonexistent"),
+            ("noflow", "mesh", "levels", "8 16"),
+            ("noflow", "physics", "inlet", "constant"),
+            ("step", "mesh", "resolution", "8"),
+            ("step", "mesh", "levels", "8"),
+            ("step", "physics", "ra", "10"),
+            ("converge", "mesh", "resolution", "8"),
+            ("cavity", "physics", "threshold", "1"),
+            ("run", "mesh", "levels", "8"),
+        ],
+    )
+    def test_unread_key_rejected(self, tmp_path, capsys, command, section, key, value):
+        path = _cfg(tmp_path, f"[{section}]\n{key} = {value}\n")
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key} is not read by the {command} command" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+
+    @pytest.mark.parametrize("command", ["converge", "noflow", "cavity", "step"])
+    def test_boundary_section_only_for_run(self, tmp_path, capsys, command):
+        path = _cfg(tmp_path, "[boundary]\n1 = noslip\n")
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"[boundary] is not read by the {command} command" in err
+
+    @pytest.mark.parametrize("command", ["converge", "noflow", "cavity", "step", "run"])
+    def test_experiment_name_read_by_every_command(self, tmp_path, command):
+        path = _cfg(tmp_path, "[experiment]\nname = sweep\n")
+        assert load_config(path, command).name == "sweep"
+
+
 
 class TestNoflowCommand:
     def test_hydrostatic_balance(self, tmp_path, capsys):
@@ -246,9 +292,10 @@ class TestNoflowCommand:
 
 
 class TestConvergeCommand:
-    def test_two_levels(self, tmp_path, capsys):
+    def test_two_levels(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EGNS_THREADS", "1")
         path = _cfg(tmp_path, "[mesh]\nlevels = 8 16\n")
-        rc = main(["converge", "--config", path, "--out", str(tmp_path), "--serial"])
+        rc = main(["converge", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
         csv = (tmp_path / "convergence.csv").read_text().splitlines()
         assert csv[0] == "h,e_l2,order,e_h1,order,e_p,order"
@@ -290,14 +337,17 @@ class TestConvergeCommand:
             raise egns.cli.SolverError("slow level")
 
         monkeypatch.setattr(egns.cli, "build_rect_uniform", fake_mesh)
-        monkeypatch.setenv("EGNS_THREADS", "2")
         path = _cfg(tmp_path, "[mesh]\nlevels = " + " ".join(map(str, range(1, 11))) + "\n")
-        rc = main(["converge", "--config", path, "--out", str(tmp_path)])
-        assert rc == 1
-        assert "level n=1 failed: fails at once" in capsys.readouterr().err
-        # level 2 runs beside level 1, and the freed worker may take level 3
-        # before the failure is seen; the other seven never start
-        assert len(started) <= 3
+        # two workers: level 2 runs beside level 1, and the freed worker may
+        # take level 3 before the failure is seen. One worker may take
+        # level 2 before the failure is seen. The other levels never start.
+        for threads, most in (("2", 3), ("1", 2)):
+            started.clear()
+            monkeypatch.setenv("EGNS_THREADS", threads)
+            rc = main(["converge", "--config", path, "--out", str(tmp_path)])
+            assert rc == 1
+            assert "level n=1 failed: fails at once" in capsys.readouterr().err
+            assert 1 <= len(started) <= most, threads
 
     def test_continuation_through_cli(self, tmp_path):
         path = _cfg(
@@ -320,6 +370,24 @@ class TestCavityCommand:
         assert float(m.group(1)) < 1e-6
         for name in ("cavity_f1.vtk", "cavity_f2.vtk", "cavity_diff.vtk"):
             assert (tmp_path / name).is_file()
+
+    def test_continuation_matches_lid_run(self, tmp_path):
+        # from rest, Newton fails at Re = 4000 on n = 8; continuation reaches it
+        physics = (
+            "[mesh]\nresolution = 8\n\n[physics]\nreynolds = 4000\n"
+            "continuation = yes\n\n[newton]\nrel_tol = 1e-7\nmax_iter = 200\n"
+        )
+        cav = _cfg(tmp_path, physics, "cav.ini")
+        assert main(["cavity", "--config", cav, "--out", str(tmp_path)]) == 0
+        # the README lid recipe with the same physics
+        run = _cfg(
+            tmp_path,
+            "[experiment]\nname = cavity-sweep\n\n" + physics.replace(
+                "[mesh]\n", "[mesh]\ngenerator = unit_square\n"
+            ) + "\n[boundary]\n1 = noslip\n2 = noslip\n3 = velocity 1 0\n4 = noslip\n",
+        )
+        assert main(["run", "--config", run, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "run.vtk").read_bytes() == (tmp_path / "cavity_f1.vtk").read_bytes()
 
     def test_zero_forcing_scale_identical(self, tmp_path, capsys):
         path = _cfg(

@@ -21,6 +21,7 @@ from egns.solver import (
     nu_continuation,
     solve_saddle,
 )
+from egns.verification import case_cavity, velocity_l2_difference, velocity_l2_norm
 
 ALL_SIDES = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)
 
@@ -239,6 +240,20 @@ class TestNewtonSolve:
         num = np.linalg.norm(u_a.vertex_values - u_b.vertex_values)
         den = np.linalg.norm(u_a.vertex_values)
         assert num / den < 1e-6
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Newton stops on the update of the stacked velocity/pressure "
+        "vector and on the residual scaled by the full load; a large "
+        "gradient force moves only the pressure, so both tests pass before "
+        "the velocity has converged (1.4e-4 here)",
+    )
+    def test_gradient_forcing_does_not_loosen_velocity_convergence(self):
+        mesh = build_rect_uniform(8, 8)
+        (u_a, _), _ = newton_solve(case_cavity("f1", 1e-2).problem(mesh))
+        (u_b, _), _ = newton_solve(case_cavity("f2", 1e-2).problem(mesh))
+        rel = velocity_l2_difference(mesh, u_a, u_b) / velocity_l2_norm(mesh, u_a)
+        assert rel <= 1e-8
 
     def test_velocity_stability_bound(self):
         prob = _homogeneous_problem(8, 1.0, f=_smooth_force)

@@ -14,7 +14,7 @@ from egns.mesh import (
 )
 from egns.eg_space import EGField, interpolate
 from egns.verification import (
-    ManufacturedCase,
+    FlowCase,
     VerificationError,
     case_cavity,
     case_noflow,
@@ -167,7 +167,7 @@ class TestInconsistentCaseRejected:
     def test_wrong_body_force(self):
         noflow = case_noflow()
         with pytest.raises(VerificationError, match="force"):
-            ManufacturedCase(
+            FlowCase(
                 name="broken",
                 nu=1.0,
                 velocity=noflow.velocity,
@@ -180,7 +180,7 @@ class TestInconsistentCaseRejected:
     def test_compressible_velocity(self):
         noflow = case_noflow()
         with pytest.raises(VerificationError, match="divergence"):
-            ManufacturedCase(
+            FlowCase(
                 name="broken",
                 nu=1.0,
                 velocity=lambda xy: np.stack(
@@ -191,6 +191,22 @@ class TestInconsistentCaseRejected:
                 body_force=noflow.body_force,
                 dirichlet=noflow.dirichlet,
             )
+
+    def test_velocity_without_pressure(self):
+        noflow = case_noflow()
+        with pytest.raises(VerificationError, match="together"):
+            FlowCase(
+                name="broken", nu=1.0, dirichlet=noflow.dirichlet,
+                velocity=noflow.velocity,
+            )
+
+    def test_missing_body_force_is_zero(self):
+        noflow = case_noflow()
+        rest = dict(name="rest", nu=1.0, dirichlet=noflow.dirichlet,
+                    velocity=noflow.velocity)
+        FlowCase(**rest, pressure=lambda xy: np.full(xy.shape[:-1], 2.0))
+        with pytest.raises(VerificationError, match="force"):
+            FlowCase(**rest, pressure=noflow.pressure)
 
 
 class TestNoflowCase:
