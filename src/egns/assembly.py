@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .eg_space import DofMap, EGField, edge_trace, element_ops, local_dof_vectors
+from .nullspace import NullSpace, null_space
 from .quadrature import EDGE_RULE, quadrature_rule
 from .reconstruction import rt_basis
 
@@ -49,8 +50,9 @@ class SaddleSystem:
 
     A acts on velocity dofs, B maps velocities to element pressures.
     mean_constraint holds element areas when the pressure is only
-    determined up to a constant (pure Dirichlet); None otherwise.
-    Treated as immutable once built.
+    determined up to a constant (pure Dirichlet) and is normalized to
+    zero area-weighted mean; None otherwise.  null_space is the
+    problem's divergence-free basis.  Treated as immutable once built.
     """
 
     A: sp.csr_matrix
@@ -59,6 +61,7 @@ class SaddleSystem:
     rhs_p: np.ndarray
     mean_constraint: np.ndarray | None
     dof_map: DofMap
+    null_space: NullSpace
 
 
 def _total_dofs(mesh):
@@ -307,9 +310,10 @@ class SteadyProblem:
 
     dirichlet is an ordered list of (tags, u_D) segments; neumann_tags
     name the do-nothing/outflow sides (with optional data).  The load
-    vector and the Dirichlet dof map are computed once per problem
-    instance and reused across Newton iterations; with_nu returns a new
-    instance that shares both, since neither depends on nu.
+    vector, the Dirichlet dof map and the divergence-free basis are
+    computed once per problem instance and reused across Newton
+    iterations; with_nu returns a new instance that shares all three,
+    since none depends on nu.
     """
 
     mesh: object
@@ -320,9 +324,15 @@ class SteadyProblem:
     neumann_data: object = None
     convect: bool = True
 
+    def __post_init__(self):
+        # the basis slot is shared by with_nu copies and filled at the
+        # first solve of any of them, not when a copy is made
+        self._basis = {}
+
     def with_nu(self, nu):
         new = dataclasses.replace(self, nu=nu)
         new.load_vector, new.dof_map = self.load_vector, self.dof_map
+        new._basis = self._basis
         return new
 
     @cached_property
@@ -342,24 +352,30 @@ class SteadyProblem:
     def dof_map(self):
         """The Dirichlet dof map.
 
-        For pure-Dirichlet problems the net prescribed boundary flux must
-        vanish up to roundoff or the pressure problem is inconsistent; a
-        violation is logged as a warning.
+        When Dirichlet data covers the whole boundary, the net prescribed
+        boundary flux must vanish up to roundoff, or no velocity has zero
+        divergence; a violation raises ValueError.
         """
         mesh = self.mesh
         dm = dirichlet_dof_map(mesh, self.dirichlet)
-        if not self.neumann_tags:
-            be = mesh.boundary_edge_indices
-            flux = float(mesh.edge_lengths[be] @ dm.values[2 * mesh.num_vertices + be])
+        be = mesh.boundary_edge_indices
+        edge_dofs = 2 * mesh.num_vertices + be
+        if dm.constrained[edge_dofs].all():
+            flux = float(mesh.edge_lengths[be] @ dm.values[edge_dofs])
             perimeter = float(mesh.edge_lengths[be].sum())
             if abs(flux) > 1e-10 * perimeter:
-                logger.warning(
-                    "Dirichlet data compatibility violated: net boundary flux "
-                    "%.3e exceeds 1e-10 x perimeter %.3e",
-                    flux,
-                    perimeter,
+                raise ValueError(
+                    f"Dirichlet data is incompatible: net boundary flux "
+                    f"{flux:.3e} exceeds 1e-10 x perimeter {perimeter:.3e}"
                 )
         return dm
+
+    @property
+    def null_space(self):
+        """The divergence-free basis and the dual spanning tree."""
+        if not self._basis:
+            self._basis["null_space"] = null_space(self.mesh, self.dof_map)
+        return self._basis["null_space"]
 
     def newton_system(self, u_n):
         """Assemble the linearized saddle system at state u_n (None = rest)."""
@@ -381,13 +397,14 @@ class SteadyProblem:
             rhs_u += vec
 
         A = A.tocsr()
-        dm = self.dof_map
+        dm, ns = self.dof_map, self.null_space
         rhs_u, rhs_p = apply_dirichlet(dm, A, B, rhs_u, np.zeros(mesh.num_triangles))
         return SaddleSystem(
             A=A,
             B=B,
             rhs_u=rhs_u,
             rhs_p=rhs_p,
-            mean_constraint=None if self.neumann_tags else mesh.areas.copy(),
+            mean_constraint=mesh.areas.copy() if ns.closed else None,
             dof_map=dm,
+            null_space=ns,
         )

@@ -1,0 +1,173 @@
+"""Divergence-free basis of the velocity space and the dual spanning tree.
+
+The divergence block couples element pressures only to the edge scalars,
+so a field of free edge fluxes with zero broken divergence is the
+discrete curl of a continuous piecewise-linear stream function psi: the
+average normal flux across edge (a, b) is s_e (psi_b - psi_a) / |e|,
+where s_e = tau . (b - a) / |e| and tau is the assigned normal turned by
++90 degrees.  A Newton system is then solved over (free v0x, free v0y,
+psi), the null-space method of Benzi, Golub and Liesen (Acta Numerica
+2005), which is pressure robust by construction.
+
+psi has one value per vertex off the Dirichlet edges.  The homogeneous
+flux vanishes on a Dirichlet edge, so psi is constant along each
+connected chain of Dirichlet edges: the first chain holds psi = 0 and
+every further one (walls split by outflow segments, the boundary of a
+hole) adds one shared unknown.  Without Dirichlet edges psi is fixed at
+vertex 0.
+
+A breadth-first spanning tree of the dual graph over the free edges
+replaces a second factorization.  It is rooted at a virtual outside node
+when some boundary edge is free, and at element 0 otherwise.  Restricted
+to the tree edges the divergence block is triangular in breadth-first
+order: one sweep from the leaves gives a flux with prescribed
+divergence, one sweep from the root gives the pressures from the
+momentum residual.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+
+__all__ = ["NullSpace", "null_space"]
+
+
+@dataclass(frozen=True, eq=False)
+class NullSpace:
+    """Divergence-free basis Z and the dual spanning tree of one problem.
+
+    Z maps (free v0x, free v0y, psi) to the full velocity dof vector; its
+    rows on constrained entries are empty.  The tree lists the non-root
+    elements in breadth-first order, depth by depth from depth_start,
+    each with the position of its parent in that order (-1 below the
+    root), the dof of the edge to its parent and the divergence
+    coefficient sigma |e| of the element on that edge.  closed marks a
+    boundary without free edges: the tree is then rooted at element 0
+    and the pressure is determined up to a constant.
+    """
+
+    Z: sp.csr_matrix
+    element: np.ndarray
+    up: np.ndarray
+    edge_dof: np.ndarray
+    coef: np.ndarray
+    depth_start: np.ndarray
+    closed: bool
+
+    def particular(self, rhs_p):
+        """A velocity u with B u = rhs_p, nonzero on the tree edges only.
+
+        The flux out of an element through its parent edge is the sum of
+        rhs_p over its subtree.  Below a root element, that element's own
+        equation holds only if rhs_p sums to zero.
+        """
+        q = rhs_p[self.element]
+        s = self.depth_start
+        for d in range(len(s) - 2, 0, -1):
+            lo, hi = s[d], s[d + 1]
+            q[s[d - 1] : lo] += np.bincount(
+                self.up[lo:hi] - s[d - 1], weights=q[lo:hi], minlength=lo - s[d - 1]
+            )
+        u = np.zeros(self.Z.shape[0])
+        u[self.edge_dof] = q / self.coef
+        return u
+
+    def pressure(self, residual):
+        """Element pressures p with B^T p = residual on the tree edges.
+
+        A root element gets pressure zero.
+        """
+        p_tree = residual[self.edge_dof] / self.coef
+        s = self.depth_start
+        for d in range(1, len(s) - 1):
+            lo, hi = s[d], s[d + 1]
+            p_tree[lo:hi] += p_tree[self.up[lo:hi]]
+        # every element is in the tree except a root element
+        p = np.zeros(self.element.size + self.closed)
+        p[self.element] = p_tree
+        return p
+
+
+def null_space(mesh, dof_map):
+    """Build the basis and the dual tree for a mesh and its Dirichlet dof map."""
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    con = dof_map.constrained
+    on_wall, wall_edge = con[:nv], con[2 * nv :]
+    free_v = np.flatnonzero(~on_wall)
+    nfv = free_v.size
+
+    # psi columns follow the 2 nfv vertex columns; -1 marks psi = 0
+    psi_v = free_v if wall_edge.any() else free_v[1:]
+    col = np.full(nv, -1, dtype=np.int64)
+    col[psi_v] = 2 * nfv + np.arange(psi_v.size)
+    ncol = 2 * nfv + psi_v.size
+    if wall_edge.any():
+        a, b = mesh.edges[wall_edge].T
+        graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(nv, nv))
+        label = connected_components(graph, directed=False)[1]
+        chain = np.unique(label[on_wall], return_inverse=True)[1]
+        col[on_wall] = np.where(chain > 0, ncol - 1 + chain, -1)
+        ncol += int(chain.max())
+
+    fe = np.flatnonzero(~wall_edge)
+    a, b = mesh.edges[fe].T
+    d = mesh.vertices[b] - mesh.vertices[a]
+    n = mesh.edge_normal[fe]
+    w = np.where(n[:, 0] * d[:, 1] - n[:, 1] * d[:, 0] > 0, 1.0, -1.0)
+    w /= mesh.edge_lengths[fe]
+    rows = np.concatenate([free_v, nv + free_v, 2 * nv + fe, 2 * nv + fe])
+    cols = np.concatenate([np.arange(2 * nfv), col[b], col[a]])
+    data = np.concatenate([np.ones(2 * nfv), w, -w])
+    keep = cols >= 0
+    Z = sp.coo_matrix(
+        (data[keep], (rows[keep], cols[keep])), shape=(dof_map.total, ncol)
+    ).tocsr()
+    # an edge between two vertices of one chain carries no homogeneous flux
+    Z.eliminate_zeros()
+
+    # dual graph over the free edges; node nt is the virtual outside node
+    t0, t1 = mesh.edge_to_triangles[fe].T
+    closed = bool((t1 >= 0).all())
+    t1 = np.where(t1 < 0, nt, t1)
+    src = np.concatenate([t0, t1])
+    order = np.argsort(src, kind="stable")
+    dst = np.concatenate([t1, t0])[order]
+    via = np.concatenate([fe, fe])[order]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=nt + 1))])
+
+    root = 0 if closed else nt
+    seen = np.zeros(nt + 1, dtype=bool)
+    seen[root] = True
+    frontier = np.array([root])
+    levels = []
+    while True:
+        cnt = ptr[frontier + 1] - ptr[frontier]
+        shift = ptr[frontier] - np.cumsum(cnt) + cnt
+        k = np.arange(cnt.sum()) + np.repeat(shift, cnt)
+        nbr, parent, edge = dst[k], np.repeat(frontier, cnt), via[k]
+        new = ~seen[nbr]
+        # each new element keeps the first edge reaching it
+        child, first = np.unique(nbr[new], return_index=True)
+        if child.size == 0:
+            break
+        seen[child] = True
+        levels.append((child, parent[new][first], edge[new][first]))
+        frontier = child
+
+    element, parent, edge = (np.concatenate(x) for x in zip(*levels))
+    pos = np.full(nt + 1, -1, dtype=np.int64)
+    pos[element] = np.arange(element.size)
+    kk = np.argmax(mesh.triangle_edges[element] == edge[:, None], axis=1)
+    return NullSpace(
+        Z=Z,
+        element=element,
+        up=pos[parent],
+        edge_dof=2 * nv + edge,
+        coef=mesh.edge_lengths[edge] * mesh.triangle_edge_sign[element, kk],
+        depth_start=np.cumsum([0] + [lv[0].size for lv in levels]),
+        closed=closed,
+    )

@@ -1,12 +1,15 @@
-"""Direct saddle-point solves, damped Newton iteration, viscosity continuation.
+"""Null-space linear solves, damped Newton iteration, viscosity continuation.
 
-One linear solve factors the full saddle matrix with sparse LU; problem
-sizes stay in direct-solver territory.  For pure-Dirichlet problems the
-pressure is only determined up to a constant: the factorization pins one
-pressure unknown and drops the matching redundant mass row, then shifts
-the result back to zero area-weighted mean.  Pinning instead of a
-Lagrange multiplier matters for cost: the multiplier column is dense in
-the pressure block and inflates LU fill by roughly an order of magnitude.
+One linear solve works on the divergence-free subspace (see
+egns.nullspace): a particular flux with the prescribed divergence comes
+from a sweep over a dual spanning tree, the divergence-free correction
+from the reduced matrix Z^T A Z over (free v0x, free v0y, stream
+function), factored directly with sparse LU, and the pressures from a
+second tree sweep over the momentum residual.  The reduced matrix has
+no zero block and under half the unknowns of the saddle matrix, and
+pressure robustness holds by construction.  For pure-Dirichlet problems
+the pressure is shifted to zero area-weighted mean; incompatible
+boundary flux is rejected when the problem's dof map is built.
 
 Newton is damped by residual decrease (Deuflhard, *Newton Methods for
 Nonlinear Problems*): a step of length lambda, full first, is kept if it
@@ -36,7 +39,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 logger = logging.getLogger(__name__)
@@ -124,48 +126,35 @@ class SolveReport:
 def solve_saddle(system):
     """Solve one linearized system, returning (velocity field, pressures).
 
-    Constrained velocity entries are reinserted from the dof map.  One
-    iterative refinement pass follows the factorization; the block
-    residuals are then required to sit at solver precision relative to
-    the data.
+    The free velocity is the tree's particular flux u_p plus Z x, where
+    x solves Z^T A Z x = Z^T (rhs_u - A u_p) with one iterative
+    refinement pass, and the pressures solve B^T p = A u - rhs_u on the
+    tree edges; constrained entries are reinserted from the dof map.
+    The block residuals of the full system are then required to sit at
+    solver precision relative to the data.
     """
-    dm = system.dof_map
-    free = dm.free_indices()
-    nf = free.size
-
-    A_ff = system.A[free][:, free]
-    B_f = system.B[:, free]
-    pinned = system.mean_constraint is not None
-    if pinned:
-        # mass row 0 is an exact linear combination of the others over the
-        # free columns, so dropping it together with pressure unknown 0
-        # leaves an equivalent nonsingular system
-        B_red = B_f[1:]
-        K = sp.bmat([[A_ff, -B_red.T], [B_red, None]], format="csc")
-        rhs = np.concatenate([system.rhs_u[free], system.rhs_p[1:]])
-    else:
-        K = sp.bmat([[A_ff, -B_f.T], [B_f, None]], format="csc")
-        rhs = np.concatenate([system.rhs_u[free], system.rhs_p])
+    dm, ns = system.dof_map, system.null_space
+    A, Z = system.A, ns.Z
+    K = (Z.T @ (A @ Z)).tocsc()
 
     try:
         lu = spla.splu(K)
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
 
-    x = lu.solve(rhs)
-    x += lu.solve(rhs - K @ x)
-
-    uf = x[:nf]
-    if pinned:
-        a = system.mean_constraint
-        pressure = np.concatenate([[0.0], x[nf:]])
+    # the solve and one refinement pass.  The velocity takes each
+    # correction in place: rebuilding it from the accumulated psi would
+    # round every flux again at eps |psi| / |e|, a residual floor that
+    # grows with the mesh
+    xf = ns.particular(system.rhs_p)
+    for _ in range(2):
+        xf += Z @ lu.solve(Z.T @ (system.rhs_u - A @ xf))
+    pressure = ns.pressure(A @ xf - system.rhs_u)
+    a = system.mean_constraint
+    if a is not None:
         pressure -= (a @ pressure) / a.sum()
-    else:
-        pressure = x[nf:].copy()
 
-    xf = np.zeros(dm.total)
-    xf[free] = uf
-    ru, rp, scale = _block_residuals(system, free, xf, pressure)
+    ru, rp, scale = _block_residuals(system, dm.free_indices(), xf, pressure)
     # written so that NaN residuals or data fail the check
     if not (ru <= 1e-10 * scale and rp <= 1e-10 * scale):
         raise SolverError(
@@ -180,15 +169,10 @@ def _block_residuals(system, free, xf, pressure):
 
     xf is the full velocity vector with zeros on the constrained entries,
     whose data the right-hand sides already carry.  The momentum residual
-    is taken on the free rows.  With a pinned pressure the mass residual
-    is projected off the mean constraint, the one mass equation that the
-    pinned solve drops.
+    is taken on the free rows.
     """
     ru = (system.A @ xf - system.B.T @ pressure - system.rhs_u)[free]
     rp = system.B @ xf - system.rhs_p
-    a = system.mean_constraint
-    if a is not None:
-        rp = rp - ((a @ rp) / (a @ a)) * a
     scale = max(
         float(np.linalg.norm(system.rhs_u[free])),
         float(np.linalg.norm(system.rhs_p)),

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse.linalg
 
 import egns.assembly
 from egns.mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, TAG_TOP, build_rect_uniform
@@ -20,6 +21,7 @@ from egns.assembly import (
     assemble_viscous,
     dirichlet_dof_map,
 )
+from egns.solver import newton_solve
 
 ALL_SIDES = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)
 
@@ -428,17 +430,22 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             dm.constrained[0] = False
 
-    def test_incompatible_data_warns(self, caplog):
+    def test_incompatible_data_raises(self, monkeypatch):
         mesh = build_rect_uniform(2, 2)
 
         def u_d(xy):  # net outflow through the boundary
             return np.array(xy, dtype=float)
 
+        factorizations = []
+        monkeypatch.setattr(
+            scipy.sparse.linalg, "splu", lambda *a, **k: factorizations.append(a)
+        )
         prob = SteadyProblem(mesh=mesh, nu=1.0, dirichlet=[(ALL_SIDES, u_d)])
-        with caplog.at_level(logging.WARNING, logger="egns.assembly"):
-            prob.newton_system(None)
-            prob.newton_system(EGField.zeros(mesh))
-        assert sum("compatib" in r.message for r in caplog.records) == 1
+        with pytest.raises(ValueError, match="incompatible: net boundary flux 2"):
+            prob.dof_map
+        with pytest.raises(ValueError, match="incompatible"):
+            newton_solve(prob)
+        assert factorizations == []
 
     @pytest.mark.parametrize("where", ["vertex", "edge"])
     def test_non_finite_data_names_tags(self, where):
@@ -507,7 +514,7 @@ class TestSteadyProblem:
 
             return wrapper
 
-        for name in ("assemble_load", "dirichlet_dof_map"):
+        for name in ("assemble_load", "dirichlet_dof_map", "null_space"):
             monkeypatch.setattr(egns.assembly, name, counted(name))
         mesh = build_rect_uniform(2, 2)
         prob = SteadyProblem(
@@ -516,7 +523,11 @@ class TestSteadyProblem:
         )
         stages = [prob.with_nu(0.5), prob.with_nu(0.25).with_nu(0.125)]
         assert [p.nu for p in stages] == [0.5, 0.125]
+        # the basis waits for the first solve of any stage
+        assert sorted(calls) == ["assemble_load", "dirichlet_dof_map"]
+        stages[1].newton_system(None)
         for p in stages:
             assert p.load_vector is prob.load_vector
             assert p.dof_map is prob.dof_map
-        assert sorted(calls) == ["assemble_load", "dirichlet_dof_map"]
+            assert p.null_space is prob.null_space
+        assert sorted(calls) == ["assemble_load", "dirichlet_dof_map", "null_space"]

@@ -4,15 +4,21 @@ not imported, so this test neither runs nor changes the benchmark.
 
 It also wraps every entry of egns.cli.COMMANDS and swaps
 egns.cli.ThreadPoolExecutor for a subclass that sees every level of
-``egns converge``; those seams are checked here too."""
+``egns converge``; those seams are checked here too, as is the count of
+``scipy.sparse.linalg.splu`` calls that the trace reports as
+factorizations."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg
 
 import egns.cli
+import egns.solver
+from egns.mesh import build_rect_uniform
+from egns.verification import case_cavity
 
 CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
 
@@ -63,3 +69,25 @@ def test_converge_submits_every_level_to_the_pool(tmp_path, monkeypatch, threads
     config.write_text("[mesh]\nlevels = 2 4\n")
     assert egns.cli.main(["converge", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert submitted == [(2,), (4,)]
+
+
+def test_one_factorization_per_linear_solve(monkeypatch):
+    calls = {"splu": 0, "solve_saddle": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "splu", counted("splu", scipy.sparse.linalg.splu)
+    )
+    monkeypatch.setattr(
+        egns.solver, "solve_saddle", counted("solve_saddle", egns.solver.solve_saddle)
+    )
+    problem = case_cavity("f1", 0.05).problem(build_rect_uniform(6, 6))
+    _, report = egns.solver.newton_solve(problem)
+    assert report.iterations >= 2
+    assert calls["splu"] == calls["solve_saddle"] == report.iterations

@@ -5,9 +5,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import egns.solver
-from egns.mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, TAG_TOP, build_rect_uniform
+from egns.mesh import (
+    TAG_BOTTOM,
+    TAG_LEFT,
+    TAG_RIGHT,
+    TAG_TOP,
+    Mesh2D,
+    _cell_triangles,
+    build_rect_uniform,
+    build_step_domain,
+)
 from egns.quadrature import quadrature_rule
 from egns.eg_space import DofMap, EGField, energy_norm
 from egns.assembly import SteadyProblem
@@ -21,7 +32,14 @@ from egns.solver import (
     nu_continuation,
     solve_saddle,
 )
-from egns.verification import case_cavity, velocity_l2_difference, velocity_l2_norm
+from egns.verification import (
+    case_cavity,
+    case_noflow,
+    case_step,
+    case_vortex_2d,
+    velocity_l2_difference,
+    velocity_l2_norm,
+)
 
 ALL_SIDES = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)
 
@@ -51,6 +69,92 @@ def _cavity_problem(n, nu, f=None, convect=True):
 def _smooth_force(xy):
     x, y = xy[..., 0], xy[..., 1]
     return np.stack([np.sin(np.pi * y), np.cos(np.pi * x)], axis=-1)
+
+
+def _saddle_oracle(system):
+    """The direct saddle-point solve the null-space solve replaced.
+
+    Factors [[A_ff, -B_f^T], [B_f, 0]] over the free velocities with one
+    refinement pass.  For pure Dirichlet it pins pressure 0, drops the
+    redundant mass row 0 and shifts to zero area-weighted mean.
+    """
+    dm = system.dof_map
+    free = dm.free_indices()
+    A_ff = system.A[free][:, free]
+    B_f = system.B[:, free]
+    rhs_p = system.rhs_p
+    pinned = system.mean_constraint is not None
+    if pinned:
+        B_f, rhs_p = B_f[1:], rhs_p[1:]
+    K = sp.bmat([[A_ff, -B_f.T], [B_f, None]], format="csc")
+    rhs = np.concatenate([system.rhs_u[free], rhs_p])
+    lu = spla.splu(K)
+    x = lu.solve(rhs)
+    x += lu.solve(rhs - K @ x)
+    pressure = x[free.size :]
+    if pinned:
+        a = system.mean_constraint
+        pressure = np.concatenate([[0.0], pressure])
+        pressure -= (a @ pressure) / a.sum()
+    xf = dm.values.copy()
+    xf[free] = x[: free.size]
+    return dm.unpack(xf), pressure
+
+
+def _holed_square(n):
+    """Unit square minus its central cells, built as build_step_domain
+    drops cells: tags 1-4 on the outer sides, 5 on the hole."""
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    center = lambda k: (k + 0.5) / n
+    keep = ~((np.abs(center(i) - 0.5) < 0.2) & (np.abs(center(j) - 0.5) < 0.2))
+    triangles = _cell_triangles(i[keep], j[keep], n)
+    xs = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(xs, xs)
+    used = np.unique(triangles)
+    remap = np.full((n + 1) ** 2, -1, dtype=np.int64)
+    remap[used] = np.arange(used.size)
+    vertices = np.column_stack([X.ravel(), Y.ravel()])[used]
+
+    def tags(pairs):
+        mx, my = vertices[pairs].mean(axis=1).T
+        sides = [my == 0.0, mx == 1.0, my == 1.0, mx == 0.0]
+        return np.select(sides, [TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT], 5)
+
+    return Mesh2D.from_arrays(vertices, remap[triangles], tag_lookup=tags)
+
+
+def _layout(name, nu):
+    """A small problem of each boundary layout the null-space solve meets."""
+    square = build_rect_uniform(8, 8)
+    if name == "vortex":
+        return case_vortex_2d(nu).problem(square)
+    if name == "step":
+        return case_step(1.0 / nu).problem(build_step_domain(0.5))
+    if name in ("cavity_f1", "cavity_f2"):
+        return case_cavity(name[-2:], nu).problem(square)
+    if name == "noflow":
+        return case_noflow().problem(square, nu=nu)
+    if name == "channel":
+        # walls split by an outflow at each end: two wall chains
+        def force(xy):  # unit-speed Poiseuille drive plus a swirl
+            x = xy[..., 0]
+            return 8.0 * nu * np.stack([np.ones_like(x), np.sin(np.pi * x)], axis=-1)
+
+        return SteadyProblem(
+            mesh=build_rect_uniform(12, 4, bounds=(0.0, 0.0, 3.0, 1.0)), nu=nu,
+            body_force=force, dirichlet=[((TAG_BOTTOM, TAG_TOP), _zero_bc)],
+            neumann_tags=(TAG_LEFT, TAG_RIGHT),
+        )
+    assert name == "hole"
+    lid = lambda xy: np.broadcast_to((1.0, 0.0), xy.shape)
+    swirl = lambda xy: np.stack([0.5 - xy[..., 1], xy[..., 0] - 0.5], axis=-1)
+    return SteadyProblem(
+        mesh=_holed_square(10), nu=nu, body_force=swirl,
+        dirichlet=[((TAG_BOTTOM, TAG_RIGHT, TAG_LEFT, 5), _zero_bc), ((TAG_TOP,), lid)],
+    )
+
+
+LAYOUTS = ["vortex", "step", "cavity_f1", "cavity_f2", "noflow", "channel", "hole"]
 
 
 def _l2_force_norm(mesh, f):
@@ -104,10 +208,6 @@ class TestSolveSaddle:
             np.linalg.norm(system.rhs_u[free]), np.linalg.norm(system.rhs_p)
         )
         assert np.linalg.norm(ru) < 1e-10 * scale
-        if system.mean_constraint is not None:
-            # project out the multiplier direction from the mass rows
-            a = system.mean_constraint
-            rp = rp - ((a @ rp) / (a @ a)) * a
         assert np.linalg.norm(rp) < 1e-10 * scale
 
     def test_constrained_values_reinserted(self):
@@ -120,18 +220,8 @@ class TestSolveSaddle:
         assert np.array_equal(packed[con], dm.values[con])
 
     def test_singular_system_reported(self):
-        import scipy.sparse as sp
-
-        prob = _homogeneous_problem(2, 1.0)
-        system = prob.newton_system(None)
-        broken = type(system)(
-            A=sp.csr_matrix(system.A.shape),  # all-zero operator
-            B=system.B,
-            rhs_u=system.rhs_u,
-            rhs_p=system.rhs_p,
-            mean_constraint=system.mean_constraint,
-            dof_map=system.dof_map,
-        )
+        system = _homogeneous_problem(2, 1.0).newton_system(None)
+        broken = dataclasses.replace(system, A=sp.csr_matrix(system.A.shape))
         with pytest.raises(SingularSystemError):
             solve_saddle(broken)
 
@@ -141,6 +231,72 @@ class TestSolveSaddle:
         rhs_u[system.dof_map.free_indices()[0]] = np.nan
         with pytest.raises(SolverError, match="residuals"):
             solve_saddle(dataclasses.replace(system, rhs_u=rhs_u))
+
+
+class TestNullSpaceSolve:
+    """The null-space solve against the saddle-point oracle."""
+
+    @pytest.mark.parametrize("nu", [1.0, 1e-3])
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_agrees_with_saddle_oracle(self, name, nu):
+        prob = _layout(name, nu)
+        # linearized at the first Newton iterate: convection and the
+        # outflow form both enter
+        system = prob.newton_system(solve_saddle(prob.newton_system(None))[0])
+        dm = system.dof_map
+        field, pressure = solve_saddle(system)
+        ref_field, ref_pressure = _saddle_oracle(system)
+        u, ref_u = dm.pack(field), dm.pack(ref_field)
+        dp = np.linalg.norm(pressure - ref_pressure)
+        assert dp <= 1e-10 * np.linalg.norm(ref_pressure)
+        if name == "noflow":
+            # the load of the hydrostatic force rounds at eps x Ra, and
+            # the velocity that drives scales like 1/nu
+            assert np.abs(u).max() <= 1e-14 / nu
+            return
+        # the 1e6 gradient load of f2 rounds the same way: at nu = 1e-3 the
+        # oracle sits 8e-10 from a saddle solve refined in extended
+        # precision, the null-space solve 2e-10
+        tol = 2e-9 if (name, nu) == ("cavity_f2", 1e-3) else 1e-10
+        assert np.linalg.norm(u - ref_u) <= tol * np.linalg.norm(ref_u)
+
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_basis_is_divergence_free(self, name):
+        prob = _layout(name, 1.0)
+        mesh, Z = prob.mesh, prob.null_space.Z
+        assert spla.norm(prob.newton_system(None).B @ Z, np.inf) <= 1e-14
+        # one psi per free vertex, plus one per wall chain after the first
+        nfv = int((~prob.dof_map.constrained[: mesh.num_vertices]).sum())
+        euler = mesh.num_vertices - mesh.num_edges + mesh.num_triangles
+        assert euler == (0 if name == "hole" else 1)
+        assert Z.shape[1] - 3 * nfv == (1 if name in ("hole", "channel") else 0)
+
+    @pytest.mark.parametrize("name", ["vortex", "step", "channel", "hole"])
+    def test_tree_sweeps_invert_the_divergence(self, name):
+        prob = _layout(name, 1.0)
+        ns, B = prob.null_space, prob.newton_system(None).B
+        rng = np.random.default_rng(0)
+        rhs_p = rng.standard_normal(B.shape[0])
+        p = rng.standard_normal(B.shape[0])
+        if ns.closed:  # defined up to a constant: compatible data, p[0] = 0
+            rhs_p -= rhs_p.mean()
+            p -= p[0]
+        assert np.abs(B @ ns.particular(rhs_p) - rhs_p).max() <= 1e-12
+        assert np.abs(ns.pressure(B.T @ p) - p).max() <= 1e-12
+
+    def test_without_dirichlet_edges_psi_is_fixed_at_one_vertex(self):
+        prob = SteadyProblem(mesh=build_rect_uniform(3, 3), nu=1.0,
+                             neumann_tags=ALL_SIDES)
+        ns, nv = prob.null_space, prob.mesh.num_vertices
+        assert not ns.closed
+        assert ns.Z.shape == (prob.dof_map.total, 3 * nv - 1)
+        assert np.linalg.matrix_rank(ns.Z.toarray()) == 3 * nv - 1
+        B = prob.newton_system(None).B
+        assert np.abs(B @ ns.Z).max() <= 1e-14
+        # corner elements reach the outside through two free edges
+        p = np.random.default_rng(0).standard_normal(B.shape[0])
+        assert np.abs(B @ ns.particular(p) - p).max() <= 1e-12
+        assert np.abs(ns.pressure(B.T @ p) - p).max() <= 1e-12
 
 
 class TestNewtonSolve:
