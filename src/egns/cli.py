@@ -2,22 +2,22 @@
 
 Every subcommand takes its viscosity, mesh, solve and VTK output through
 the same helpers and differs only in its data and its report; `egns
---help` lists them. Configuration is an INI file with sections
-[experiment], [mesh], [physics], [newton], [output], and [boundary].
-Unknown sections or keys are rejected, and so is a key the chosen
-subcommand does not read:
+--help` lists them. Every subcommand reaches its viscosity through
+nu_continuation. Configuration is an INI file with sections [mesh],
+[physics], [newton], [output], and [boundary]. Unknown sections or keys
+are rejected, and so is a key the chosen subcommand does not read:
 
-    all       [experiment] name; [physics] nu reynolds reynolds_scale
-              continuation; [newton] rel_tol max_iter; [output] directory
+    all       [physics] nu reynolds continuation; [newton] rel_tol
+              max_iter; [output] directory
     converge  [mesh] levels
     noflow    [mesh] resolution; [physics] ra threshold
     cavity    [mesh] resolution; [physics] forcing_scale
     step      [mesh] h; [physics] inlet
     run       [mesh] generator resolution h path; [boundary]
 
-`continuation = yes` reaches the viscosity by continuation in every
-subcommand. Boundary recipes (run subcommand) map integer edge tags to
-one of::
+[physics] continuation is obsolete: it is parsed as a boolean and
+otherwise ignored. Boundary recipes (run subcommand) map integer edge
+tags to one of::
 
     noslip
     velocity <ux> <uy>
@@ -47,7 +47,7 @@ from .assembly import SteadyProblem
 from .eg_space import EGField, element_divergence, element_ops, local_dof_vectors
 from .mesh import MeshError, build_rect_uniform, build_step_domain, import_mesh
 from .reconstruction import rt_at_centroids
-from .solver import NewtonConfig, SolverError, newton_solve, nu_continuation
+from .solver import NewtonConfig, SolverError, nu_continuation
 from .verification import (
     STEP_RECIRCULATION_BOX,
     ConvergenceTable,
@@ -55,9 +55,11 @@ from .verification import (
     case_noflow,
     case_step,
     case_vortex_2d,
+    constant_velocity,
     convergence_table,
     error_norms,
     kinematic_pressure,
+    parabolic_velocity,
     recirculation_detect,
     velocity_l2_difference,
     velocity_l2_norm,
@@ -73,9 +75,9 @@ class ConfigError(Exception):
 _ALL = "converge noflow cavity step run"
 
 # section -> key -> (parser, the subcommands that read it); keys not
-# listed here are rejected
+# listed here are rejected.  RunConfig has no attribute for the obsolete
+# continuation key: it is validated and dropped
 _SCHEMA = {
-    "experiment": {"name": ("str", _ALL)},
     "mesh": {
         "generator": ("str", "run"),
         "resolution": ("int", "noflow cavity run"),
@@ -86,7 +88,6 @@ _SCHEMA = {
     "physics": {
         "nu": ("float", _ALL),
         "reynolds": ("float", _ALL),
-        "reynolds_scale": ("float", _ALL),
         "continuation": ("bool", _ALL),
         "ra": ("float", "noflow"),
         "inlet": ("str", "step"),
@@ -103,7 +104,6 @@ _ATTR = {("mesh", "path"): "mesh_path", ("output", "directory"): "out_dir"}
 
 @dataclass
 class RunConfig:
-    name: str = "egns"
     generator: Optional[str] = None
     resolution: Optional[int] = None
     levels: Optional[list] = None
@@ -111,8 +111,6 @@ class RunConfig:
     mesh_path: Optional[str] = None
     nu: Optional[float] = None
     reynolds: Optional[float] = None
-    reynolds_scale: float = 1.0
-    continuation: bool = False
     ra: float = 1000.0
     inlet: str = "parabolic"
     forcing_scale: float = 1.0
@@ -186,6 +184,8 @@ def load_config(path, command=None) -> RunConfig:
                     f"[{section}] {key} is not read by the {command} command"
                 )
             value = _parse_value(section, key, raw, kind)
+            if key == "continuation":
+                continue
             attr = _ATTR.get((section, key), key)
             if attr == "out_dir":
                 value = Path(value)
@@ -197,8 +197,6 @@ def load_config(path, command=None) -> RunConfig:
         raise ConfigError("[physics] nu must be positive")
     if cfg.reynolds is not None and cfg.reynolds <= 0:
         raise ConfigError("[physics] reynolds must be positive")
-    if cfg.reynolds_scale <= 0:
-        raise ConfigError("[physics] reynolds_scale must be positive")
     if cfg.resolution is not None and cfg.resolution < 1:
         raise ConfigError("[mesh] resolution must be at least 1")
     if cfg.levels is not None and any(n < 1 for n in cfg.levels):
@@ -216,7 +214,7 @@ def _resolve_nu(cfg: RunConfig, default: Optional[float] = None) -> float:
     if cfg.nu is not None:
         return cfg.nu
     if cfg.reynolds is not None:
-        return 1.0 / (cfg.reynolds * cfg.reynolds_scale)
+        return 1.0 / cfg.reynolds
     if default is None:
         raise ConfigError("viscosity required: set [physics] nu or reynolds")
     return default
@@ -316,18 +314,14 @@ def _build_mesh(cfg: RunConfig, default_generator: str):
 
 
 def _solve(cfg: RunConfig, factory, nu: float):
-    """Solve at viscosity nu, through viscosity continuation if configured.
+    """Solve at viscosity nu through viscosity continuation.
 
     factory maps a viscosity to a SteadyProblem. Logs the last Newton
     report and returns the solution and the reports, one per continuation
     trial, rejected ones included.
     """
     ncfg = NewtonConfig(rel_tol=cfg.rel_tol, max_iter=cfg.max_iter)
-    if cfg.continuation:
-        sol, reports = nu_continuation(factory, nu, ncfg)
-    else:
-        sol, report = newton_solve(factory(nu), ncfg)
-        reports = [report]
+    sol, reports = nu_continuation(factory, nu, ncfg)
     logger.info("%s", reports[-1].to_log())
     return sol, reports
 
@@ -465,25 +459,6 @@ def cmd_step(cfg: RunConfig) -> int:
     return 0
 
 
-def _const_velocity(ux, uy):
-    val = np.array([ux, uy])
-
-    def fn(xy):
-        return np.broadcast_to(val, xy.shape).copy()
-
-    return fn
-
-
-def _parabolic_velocity(scale, y0, y1):
-    def fn(xy):
-        y = xy[..., 1]
-        return np.stack(
-            [scale * (y - y0) * (y1 - y), np.zeros_like(y)], axis=-1
-        )
-
-    return fn
-
-
 # boundary recipe -> number of numeric arguments
 _RECIPE_ARITY = {"noslip": 0, "velocity": 2, "parabolic": 3, "outflow": 0}
 
@@ -515,11 +490,11 @@ def _boundary_setup(cfg: RunConfig, mesh):
         if not np.isfinite(nums).all():
             raise ConfigError(f"non-finite number in boundary recipe {recipe!r}")
         if kind == "noslip":
-            noslip.append(((tag,), _const_velocity(0.0, 0.0)))
+            noslip.append(((tag,), constant_velocity(0.0, 0.0)))
         elif kind == "velocity":
-            dirichlet.append(((tag,), _const_velocity(*nums)))
+            dirichlet.append(((tag,), constant_velocity(*nums)))
         elif kind == "parabolic":
-            dirichlet.append(((tag,), _parabolic_velocity(*nums)))
+            dirichlet.append(((tag,), parabolic_velocity(*nums)))
         else:
             neumann.append(tag)
     # later segments win at shared corners, so walls go first and the lid

@@ -464,91 +464,3 @@ def export_mesh(mesh, path):
         lines.append(f"{int(a)} {int(b)} {int(mesh.boundary_tags[e])}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-@dataclass
-class MeshReport:
-    """Quality and consistency summary produced by validate_mesh."""
-
-    violations: list
-    min_angle_deg: float
-    min_area: float
-    h: float
-    max_shape_ratio: float
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
-def validate_mesh(mesh):
-    """Check topology invariants and report quality measures.
-
-    Invariants checked: positive orientation, unit normals perpendicular to
-    their edges, opposite incidence signs across interior edges, +1 signs and
-    outward normals on boundary edges, the per-triangle closed-polygon
-    identity (length-weighted signed normals sum to zero), and tag
-    placement.
-    """
-    v = mesh.vertices
-    violations = []
-
-    p = v[mesh.triangles]
-    signed = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    for t in np.flatnonzero(signed <= 0):
-        violations.append(f"triangle {t} is degenerate or clockwise")
-
-    dvec = v[mesh.edges[:, 1]] - v[mesh.edges[:, 0]]
-    nrm = np.sqrt((mesh.edge_normal**2).sum(axis=1))
-    for e in np.flatnonzero(np.abs(nrm - 1.0) > 1e-12):
-        violations.append(f"edge {e} normal is not unit length")
-    perp = np.abs(np.einsum("ij,ij->i", dvec, mesh.edge_normal))
-    for e in np.flatnonzero(perp > 1e-12 * np.maximum(mesh.edge_lengths, 1e-300)):
-        violations.append(f"edge {e} normal is not perpendicular to the edge")
-
-    sign_sum = np.zeros(mesh.num_edges, dtype=np.int64)
-    incid = np.zeros(mesh.num_edges, dtype=np.int64)
-    np.add.at(sign_sum, mesh.triangle_edges.ravel(), mesh.triangle_edge_sign.ravel())
-    np.add.at(incid, mesh.triangle_edges.ravel(), 1)
-    is_boundary = mesh.edge_to_triangles[:, 1] < 0
-    for e in np.flatnonzero((~is_boundary) & (sign_sum != 0)):
-        violations.append(f"interior edge {e} does not carry opposite signs")
-    for e in np.flatnonzero(is_boundary & (sign_sum != 1)):
-        violations.append(f"boundary edge {e} does not carry sign +1")
-    for e in np.flatnonzero(incid > 2):
-        violations.append(f"edge {e} has {incid[e]} incidences")
-
-    for e in np.flatnonzero(is_boundary & (mesh.boundary_tags < 0)):
-        violations.append(f"boundary edge {e} is untagged")
-    for e in np.flatnonzero((~is_boundary) & (mesh.boundary_tags != TAG_INTERIOR)):
-        violations.append(f"interior edge {e} carries a boundary tag")
-
-    # closed-polygon identity per triangle
-    L = mesh.edge_lengths[mesh.triangle_edges]
-    N = mesh.edge_normal[mesh.triangle_edges]
-    S = mesh.triangle_edge_sign[..., None]
-    resid = np.abs((L[..., None] * S * N).sum(axis=1)).max(axis=1)
-    for t in np.flatnonzero(resid > 1e-12 * np.maximum(mesh.h_T, 1e-300)):
-        violations.append(f"triangle {t} violates the closed-polygon identity")
-
-    # quality measures
-    sides = np.stack(
-        [p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1
-    )
-    slen = np.sqrt((sides**2).sum(axis=2))
-    angles = np.empty((mesh.num_triangles, 3))
-    for k in range(3):
-        u = -sides[:, (k + 2) % 3]
-        w = sides[:, (k + 1) % 3]
-        angles[:, k] = np.arctan2(np.abs(_cross2(u, w)), np.einsum("ij,ij->i", u, w))
-    perimeter = slen.sum(axis=1)
-    inradius = 2.0 * np.abs(signed) / perimeter
-    ratio = mesh.h_T / inradius
-
-    return MeshReport(
-        violations=violations,
-        min_angle_deg=float(np.degrees(angles.min())),
-        min_area=float(np.abs(signed).min()),
-        h=mesh.h,
-        max_shape_ratio=float(ratio.max()),
-    )

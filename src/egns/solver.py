@@ -21,18 +21,19 @@ velocity/pressure vector drops below the tolerance, or when the assembled
 nonlinear residual at the new iterate is already at solver precision.  The
 second test is what lets linear problems finish in one iteration.
 
-nu_continuation reaches a small viscosity by step control on log(nu)
-(Allgower and Georg, *Numerical Continuation Methods*).  It solves from
-rest at max(nu, 1e-3), tenfold higher while that fails, up to nu = 1.
-Each later trial first goes the whole remaining way.  A failed trial is
-retried from the last converged state with the smaller of half its step
-and the last accepted step, doubled if that stage took at most 2 Newton
-iterations.  Each stage runs at most 8 Newton iterations.
+nu_continuation is how every egns command reaches its viscosity: step
+control on log(nu) (Allgower and Georg, *Numerical Continuation
+Methods*).  It solves from rest at max(nu, 1e-3), tenfold higher while
+that fails, up to nu = 1, so a target at or above 1e-3 that converges
+from rest is one plain Newton solve.  Each later trial first goes the
+whole remaining way.  A failed trial is retried from the last converged
+state with the smaller of half its step and the last accepted step,
+doubled if that stage took at most 2 Newton iterations.  Every stage
+runs up to the configured max_iter.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import time
@@ -57,8 +58,8 @@ __all__ = [
 _TINY = 1e-300
 
 _DECREASE, _MIN_LAMBDA = 1e-4, 1.0 / 64  # damping
-# continuation: first nu from rest, iterations per stage, least log step
-_NU_START, _STAGE_MAX_ITER, _MIN_LOG_STEP = 1e-3, 8, 1e-3
+# continuation: first nu from rest, least step in log(nu)
+_NU_START, _MIN_LOG_STEP = 1e-3, 1e-3
 
 
 class SolverError(Exception):
@@ -267,15 +268,16 @@ def nu_continuation(factory, nu, config=None):
     """Solve at viscosity nu by step-controlled continuation (see above).
 
     factory maps a viscosity to a problem: a problem's with_nu, or a
-    callable that also rebuilds nu-dependent forcing.  Returns ((velocity,
-    pressure), reports), one per trial stage, rejected ones included.
+    callable that also rebuilds nu-dependent forcing.  With nu at or
+    above 1e-3 the first trial is newton_solve(factory(nu)) from rest,
+    and the whole solve when it converges.  Returns ((velocity, pressure), reports), one per trial stage,
+    rejected ones included.
     Raises NonConvergenceError naming the stage when no start from rest
     converges or the step in log(nu) falls below 1e-3.
     """
     if not (math.isfinite(nu) and nu > 0):
         raise ValueError(f"target viscosity must be positive and finite, got {nu}")
     config = config or NewtonConfig()
-    config = dataclasses.replace(config, max_iter=min(_STAGE_MAX_ITER, config.max_iter))
     reports = []
 
     def trial(trial_nu, initial):

@@ -41,6 +41,8 @@ __all__ = [
     "case_noflow",
     "case_cavity",
     "case_step",
+    "constant_velocity",
+    "parabolic_velocity",
     "STEP_RECIRCULATION_BOX",
     "error_norms",
     "convergence_table",
@@ -202,6 +204,26 @@ class FlowCase:
         return SteadyProblem(mesh, **kw)
 
 
+def constant_velocity(ux: float, uy: float) -> VectorFn:
+    """Boundary profile u = (ux, uy)."""
+    val = np.array([ux, uy])
+
+    def fn(xy):
+        return np.broadcast_to(val, xy.shape).copy()
+
+    return fn
+
+
+def parabolic_velocity(scale: float, y0: float, y1: float) -> VectorFn:
+    """Boundary profile u = (scale (y - y0) (y1 - y), 0)."""
+
+    def fn(xy):
+        y = xy[..., 1]
+        return np.stack([scale * (y - y0) * (y1 - y), np.zeros_like(y)], axis=-1)
+
+    return fn
+
+
 def case_vortex_2d(nu: float = 1.0) -> FlowCase:
     """Polynomial vortex on the unit square with a bilinear pressure.
 
@@ -272,8 +294,7 @@ def case_noflow(ra: float = 1000.0) -> FlowCase:
     velocity the discrete solver produces is a pressure-robustness defect.
     """
 
-    def velocity(xy):
-        return np.zeros(xy.shape)
+    velocity = constant_velocity(0.0, 0.0)
 
     def velocity_gradient(xy):
         return np.zeros(xy.shape[:-1] + (2, 2))
@@ -315,19 +336,12 @@ def case_cavity(forcing: str = "f1", nu: float = 1.0) -> FlowCase:
             x, y = xy[..., 0], xy[..., 1]
             return np.stack([1e6 * x * x, 1e6 * y * y], axis=-1)
 
-    def walls(xy):
-        return np.zeros(xy.shape)
-
-    def lid(xy):
-        shape = xy.shape[:-1]
-        return np.stack([np.ones(shape), np.zeros(shape)], axis=-1)
-
     return FlowCase(
         name=f"cavity_{forcing}",
         nu=nu,
         dirichlet=[
-            ((TAG_BOTTOM, TAG_LEFT, TAG_RIGHT), walls),
-            ((TAG_TOP,), lid),
+            ((TAG_BOTTOM, TAG_LEFT, TAG_RIGHT), constant_velocity(0.0, 0.0)),
+            ((TAG_TOP,), constant_velocity(1.0, 0.0)),
         ],
         body_force=body,
     )
@@ -345,27 +359,16 @@ def case_step(re: float = 100.0, inlet: str = "parabolic") -> FlowCase:
         raise VerificationError("Reynolds number must be positive")
 
     if inlet == "parabolic":
-
-        def inflow(xy):
-            y = xy[..., 1]
-            return np.stack([6.0 * (y - 1.0) * (2.0 - y), np.zeros_like(y)], axis=-1)
-
+        inflow = parabolic_velocity(6.0, 1.0, 2.0)
     elif inlet == "constant":
-
-        def inflow(xy):
-            shape = xy.shape[:-1]
-            return np.stack([np.ones(shape), np.zeros(shape)], axis=-1)
-
+        inflow = constant_velocity(1.0, 0.0)
     else:
         raise ValueError(f"unknown inlet profile {inlet!r}")
-
-    def walls(xy):
-        return np.zeros(xy.shape)
 
     return FlowCase(
         name=f"step_re{re:g}_{inlet}",
         nu=1.0 / re,
-        dirichlet=[((TAG_WALL,), walls), ((TAG_INLET,), inflow)],
+        dirichlet=[((TAG_WALL,), constant_velocity(0.0, 0.0)), ((TAG_INLET,), inflow)],
         neumann_tags=(TAG_OUTLET,),
         neumann_data=None,
     )

@@ -270,7 +270,7 @@ def test_lid_cavity_re2000_continuation_from_rest(tmp_path, caplog):
     cfg = tmp_path / "re2000.ini"
     cfg.write_text(
         "[mesh]\ngenerator = unit_square\nresolution = 64\n\n"
-        "[physics]\nreynolds = 2000\ncontinuation = yes\n\n"
+        "[physics]\nreynolds = 2000\n\n"
         "[boundary]\n1 = noslip\n2 = noslip\n3 = velocity 1 0\n4 = noslip\n"
     )
     t0 = time.perf_counter()

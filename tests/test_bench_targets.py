@@ -1,6 +1,8 @@
 """The traced benchmark run wraps the library attributes listed in
-bench/child.py TARGETS; each one must still exist.  The file is parsed,
-not imported, so this test neither runs nor changes the benchmark.
+bench/child.py TARGETS; each one must still exist, and the CLI must
+accept every config that bench/run.py WORKLOADS writes.  Both files are
+parsed, not imported, so these tests neither run nor change the
+benchmark.
 
 It also wraps every entry of egns.cli.COMMANDS and swaps
 egns.cli.ThreadPoolExecutor for a subclass that sees every level of
@@ -20,17 +22,18 @@ import egns.solver
 from egns.mesh import build_rect_uniform
 from egns.verification import case_cavity
 
-CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _targets():
-    tree = ast.parse(CHILD.read_text())
+def _literal(path, name):
+    """The literal value a module assigns to name, read without importing it."""
+    tree = ast.parse(path.read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"{CHILD} defines no TARGETS")
+    raise AssertionError(f"{path} defines no {name}")
 
 
 def _resolve(dotted):
@@ -43,10 +46,24 @@ def _resolve(dotted):
 
 
 def test_traced_benchmark_targets_resolve():
-    targets = _targets()
+    targets = _literal(BENCH / "child.py", "TARGETS")
     assert targets
     for owner, attr, _span in targets:
         assert callable(getattr(_resolve(owner), attr, None)), f"{owner}.{attr}"
+
+
+WORKLOADS = _literal(BENCH / "run.py", "WORKLOADS")
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_benchmark_configs_load(tmp_path, workload):
+    for i, (command, sections) in enumerate(WORKLOADS[workload]):
+        path = tmp_path / f"{i}.ini"
+        path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items()
+        ))
+        egns.cli.load_config(path, command)
 
 
 def test_cli_commands_are_the_five_callables():

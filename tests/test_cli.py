@@ -39,7 +39,6 @@ class TestLoadConfig:
         assert cfg.resolution == 8
         assert cfg.nu == 0.5
         assert cfg.levels is None
-        assert cfg.continuation is False
 
     def test_levels_list(self, tmp_path):
         cfg = load_config(_cfg(tmp_path, "[mesh]\nlevels = 16 32 64\n"))
@@ -88,11 +87,12 @@ class TestLoadConfig:
             load_config(str(tmp_path / "absent.ini"))
 
     def test_continuation_flag(self, tmp_path):
-        cfg = load_config(_cfg(tmp_path, "[physics]\ncontinuation = yes\n"))
-        assert cfg.continuation is True
-        cfg = load_config(_cfg(tmp_path, "[physics]\ncontinuation = off\n", "b.ini"))
-        assert cfg.continuation is False
-        with pytest.raises(ConfigError):
+        # obsolete: every command continues; the key is parsed, then dropped
+        for i, raw in enumerate(["yes", "off"]):
+            cfg = load_config(_cfg(tmp_path, f"[physics]\ncontinuation = {raw}\n", f"{i}.ini"))
+            assert cfg == RunConfig()
+            assert not hasattr(cfg, "continuation")
+        with pytest.raises(ConfigError, match="continuation"):
             load_config(_cfg(tmp_path, "[physics]\ncontinuation = maybe\n", "c.ini"))
 
 
@@ -253,10 +253,23 @@ class TestCommandKeys:
         assert f"[boundary] is not read by the {command} command" in err
 
     @pytest.mark.parametrize("command", ["converge", "noflow", "cavity", "step", "run"])
-    def test_experiment_name_read_by_every_command(self, tmp_path, command):
-        path = _cfg(tmp_path, "[experiment]\nname = sweep\n")
-        assert load_config(path, command).name == "sweep"
+    def test_obsolete_continuation_key_read_by_every_command(self, tmp_path, capsys, command):
+        path = _cfg(tmp_path, "[physics]\ncontinuation = yes\n")
+        assert load_config(path, command) == RunConfig()
+        path = _cfg(tmp_path, "[physics]\ncontinuation = maybe\n", "bad.ini")
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert "continuation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[experiment]\nname = sweep\n", "unknown config section"),
+            ("[physics]\nreynolds_scale = 2\n", "unknown key 'reynolds_scale'"),
+        ],
+    )
+    def test_removed_keys_rejected(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(_cfg(tmp_path, text))
 
 
 class TestNoflowCommand:
@@ -315,16 +328,17 @@ class TestConvergeCommand:
         assert len(cells) == 7
         assert cells[2] == "" and cells[4] == "" and cells[6] == ""
 
-    def test_low_viscosity_needs_continuation(self, tmp_path, capsys):
-        path = _cfg(
-            tmp_path,
-            "[mesh]\nlevels = 8\n\n[physics]\nnu = 1e-5\n\n[newton]\nmax_iter = 80\n",
-        )
-        rc = main(["converge", "--config", path, "--out", str(tmp_path)])
-        assert rc == 1
-        assert "failed" in capsys.readouterr().err
+    def test_low_viscosity_needs_continuation(self, tmp_path, caplog):
+        # plain Newton from rest fails here; no switch is needed to continue
+        path = _cfg(tmp_path, "[mesh]\nlevels = 8\n\n[physics]\nnu = 1e-5\n")
+        with caplog.at_level(logging.INFO):
+            rc = main(["converge", "--config", path, "--out", str(tmp_path)])
+        assert rc == 0
+        stages = [r.message for r in caplog.records if "continuation stage" in r.message]
+        assert stages[0].startswith("continuation stage 0: nu=0.001 accepted")
+        assert "nu=1e-05 accepted" in stages[-1]
         csv = (tmp_path / "convergence.csv").read_text().splitlines()
-        assert csv == ["h,e_l2,order,e_h1,order,e_p,order"]
+        assert len(csv) == 2 and csv[1].startswith("0.125,")
 
     def test_failed_level_cancels_queued_levels(self, tmp_path, monkeypatch, capsys):
         started = []
@@ -350,13 +364,15 @@ class TestConvergeCommand:
             assert 1 <= len(started) <= most, threads
 
     def test_continuation_through_cli(self, tmp_path):
-        path = _cfg(
-            tmp_path,
-            "[mesh]\nlevels = 8\n\n[physics]\nnu = 2.5e-4\ncontinuation = yes\n",
-        )
-        rc = main(["converge", "--config", path, "--out", str(tmp_path)])
-        assert rc == 0
-        assert (tmp_path / "convergence.csv").is_file()
+        # the obsolete switch changes nothing
+        physics = "[mesh]\nlevels = 8\n\n[physics]\nnu = 2.5e-4\n"
+        written = []
+        for i, text in enumerate([physics + "continuation = yes\n", physics]):
+            out = tmp_path / str(i)
+            path = _cfg(tmp_path, text, f"{i}.ini")
+            assert main(["converge", "--config", path, "--out", str(out)]) == 0
+            written.append((out / "convergence.csv").read_bytes())
+        assert written[0] == written[1]
 
 
 class TestCavityCommand:
@@ -374,15 +390,15 @@ class TestCavityCommand:
     def test_continuation_matches_lid_run(self, tmp_path):
         # from rest, Newton fails at Re = 4000 on n = 8; continuation reaches it
         physics = (
-            "[mesh]\nresolution = 8\n\n[physics]\nreynolds = 4000\n"
-            "continuation = yes\n\n[newton]\nrel_tol = 1e-7\nmax_iter = 200\n"
+            "[mesh]\nresolution = 8\n\n[physics]\nreynolds = 4000\n\n"
+            "[newton]\nrel_tol = 1e-7\nmax_iter = 200\n"
         )
         cav = _cfg(tmp_path, physics, "cav.ini")
         assert main(["cavity", "--config", cav, "--out", str(tmp_path)]) == 0
         # the README lid recipe with the same physics
         run = _cfg(
             tmp_path,
-            "[experiment]\nname = cavity-sweep\n\n" + physics.replace(
+            physics.replace(
                 "[mesh]\n", "[mesh]\ngenerator = unit_square\n"
             ) + "\n[boundary]\n1 = noslip\n2 = noslip\n3 = velocity 1 0\n4 = noslip\n",
         )
@@ -509,7 +525,7 @@ class TestRunCommand:
         path = _cfg(
             tmp_path,
             "[mesh]\ngenerator = unit_square\nresolution = 8\n\n"
-            "[physics]\nreynolds = 4000\ncontinuation = yes\n\n"
+            "[physics]\nreynolds = 4000\n\n"
             "[boundary]\n1 = noslip\n2 = noslip\n3 = velocity 1 0\n4 = noslip\n",
         )
         with caplog.at_level(logging.INFO):

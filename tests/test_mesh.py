@@ -1,6 +1,5 @@
-"""Mesh construction, topology, interchange format, and validation checks."""
+"""Mesh construction, topology, interchange format, and construction defects."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from egns.mesh import (
     build_step_domain,
     export_mesh,
     import_mesh,
-    validate_mesh,
 )
 
 
@@ -352,45 +350,11 @@ class TestConstructionDefects:
         with pytest.raises(MeshError, match="2 parts that share no edge"):
             Mesh2D.from_arrays(np.array(vertices, dtype=float), triangles)
 
-
-class TestValidate:
-    def test_uniform_mesh_quality(self):
-        report = validate_mesh(build_rect_uniform(4, 4))
-        assert report.ok
-        assert report.violations == []
-        assert report.min_angle_deg == pytest.approx(45.0, abs=1e-10)
-        assert report.min_area == pytest.approx(0.5 / 16, rel=1e-14)
-        assert report.h == pytest.approx(math.sqrt(2) / 4, rel=1e-14)
-        # longest edge over inradius for the right-triangle split
-        assert report.max_shape_ratio == pytest.approx(2 + 2 * math.sqrt(2), rel=1e-12)
-
-    def test_duplicated_triangle_flagged(self):
-        # the constructor rejects this mesh, so hand-build the defective one
-        base = build_rect_uniform(1, 1)
-
-        def again(a):
-            return np.concatenate([a, a[:1]])
-
-        mesh = dataclasses.replace(
-            base,
-            triangles=again(base.triangles),
-            triangle_edges=again(base.triangle_edges),
-            triangle_edge_sign=again(base.triangle_edge_sign),
-            h_T=again(base.h_T),
-        )
-        report = validate_mesh(mesh)
-        assert not report.ok
-        assert any("inciden" in v for v in report.violations)
-
     def test_strict_build_rejects_duplicated_triangle(self):
         base = build_rect_uniform(1, 1)
         tris = np.vstack([base.triangles, base.triangles[:1]])
         with pytest.raises(MeshError, match="manifold"):
             Mesh2D.from_arrays(base.vertices.copy(), tris)
-
-    def test_step_mesh_validates(self):
-        report = validate_mesh(build_step_domain(0.5))
-        assert report.ok
 
 
 # Oracle: the edge-by-edge and cell-by-cell loops the mesh builders

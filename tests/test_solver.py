@@ -478,12 +478,24 @@ def _fail_first_solve_at(monkeypatch, target):
 
 
 class TestContinuation:
-    def test_single_entry_matches_plain_solve(self):
-        prob = _cavity_problem(6, 0.1)
-        (fa, pa), reports = nu_continuation(prob.with_nu, 0.1)
-        (fb, pb), _ = newton_solve(prob)
-        assert len(reports) == 1
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _cavity_problem(6, 0.1),
+            # 16 Newton iterations from rest: a stage runs up to max_iter
+            lambda: case_step(200.0).problem(build_step_domain(0.25)),
+        ],
+        ids=["cavity", "step"],
+    )
+    def test_single_entry_matches_plain_solve(self, make):
+        # a target at or above the start is one trial: newton_solve itself
+        prob = make()
+        (fa, pa), reports = nu_continuation(prob.with_nu, prob.nu)
+        (fb, pb), report = newton_solve(prob)
+        assert len(reports) == 1 and reports[0].accepted
+        assert reports[0].iterations == report.iterations
         assert np.array_equal(fa.vertex_values, fb.vertex_values)
+        assert np.array_equal(fa.edge_values, fb.edge_values)
         assert np.array_equal(pa, pb)
 
     def test_warm_start_descends_schedule(self, monkeypatch):
