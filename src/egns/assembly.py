@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .eg_space import DofMap, EGField, edge_trace, element_ops, local_dof_vectors
 from .nullspace import NullSpace, null_space
-from .quadrature import EDGE_RULE, quadrature_rule
+from .quadrature import quadrature_rule
 from .reconstruction import rt_basis
 
 logger = logging.getLogger(__name__)
@@ -49,17 +49,14 @@ class SaddleSystem:
     """One linearized saddle-point system.
 
     A acts on velocity dofs, B maps velocities to element pressures.
-    mean_constraint holds element areas when the pressure is only
-    determined up to a constant (pure Dirichlet) and is normalized to
-    zero area-weighted mean; None otherwise.  null_space is the
-    problem's divergence-free basis.  Treated as immutable once built.
+    null_space is the problem's divergence-free basis, which also fixes
+    the pressure gauge.  Treated as immutable once built.
     """
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     rhs_u: np.ndarray
     rhs_p: np.ndarray
-    mean_constraint: np.ndarray | None
     dof_map: DofMap
     null_space: NullSpace
 
@@ -181,29 +178,23 @@ def assemble_load(mesh, f):
     return vec
 
 
-def assemble_neumann(mesh, tags, u_n, u_N=None):
-    """Outflow-boundary contributions on the edges tagged in `tags`.
+def assemble_neumann(mesh, tags, u_n):
+    """Traction-free outflow terms on the boundary edges tagged in `tags`.
 
     Returns (matrix, vector).  The matrix linearizes the quadratic
     boundary form (half the squared continuous trace against the test
-    edge scalar) at state u_n.  The vector carries that form's value at
-    u_n plus, when boundary data u_N is given, its normal component
-    against edge scalars and its tangential twist against the continuous
-    part.
+    edge scalar) at state u_n; the vector carries that form's value at
+    u_n.
     """
     nv = mesh.num_vertices
     n = _total_dofs(mesh)
     vec = np.zeros(n)
     be = mesh.boundary_edge_indices
-    tags = np.atleast_1d(np.asarray(tags, dtype=int)).ravel()
-    sel = be[np.isin(mesh.boundary_tags[be], tags)] if tags.size else be[:0]
-    if sel.size == 0:
-        return sp.csr_matrix((n, n)), vec
+    sel = be[np.isin(mesh.boundary_tags[be], tags)]
 
     a = mesh.edges[sel, 0]
     b = mesh.edges[sel, 1]
     L = mesh.edge_lengths[sel]
-    ne = mesh.edge_normal[sel]  # outward on the boundary
     rows_e = 2 * nv + sel
     Ua = u_n.vertex_values[a]
     Ub = u_n.vertex_values[b]
@@ -224,42 +215,22 @@ def assemble_neumann(mesh, tags, u_n, u_N=None):
     # value of the quadratic form: half the edge integral of |trace|^2
     quad = ((Ua * Ua).sum(1) + (Ua * Ub).sum(1) + (Ub * Ub).sum(1)) / 3.0
     np.add.at(vec, rows_e, 0.5 * L * quad)
-
-    if u_N is not None:
-        tq, wq = EDGE_RULE
-        g, g_n = edge_trace(mesh, u_N, sel)
-        np.add.at(vec, rows_e, L * g_n)
-        # tangential part: cross(n, u_N) against cross(n, hat)
-        cr = ne[:, None, 0] * g[..., 1] - ne[:, None, 1] * g[..., 0]
-        int_a = L * np.einsum("q,eq->e", wq * (1.0 - tq), cr)
-        int_b = L * np.einsum("q,eq->e", wq * tq, cr)
-        np.add.at(vec, a, -ne[:, 1] * int_a)
-        np.add.at(vec, nv + a, ne[:, 0] * int_a)
-        np.add.at(vec, b, -ne[:, 1] * int_b)
-        np.add.at(vec, nv + b, ne[:, 0] * int_b)
     return D, vec
-
-
-def _normalize_tags(tags):
-    if np.isscalar(tags):
-        return (int(tags),)
-    return tuple(int(t) for t in tags)
 
 
 def dirichlet_dof_map(mesh, bcs):
     """Constrained dof map for ordered Dirichlet segments.
 
-    bcs is a sequence of (tags, u_D) pairs.  Later segments win at shared
-    vertices (corner overrides are logged), which is how a driven lid
-    takes precedence over side walls.  Data that is NaN or infinite at a
-    vertex or an edge quadrature point is rejected, naming its tags.  The
-    returned map is read-only: every system of a problem shares it.
+    bcs is a sequence of (tags, u_D) pairs, tags a tuple of ints.  Later
+    segments win at shared vertices (corner overrides are logged), so a
+    driven lid takes precedence over side walls.  Data that is NaN or
+    infinite at a vertex or an edge quadrature point is rejected, naming
+    its tags.  The returned map is read-only: every system shares it.
     """
     dm = DofMap.unconstrained(mesh)
     nv = mesh.num_vertices
     be = mesh.boundary_edge_indices
     for tags, u_d in bcs:
-        tags = _normalize_tags(tags)
         sel = be[np.isin(mesh.boundary_tags[be], tags)]
         if sel.size == 0:
             continue
@@ -309,11 +280,10 @@ class SteadyProblem:
     """A steady flow problem: geometry, viscosity, forcing, boundary data.
 
     dirichlet is an ordered list of (tags, u_D) segments; neumann_tags
-    name the do-nothing/outflow sides (with optional data).  The load
-    vector, the Dirichlet dof map and the divergence-free basis are
-    computed once per problem instance and reused across Newton
-    iterations; with_nu returns a new instance that shares all three,
-    since none depends on nu.
+    name the traction-free outflow sides.  The load vector, the Dirichlet
+    dof map and the divergence-free basis are computed once per problem
+    instance and reused across Newton iterations; with_nu returns a new
+    instance that shares all three, since none depends on nu.
     """
 
     mesh: object
@@ -321,18 +291,12 @@ class SteadyProblem:
     body_force: object = None
     dirichlet: list = field(default_factory=list)
     neumann_tags: tuple = ()
-    neumann_data: object = None
     convect: bool = True
-
-    def __post_init__(self):
-        # the basis slot is shared by with_nu copies and filled at the
-        # first solve of any of them, not when a copy is made
-        self._basis = {}
 
     def with_nu(self, nu):
         new = dataclasses.replace(self, nu=nu)
         new.load_vector, new.dof_map = self.load_vector, self.dof_map
-        new._basis = self._basis
+        new.null_space = self.null_space
         return new
 
     @cached_property
@@ -370,12 +334,10 @@ class SteadyProblem:
                 )
         return dm
 
-    @property
+    @cached_property
     def null_space(self):
         """The divergence-free basis and the dual spanning tree."""
-        if not self._basis:
-            self._basis["null_space"] = null_space(self.mesh, self.dof_map)
-        return self._basis["null_space"]
+        return null_space(self.mesh, self.dof_map)
 
     def newton_system(self, u_n):
         """Assemble the linearized saddle system at state u_n (None = rest)."""
@@ -390,21 +352,18 @@ class SteadyProblem:
             rhs_u += r
         if self.neumann_tags:
             state = u_n if u_n is not None else EGField.zeros(mesh)
-            D, vec = assemble_neumann(
-                mesh, self.neumann_tags, state, self.neumann_data
-            )
+            D, vec = assemble_neumann(mesh, self.neumann_tags, state)
             A = A + D
             rhs_u += vec
 
         A = A.tocsr()
-        dm, ns = self.dof_map, self.null_space
+        dm = self.dof_map
         rhs_u, rhs_p = apply_dirichlet(dm, A, B, rhs_u, np.zeros(mesh.num_triangles))
         return SaddleSystem(
             A=A,
             B=B,
             rhs_u=rhs_u,
             rhs_p=rhs_p,
-            mean_constraint=mesh.areas.copy() if ns.closed else None,
             dof_map=dm,
-            null_space=ns,
+            null_space=self.null_space,
         )

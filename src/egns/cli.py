@@ -3,12 +3,13 @@
 Every subcommand takes its viscosity, mesh, solve and VTK output through
 the same helpers and differs only in its data and its report; `egns
 --help` lists them. Every subcommand reaches its viscosity through
-nu_continuation. Configuration is an INI file with sections [mesh],
-[physics], [newton], [output], and [boundary]. Unknown sections or keys
-are rejected, and so is a key the chosen subcommand does not read:
+nu_continuation and writes into the directory given by --out. Configuration
+is an INI file with sections [mesh], [physics], [newton] and [boundary].
+Each RunConfig field declares the key it is read from. Unknown sections or
+keys are rejected, and so is a key the chosen subcommand does not read:
 
     all       [physics] nu reynolds continuation; [newton] rel_tol
-              max_iter; [output] directory
+              max_iter
     converge  [mesh] levels
     noflow    [mesh] resolution; [physics] ra threshold
     cavity    [mesh] resolution; [physics] forcing_scale
@@ -37,7 +38,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -74,51 +75,43 @@ class ConfigError(Exception):
 
 _ALL = "converge noflow cavity step run"
 
-# section -> key -> (parser, the subcommands that read it); keys not
-# listed here are rejected.  RunConfig has no attribute for the obsolete
-# continuation key: it is validated and dropped
-_SCHEMA = {
-    "mesh": {
-        "generator": ("str", "run"),
-        "resolution": ("int", "noflow cavity run"),
-        "levels": ("ints", "converge"),
-        "h": ("float", "step run"),
-        "path": ("str", "run"),
-    },
-    "physics": {
-        "nu": ("float", _ALL),
-        "reynolds": ("float", _ALL),
-        "continuation": ("bool", _ALL),
-        "ra": ("float", "noflow"),
-        "inlet": ("str", "step"),
-        "forcing_scale": ("float", "cavity"),
-        "threshold": ("float", "noflow"),
-    },
-    "newton": {"rel_tol": ("float", _ALL), "max_iter": ("int", _ALL)},
-    "output": {"directory": ("str", _ALL)},
-}
 
-# (section, key) -> RunConfig attribute, where the names differ
-_ATTR = {("mesh", "path"): "mesh_path", ("output", "directory"): "out_dir"}
+def _key(section, kind, readers=_ALL, default=None):
+    """A field read from [section] under its own name, parsed as kind."""
+    return field(default=default, metadata={"section": section, "rule": (kind, readers)})
 
 
 @dataclass
 class RunConfig:
-    generator: Optional[str] = None
-    resolution: Optional[int] = None
-    levels: Optional[list] = None
-    h: Optional[float] = None
-    mesh_path: Optional[str] = None
-    nu: Optional[float] = None
-    reynolds: Optional[float] = None
-    ra: float = 1000.0
-    inlet: str = "parabolic"
-    forcing_scale: float = 1.0
-    threshold: Optional[float] = None
-    rel_tol: float = 1e-7
-    max_iter: int = 1000
-    out_dir: Path = Path(".")
+    generator: Optional[str] = _key("mesh", "str", "run")
+    resolution: Optional[int] = _key("mesh", "int", "noflow cavity run")
+    levels: Optional[list] = _key("mesh", "ints", "converge")
+    h: Optional[float] = _key("mesh", "float", "step run")
+    path: Optional[str] = _key("mesh", "str", "run")
+    nu: Optional[float] = _key("physics", "float")
+    reynolds: Optional[float] = _key("physics", "float")
+    ra: float = _key("physics", "float", "noflow", 1000.0)
+    inlet: str = _key("physics", "str", "step", "parabolic")
+    forcing_scale: float = _key("physics", "float", "cavity", 1.0)
+    threshold: Optional[float] = _key("physics", "float", "noflow")
+    rel_tol: float = _key("newton", "float", default=1e-7)
+    max_iter: int = _key("newton", "int", default=1000)
+    out_dir: Path = Path(".")  # set by --out
     boundary: dict = field(default_factory=dict)
+
+
+def _schema():
+    # section -> key -> (parser, the subcommands that read it); other keys
+    # are rejected.  The obsolete continuation key has no field: it is
+    # validated and dropped
+    schema = {"physics": {"continuation": ("bool", _ALL)}}
+    for f in fields(RunConfig):
+        if f.metadata:
+            schema.setdefault(f.metadata["section"], {})[f.name] = f.metadata["rule"]
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def _parse_value(section, key, raw, kind):
@@ -155,8 +148,8 @@ def load_config(path, command=None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
     cfg = RunConfig()
@@ -184,12 +177,8 @@ def load_config(path, command=None) -> RunConfig:
                     f"[{section}] {key} is not read by the {command} command"
                 )
             value = _parse_value(section, key, raw, kind)
-            if key == "continuation":
-                continue
-            attr = _ATTR.get((section, key), key)
-            if attr == "out_dir":
-                value = Path(value)
-            setattr(cfg, attr, value)
+            if key != "continuation":
+                setattr(cfg, key, value)
 
     if cfg.nu is not None and cfg.reynolds is not None:
         raise ConfigError("set either [physics] nu or reynolds, not both")
@@ -303,9 +292,9 @@ def _build_mesh(cfg: RunConfig, default_generator: str):
     elif generator == "step":
         mesh = build_step_domain(cfg.h or 0.25)
     elif generator == "import":
-        if not cfg.mesh_path:
+        if not cfg.path:
             raise ConfigError("[mesh] path is required for generator = import")
-        mesh = import_mesh(cfg.mesh_path)
+        mesh = import_mesh(cfg.path)
     else:
         raise ConfigError(f"unknown mesh generator {generator!r}")
     logger.info("%s mesh: %d vertices, %d triangles",

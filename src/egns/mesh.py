@@ -348,7 +348,7 @@ def build_step_domain(h_target):
 
 def _tokens(path):
     """Yield (line_number, token_list) for content lines of an .m2d file."""
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -363,7 +363,10 @@ def import_mesh(path):
     (0-based counterclockwise triangles), then NB lines "a b tag" labeling
     boundary edges.  '#' starts a comment; blank lines are ignored.
     """
-    rows = list(_tokens(path))
+    try:
+        rows = list(_tokens(path))
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"{path}: not UTF-8 text: {exc}") from None
     if not rows:
         raise MeshError(f"{path}: empty mesh file")
 

@@ -47,7 +47,7 @@ class NullSpace:
     root), the dof of the edge to its parent and the divergence
     coefficient sigma |e| of the element on that edge.  closed marks a
     boundary without free edges: the tree is then rooted at element 0
-    and the pressure is determined up to a constant.
+    and pressure fixes the free constant by zero area-weighted mean.
     """
 
     Z: sp.csr_matrix
@@ -57,6 +57,7 @@ class NullSpace:
     coef: np.ndarray
     depth_start: np.ndarray
     closed: bool
+    areas: np.ndarray
 
     def particular(self, rhs_p):
         """A velocity u with B u = rhs_p, nonzero on the tree edges only.
@@ -79,7 +80,7 @@ class NullSpace:
     def pressure(self, residual):
         """Element pressures p with B^T p = residual on the tree edges.
 
-        A root element gets pressure zero.
+        On a closed boundary, p has zero area-weighted mean.
         """
         p_tree = residual[self.edge_dof] / self.coef
         s = self.depth_start
@@ -89,6 +90,8 @@ class NullSpace:
         # every element is in the tree except a root element
         p = np.zeros(self.element.size + self.closed)
         p[self.element] = p_tree
+        if self.closed:
+            p -= (self.areas @ p) / self.areas.sum()
         return p
 
 
@@ -158,6 +161,8 @@ def null_space(mesh, dof_map):
         levels.append((child, parent[new][first], edge[new][first]))
         frontier = child
 
+    # a lone element with no free edge is the whole tree
+    levels = levels or [(np.empty(0, np.int64),) * 3]
     element, parent, edge = (np.concatenate(x) for x in zip(*levels))
     pos = np.full(nt + 1, -1, dtype=np.int64)
     pos[element] = np.arange(element.size)
@@ -170,4 +175,5 @@ def null_space(mesh, dof_map):
         coef=mesh.edge_lengths[edge] * mesh.triangle_edge_sign[element, kk],
         depth_start=np.cumsum([0] + [lv[0].size for lv in levels]),
         closed=closed,
+        areas=mesh.areas,
     )

@@ -7,9 +7,9 @@ from the reduced matrix Z^T A Z over (free v0x, free v0y, stream
 function), factored directly with sparse LU, and the pressures from a
 second tree sweep over the momentum residual.  The reduced matrix has
 no zero block and under half the unknowns of the saddle matrix, and
-pressure robustness holds by construction.  For pure-Dirichlet problems
-the pressure is shifted to zero area-weighted mean; incompatible
-boundary flux is rejected when the problem's dof map is built.
+pressure robustness holds by construction.  The null space also fixes
+the pressure constant of pure-Dirichlet problems; incompatible boundary
+flux is rejected when the problem's dof map is built.
 
 Newton is damped by residual decrease (Deuflhard, *Newton Methods for
 Nonlinear Problems*): a step of length lambda, full first, is kept if it
@@ -130,7 +130,8 @@ def solve_saddle(system):
     The free velocity is the tree's particular flux u_p plus Z x, where
     x solves Z^T A Z x = Z^T (rhs_u - A u_p) with one iterative
     refinement pass, and the pressures solve B^T p = A u - rhs_u on the
-    tree edges; constrained entries are reinserted from the dof map.
+    tree edges in the null space's gauge; constrained entries are
+    reinserted from the dof map.
     The block residuals of the full system are then required to sit at
     solver precision relative to the data.
     """
@@ -151,9 +152,6 @@ def solve_saddle(system):
     for _ in range(2):
         xf += Z @ lu.solve(Z.T @ (system.rhs_u - A @ xf))
     pressure = ns.pressure(A @ xf - system.rhs_u)
-    a = system.mean_constraint
-    if a is not None:
-        pressure -= (a @ pressure) / a.sum()
 
     ru, rp, scale = _block_residuals(system, dm.free_indices(), xf, pressure)
     # written so that NaN residuals or data fail the check

@@ -72,25 +72,16 @@ def _fd_jacobian(u: VectorFn, pts, h):
     return np.stack([dx, dy], axis=-1)  # [..., i, j] = du_i/dx_j
 
 
-def _fd_gradient_fn(u: VectorFn, h=1e-6) -> VectorFn:
-    def grad(pts):
-        return _fd_jacobian(u, pts, h)
-
-    return grad
-
-
 def _check_manufactured(case: "FlowCase") -> None:
+    # sample points inside the unit square, where every manufactured case lives
     rng = np.random.default_rng(7)
-    (x0, x1), (y0, y1) = case.bounds
-    lo = np.array([x0, y0])
-    span = np.array([x1 - x0, y1 - y0])
-    pts = lo + span * (0.05 + 0.9 * rng.random((24, 2)))
+    pts = 0.05 + 0.9 * rng.random((24, 2))
 
     u = case.velocity(pts)
     uscale = max(1.0, float(np.abs(u).max()))
 
     # divergence via fourth-order differences, exact for quintics
-    hd = 1e-3 * min(span)
+    hd = 1e-3
 
     def d1(axis, comp):
         e = np.zeros(2)
@@ -110,7 +101,7 @@ def _check_manufactured(case: "FlowCase") -> None:
             "the field is not divergence free"
         )
 
-    h1 = 1e-5 * min(span)
+    h1 = 1e-5
     J = _fd_jacobian(case.velocity, pts, h1)
     if case.velocity_gradient is not None:
         dev = float(np.abs(case.velocity_gradient(pts) - J).max())
@@ -122,7 +113,7 @@ def _check_manufactured(case: "FlowCase") -> None:
 
     # momentum residual in rotational form:
     #   -nu*lap(u) + curl(u) x u + grad(p) = f
-    h2 = 1e-4 * min(span)
+    h2 = 1e-4
     ex = np.array([h2, 0.0])
     ey = np.array([0.0, h2])
     lap = (
@@ -167,8 +158,8 @@ class FlowCase:
     body_force return (..., 2), pressure returns (...,), and
     velocity_gradient returns (..., 2, 2) with [i, j] = du_i/dx_j. Given
     an exact velocity and pressure, construction cross-checks them against
-    each other and the body force and raises VerificationError on any
-    mismatch.
+    each other and the body force inside the unit square and raises
+    VerificationError on any mismatch.
     """
 
     name: str
@@ -176,11 +167,9 @@ class FlowCase:
     dirichlet: list
     body_force: Optional[VectorFn] = None
     neumann_tags: tuple = ()
-    neumann_data: Optional[VectorFn] = None
     velocity: Optional[VectorFn] = None
     velocity_gradient: Optional[VectorFn] = None
     pressure: Optional[ScalarFn] = None
-    bounds: tuple = ((0.0, 1.0), (0.0, 1.0))
 
     def __post_init__(self):
         if self.nu <= 0:
@@ -198,7 +187,6 @@ class FlowCase:
             body_force=self.body_force,
             dirichlet=list(self.dirichlet),
             neumann_tags=self.neumann_tags,
-            neumann_data=self.neumann_data,
         )
         kw.update(overrides)
         return SteadyProblem(mesh, **kw)
@@ -370,7 +358,6 @@ def case_step(re: float = 100.0, inlet: str = "parabolic") -> FlowCase:
         nu=1.0 / re,
         dirichlet=[((TAG_WALL,), constant_velocity(0.0, 0.0)), ((TAG_INLET,), inflow)],
         neumann_tags=(TAG_OUTLET,),
-        neumann_data=None,
     )
 
 
@@ -379,14 +366,14 @@ def error_norms(
     solution,
     velocity: VectorFn,
     pressure: ScalarFn,
-    velocity_gradient: Optional[VectorFn] = None,
+    velocity_gradient: VectorFn,
 ):
     """L2 and broken H1 errors of the continuous velocity part and the
     L2 pressure error, as a (e_l2, e_h1, e_p) tuple.
 
-    ``solution`` is an (EGField, element pressures) pair. The exact fields
-    are sampled on the degree-8 rule refined once; the gradient falls back
-    to central differences of ``velocity`` when no closed form is supplied.
+    ``solution`` is an (EGField, element pressures) pair. The exact fields,
+    the velocity gradient in closed form among them, are sampled on the
+    degree-8 rule refined once.
     """
     fld, p_h = solution
     rule = refined_rule(quadrature_rule(8))
@@ -401,8 +388,6 @@ def error_norms(
 
     ops = element_ops(mesh)
     g0 = np.einsum("tkd,tke->tde", V, ops["gradl"])  # constant per element
-    if velocity_gradient is None:
-        velocity_gradient = _fd_gradient_fn(velocity)
     dg = velocity_gradient(X) - g0[:, None, :, :]
     e_h1 = float(np.sqrt(areas @ np.einsum("q,tqde,tqde->t", w, dg, dg)))
 

@@ -21,7 +21,7 @@ from egns.assembly import (
     assemble_viscous,
     dirichlet_dof_map,
 )
-from egns.solver import newton_solve
+from egns.solver import newton_solve, solve_saddle
 
 ALL_SIDES = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)
 
@@ -279,8 +279,8 @@ class TestLoad:
 
 class TestNeumann:
     def test_linearized_boundary_matrix_entry(self):
-        # with no prescribed data the returned vector is the quadratic
-        # boundary term at the linearization state
+        # the returned vector is the quadratic boundary term at the
+        # linearization state
         mesh = build_rect_uniform(2, 2)
         u_n = EGField.zeros(mesh)
         u_n.vertex_values[:, 0] = 1.0  # constant (1, 0)
@@ -304,33 +304,6 @@ class TestNeumann:
         # matrix applied at the linearization point gives twice the vector
         dm = DofMap.unconstrained(mesh)
         assert np.allclose(D @ dm.pack(u_n), 2 * vec, atol=1e-14)
-
-    def test_data_terms_normal_and_tangential(self):
-        mesh = build_rect_uniform(2, 2)
-        u_n = EGField.zeros(mesh)  # zero state: vector carries data terms only
-        nv = mesh.num_vertices
-
-        # constant normal data on the right side (normal (1,0))
-        _, data = assemble_neumann(
-            mesh, (TAG_RIGHT,), u_n, u_N=lambda xy: np.broadcast_to((1.0, 0.0), xy.shape)
-        )
-        for e in mesh.boundary_edge_indices:
-            if mesh.boundary_tags[e] != TAG_RIGHT:
-                continue
-            assert data[2 * nv + e] == pytest.approx(mesh.edge_lengths[e], rel=1e-14)
-        assert np.abs(data[: 2 * nv]).max() < 1e-15
-
-        # constant tangential data: hits the vertical velocity columns
-        _, data = assemble_neumann(
-            mesh, (TAG_RIGHT,), u_n, u_N=lambda xy: np.broadcast_to((0.0, 1.0), xy.shape)
-        )
-        for e in mesh.boundary_edge_indices:
-            if mesh.boundary_tags[e] != TAG_RIGHT:
-                continue
-            a, b = mesh.edges[e]
-            L = mesh.edge_lengths[e]
-            assert data[2 * nv + e] == pytest.approx(0.0, abs=1e-15)
-            assert data[nv + a] >= 0.5 * L - 1e-14  # shared vertices accumulate
 
     def test_zero_state_zero_data_vanishes(self):
         mesh = build_rect_uniform(2, 2)
@@ -467,12 +440,15 @@ class TestSteadyProblem:
     def test_pure_dirichlet_gets_mean_constraint(self):
         mesh = build_rect_uniform(2, 2)
         prob = SteadyProblem(
-            mesh=mesh, nu=1.0, body_force=None,
+            mesh=mesh, nu=1.0, body_force=lambda xy: xy,  # grad |x|^2 / 2
             dirichlet=[(ALL_SIDES, lambda xy: np.zeros_like(xy))],
         )
         sys0 = prob.newton_system(None)
-        assert sys0.mean_constraint is not None
-        assert np.array_equal(sys0.mean_constraint, mesh.areas)
+        assert sys0.null_space.closed
+        assert np.array_equal(sys0.null_space.areas, mesh.areas)
+        _, p = solve_saddle(sys0)
+        assert np.abs(p).max() > 1e-3
+        assert abs(mesh.areas @ p) <= 1e-14 * np.abs(p).max()
 
     def test_neumann_disables_mean_constraint(self):
         mesh = build_rect_uniform(2, 2)
@@ -482,7 +458,7 @@ class TestSteadyProblem:
             neumann_tags=(TAG_RIGHT,),
         )
         sys0 = prob.newton_system(None)
-        assert sys0.mean_constraint is None
+        assert not sys0.null_space.closed
         # outflow edge scalars stay free
         nv = mesh.num_vertices
         for e in mesh.boundary_edge_indices:
@@ -523,11 +499,10 @@ class TestSteadyProblem:
         )
         stages = [prob.with_nu(0.5), prob.with_nu(0.25).with_nu(0.125)]
         assert [p.nu for p in stages] == [0.5, 0.125]
-        # the basis waits for the first solve of any stage
-        assert sorted(calls) == ["assemble_load", "dirichlet_dof_map"]
-        stages[1].newton_system(None)
+        # the first with_nu builds all three, once
+        assert sorted(calls) == ["assemble_load", "dirichlet_dof_map", "null_space"]
         for p in stages:
+            assert p.newton_system(None).null_space is prob.null_space
             assert p.load_vector is prob.load_vector
             assert p.dof_map is prob.dof_map
-            assert p.null_space is prob.null_space
         assert sorted(calls) == ["assemble_load", "dirichlet_dof_map", "null_space"]

@@ -212,6 +212,14 @@ class TestMainPlumbing:
         path = _cfg(tmp_path, "[mesh]\nwobble = 1\n")
         assert main(["noflow", "--config", path]) == 2
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.ini"
+        path.write_bytes(b"[mesh]\n# r\xe9solution\nresolution = 8\xff\n")
+        assert main(["noflow", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_help_describes_every_command(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")  # one line per command
         with pytest.raises(SystemExit) as exc:
@@ -265,6 +273,7 @@ class TestCommandKeys:
         [
             ("[experiment]\nname = sweep\n", "unknown config section"),
             ("[physics]\nreynolds_scale = 2\n", "unknown key 'reynolds_scale'"),
+            ("[output]\ndirectory = results\n", r"unknown config section \[output\]"),
         ],
     )
     def test_removed_keys_rejected(self, tmp_path, text, message):
@@ -499,6 +508,29 @@ class TestRunCommand:
         )
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
         assert cause in capsys.readouterr().err
+
+    def test_non_utf8_mesh_is_mesh_error(self, tmp_path, capsys):
+        mesh_file = tmp_path / "latin.m2d"
+        mesh_file.write_bytes(b"# maill\xe9 \xff\n3 1 3\n0 0\n1 0\n0 1\n0 1 2\n")
+        path = _cfg(
+            tmp_path,
+            f"[mesh]\ngenerator = import\npath = {mesh_file}\n\n"
+            "[physics]\nnu = 1.0\n\n[boundary]\n1 = noslip\n",
+        )
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mesh error:") and str(mesh_file) in err
+
+    def test_one_triangle_mesh(self, tmp_path):
+        mesh_file = tmp_path / "one.m2d"
+        mesh_file.write_text("3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 1\n1 2 1\n0 2 1\n")
+        path = _cfg(
+            tmp_path,
+            f"[mesh]\ngenerator = import\npath = {mesh_file}\n\n"
+            "[physics]\nnu = 1e-4\n\n[boundary]\n1 = noslip\n",
+        )
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "run.vtk").is_file()
 
     def test_lid_corners_match_cavity(self, tmp_path):
         # the README's [boundary] section: the lid keeps both top corners

@@ -1,0 +1,78 @@
+"""Every public function and class of src/egns is used somewhere.
+
+A public module-level function or class counts as used when its name is
+referenced outside its own definition, in src/egns or in bench/*.py.
+The benchmark names the entry points it traces as strings, so string
+constants count in bench/.  Names listed in __all__ do not count: a
+module exporting a name does not use it.  The files are parsed, not
+imported.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "egns").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+
+# oracles the tests check the library against; no command needs them
+TEST_ORACLES = {"interpolate", "energy_norm", "export_mesh"}
+
+
+def _public_defs(tree):
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    return [n for n in tree.body if isinstance(n, kinds) and not n.name.startswith("_")]
+
+
+def _references(tree, skip=None, strings=False):
+    """Names a tree references, leaving out the subtree `skip`."""
+    stack, names = [tree], set()
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _unreached(src_trees, bench_trees):
+    bench_refs = set().union(*(_references(t, strings=True) for t in bench_trees))
+    unreached = []
+    for module, tree in src_trees.items():
+        for node in _public_defs(tree):
+            refs = set(bench_refs)
+            for other, other_tree in src_trees.items():
+                refs |= _references(other_tree, skip=node if other == module else None)
+            if node.name not in refs:
+                unreached.append(f"{module}.{node.name}")
+    return sorted(unreached)
+
+
+def test_public_code_is_reached():
+    src = {p.stem: ast.parse(p.read_text()) for p in SRC}
+    bench = [ast.parse(p.read_text()) for p in BENCH]
+    found = _unreached(src, bench)
+    assert sorted(name.rsplit(".", 1)[1] for name in found) == sorted(TEST_ORACLES), found
+
+
+def test_scan_finds_an_unreached_function():
+    src = {
+        "a": ast.parse(
+            "__all__ = ['f', 'g', 'h', 'k']\n"
+            "def f(n):\n    return f(n - 1) if n else 0\n"
+            "def g():\n    return 1\n"
+            "class h:\n    pass\n"
+            "def k():\n    pass\n"
+            "def _private():\n    pass\n"
+        ),
+        "b": ast.parse("from a import g, h\nx = h(g())\n"),
+    }
+    bench = [ast.parse("TARGETS = [('a', 'k', 'span')]\n")]
+    # f calls only itself and is otherwise named in __all__ alone
+    assert _unreached(src, bench) == ["a.f"]

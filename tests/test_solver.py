@@ -71,19 +71,20 @@ def _smooth_force(xy):
     return np.stack([np.sin(np.pi * y), np.cos(np.pi * x)], axis=-1)
 
 
-def _saddle_oracle(system):
+def _saddle_oracle(system, mesh):
     """The direct saddle-point solve the null-space solve replaced.
 
     Factors [[A_ff, -B_f^T], [B_f, 0]] over the free velocities with one
-    refinement pass.  For pure Dirichlet it pins pressure 0, drops the
-    redundant mass row 0 and shifts to zero area-weighted mean.
+    refinement pass.  For pure Dirichlet (a closed null space) it pins
+    pressure 0, drops the redundant mass row 0 and shifts to zero
+    area-weighted mean.
     """
     dm = system.dof_map
     free = dm.free_indices()
     A_ff = system.A[free][:, free]
     B_f = system.B[:, free]
     rhs_p = system.rhs_p
-    pinned = system.mean_constraint is not None
+    pinned = system.null_space.closed
     if pinned:
         B_f, rhs_p = B_f[1:], rhs_p[1:]
     K = sp.bmat([[A_ff, -B_f.T], [B_f, None]], format="csc")
@@ -93,7 +94,7 @@ def _saddle_oracle(system):
     x += lu.solve(rhs - K @ x)
     pressure = x[free.size :]
     if pinned:
-        a = system.mean_constraint
+        a = mesh.areas
         pressure = np.concatenate([[0.0], pressure])
         pressure -= (a @ pressure) / a.sum()
     xf = dm.values.copy()
@@ -245,7 +246,7 @@ class TestNullSpaceSolve:
         system = prob.newton_system(solve_saddle(prob.newton_system(None))[0])
         dm = system.dof_map
         field, pressure = solve_saddle(system)
-        ref_field, ref_pressure = _saddle_oracle(system)
+        ref_field, ref_pressure = _saddle_oracle(system, prob.mesh)
         u, ref_u = dm.pack(field), dm.pack(ref_field)
         dp = np.linalg.norm(pressure - ref_pressure)
         assert dp <= 1e-10 * np.linalg.norm(ref_pressure)
@@ -278,9 +279,9 @@ class TestNullSpaceSolve:
         rng = np.random.default_rng(0)
         rhs_p = rng.standard_normal(B.shape[0])
         p = rng.standard_normal(B.shape[0])
-        if ns.closed:  # defined up to a constant: compatible data, p[0] = 0
+        if ns.closed:  # defined up to a constant: compatible data, zero mean
             rhs_p -= rhs_p.mean()
-            p -= p[0]
+            p -= (prob.mesh.areas @ p) / prob.mesh.areas.sum()
         assert np.abs(B @ ns.particular(rhs_p) - rhs_p).max() <= 1e-12
         assert np.abs(ns.pressure(B.T @ p) - p).max() <= 1e-12
 

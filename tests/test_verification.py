@@ -13,6 +13,7 @@ from egns.mesh import (
     build_rect_uniform,
 )
 from egns.eg_space import EGField, interpolate
+from egns.solver import solve_saddle
 from egns.verification import (
     FlowCase,
     VerificationError,
@@ -159,7 +160,9 @@ class TestVortexCase:
         case = case_vortex_2d(1.0)
         prob = case.problem(build_rect_uniform(4, 4))
         system = prob.newton_system(None)
-        assert system.mean_constraint is not None
+        assert system.null_space.closed
+        _, p = solve_saddle(system)
+        assert abs(prob.mesh.areas @ p) <= 1e-14 * np.abs(p).max()
         assert prob.nu == 1.0
 
 
@@ -299,7 +302,6 @@ class TestStepCase:
         case = case_step(re=100)
         assert case.nu == pytest.approx(0.01, rel=1e-15)
         assert case.neumann_tags == (TAG_OUTLET,)
-        assert case.neumann_data is None
 
 
 class TestErrorNorms:
@@ -335,29 +337,6 @@ class TestErrorNorms:
         assert e2 == pytest.approx(5.0, rel=1e-13)  # sqrt(3^2+4^2) on unit area
         assert e1 < 1e-13
         assert ep == pytest.approx(2.0, rel=1e-13)
-
-    def test_finite_difference_gradient_fallback(self):
-        mesh = build_rect_uniform(4, 4)
-
-        def u(xy):
-            x, y = xy[..., 0], xy[..., 1]
-            return np.stack([x * x, -2 * x * y], axis=-1)
-
-        field = interpolate(mesh, u)
-        pressure = np.zeros(mesh.num_triangles)
-        zero_p = lambda xy: np.zeros(xy.shape[:-1])
-
-        def grad(xy):
-            x, y = xy[..., 0], xy[..., 1]
-            z = np.zeros_like(x)
-            row1 = np.stack([2 * x, z], axis=-1)
-            row2 = np.stack([-2 * y, -2 * x], axis=-1)
-            return np.stack([row1, row2], axis=-2)
-
-        exact = error_norms(mesh, (field, pressure), u, zero_p, grad)
-        fd = error_norms(mesh, (field, pressure), u, zero_p, None)
-        assert fd[0] == pytest.approx(exact[0], rel=1e-12)
-        assert fd[1] == pytest.approx(exact[1], rel=1e-6)
 
 
 class TestVelocityNormHelpers:
