@@ -236,7 +236,7 @@ def dirichlet_dof_map(mesh, bcs):
             continue
         verts = np.unique(mesh.edges[sel])
         vals = np.asarray(u_d(mesh.vertices[verts]), dtype=float)
-        _, flux = edge_trace(mesh, u_d, sel)
+        flux = edge_trace(mesh, u_d, sel)
         if not (np.isfinite(vals).all() and np.isfinite(flux).all()):
             raise ValueError(
                 f"Dirichlet data on tags {tags} is NaN or infinite at a "
@@ -291,7 +291,6 @@ class SteadyProblem:
     body_force: object = None
     dirichlet: list = field(default_factory=list)
     neumann_tags: tuple = ()
-    convect: bool = True
 
     def with_nu(self, nu):
         new = dataclasses.replace(self, nu=nu)
@@ -346,7 +345,7 @@ class SteadyProblem:
         B = assemble_divergence(mesh)
         rhs_u = self.load_vector.copy()
 
-        if u_n is not None and self.convect:
+        if u_n is not None:
             C, r = assemble_convection_newton(mesh, u_n)
             A = A + C
             rhs_u += r

@@ -51,7 +51,6 @@ from .reconstruction import rt_at_centroids
 from .solver import NewtonConfig, SolverError, nu_continuation
 from .verification import (
     STEP_RECIRCULATION_BOX,
-    ConvergenceTable,
     case_cavity,
     case_noflow,
     case_step,
@@ -360,17 +359,8 @@ def cmd_converge(cfg: RunConfig) -> int:
         )
 
     hs = [1.0 / n for n in levels[: len(done)]]
-    errs = [d[0] for d in done]
-    if len(done) >= 2:
-        table = convergence_table(hs, errs)
-        print(table.to_log())
-    else:
-        # orders need two levels: write the errors with blank orders
-        table = ConvergenceTable(
-            h=np.asarray(hs, dtype=float),
-            errors=np.asarray(errs, dtype=float).reshape(-1, 3),
-            orders=np.full((len(hs), 3), np.nan),
-        )
+    table = convergence_table(hs, [errs for errs, _ in done])
+    print(table.to_log())
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.out_dir / "convergence.csv"

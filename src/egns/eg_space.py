@@ -98,8 +98,8 @@ class DofMap:
 
 
 def edge_trace(mesh, u, edges):
-    """u at the EDGE_RULE points of the given edges, (len(edges), nq, 2),
-    and the edge averages of its component along the assigned normals."""
+    """Edge averages of u's component along the assigned normals of the
+    given edges, by the EDGE_RULE."""
     tq, wq = EDGE_RULE
     a = mesh.vertices[mesh.edges[edges, 0]]
     b = mesh.vertices[mesh.edges[edges, 1]]
@@ -107,7 +107,7 @@ def edge_trace(mesh, u, edges):
     vals = np.asarray(u(pts.reshape(-1, 2)), dtype=float).reshape(
         len(edges), tq.size, 2
     )
-    return vals, np.einsum("q,eqd,ed->e", wq, vals, mesh.edge_normal[edges])
+    return np.einsum("q,eqd,ed->e", wq, vals, mesh.edge_normal[edges])
 
 
 def interpolate(mesh, u):
@@ -116,7 +116,7 @@ def interpolate(mesh, u):
     the edge averages are exact for traces up to degree 7.
     """
     vertex_values = np.asarray(u(mesh.vertices), dtype=float)
-    _, edge_values = edge_trace(mesh, u, np.arange(mesh.num_edges))
+    edge_values = edge_trace(mesh, u, np.arange(mesh.num_edges))
     return EGField(vertex_values=vertex_values, edge_values=edge_values)
 
 

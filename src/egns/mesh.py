@@ -98,13 +98,6 @@ class Mesh2D:
     def boundary_edge_indices(self):
         return np.flatnonzero(self.edge_to_triangles[:, 1] < 0)
 
-    @property
-    def boundary_vertex_mask(self):
-        mask = np.zeros(self.num_vertices, dtype=bool)
-        be = self.boundary_edge_indices
-        mask[self.edges[be].ravel()] = True
-        return mask
-
     @classmethod
     def from_arrays(cls, vertices, triangles, tag_lookup=None, tri_lines=None):
         """Build full topology from raw vertex and triangle arrays.

@@ -1,8 +1,9 @@
 """Symmetric Gauss quadrature on triangles and Gauss-Legendre rules on edges.
 
 Triangle rules are stored in barycentric coordinates with weights summing to
-one; integrals scale by the physical element area at use.  The tabulated
-families are the classical symmetric rules with positive weights.
+one; integrals scale by the physical element area at use.  Only the three
+classical symmetric rules that egns uses are tabulated, exact to degrees 2,
+5 and 8, all with positive weights.
 """
 
 from __future__ import annotations
@@ -18,13 +19,8 @@ __all__ = ["QuadratureRule", "quadrature_rule", "refined_rule", "gauss_1d", "EDG
 class QuadratureRule:
     """Points in barycentric coordinates, weights summing to one."""
 
-    degree: int
     points: np.ndarray  # (n, 3)
     weights: np.ndarray  # (n,)
-
-    @property
-    def num_points(self):
-        return self.points.shape[0]
 
     def physical_points(self, mesh):
         """Map rule points into every triangle: returns (NT, n, 2)."""
@@ -48,85 +44,48 @@ def _orbit6(a, b):
     )
 
 
-def _rule(degree, chunks):
+def _rule(chunks):
     pts = np.vstack([p for p, _ in chunks])
     wts = np.concatenate([np.full(p.shape[0], w) for p, w in chunks])
     wts = wts / wts.sum()  # remove table roundoff at the 1e-16 level
     pts.flags.writeable = False
     wts.flags.writeable = False
-    return QuadratureRule(degree=degree, points=pts, weights=wts)
+    return QuadratureRule(points=pts, weights=wts)
 
 
-def _build_rules():
-    rules = {}
-    rules[1] = _rule(1, [(_orbit1(), 1.0)])
-    rules[2] = _rule(2, [(_orbit3(1.0 / 6.0), 1.0 / 3.0)])
-    rules[3] = _rule(
-        3,
-        [(_orbit6(0.659027622374092, 0.231933368553031), 1.0 / 6.0)],
-    )
-    rules[4] = _rule(
-        4,
-        [
-            (_orbit3(0.445948490915965), 0.223381589678011),
-            (_orbit3(0.091576213509771), 0.109951743655322),
-        ],
-    )
-    rules[5] = _rule(
-        5,
+_RULES = {
+    # convection geometry and |u0|^2 integrals: quadratic integrands
+    2: _rule([(_orbit3(1.0 / 6.0), 1.0 / 3.0)]),
+    # the load against the RT0 reconstruction
+    5: _rule(
         [
             (_orbit1(), 0.225),
             (_orbit3(0.470142064105115), 0.132394152788506),
             (_orbit3(0.101286507323456), 0.125939180544827),
-        ],
-    )
-    rules[6] = _rule(
-        6,
-        [
-            (_orbit3(0.249286745170910), 0.116786275726379),
-            (_orbit3(0.063089014491502), 0.050844906370207),
-            (_orbit6(0.053145049844816, 0.310352451033785), 0.082851075618374),
-        ],
-    )
-    rules[8] = _rule(
-        8,
+        ]
+    ),
+    # the error norms, refined
+    8: _rule(
         [
             (_orbit1(), 0.1443156076777840),
             (_orbit3(0.4592925882927182), 0.0950916342672856),
             (_orbit3(0.1705693077517527), 0.1032173705347250),
             (_orbit3(0.0505472283170320), 0.0324584976232003),
             (_orbit6(0.0083947774099438, 0.2631128296346699), 0.0272303141744305),
-        ],
-    )
-    rules[10] = _rule(
-        10,
-        [
-            (_orbit1(), 0.090817990382754),
-            (_orbit3(0.485577633383657), 0.036725957756467),
-            (_orbit3(0.109481575485037), 0.045321059435528),
-            (_orbit6(0.141707219414880, 0.307939838764121), 0.072757916845420),
-            (_orbit6(0.025003534762686, 0.246672560639903), 0.028327242531057),
-            (_orbit6(0.009540815400299, 0.066803251012200), 0.009421666963733),
-        ],
-    )
-    return rules
-
-
-_RULES = _build_rules()
-_SUPPORTED = tuple(range(1, 11))
+        ]
+    ),
+}
 
 
 def quadrature_rule(degree):
-    """Smallest tabulated symmetric rule exact for polynomials up to degree."""
-    if degree not in _SUPPORTED:
+    """The tabulated symmetric rule exact up to degree: 2, 5 or 8."""
+    try:
+        return _RULES[degree]
+    except KeyError:
         raise ValueError(
-            f"unsupported quadrature degree {degree}; supported: "
-            f"{_SUPPORTED[0]}..{_SUPPORTED[-1]}"
-        )
-    for d in sorted(_RULES):
-        if d >= degree:
-            return _RULES[d]
-    raise AssertionError("rule table is incomplete")
+            f"no quadrature rule of degree {degree}; tabulated: "
+            f"{', '.join(map(str, _RULES))}"
+        ) from None
 
 
 # Barycentric corners of the 4 congruent sub-triangles of a parent triangle.
@@ -152,7 +111,7 @@ def refined_rule(rule):
     wts = np.tile(rule.weights / 4.0, 4)
     pts.flags.writeable = False
     wts.flags.writeable = False
-    return QuadratureRule(degree=rule.degree, points=pts, weights=wts)
+    return QuadratureRule(points=pts, weights=wts)
 
 
 def gauss_1d(n):

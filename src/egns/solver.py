@@ -110,8 +110,6 @@ class SolveReport:
     converged: bool = True
     nu: float | None = None
 
-    accepted = property(lambda self: self.converged)  # as a continuation trial
-
     def to_log(self):
         lines = [
             f"iter {i + 1}: rel_update {u:.6e} residual {r:.6e} step {s:g}"
@@ -289,7 +287,7 @@ def nu_continuation(factory, nu, config=None):
         reports.append(report)
         logger.info("continuation stage %d: nu=%.6g %s after %d iterations",
                     len(reports) - 1, trial_nu,
-                    "accepted" if report.accepted else "rejected", report.iterations)
+                    "accepted" if report.converged else "rejected", report.iterations)
         return state, failure
 
     def give_up(failure, why):

@@ -476,18 +476,19 @@ class ConvergenceTable:
 
 
 def convergence_table(h_values, errors) -> ConvergenceTable:
-    """Observed orders log(e_i/e_{i+1}) / log(h_i/h_{i+1}) for error triples.
+    """Observed orders log(e_{i-1}/e_i) / log(h_{i-1}/h_i) for error triples.
 
-    Zero or otherwise degenerate error entries leave a blank order.
+    Takes any number of levels in any order.  An order is blank in the
+    first row, after a repeated mesh size and next to a zero error.
     """
     h = np.asarray(h_values, dtype=float)
     e = np.asarray(errors, dtype=float)
-    if h.ndim != 1 or h.size < 2:
-        raise ValueError("need at least two mesh levels")
+    if e.size == 0:
+        e = e.reshape(0, 3)  # no level: [] has shape (0,)
+    if h.ndim != 1:
+        raise ValueError("mesh sizes must be one-dimensional")
     if e.shape != (h.size, 3):
         raise ValueError(f"errors must have shape ({h.size}, 3), got {e.shape}")
-    if np.any(np.diff(h) >= 0):
-        raise ValueError("mesh sizes must strictly decrease")
     if np.any(e < 0):
         raise ValueError("error norms cannot be negative")
 

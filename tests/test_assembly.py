@@ -42,7 +42,7 @@ def _random_field(mesh, rng):
 
 def _random_zero_boundary_field(mesh, rng):
     field = _random_field(mesh, rng)
-    field.vertex_values[mesh.boundary_vertex_mask] = 0.0
+    field.vertex_values[np.unique(mesh.edges[mesh.boundary_edge_indices])] = 0.0
     field.edge_values[mesh.boundary_edge_indices] = 0.0
     return field
 
@@ -330,14 +330,14 @@ class TestDirichlet:
 
         dm = dirichlet_dof_map(mesh, [(ALL_SIDES, u_d)])
         nv = mesh.num_vertices
-        bmask = mesh.boundary_vertex_mask
+        bverts = np.unique(mesh.edges[mesh.boundary_edge_indices])
         for i in range(nv):
-            assert dm.constrained[i] == bmask[i]
-            assert dm.constrained[nv + i] == bmask[i]
+            assert dm.constrained[i] == (i in bverts)
+            assert dm.constrained[nv + i] == (i in bverts)
         for e in range(mesh.num_edges):
             assert dm.constrained[2 * nv + e] == (mesh.boundary_tags[e] != -1)
         # nodal values
-        for i in np.flatnonzero(bmask):
+        for i in bverts:
             want = u_d(mesh.vertices[i : i + 1])[0]
             assert dm.values[i] == pytest.approx(want[0], rel=1e-14)
             assert dm.values[nv + i] == pytest.approx(want[1], rel=1e-14)

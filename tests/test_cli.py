@@ -327,7 +327,7 @@ class TestConvergeCommand:
         assert 0.6 < float(row[4]) < 1.4
         assert 0.6 < float(row[6]) < 1.4
 
-    def test_single_level_blank_orders(self, tmp_path):
+    def test_single_level_blank_orders(self, tmp_path, capsys):
         path = _cfg(tmp_path, "[mesh]\nlevels = 8\n")
         rc = main(["converge", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
@@ -336,6 +336,21 @@ class TestConvergeCommand:
         cells = csv[1].split(",")
         assert len(cells) == 7
         assert cells[2] == "" and cells[4] == "" and cells[6] == ""
+        table = capsys.readouterr().out.splitlines()
+        assert table[1].split()[0::2] == ["0.125000", "-", "-", "-"]
+
+    @pytest.mark.parametrize("levels, blank", [("8 4", False), ("8 8", True)])
+    def test_unordered_levels_write_table(self, tmp_path, monkeypatch, levels, blank):
+        monkeypatch.setenv("EGNS_THREADS", "1")
+        path = _cfg(tmp_path, f"[mesh]\nlevels = {levels}\n")
+        assert main(["converge", "--config", path, "--out", str(tmp_path)]) == 0
+        csv = (tmp_path / "convergence.csv").read_text().splitlines()
+        assert len(csv) == 3
+        orders = csv[2].split(",")[2::2]
+        if blank:
+            assert orders == ["", "", ""]
+        else:
+            assert all(0.5 < float(o) < 2.5 for o in orders), orders
 
     def test_low_viscosity_needs_continuation(self, tmp_path, caplog):
         # plain Newton from rest fails here; no switch is needed to continue

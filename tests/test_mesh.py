@@ -487,7 +487,8 @@ def _shuffled_mesh_file(path, seed=8, nx=5, ny=4):
     # every triangle counterclockwise while nx, ny <= 5
     rng = np.random.default_rng(seed)
     base = build_rect_uniform(nx, ny)
-    interior = ~base.boundary_vertex_mask
+    interior = np.ones(base.num_vertices, dtype=bool)
+    interior[base.edges[base.boundary_edge_indices]] = False
     verts = base.vertices.copy()
     verts[interior] += rng.uniform(-0.03, 0.03, (int(interior.sum()), 2))
     perm = rng.permutation(base.num_vertices)

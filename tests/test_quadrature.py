@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from egns.quadrature import QuadratureRule, gauss_1d, quadrature_rule, refined_rule
+from egns.quadrature import gauss_1d, quadrature_rule, refined_rule
 
 
 def _reference_integral(m, n):
@@ -20,7 +20,7 @@ def _rule_integral(rule, m, n):
     return 0.5 * np.sum(rule.weights * x**m * y**n)
 
 
-@pytest.mark.parametrize("degree", range(1, 11))
+@pytest.mark.parametrize("degree", [2, 5, 8])
 def test_rules_integrate_monomials_exactly(degree):
     rule = quadrature_rule(degree)
     for m in range(degree + 1):
@@ -29,7 +29,7 @@ def test_rules_integrate_monomials_exactly(degree):
             assert got == pytest.approx(_reference_integral(m, n), abs=1e-14)
 
 
-@pytest.mark.parametrize("degree", range(1, 11))
+@pytest.mark.parametrize("degree", [2, 5, 8])
 def test_weights_positive_and_sum_to_one(degree):
     rule = quadrature_rule(degree)
     assert np.all(rule.weights > 0)
@@ -48,15 +48,14 @@ def test_degree_eight_rule_integrates_x4y4():
 
 
 def test_unsupported_degree_lists_supported_range():
-    with pytest.raises(ValueError, match="1..10"):
-        quadrature_rule(0)
-    with pytest.raises(ValueError, match="1..10"):
-        quadrature_rule(11)
+    for degree in (0, 3, 11):
+        with pytest.raises(ValueError, match=f"degree {degree}; tabulated: 2, 5, 8"):
+            quadrature_rule(degree)
 
 
 def test_refined_rule_keeps_exactness_degree():
     rule = refined_rule(quadrature_rule(8))
-    assert rule.num_points == 4 * quadrature_rule(8).num_points
+    assert rule.points.shape == (4 * quadrature_rule(8).points.shape[0], 3)
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
     for m in range(9):
         for n in range(9 - m):
@@ -79,7 +78,7 @@ def test_physical_points_shape():
     mesh = build_rect_uniform(2, 2)
     rule = quadrature_rule(2)
     pts = rule.physical_points(mesh)
-    assert pts.shape == (mesh.num_triangles, rule.num_points, 2)
+    assert pts.shape == (mesh.num_triangles, rule.points.shape[0], 2)
     # all points strictly inside their triangles: barycentrics positive
     assert np.isfinite(pts).all()
 

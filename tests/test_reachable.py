@@ -1,7 +1,8 @@
-"""Every public function and class of src/egns is used somewhere.
+"""Every public function, class, method and property of src/egns is used.
 
-A public module-level function or class counts as used when its name is
-referenced outside its own definition, in src/egns or in bench/*.py.
+A public module-level function or class, or a public method or property
+of such a class, counts as used when its name is referenced outside its
+own definition, in src/egns or in bench/*.py.
 The benchmark names the entry points it traces as strings, so string
 constants count in bench/.  Names listed in __all__ do not count: a
 module exporting a name does not use it.  The files are parsed, not
@@ -20,8 +21,19 @@ TEST_ORACLES = {"interpolate", "energy_norm", "export_mesh"}
 
 
 def _public_defs(tree):
+    """(qualified name, node) of public definitions and class members."""
     kinds = (ast.FunctionDef, ast.ClassDef)
-    return [n for n in tree.body if isinstance(n, kinds) and not n.name.startswith("_")]
+    found = []
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{node.name}.{m.name}", m)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                ]
+    return found
 
 
 def _references(tree, skip=None, strings=False):
@@ -45,12 +57,12 @@ def _unreached(src_trees, bench_trees):
     bench_refs = set().union(*(_references(t, strings=True) for t in bench_trees))
     unreached = []
     for module, tree in src_trees.items():
-        for node in _public_defs(tree):
+        for name, node in _public_defs(tree):
             refs = set(bench_refs)
             for other, other_tree in src_trees.items():
                 refs |= _references(other_tree, skip=node if other == module else None)
             if node.name not in refs:
-                unreached.append(f"{module}.{node.name}")
+                unreached.append(f"{module}.{name}")
     return sorted(unreached)
 
 
@@ -67,12 +79,17 @@ def test_scan_finds_an_unreached_function():
             "__all__ = ['f', 'g', 'h', 'k']\n"
             "def f(n):\n    return f(n - 1) if n else 0\n"
             "def g():\n    return 1\n"
-            "class h:\n    pass\n"
+            "class h:\n"
+            "    def used(self):\n        return self.used\n"
+            "    @property\n    def size(self):\n        return 0\n"
+            "    def grown(self):\n        return self.size + 1\n"
+            "    def __len__(self):\n        return 0\n"
             "def k():\n    pass\n"
             "def _private():\n    pass\n"
         ),
-        "b": ast.parse("from a import g, h\nx = h(g())\n"),
+        "b": ast.parse("from a import g, h\nx = h(g()).grown()\n"),
     }
     bench = [ast.parse("TARGETS = [('a', 'k', 'span')]\n")]
-    # f calls only itself and is otherwise named in __all__ alone
-    assert _unreached(src, bench) == ["a.f"]
+    # f and h.used reference only themselves; f is otherwise named in
+    # __all__ alone
+    assert _unreached(src, bench) == ["a.f", "a.h.used"]

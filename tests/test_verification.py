@@ -397,11 +397,25 @@ class TestConvergenceTable:
         assert float(first[1]) == pytest.approx(1.440e-3)
         assert first[2] == ""
 
-    def test_rejects_single_level(self):
-        with pytest.raises(ValueError):
-            convergence_table([0.5], [[1e-2] * 3])
-        with pytest.raises(ValueError):
-            convergence_table([0.25, 0.5], [[1e-2] * 3, [4e-2] * 3])
+    def test_single_level_has_blank_orders(self):
+        tab = convergence_table([0.5], [[1e-2] * 3])
+        assert np.isnan(tab.orders).all() and tab.orders.shape == (1, 3)
+        assert tab.to_csv().splitlines()[1] == "0.5,1.000000e-02,,1.000000e-02,,1.000000e-02,"
+        assert convergence_table([], []).to_csv() == "h,e_l2,order,e_h1,order,e_p,order\n"
+
+    def test_repeated_size_leaves_blank(self):
+        # coarsening is an order like refining; a repeated size has none
+        tab = convergence_table(
+            [0.25, 0.5, 0.5], [[1e-2] * 3, [4e-2] * 3, [3e-2] * 3]
+        )
+        assert tab.orders[1] == pytest.approx([2.0] * 3, abs=1e-12)
+        assert np.isnan(tab.orders[[0, 2]]).all()
+
+    def test_rejects_bad_shape_and_negative_errors(self):
+        with pytest.raises(ValueError, match="shape"):
+            convergence_table([0.5, 0.25], [[1e-2] * 3])
+        with pytest.raises(ValueError, match="negative"):
+            convergence_table([0.5], [[1e-2, -1e-3, 1e-2]])
 
 
 class TestKinematicPressure:
