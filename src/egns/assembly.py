@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .eg_space import DofMap, EGField, edge_trace, element_ops, local_dof_vectors
+from .eg_space import DofMap, edge_trace, element_ops
 from .nullspace import NullSpace, null_space
 from .quadrature import quadrature_rule
 from .reconstruction import rt_basis
@@ -120,22 +120,22 @@ def _convection_geometry(mesh):
     return cache["convection_m"]
 
 
-def assemble_convection_newton(mesh, u_n):
-    """Newton data for the rotational convection term at state u_n.
+def assemble_convection_newton(mesh, x):
+    """Newton data for the rotational convection term at the dof vector x.
 
     Returns (C, r): C carries the two first-order terms (rows only on edge
     dofs; columns on edge dofs through the reconstruction and on vertex
     dofs through the elementwise curl), r carries the value terms so that
-    C applied to the state itself equals 2 r.
+    C applied to x itself equals 2 r.
     """
     ops = element_ops(mesh)
     M = _convection_geometry(mesh)
-    dofs = local_dof_vectors(mesh, u_n)
+    l2g = ops["l2g"]
+    dofs = x[l2g]
     omega = np.einsum("tj,tj->t", ops["curl"], dofs[:, :6])
     ub = dofs[:, 6:]
     mtu = np.einsum("tkl,tk->tl", M, ub)
 
-    l2g = ops["l2g"]
     edge_g = l2g[:, 6:]
     vert_g = l2g[:, :6]
     n = _total_dofs(mesh)
@@ -178,13 +178,13 @@ def assemble_load(mesh, f):
     return vec
 
 
-def assemble_neumann(mesh, tags, u_n):
+def assemble_neumann(mesh, tags, x):
     """Traction-free outflow terms on the boundary edges tagged in `tags`.
 
     Returns (matrix, vector).  The matrix linearizes the quadratic
     boundary form (half the squared continuous trace against the test
-    edge scalar) at state u_n; the vector carries that form's value at
-    u_n.
+    edge scalar) at the dof vector x; the vector carries that form's
+    value at x.
     """
     nv = mesh.num_vertices
     n = _total_dofs(mesh)
@@ -196,8 +196,8 @@ def assemble_neumann(mesh, tags, u_n):
     b = mesh.edges[sel, 1]
     L = mesh.edge_lengths[sel]
     rows_e = 2 * nv + sel
-    Ua = u_n.vertex_values[a]
-    Ub = u_n.vertex_values[b]
+    Ua = np.column_stack([x[a], x[nv + a]])
+    Ub = np.column_stack([x[b], x[nv + b]])
 
     # exact edge integrals of (linear trace) x (hat function)
     data = np.concatenate(
@@ -338,22 +338,25 @@ class SteadyProblem:
         """The divergence-free basis and the dual spanning tree."""
         return null_space(self.mesh, self.dof_map)
 
-    def newton_system(self, u_n):
-        """Assemble the linearized saddle system at state u_n (None = rest)."""
+    def newton_system(self, x):
+        """Assemble the saddle system linearized at the full dof vector x.
+
+        At None, zero velocity, the convection and outflow forms vanish
+        and are skipped.
+        """
         mesh = self.mesh
         A = assemble_viscous(mesh, self.nu)
         B = assemble_divergence(mesh)
         rhs_u = self.load_vector.copy()
 
-        if u_n is not None:
-            C, r = assemble_convection_newton(mesh, u_n)
+        if x is not None:
+            C, r = assemble_convection_newton(mesh, x)
             A = A + C
             rhs_u += r
-        if self.neumann_tags:
-            state = u_n if u_n is not None else EGField.zeros(mesh)
-            D, vec = assemble_neumann(mesh, self.neumann_tags, state)
-            A = A + D
-            rhs_u += vec
+            if self.neumann_tags:
+                D, vec = assemble_neumann(mesh, self.neumann_tags, x)
+                A = A + D
+                rhs_u += vec
 
         A = A.tocsr()
         dm = self.dof_map

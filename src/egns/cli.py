@@ -193,8 +193,12 @@ def load_config(path, command=None) -> RunConfig:
         raise ConfigError("[mesh] h must be positive")
     if cfg.ra < 0:
         raise ConfigError("[physics] ra cannot be negative")
-    if cfg.rel_tol <= 0 or cfg.max_iter < 1:
-        raise ConfigError("[newton] settings out of range")
+    if cfg.threshold is not None and cfg.threshold < 0:
+        raise ConfigError("[physics] threshold cannot be negative")
+    if cfg.rel_tol <= 0:
+        raise ConfigError("[newton] rel_tol must be positive")
+    if cfg.max_iter < 1:
+        raise ConfigError("[newton] max_iter must be at least 1")
     return cfg
 
 

@@ -46,13 +46,6 @@ class EGField:
     vertex_values: np.ndarray  # (NV, 2)
     edge_values: np.ndarray  # (NE,)
 
-    @classmethod
-    def zeros(cls, mesh):
-        return cls(
-            vertex_values=np.zeros((mesh.num_vertices, 2)),
-            edge_values=np.zeros(mesh.num_edges),
-        )
-
 
 @dataclass
 class DofMap:
@@ -84,7 +77,8 @@ class DofMap:
     def free_indices(self):
         return np.flatnonzero(~self.constrained)
 
-    def pack(self, field):
+    @staticmethod
+    def pack(field):
         return np.concatenate(
             [field.vertex_values[:, 0], field.vertex_values[:, 1], field.edge_values]
         )

@@ -21,6 +21,10 @@ velocity/pressure vector drops below the tolerance, or when the assembled
 nonlinear residual at the new iterate is already at solver precision.  The
 second test is what lets linear problems finish in one iteration.
 
+The Newton iterate is (x, p), x the velocity dof vector [v0x | v0y | edge]
+holding the Dirichlet values on its constrained entries, as solve_saddle
+returns it; only newton_solve's arguments and results are EGFields.
+
 nu_continuation is how every egns command reaches its viscosity: step
 control on log(nu) (Allgower and Georg, *Numerical Continuation
 Methods*).  It solves from rest at max(nu, 1e-3), tenfold higher while
@@ -41,6 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
+
+from .eg_space import DofMap
 
 logger = logging.getLogger(__name__)
 
@@ -96,40 +102,41 @@ class NewtonConfig:
 class SolveReport:
     """One Newton solve, or one trial stage of nu_continuation (with nu).
 
-    Per iteration: relative Newton update (history), residual at the kept
-    iterate (NaN if the update test ended the solve first) and step length
-    lambda (0 if the line search failed).
+    records holds one dict per iteration: update (relative Newton update),
+    residual (at the kept iterate, NaN if the update test ended the solve)
+    and step (lambda, 0 if the line search failed).
     """
 
-    iterations: int
-    final_update: float
-    history: list
-    residuals: list
-    steps: list
+    records: list
     wall_time: float
     converged: bool = True
     nu: float | None = None
 
+    @property
+    def iterations(self):
+        return len(self.records)
+
     def to_log(self):
         lines = [
-            f"iter {i + 1}: rel_update {u:.6e} residual {r:.6e} step {s:g}"
-            for i, (u, r, s) in enumerate(zip(self.history, self.residuals, self.steps))
+            f"iter {i}: rel_update {r['update']:.6e} residual {r['residual']:.6e} "
+            f"step {r['step']:g}"
+            for i, r in enumerate(self.records, 1)
         ]
         lines.append(
             f"converged={self.converged} iterations={self.iterations} "
-            f"final_update={self.final_update:.6e} wall_time={self.wall_time:.3f}s"
+            f"wall_time={self.wall_time:.3f}s"
         )
         return "\n".join(lines)
 
 
 def solve_saddle(system):
-    """Solve one linearized system, returning (velocity field, pressures).
+    """Solve one linearized system, returning (x, pressures).
 
-    The free velocity is the tree's particular flux u_p plus Z x, where
-    x solves Z^T A Z x = Z^T (rhs_u - A u_p) with one iterative
-    refinement pass, and the pressures solve B^T p = A u - rhs_u on the
-    tree edges in the null space's gauge; constrained entries are
-    reinserted from the dof map.
+    x is the full velocity dof vector.  Its free part is the tree's
+    particular flux u_p plus Z psi, where psi solves
+    Z^T A Z psi = Z^T (rhs_u - A u_p) with one iterative refinement pass;
+    its constrained entries are the dof map's values.  The pressures solve
+    B^T p = A u - rhs_u on the tree edges in the null space's gauge.
     The block residuals of the full system are then required to sit at
     solver precision relative to the data.
     """
@@ -158,7 +165,7 @@ def solve_saddle(system):
             f"saddle solve residuals too large: momentum {ru:.3e}, "
             f"mass {rp:.3e}, data scale {scale:.3e}"
         )
-    return dm.unpack(np.where(dm.constrained, dm.values, xf)), pressure
+    return np.where(dm.constrained, dm.values, xf), pressure
 
 
 def _block_residuals(system, free, xf, pressure):
@@ -178,19 +185,14 @@ def _block_residuals(system, free, xf, pressure):
     return float(np.linalg.norm(ru)), float(np.linalg.norm(rp)), scale
 
 
-def _stacked(system, fld, pressure):
-    free = system.dof_map.free_indices()
-    return np.concatenate([system.dof_map.pack(fld)[free], pressure])
+def _nonlinear_residual(system, x, pressure):
+    """Relative residual of the discrete equations at the state (x, pressure).
 
-
-def _nonlinear_residual(system, fld, pressure):
-    """Relative residual of the discrete equations at the given state.
-
-    Valid when the system was assembled at that same state: the Newton
-    value terms on the right cancel the linearization overshoot exactly.
+    Valid when the system was assembled at that same x: the Newton value
+    terms on the right cancel the linearization overshoot exactly.
     """
     dm = system.dof_map
-    xf = np.where(dm.constrained, 0.0, dm.pack(fld))
+    xf = np.where(dm.constrained, 0.0, x)
     ru, rp, scale = _block_residuals(system, dm.free_indices(), xf, pressure)
     return max(ru, rp) / scale
 
@@ -198,66 +200,62 @@ def _nonlinear_residual(system, fld, pressure):
 def newton_solve(problem, config=None, initial=None):
     """Run the damped Newton loop on a steady problem from rest or a warm start.
 
-    problem only needs newton_system(state), which returns the saddle
-    system linearized at a velocity field (None = rest).  initial is a
-    (velocity, pressure) pair.  Returns ((velocity, pressure), report).
-    Raises NonConvergenceError with the best iterate attached if the
-    iteration budget runs out or the line search fails.
+    problem only needs newton_system(x), the saddle system linearized at
+    the velocity dof vector x (None = zero velocity).  initial, packed on
+    entry, and the result are (velocity field, pressure) pairs; returns
+    (result, report).  Raises NonConvergenceError with the best iterate
+    attached if the iteration budget runs out or the line search fails.
     """
     config = config or NewtonConfig()
     t0 = time.perf_counter()
-    system = problem.newton_system(None if initial is None else initial[0])
+    x, p = (None, None) if initial is None else (DofMap.pack(initial[0]), initial[1])
+    system = problem.newton_system(x)
     dm = system.dof_map
-    # rest is the Dirichlet data on the constrained entries, zero elsewhere
-    state = initial or (dm.unpack(dm.values), np.zeros(system.B.shape[0]))
-    prev, res = _stacked(system, *state), _nonlinear_residual(system, *state)
-    history, residuals, steps = [], [], []
+    free = dm.free_indices()
+    if x is None:  # rest: the Dirichlet data on the constrained entries, zero elsewhere
+        x, p = dm.values, np.zeros(system.B.shape[0])
+    prev, res = np.concatenate([x[free], p]), _nonlinear_residual(system, x, p)
+    records = []
 
-    def report(it, final, converged=True):
-        return SolveReport(it, final, history, residuals, steps,
-                           time.perf_counter() - t0, converged)
+    def report(converged=True):
+        return SolveReport(records, time.perf_counter() - t0, converged)
 
     for it in range(1, config.max_iter + 1):
-        full = solve_saddle(system)
-        new = _stacked(system, *full)
+        x1, p1 = solve_saddle(system)
+        new = np.concatenate([x1[free], p1])
         rel = float(np.linalg.norm(new - prev)) / max(float(np.linalg.norm(new)), _TINY)
-        history.append(rel)
         logger.debug("newton iter %d: rel update %.3e", it, rel)
         if rel < config.rel_tol:
-            residuals.append(math.nan)
-            steps.append(1.0)
-            return full, report(it, rel)
+            records.append({"update": rel, "residual": math.nan, "step": 1.0})
+            return (dm.unpack(x1), p1), report()
 
-        lam, trial = 1.0, full
+        lam, xt, pt = 1.0, x1, p1
         while True:
-            trial_system = problem.newton_system(trial[0])
-            trial_res = _nonlinear_residual(trial_system, *trial)
+            trial_system = problem.newton_system(xt)
+            trial_res = _nonlinear_residual(trial_system, xt, pt)
             if trial_res <= (1.0 - _DECREASE * lam) * res:  # False for NaN
                 break
             lam /= 2.0
             if lam < _MIN_LAMBDA:
-                residuals.append(res)
-                steps.append(0.0)
+                records.append({"update": rel, "residual": res, "step": 0.0})
                 raise NonConvergenceError(
                     f"line search failed at iteration {it}: no step down to "
                     f"lambda = {_MIN_LAMBDA:g} lowers the residual {res:.3e}",
-                    best=state, report=report(it, rel, converged=False))
-            x0, x1 = dm.pack(state[0]), dm.pack(full[0])
-            trial = dm.unpack(x0 + lam * (x1 - x0)), state[1] + lam * (full[1] - state[1])
+                    best=(dm.unpack(x), p), report=report(converged=False))
+            xt, pt = x + lam * (x1 - x), p + lam * (p1 - p)
 
-        state, system, res = trial, trial_system, trial_res
-        prev = _stacked(system, *state)
-        residuals.append(res)
-        steps.append(lam)
+        x, p, system, res = xt, pt, trial_system, trial_res
+        prev = np.concatenate([x[free], p])
+        records.append({"update": rel, "residual": res, "step": lam})
         if res < 1e-2 * config.rel_tol:
             # the fresh iterate already satisfies the nonlinear equations;
-            # the next update would be zero, so record the residual measure
-            return state, report(it, res)
+            # the next update would be zero
+            return (dm.unpack(x), p), report()
 
     raise NonConvergenceError(
         f"no convergence after {config.max_iter} iterations "
-        f"(last relative update {history[-1]:.3e})",
-        best=state, report=report(config.max_iter, history[-1], converged=False))
+        f"(last relative update {records[-1]['update']:.3e})",
+        best=(dm.unpack(x), p), report=report(converged=False))
 
 
 def nu_continuation(factory, nu, config=None):

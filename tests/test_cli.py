@@ -72,6 +72,32 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="reynolds"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            pytest.param(command, section, key, value, id=key)
+            for command, section, key, value in [
+                ("noflow", "physics", "nu", "-1"),
+                ("noflow", "physics", "reynolds", "0"),
+                ("noflow", "mesh", "resolution", "0"),
+                ("converge", "mesh", "levels", "0 4"),
+                ("step", "mesh", "h", "-0.5"),
+                ("noflow", "physics", "ra", "-1"),
+                ("noflow", "newton", "rel_tol", "0"),
+                ("noflow", "newton", "max_iter", "0"),
+                ("noflow", "physics", "threshold", "-1"),
+            ]
+        ],
+    )
+    def test_out_of_range_value_named(self, tmp_path, capsys, command, section, key, value):
+        path = _cfg(tmp_path, f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} ")):
+            load_config(path, command)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"[{section}] {key} " in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+
     def test_boundary_recipes(self, tmp_path):
         path = _cfg(tmp_path, "[boundary]\n1 = noslip\n2 = outflow\n3 = velocity 1 0\n")
         cfg = load_config(path)
@@ -118,7 +144,7 @@ class TestWriteVtk:
     def test_zero_solution_layout(self, tmp_path):
         mesh = build_rect_uniform(1, 1)
         path = tmp_path / "zero.vtk"
-        write_vtk(mesh, (EGField.zeros(mesh), np.zeros(mesh.num_triangles)), path)
+        write_vtk(mesh, (EGField(np.zeros((mesh.num_vertices, 2)), np.zeros(mesh.num_edges)), np.zeros(mesh.num_triangles)), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# vtk DataFile Version 3.0"
         assert lines[2] == "ASCII"

@@ -37,7 +37,17 @@ def _public_defs(tree):
 
 
 def _references(tree, skip=None, strings=False):
-    """Names a tree references, leaving out the subtree `skip`."""
+    """Names a tree references, leaving out the subtree `skip`.
+
+    An attribute of a name bound by `import` is a module member, not a
+    use of a class member of the same name: np.zeros does not count.
+    """
+    modules = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
     stack, names = [tree], set()
     while stack:
         node = stack.pop()
@@ -46,7 +56,8 @@ def _references(tree, skip=None, strings=False):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                names.add(node.attr)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
         stack.extend(ast.iter_child_nodes(node))
@@ -84,12 +95,15 @@ def test_scan_finds_an_unreached_function():
             "    @property\n    def size(self):\n        return 0\n"
             "    def grown(self):\n        return self.size + 1\n"
             "    def __len__(self):\n        return 0\n"
+            "    @classmethod\n    def zeros(cls):\n        return cls()\n"
             "def k():\n    pass\n"
             "def _private():\n    pass\n"
         ),
-        "b": ast.parse("from a import g, h\nx = h(g()).grown()\n"),
+        "b": ast.parse(
+            "import numpy as np\nfrom a import g, h\nx = h(g()).grown() + np.zeros(3)\n"
+        ),
     }
     bench = [ast.parse("TARGETS = [('a', 'k', 'span')]\n")]
     # f and h.used reference only themselves; f is otherwise named in
-    # __all__ alone
-    assert _unreached(src, bench) == ["a.f", "a.h.used"]
+    # __all__ alone; np.zeros is numpy's, not h.zeros
+    assert _unreached(src, bench) == ["a.f", "a.h.used", "a.h.zeros"]

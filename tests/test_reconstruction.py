@@ -62,7 +62,7 @@ def _reference_mesh():
 
 def _hypotenuse_field(mesh):
     # the edge joining (1,0) and (0,1) sits opposite vertex (0,0)
-    field = EGField.zeros(mesh)
+    field = EGField(np.zeros((mesh.num_vertices, 2)), np.zeros(mesh.num_edges))
     for e in range(3):
         if set(mesh.edges[e]) == {1, 2}:
             field.edge_values[e] = 1.0

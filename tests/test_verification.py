@@ -57,6 +57,10 @@ BENCH_ORD_NU1E5 = np.array(
 )
 
 
+def _zero_field(mesh):
+    return EGField(np.zeros((mesh.num_vertices, 2)), np.zeros(mesh.num_edges))
+
+
 def _fd_scalar_grad(p, pts, h=1e-5):
     ex = np.array([h, 0.0])
     ey = np.array([0.0, h])
@@ -326,7 +330,7 @@ class TestErrorNorms:
 
     def test_constant_offsets_closed_form(self):
         mesh = build_rect_uniform(3, 3)
-        field = EGField.zeros(mesh)
+        field = _zero_field(mesh)
         field.vertex_values[:, 0] = 3.0
         field.vertex_values[:, 1] = 4.0
         pressure = np.full(mesh.num_triangles, 2.0)
@@ -342,7 +346,7 @@ class TestErrorNorms:
 class TestVelocityNormHelpers:
     def test_norm_of_constant_field(self):
         mesh = build_rect_uniform(3, 3)
-        field = EGField.zeros(mesh)
+        field = _zero_field(mesh)
         field.vertex_values[:, 0] = 3.0
         field.vertex_values[:, 1] = 4.0
         assert velocity_l2_norm(mesh, field) == pytest.approx(5.0, rel=1e-13)
@@ -422,12 +426,12 @@ class TestKinematicPressure:
     def test_zero_velocity_is_identity(self):
         mesh = build_rect_uniform(3, 3)
         p = np.arange(mesh.num_triangles, dtype=float)
-        kin = kinematic_pressure(mesh, EGField.zeros(mesh), p)
+        kin = kinematic_pressure(mesh, _zero_field(mesh), p)
         assert np.array_equal(kin, p)
 
     def test_unit_speed_shifts_by_half(self):
         mesh = build_rect_uniform(3, 3)
-        field = EGField.zeros(mesh)
+        field = _zero_field(mesh)
         field.vertex_values[:, 0] = 1.0
         kin = kinematic_pressure(mesh, field, np.zeros(mesh.num_triangles))
         assert np.abs(kin + 0.5).max() < 1e-14
@@ -447,7 +451,7 @@ class TestKinematicPressure:
 class TestRecirculation:
     def test_uniform_rightward_flow(self):
         mesh = build_rect_uniform(4, 4)
-        field = EGField.zeros(mesh)
+        field = _zero_field(mesh)
         field.vertex_values[:, 0] = 1.0
         hit, mn, reversed_flow = recirculation_detect(
             mesh, field, (0.2, 0.8, 0.2, 0.8)
@@ -458,7 +462,7 @@ class TestRecirculation:
 
     def test_detects_reversed_flow(self):
         mesh = build_rect_uniform(4, 4)
-        field = EGField.zeros(mesh)
+        field = _zero_field(mesh)
         field.vertex_values[:, 0] = 1.0
         inside = np.flatnonzero(
             (mesh.vertices[:, 0] > 0.4) & (mesh.vertices[:, 1] > 0.4)
@@ -473,7 +477,7 @@ class TestRecirculation:
 
     def test_below_threshold_not_flagged(self):
         mesh = build_rect_uniform(4, 4)
-        field = EGField.zeros(mesh)
+        field = _zero_field(mesh)
         field.vertex_values[:, 0] = -5e-4
         hit, _, reversed_flow = recirculation_detect(
             mesh, field, (0.0, 1.0, 0.0, 1.0)
@@ -484,4 +488,4 @@ class TestRecirculation:
     def test_empty_region_rejected(self):
         mesh = build_rect_uniform(4, 4)
         with pytest.raises(VerificationError, match="vertices"):
-            recirculation_detect(mesh, EGField.zeros(mesh), (2.0, 3.0, 2.0, 3.0))
+            recirculation_detect(mesh, _zero_field(mesh), (2.0, 3.0, 2.0, 3.0))
