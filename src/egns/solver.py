@@ -4,12 +4,20 @@ One linear solve works on the divergence-free subspace (see
 egns.nullspace): a particular flux with the prescribed divergence comes
 from a sweep over a dual spanning tree, the divergence-free correction
 from the reduced matrix Z^T A Z over (free v0x, free v0y, stream
-function), factored directly with sparse LU, and the pressures from a
-second tree sweep over the momentum residual.  The reduced matrix has
-no zero block and under half the unknowns of the saddle matrix, and
-pressure robustness holds by construction.  The null space also fixes
-the pressure constant of pure-Dirichlet problems; incompatible boundary
-flux is rejected when the problem's dof map is built.
+function), factored with sparse LU in SuperLU's symmetric mode, and
+the pressures from a second tree sweep over the momentum residual.  The
+reduced matrix has no zero block and under half the unknowns of the
+saddle matrix, and pressure robustness holds by construction.  The null
+space also fixes the pressure constant of pure-Dirichlet problems;
+incompatible boundary flux is rejected when the problem's dof map is
+built.
+
+Symmetric mode orders A + A^T by minimum degree and pivots on the
+diagonal (Li, *ACM TOMS* 31, 2005), which suits the nearly symmetric
+pattern of Z^T A Z: about half the fill of the default column ordering
+with partial pivoting.  With no pivoting a tiny pivot is possible, so a
+factorization that raises or a solve that fails the block-residual check
+is retried once with the default factorization.
 
 Newton is damped by residual decrease (Deuflhard, *Newton Methods for
 Nonlinear Problems*): a step of length lambda, full first, is kept if it
@@ -63,6 +71,10 @@ __all__ = [
 
 _TINY = 1e-300
 
+# the factorization solve_saddle tries first (see above)
+_SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+
 _DECREASE, _MIN_LAMBDA = 1e-4, 1.0 / 64  # damping
 # continuation: first nu from rest, least step in log(nu)
 _NU_START, _MIN_LOG_STEP = 1e-3, 1e-3
@@ -73,7 +85,11 @@ class SolverError(Exception):
 
 
 class SingularSystemError(SolverError):
-    """Factorization hit an exactly singular pivot."""
+    """Factorization hit an exactly singular pivot.
+
+    Raised only when the default, partial-pivoting factorization does; a
+    symmetric-mode one that fails is retried with it first.
+    """
 
 
 class NonConvergenceError(SolverError):
@@ -103,8 +119,9 @@ class SolveReport:
     """One Newton solve, or one trial stage of nu_continuation (with nu).
 
     records holds one dict per iteration: update (relative Newton update),
-    residual (at the kept iterate, NaN if the update test ended the solve)
-    and step (lambda, 0 if the line search failed).
+    residual (at the kept iterate, NaN if the update test ended the solve),
+    step (lambda, 0 if the line search failed) and fallback (whether the
+    iteration's linear solve fell back to the pivoting factorization).
     """
 
     records: list
@@ -119,7 +136,7 @@ class SolveReport:
     def to_log(self):
         lines = [
             f"iter {i}: rel_update {r['update']:.6e} residual {r['residual']:.6e} "
-            f"step {r['step']:g}"
+            f"step {r['step']:g} fallback {r['fallback']}"
             for i, r in enumerate(self.records, 1)
         ]
         lines.append(
@@ -130,7 +147,7 @@ class SolveReport:
 
 
 def solve_saddle(system):
-    """Solve one linearized system, returning (x, pressures).
+    """Solve one linearized system, returning (x, pressures, fallback).
 
     x is the full velocity dof vector.  Its free part is the tree's
     particular flux u_p plus Z psi, where psi solves
@@ -139,33 +156,46 @@ def solve_saddle(system):
     B^T p = A u - rhs_u on the tree edges in the null space's gauge.
     The block residuals of the full system are then required to sit at
     solver precision relative to the data.
+
+    Z^T A Z is factored in SuperLU's symmetric mode first.  fallback is
+    True when that factorization raised or failed the residual check and
+    the default, partial-pivoting one was used instead; only its failure
+    is raised.
     """
     dm, ns = system.dof_map, system.null_space
     A, Z = system.A, ns.Z
     K = (Z.T @ (A @ Z)).tocsc()
+    free = dm.free_indices()
 
-    try:
-        lu = spla.splu(K)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
+    for fallback in (False, True):
+        try:
+            lu = spla.splu(K) if fallback else spla.splu(K, **_SYMMETRIC_MODE)
+        except RuntimeError as exc:
+            if fallback:
+                raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
+            logger.info("symmetric-mode factorization failed (%s); pivoting", exc)
+            continue
 
-    # the solve and one refinement pass.  The velocity takes each
-    # correction in place: rebuilding it from the accumulated psi would
-    # round every flux again at eps |psi| / |e|, a residual floor that
-    # grows with the mesh
-    xf = ns.particular(system.rhs_p)
-    for _ in range(2):
-        xf += Z @ lu.solve(Z.T @ (system.rhs_u - A @ xf))
-    pressure = ns.pressure(A @ xf - system.rhs_u)
+        # the solve and one refinement pass.  The velocity takes each
+        # correction in place: rebuilding it from the accumulated psi would
+        # round every flux again at eps |psi| / |e|, a residual floor that
+        # grows with the mesh
+        xf = ns.particular(system.rhs_p)
+        for _ in range(2):
+            xf += Z @ lu.solve(Z.T @ (system.rhs_u - A @ xf))
+        pressure = ns.pressure(A @ xf - system.rhs_u)
 
-    ru, rp, scale = _block_residuals(system, dm.free_indices(), xf, pressure)
-    # written so that NaN residuals or data fail the check
-    if not (ru <= 1e-10 * scale and rp <= 1e-10 * scale):
-        raise SolverError(
+        ru, rp, scale = _block_residuals(system, free, xf, pressure)
+        # written so that NaN residuals or data fail the check
+        if ru <= 1e-10 * scale and rp <= 1e-10 * scale:
+            return np.where(dm.constrained, dm.values, xf), pressure, fallback
+        message = (
             f"saddle solve residuals too large: momentum {ru:.3e}, "
             f"mass {rp:.3e}, data scale {scale:.3e}"
         )
-    return np.where(dm.constrained, dm.values, xf), pressure
+        if fallback:
+            raise SolverError(message)
+        logger.info("symmetric-mode factorization: %s; pivoting", message)
 
 
 def _block_residuals(system, free, xf, pressure):
@@ -221,12 +251,13 @@ def newton_solve(problem, config=None, initial=None):
         return SolveReport(records, time.perf_counter() - t0, converged)
 
     for it in range(1, config.max_iter + 1):
-        x1, p1 = solve_saddle(system)
+        x1, p1, fallback = solve_saddle(system)
         new = np.concatenate([x1[free], p1])
         rel = float(np.linalg.norm(new - prev)) / max(float(np.linalg.norm(new)), _TINY)
         logger.debug("newton iter %d: rel update %.3e", it, rel)
         if rel < config.rel_tol:
-            records.append({"update": rel, "residual": math.nan, "step": 1.0})
+            records.append({"update": rel, "residual": math.nan, "step": 1.0,
+                            "fallback": fallback})
             return (dm.unpack(x1), p1), report()
 
         lam, xt, pt = 1.0, x1, p1
@@ -237,7 +268,8 @@ def newton_solve(problem, config=None, initial=None):
                 break
             lam /= 2.0
             if lam < _MIN_LAMBDA:
-                records.append({"update": rel, "residual": res, "step": 0.0})
+                records.append({"update": rel, "residual": res, "step": 0.0,
+                                "fallback": fallback})
                 raise NonConvergenceError(
                     f"line search failed at iteration {it}: no step down to "
                     f"lambda = {_MIN_LAMBDA:g} lowers the residual {res:.3e}",
@@ -246,7 +278,8 @@ def newton_solve(problem, config=None, initial=None):
 
         x, p, system, res = xt, pt, trial_system, trial_res
         prev = np.concatenate([x[free], p])
-        records.append({"update": rel, "residual": res, "step": lam})
+        records.append({"update": rel, "residual": res, "step": lam,
+                        "fallback": fallback})
         if res < 1e-2 * config.rel_tol:
             # the fresh iterate already satisfies the nonlinear equations;
             # the next update would be zero

@@ -361,6 +361,10 @@ def case_step(re: float = 100.0, inlet: str = "parabolic") -> FlowCase:
     )
 
 
+# triangles per error_norms pass: its 64-point temporaries stay under 20 MB
+_NORM_BLOCK = 2048
+
+
 def error_norms(
     mesh: Mesh2D,
     solution,
@@ -373,27 +377,32 @@ def error_norms(
 
     ``solution`` is an (EGField, element pressures) pair. The exact fields,
     the velocity gradient in closed form among them, are sampled on the
-    degree-8 rule refined once.
+    degree-8 rule refined once, _NORM_BLOCK triangles at a time.
     """
     fld, p_h = solution
     rule = refined_rule(quadrature_rule(8))
-    X = rule.physical_points(mesh)  # (NT, nq, 2)
     w = rule.weights
-    areas = mesh.areas
+    gradl = element_ops(mesh)["gradl"]
+    p_h = np.asarray(p_h)
 
-    V = fld.vertex_values[mesh.triangles]  # (NT, 3, 2)
-    u0 = np.einsum("qk,tkd->tqd", rule.points, V)
-    du = velocity(X) - u0
-    e_l2 = float(np.sqrt(areas @ np.einsum("q,tqd,tqd->t", w, du, du)))
-
-    ops = element_ops(mesh)
-    g0 = np.einsum("tkd,tke->tde", V, ops["gradl"])  # constant per element
-    dg = velocity_gradient(X) - g0[:, None, :, :]
-    e_h1 = float(np.sqrt(areas @ np.einsum("q,tqde,tqde->t", w, dg, dg)))
-
-    dp = pressure(X) - np.asarray(p_h)[:, None]
-    e_p = float(np.sqrt(areas @ np.einsum("q,tq,tq->t", w, dp, dp)))
-    return e_l2, e_h1, e_p
+    sums = np.zeros(3)
+    for lo in range(0, mesh.num_triangles, _NORM_BLOCK):
+        blk = slice(lo, lo + _NORM_BLOCK)
+        tri = mesh.triangles[blk]
+        X = np.einsum("qk,tkd->tqd", rule.points, mesh.vertices[tri])  # (nb, nq, 2)
+        V = fld.vertex_values[tri]  # (nb, 3, 2)
+        du = velocity(X) - np.einsum("qk,tkd->tqd", rule.points, V)
+        g0 = np.einsum("tkd,tke->tde", V, gradl[blk])  # constant per element
+        dg = velocity_gradient(X) - g0[:, None, :, :]
+        dp = pressure(X) - p_h[blk, None]
+        areas = mesh.areas[blk]
+        sums += (
+            areas @ np.einsum("q,tqd,tqd->t", w, du, du),
+            areas @ np.einsum("q,tqde,tqde->t", w, dg, dg),
+            areas @ np.einsum("q,tq,tq->t", w, dp, dp),
+        )
+    e_l2, e_h1, e_p = np.sqrt(sums)
+    return float(e_l2), float(e_h1), float(e_p)
 
 
 def velocity_l2_norm(mesh: Mesh2D, fld: EGField) -> float:

@@ -8,7 +8,7 @@ It also wraps every entry of egns.cli.COMMANDS and swaps
 egns.cli.ThreadPoolExecutor for a subclass that sees every level of
 ``egns converge``; those seams are checked here too, as is the count of
 ``scipy.sparse.linalg.splu`` calls that the trace reports as
-factorizations."""
+factorizations and the fill of the factor those calls return."""
 
 import ast
 import importlib
@@ -20,7 +20,7 @@ import scipy.sparse.linalg
 import egns.cli
 import egns.solver
 from egns.mesh import build_rect_uniform
-from egns.verification import case_cavity
+from egns.verification import case_cavity, case_vortex_2d
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -108,3 +108,24 @@ def test_one_factorization_per_linear_solve(monkeypatch):
     _, report = egns.solver.newton_solve(problem)
     assert report.iterations >= 2
     assert calls["splu"] == calls["solve_saddle"] == report.iterations
+
+
+def test_symmetric_mode_cuts_the_fill(monkeypatch):
+    # the factor solve_saddle keeps has well under the fill of the default
+    # ordering: options that splu silently ignored would fail here
+    real = scipy.sparse.linalg.splu
+    factors = []
+
+    def capture(K, **kwargs):
+        factors.append((K, real(K, **kwargs)))
+        return factors[-1][1]
+
+    problem = case_vortex_2d(1e-3).problem(build_rect_uniform(32, 32))
+    rest = problem.newton_system(None)
+    system = problem.newton_system(egns.solver.solve_saddle(rest)[0])
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", capture)
+    assert not egns.solver.solve_saddle(system)[2]
+    (K, lu), = factors
+    default = real(K)
+    fill = lu.L.nnz + lu.U.nnz
+    assert fill < 0.7 * (default.L.nnz + default.U.nnz)

@@ -182,14 +182,14 @@ class TestNewtonConfig:
 class TestSolveSaddle:
     def test_rest_state(self):
         prob = _homogeneous_problem(4, 1.0)
-        x, pressure = solve_saddle(prob.newton_system(None))
+        x, pressure, _ = solve_saddle(prob.newton_system(None))
         assert np.abs(x).max() == 0.0
         assert np.abs(pressure).max() == 0.0
 
     def test_pressure_mean_is_zero(self):
         prob = _homogeneous_problem(8, 1.0, f=_smooth_force)
         mesh = prob.mesh
-        _, pressure = solve_saddle(prob.newton_system(None))
+        _, pressure, _ = solve_saddle(prob.newton_system(None))
         pnorm = np.linalg.norm(pressure)
         assert pnorm > 0
         assert abs(mesh.areas @ pressure) <= 1e-12 * pnorm * mesh.areas.sum()
@@ -197,7 +197,7 @@ class TestSolveSaddle:
     def test_block_residuals(self):
         prob = _cavity_problem(8, 0.1)
         system = prob.newton_system(None)
-        x, pressure = solve_saddle(system)
+        x, pressure, _ = solve_saddle(system)
         dm = system.dof_map
         free = dm.free_indices()
         xf = np.where(dm.constrained, 0.0, x)
@@ -212,7 +212,7 @@ class TestSolveSaddle:
     def test_constrained_values_reinserted(self):
         prob = _cavity_problem(4, 1.0)
         system = prob.newton_system(None)
-        x, _ = solve_saddle(system)
+        x, _, _ = solve_saddle(system)
         dm = system.dof_map
         con = dm.constrained
         assert np.array_equal(x[con], dm.values[con])
@@ -231,6 +231,78 @@ class TestSolveSaddle:
             solve_saddle(dataclasses.replace(system, rhs_u=rhs_u))
 
 
+_SPLU = spla.splu  # the real factorization, whatever a test patches in
+
+
+def _route_symmetric_lu(monkeypatch, symmetric, default=_SPLU):
+    """Send solve_saddle's symmetric-mode factorization to symmetric(K) and
+    its default one to default(K)."""
+
+    def splu(K, **kwargs):
+        if kwargs.get("options", {}).get("SymmetricMode"):
+            return symmetric(K)
+        assert not kwargs
+        return default(K)
+
+    monkeypatch.setattr(spla, "splu", splu)
+
+
+def _raise_runtime(K):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _factor_of_doubled(K):
+    # the solve and one refinement pass leave a quarter of the data
+    return _SPLU(2.0 * K)
+
+
+class TestFallback:
+    """The pivoting factorization stands in when the symmetric one fails."""
+
+    @staticmethod
+    def _system():
+        prob = _cavity_problem(8, 0.05)
+        return prob.newton_system(solve_saddle(prob.newton_system(None))[0])
+
+    @pytest.mark.parametrize("symmetric", [_raise_runtime, _factor_of_doubled])
+    def test_fallback_matches_default_factorization(self, monkeypatch, symmetric):
+        system = self._system()
+        with monkeypatch.context() as m:
+            _route_symmetric_lu(m, _SPLU)  # the default factorization, first try
+            x_ref, p_ref, fell_back = solve_saddle(system)
+        assert not fell_back
+        _route_symmetric_lu(monkeypatch, symmetric)
+        x, pressure, fell_back = solve_saddle(system)
+        assert fell_back
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(pressure, p_ref)
+
+    @pytest.mark.parametrize(
+        "failing, error, match",
+        [
+            (_raise_runtime, SingularSystemError, "sparse factorization failed"),
+            (_factor_of_doubled, SolverError, "saddle solve residuals too large"),
+        ],
+    )
+    def test_both_failing_raise_as_the_default_alone(
+        self, monkeypatch, failing, error, match
+    ):
+        system = self._system()
+        _route_symmetric_lu(monkeypatch, failing, failing)
+        with pytest.raises(error, match=match) as ei:
+            solve_saddle(system)
+        if error is SolverError:
+            assert not isinstance(ei.value, SingularSystemError)
+
+    def test_records_fallback_per_iteration(self, monkeypatch):
+        prob = case_vortex_2d(1.0).problem(build_rect_uniform(16, 16))
+        _, report = newton_solve(prob)
+        assert [r["fallback"] for r in report.records] == [False] * report.iterations
+        _route_symmetric_lu(monkeypatch, _raise_runtime)
+        _, report = newton_solve(prob)
+        assert [r["fallback"] for r in report.records] == [True] * report.iterations
+
+
 class TestNullSpaceSolve:
     """The null-space solve against the saddle-point oracle."""
 
@@ -247,7 +319,7 @@ class TestNullSpaceSolve:
         assert np.array_equal(rest.A.toarray(), zero.A.toarray())
         assert np.array_equal(rest.rhs_u, zero.rhs_u)
         system = prob.newton_system(solve_saddle(rest)[0])
-        u, pressure = solve_saddle(system)
+        u, pressure, _ = solve_saddle(system)
         ref_u, ref_pressure = _saddle_oracle(system, prob.mesh)
         dp = np.linalg.norm(pressure - ref_pressure)
         assert dp <= 1e-10 * np.linalg.norm(ref_pressure)
@@ -360,7 +432,8 @@ class TestNewtonSolve:
         (field, pressure), report = newton_solve(prob)
         assert report.records[-1]["update"] < 1e-7
         assert report.iterations >= 2
-        assert all(set(r) == {"update", "residual", "step"} for r in report.records)
+        keys = {"update", "residual", "step", "fallback"}
+        assert all(set(r) == keys for r in report.records)
         assert report.wall_time > 0
 
     def test_superlinear_update_decay(self):
@@ -435,6 +508,7 @@ class TestNewtonSolve:
         lines = log.strip().splitlines()
         assert len(lines) == report.iterations + 1
         assert "1" in lines[0]
+        assert all(line.endswith(" fallback False") for line in lines[:-1])
 
     def test_per_iteration_records_match_history(self):
         _, report = newton_solve(_cavity_problem(6, 0.1))

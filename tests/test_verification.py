@@ -12,9 +12,11 @@ from egns.mesh import (
     TAG_TOP,
     build_rect_uniform,
 )
-from egns.eg_space import EGField, interpolate
+from egns.eg_space import EGField, element_ops, interpolate
+from egns.quadrature import quadrature_rule, refined_rule
 from egns.solver import solve_saddle
 from egns.verification import (
+    _NORM_BLOCK,
     FlowCase,
     VerificationError,
     case_cavity,
@@ -165,7 +167,7 @@ class TestVortexCase:
         prob = case.problem(build_rect_uniform(4, 4))
         system = prob.newton_system(None)
         assert system.null_space.closed
-        _, p = solve_saddle(system)
+        _, p, _ = solve_saddle(system)
         assert abs(prob.mesh.areas @ p) <= 1e-14 * np.abs(p).max()
         assert prob.nu == 1.0
 
@@ -341,6 +343,33 @@ class TestErrorNorms:
         assert e2 == pytest.approx(5.0, rel=1e-13)  # sqrt(3^2+4^2) on unit area
         assert e1 < 1e-13
         assert ep == pytest.approx(2.0, rel=1e-13)
+
+    def test_blocked_sums_match_one_shot_oracle(self):
+        # one full block of triangles plus a partial last one
+        mesh = build_rect_uniform(40, 40)
+        assert _NORM_BLOCK < mesh.num_triangles < 2 * _NORM_BLOCK
+        case = case_vortex_2d(1.0)
+        rng = np.random.default_rng(7)
+        field = interpolate(mesh, case.velocity)
+        field.vertex_values += 1e-3 * rng.standard_normal(field.vertex_values.shape)
+        pressure = rng.standard_normal(mesh.num_triangles)
+        exact = (case.velocity, case.pressure, case.velocity_gradient)
+
+        # the unblocked sums over every triangle at once
+        rule = refined_rule(quadrature_rule(8))
+        X, w = rule.physical_points(mesh), rule.weights
+        V = field.vertex_values[mesh.triangles]
+        du = case.velocity(X) - np.einsum("qk,tkd->tqd", rule.points, V)
+        g0 = np.einsum("tkd,tke->tde", V, element_ops(mesh)["gradl"])
+        dg = case.velocity_gradient(X) - g0[:, None]
+        dp = case.pressure(X) - pressure[:, None]
+        oracle = [
+            np.sqrt(mesh.areas @ np.einsum(spec, w, d, d))
+            for spec, d in (("q,tqd,tqd->t", du), ("q,tqde,tqde->t", dg),
+                            ("q,tq,tq->t", dp))
+        ]
+        got = error_norms(mesh, (field, pressure), *exact)
+        assert got == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
 class TestVelocityNormHelpers:
