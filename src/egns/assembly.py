@@ -73,6 +73,10 @@ def assemble_viscous(mesh, nu):
     """
     if nu <= 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
+    return nu * _viscous_unit(mesh)
+
+
+def _viscous_unit(mesh):
     cache = mesh._cache
     if "viscous_unit" not in cache:
         ops = element_ops(mesh)
@@ -85,7 +89,7 @@ def assemble_viscous(mesh, nu):
         cache["viscous_unit"] = sp.coo_matrix(
             (K.ravel(), (rows, cols)), shape=(n, n)
         ).tocsr()
-    return nu * cache["viscous_unit"]
+    return cache["viscous_unit"]
 
 
 def assemble_divergence(mesh):
@@ -130,14 +134,8 @@ def assemble_convection_newton(mesh, x):
     """
     ops = element_ops(mesh)
     M = _convection_geometry(mesh)
-    l2g = ops["l2g"]
-    dofs = x[l2g]
-    omega = np.einsum("tj,tj->t", ops["curl"], dofs[:, :6])
-    ub = dofs[:, 6:]
-    mtu = np.einsum("tkl,tk->tl", M, ub)
-
-    edge_g = l2g[:, 6:]
-    vert_g = l2g[:, :6]
+    omega, mtu, r = _convection_value(mesh, x)
+    edge_g, vert_g = ops["l2g"][:, 6:], ops["l2g"][:, :6]
     n = _total_dofs(mesh)
 
     data1 = (omega[:, None, None] * np.swapaxes(M, 1, 2)).ravel()
@@ -155,10 +153,18 @@ def assemble_convection_newton(mesh, x):
         ),
         shape=(n, n),
     ).tocsr()
-
-    r = np.zeros(n)
-    np.add.at(r, edge_g.ravel(), (omega[:, None] * mtu).ravel())
     return C, r
+
+
+def _convection_value(mesh, x):
+    """The elementwise curl omega and M^T u_b at x, and the value terms r."""
+    ops = element_ops(mesh)
+    dofs = x[ops["l2g"]]
+    omega = np.einsum("tj,tj->t", ops["curl"], dofs[:, :6])
+    mtu = np.einsum("tkl,tk->tl", _convection_geometry(mesh), dofs[:, 6:])
+    r = np.zeros(_total_dofs(mesh))
+    np.add.at(r, ops["l2g"][:, 6:].ravel(), (omega[:, None] * mtu).ravel())
+    return omega, mtu, r
 
 
 def assemble_load(mesh, f):
@@ -188,16 +194,9 @@ def assemble_neumann(mesh, tags, x):
     """
     nv = mesh.num_vertices
     n = _total_dofs(mesh)
-    vec = np.zeros(n)
-    be = mesh.boundary_edge_indices
-    sel = be[np.isin(mesh.boundary_tags[be], tags)]
-
-    a = mesh.edges[sel, 0]
-    b = mesh.edges[sel, 1]
+    sel, Ua, Ub, vec = _neumann_value(mesh, tags, x)
+    a, b = mesh.edges[sel].T
     L = mesh.edge_lengths[sel]
-    rows_e = 2 * nv + sel
-    Ua = np.column_stack([x[a], x[nv + a]])
-    Ub = np.column_stack([x[b], x[nv + b]])
 
     # exact edge integrals of (linear trace) x (hat function)
     data = np.concatenate(
@@ -208,14 +207,24 @@ def assemble_neumann(mesh, tags, x):
             L * (Ua[:, 1] / 6 + Ub[:, 1] / 3),
         ]
     )
-    rows = np.tile(rows_e, 4)
+    rows = np.tile(2 * nv + sel, 4)
     cols = np.concatenate([a, b, nv + a, nv + b])
-    D = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr(), vec
 
+
+def _neumann_value(mesh, tags, x):
+    """The tagged edges, the velocity at both their ends and the value terms."""
+    nv = mesh.num_vertices
+    be = mesh.boundary_edge_indices
+    sel = be[np.isin(mesh.boundary_tags[be], tags)]
+    a, b = mesh.edges[sel].T
+    Ua = np.column_stack([x[a], x[nv + a]])
+    Ub = np.column_stack([x[b], x[nv + b]])
     # value of the quadratic form: half the edge integral of |trace|^2
     quad = ((Ua * Ua).sum(1) + (Ua * Ub).sum(1) + (Ub * Ub).sum(1)) / 3.0
-    np.add.at(vec, rows_e, 0.5 * L * quad)
-    return D, vec
+    vec = np.zeros(_total_dofs(mesh))
+    np.add.at(vec, 2 * nv + sel, 0.5 * mesh.edge_lengths[sel] * quad)
+    return sel, Ua, Ub, vec
 
 
 def dirichlet_dof_map(mesh, bcs):
@@ -337,6 +346,32 @@ class SteadyProblem:
     def null_space(self):
         """The divergence-free basis and the dual spanning tree."""
         return null_space(self.mesh, self.dof_map)
+
+    def residual(self, x, pressure=None):
+        """Residuals of newton_system(x) at (x, pressure), no matrix assembled.
+
+        Returns (pressure, ru, rp, rhs_u, rhs_p): the momentum residual
+        A x - B^T pressure - rhs_u on all rows, the mass residual and the
+        system's right-hand sides.  C(x) x = 2 r(x) and D(x) x = 2 vec_N(x)
+        for the value terms r and vec_N, so with the Dirichlet values v
+            A x - rhs_u = nu V x + (r + vec_N)(x) - load,
+            rhs_u = load - nu V v + (r + vec_N)(x - v) - (r + vec_N)(v).
+        pressure None zeroes the momentum residual on the null space's tree
+        edges.  At x None, rest, the value terms vanish.
+        """
+        mesh, v, rest = self.mesh, self.dof_map.values, x is None
+
+        def values(y):  # r + vec_N
+            return 0.0 if rest else (_convection_value(mesh, y)[2]
+                                     + _neumann_value(mesh, self.neumann_tags, y)[3])
+
+        x = v if rest else x
+        V, B = _viscous_unit(mesh), assemble_divergence(mesh)
+        ru = self.nu * (V @ x) + values(x) - self.load_vector
+        rhs_u = self.load_vector - self.nu * (V @ v) + values(x - v) - values(v)
+        if pressure is None:
+            pressure = self.null_space.pressure(ru)
+        return pressure, ru - B.T @ pressure, B @ x, rhs_u, -(B @ v)
 
     def newton_system(self, x):
         """Assemble the saddle system linearized at the full dof vector x.

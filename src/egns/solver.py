@@ -22,12 +22,19 @@ is retried once with the default factorization.
 Newton is damped by residual decrease (Deuflhard, *Newton Methods for
 Nonlinear Problems*): a step of length lambda, full first, is kept if it
 lowers the nonlinear residual by the fraction 1e-4 lambda, else lambda is
-halved down to 1/64.  A trial step costs one assembly, no factorization.
+halved down to 1/64.  The residual F comes from vectors alone
+(SteadyProblem.residual), so a trial step assembles no matrix.  After a
+full step the last LU gives the simplified Newton correction
+Z LU^-1 Z^T F(x) and the contraction theta, its norm over the step's.
+While theta <= 1/4 that chord step is the next iteration, its pressure
+fitted to the new velocity on the tree edges, if it passes the decrease
+test at lambda = 1; otherwise the LU is dropped before the system is
+assembled and factored again, so one assembly serves each factorization.
 
 Convergence is declared when the relative update of the stacked free
-velocity/pressure vector drops below the tolerance, or when the assembled
-nonlinear residual at the new iterate is already at solver precision.  The
-second test is what lets linear problems finish in one iteration.
+velocity/pressure vector drops below the tolerance, or when the nonlinear
+residual at the new iterate is already at solver precision.  The second
+test is what lets linear problems finish in one iteration.
 
 The Newton iterate is (x, p), x the velocity dof vector [v0x | v0y | edge]
 holding the Dirichlet values on its constrained entries, as solve_saddle
@@ -40,8 +47,8 @@ that fails, up to nu = 1, so a target at or above 1e-3 that converges
 from rest is one plain Newton solve.  Each later trial first goes the
 whole remaining way.  A failed trial is retried from the last converged
 state with the smaller of half its step and the last accepted step,
-doubled if that stage took at most 2 Newton iterations.  Every stage
-runs up to the configured max_iter.
+doubled if that stage took at most 2 factorizations.  Every stage runs
+up to the configured max_iter.
 """
 
 from __future__ import annotations
@@ -75,7 +82,8 @@ _TINY = 1e-300
 _SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
 
-_DECREASE, _MIN_LAMBDA = 1e-4, 1.0 / 64  # damping
+# damping; the largest contraction theta at which the last LU is reused
+_DECREASE, _MIN_LAMBDA, _THETA_MAX = 1e-4, 1.0 / 64, 0.25
 # continuation: first nu from rest, least step in log(nu)
 _NU_START, _MIN_LOG_STEP = 1e-3, 1e-3
 
@@ -120,8 +128,9 @@ class SolveReport:
 
     records holds one dict per iteration: update (relative Newton update),
     residual (at the kept iterate, NaN if the update test ended the solve),
-    step (lambda, 0 if the line search failed) and fallback (whether the
-    iteration's linear solve fell back to the pivoting factorization).
+    step (lambda, 0 if the line search failed), fallback (the LU it used is
+    the pivoting one), factored (False for a chord step with the last LU)
+    and theta (contraction estimate of its step, NaN where not computed).
     """
 
     records: list
@@ -133,10 +142,15 @@ class SolveReport:
     def iterations(self):
         return len(self.records)
 
+    @property
+    def factorizations(self):
+        return sum(r["factored"] for r in self.records)
+
     def to_log(self):
         lines = [
             f"iter {i}: rel_update {r['update']:.6e} residual {r['residual']:.6e} "
-            f"step {r['step']:g} fallback {r['fallback']}"
+            f"step {r['step']:g} fallback {r['fallback']} "
+            f"factored {r['factored']} theta {r['theta']:.3e}"
             for i, r in enumerate(self.records, 1)
         ]
         lines.append(
@@ -147,7 +161,7 @@ class SolveReport:
 
 
 def solve_saddle(system):
-    """Solve one linearized system, returning (x, pressures, fallback).
+    """Solve one linearized system, returning (x, pressures, fallback, lu).
 
     x is the full velocity dof vector.  Its free part is the tree's
     particular flux u_p plus Z psi, where psi solves
@@ -160,7 +174,7 @@ def solve_saddle(system):
     Z^T A Z is factored in SuperLU's symmetric mode first.  fallback is
     True when that factorization raised or failed the residual check and
     the default, partial-pivoting one was used instead; only its failure
-    is raised.
+    is raised, or the first one's on non-finite data.  lu is the LU used.
     """
     dm, ns = system.dof_map, system.null_space
     A, Z = system.A, ns.Z
@@ -188,12 +202,12 @@ def solve_saddle(system):
         ru, rp, scale = _block_residuals(system, free, xf, pressure)
         # written so that NaN residuals or data fail the check
         if ru <= 1e-10 * scale and rp <= 1e-10 * scale:
-            return np.where(dm.constrained, dm.values, xf), pressure, fallback
+            return np.where(dm.constrained, dm.values, xf), pressure, fallback, lu
         message = (
             f"saddle solve residuals too large: momentum {ru:.3e}, "
             f"mass {rp:.3e}, data scale {scale:.3e}"
         )
-        if fallback:
+        if fallback or not math.isfinite(scale):  # no factorization mends the data
             raise SolverError(message)
         logger.info("symmetric-mode factorization: %s; pivoting", message)
 
@@ -205,85 +219,94 @@ def _block_residuals(system, free, xf, pressure):
     whose data the right-hand sides already carry.  The momentum residual
     is taken on the free rows.
     """
-    ru = (system.A @ xf - system.B.T @ pressure - system.rhs_u)[free]
-    rp = system.B @ xf - system.rhs_p
-    scale = max(
-        float(np.linalg.norm(system.rhs_u[free])),
-        float(np.linalg.norm(system.rhs_p)),
-        _TINY,
-    )
-    return float(np.linalg.norm(ru)), float(np.linalg.norm(rp)), scale
+    return _norms(free, system.A @ xf - system.B.T @ pressure - system.rhs_u,
+                  system.B @ xf - system.rhs_p, system.rhs_u, system.rhs_p)
 
 
-def _nonlinear_residual(system, x, pressure):
-    """Relative residual of the discrete equations at the state (x, pressure).
+def _norms(free, ru, rp, rhs_u, rhs_p):
+    norm = lambda v: float(np.linalg.norm(v))
+    return norm(ru[free]), norm(rp), max(norm(rhs_u[free]), norm(rhs_p), _TINY)
 
-    Valid when the system was assembled at that same x: the Newton value
-    terms on the right cancel the linearization overshoot exactly.
-    """
-    dm = system.dof_map
-    xf = np.where(dm.constrained, 0.0, x)
-    ru, rp, scale = _block_residuals(system, dm.free_indices(), xf, pressure)
-    return max(ru, rp) / scale
+
+def _nonlinear_residual(problem, x, pressure=None):
+    """(pressure, momentum residual, relative residual) at (x, pressure): as
+    _block_residuals on newton_system(x), but from problem.residual."""
+    pressure, ru, rp, rhs_u, rhs_p = problem.residual(x, pressure)
+    nru, nrp, scale = _norms(problem.dof_map.free_indices(), ru, rp, rhs_u, rhs_p)
+    return pressure, ru, max(nru, nrp) / scale
 
 
 def newton_solve(problem, config=None, initial=None):
     """Run the damped Newton loop on a steady problem from rest or a warm start.
 
-    problem only needs newton_system(x), the saddle system linearized at
-    the velocity dof vector x (None = zero velocity).  initial, packed on
-    entry, and the result are (velocity field, pressure) pairs; returns
-    (result, report).  Raises NonConvergenceError with the best iterate
-    attached if the iteration budget runs out or the line search fails.
+    problem needs newton_system(x), the saddle system linearized at the
+    velocity dof vector x (None = zero velocity), residual(x, pressure),
+    dof_map and null_space.  initial, packed on entry, and the result are
+    (velocity field, pressure) pairs; returns (result, report).  Raises
+    NonConvergenceError with the best iterate attached if the iteration
+    budget runs out or the line search fails.
     """
     config = config or NewtonConfig()
     t0 = time.perf_counter()
-    x, p = (None, None) if initial is None else (DofMap.pack(initial[0]), initial[1])
-    system = problem.newton_system(x)
-    dm = system.dof_map
+    dm, Z = problem.dof_map, problem.null_space.Z
     free = dm.free_indices()
-    if x is None:  # rest: the Dirichlet data on the constrained entries, zero elsewhere
-        x, p = dm.values, np.zeros(system.B.shape[0])
-    prev, res = np.concatenate([x[free], p]), _nonlinear_residual(system, x, p)
-    records = []
+    x, p = ((None, np.zeros(problem.mesh.num_triangles)) if initial is None
+            else (DofMap.pack(initial[0]), initial[1]))
+    res = _nonlinear_residual(problem, x, p)[2]
+    x = dm.values if x is None else x  # rest: the Dirichlet data, zero elsewhere
+    prev, records, lu = np.concatenate([x[free], p]), [], None
 
     def report(converged=True):
         return SolveReport(records, time.perf_counter() - t0, converged)
 
-    for it in range(1, config.max_iter + 1):
-        x1, p1, fallback = solve_saddle(system)
+    while len(records) < config.max_iter:
+        factored = lu is None
+        if factored:  # the last LU is gone before the next assembly
+            rest = initial is None and not records  # linearized at zero velocity
+            x1, p1, fallback, lu = solve_saddle(problem.newton_system(None if rest else x))
+        else:  # simplified Newton: the chord step found with the last LU
+            x1 = x + chord
+            p1, ru1, res1 = _nonlinear_residual(problem, x1)
         new = np.concatenate([x1[free], p1])
         rel = float(np.linalg.norm(new - prev)) / max(float(np.linalg.norm(new)), _TINY)
-        logger.debug("newton iter %d: rel update %.3e", it, rel)
+        logger.debug("newton iter %d: rel update %.3e", len(records) + 1, rel)
+        record = {"update": rel, "residual": math.nan, "step": 1.0,
+                  "fallback": fallback, "factored": factored, "theta": math.nan}
         if rel < config.rel_tol:
-            records.append({"update": rel, "residual": math.nan, "step": 1.0,
-                            "fallback": fallback})
+            records.append(record)
             return (dm.unpack(x1), p1), report()
 
         lam, xt, pt = 1.0, x1, p1
-        while True:
-            trial_system = problem.newton_system(xt)
-            trial_res = _nonlinear_residual(trial_system, xt, pt)
-            if trial_res <= (1.0 - _DECREASE * lam) * res:  # False for NaN
+        while factored:
+            ru1, res1 = _nonlinear_residual(problem, xt, pt)[1:]
+            if res1 <= (1.0 - _DECREASE * lam) * res:  # False for NaN
                 break
             lam /= 2.0
             if lam < _MIN_LAMBDA:
-                records.append({"update": rel, "residual": res, "step": 0.0,
-                                "fallback": fallback})
+                records.append({**record, "residual": res, "step": 0.0})
                 raise NonConvergenceError(
-                    f"line search failed at iteration {it}: no step down to "
-                    f"lambda = {_MIN_LAMBDA:g} lowers the residual {res:.3e}",
+                    f"line search failed at iteration {len(records)}: no step down "
+                    f"to lambda = {_MIN_LAMBDA:g} lowers the residual {res:.3e}",
                     best=(dm.unpack(x), p), report=report(converged=False))
             xt, pt = x + lam * (x1 - x), p + lam * (p1 - p)
+        if not (factored or res1 <= (1.0 - _DECREASE) * res):
+            lu = None  # the chord step does not lower the residual: factor at x
+            continue
 
-        x, p, system, res = xt, pt, trial_system, trial_res
+        x_old, x, p, res = x, xt, pt, res1
         prev = np.concatenate([x[free], p])
-        records.append({"update": rel, "residual": res, "step": lam,
-                        "fallback": fallback})
+        record.update(residual=res, step=lam)
+        records.append(record)
         if res < 1e-2 * config.rel_tol:
             # the fresh iterate already satisfies the nonlinear equations;
             # the next update would be zero
             return (dm.unpack(x), p), report()
+        if lam == 1.0:  # the chord step from the same LU, and its contraction
+            chord = Z @ lu.solve(Z.T @ -ru1)
+            record["theta"] = float(np.linalg.norm(chord)) / max(
+                float(np.linalg.norm(x - x_old)), _TINY)
+        if not record["theta"] <= _THETA_MAX:  # also when damped: theta is NaN
+            lu = None
 
     raise NonConvergenceError(
         f"no convergence after {config.max_iter} iterations "
@@ -343,7 +366,7 @@ def nu_continuation(factory, nu, config=None):
         new_state, failure = trial(trial_nu, state)
         if new_state is not None:
             state, current = new_state, trial_nu
-            controlled = 2.0 * step if reports[-1].iterations <= 2 else step
+            controlled = 2.0 * step if reports[-1].factorizations <= 2 else step
             step = math.inf
         else:
             step = controlled = min(controlled, step / 2.0)

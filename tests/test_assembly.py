@@ -447,7 +447,7 @@ class TestSteadyProblem:
         sys0 = prob.newton_system(None)
         assert sys0.null_space.closed
         assert np.array_equal(sys0.null_space.areas, mesh.areas)
-        _, p, _ = solve_saddle(sys0)
+        _, p, _, _ = solve_saddle(sys0)
         assert np.abs(p).max() > 1e-3
         assert abs(mesh.areas @ p) <= 1e-14 * np.abs(p).max()
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -157,6 +158,15 @@ def _layout(name, nu):
 LAYOUTS = ["vortex", "step", "cavity_f1", "cavity_f2", "noflow", "channel", "hole"]
 
 
+def _assembled_residual(problem, x, pressure):
+    """The relative residual at (x, pressure) on the assembled newton_system(x)."""
+    system = problem.newton_system(x)
+    dm = system.dof_map
+    xf = np.where(dm.constrained, 0.0, x)
+    ru, rp, scale = egns.solver._block_residuals(system, dm.free_indices(), xf, pressure)
+    return max(ru, rp) / scale
+
+
 def _l2_force_norm(mesh, f):
     rule = refined_rule(quadrature_rule(8))
     X = rule.physical_points(mesh)
@@ -182,14 +192,14 @@ class TestNewtonConfig:
 class TestSolveSaddle:
     def test_rest_state(self):
         prob = _homogeneous_problem(4, 1.0)
-        x, pressure, _ = solve_saddle(prob.newton_system(None))
+        x, pressure, _, _ = solve_saddle(prob.newton_system(None))
         assert np.abs(x).max() == 0.0
         assert np.abs(pressure).max() == 0.0
 
     def test_pressure_mean_is_zero(self):
         prob = _homogeneous_problem(8, 1.0, f=_smooth_force)
         mesh = prob.mesh
-        _, pressure, _ = solve_saddle(prob.newton_system(None))
+        _, pressure, _, _ = solve_saddle(prob.newton_system(None))
         pnorm = np.linalg.norm(pressure)
         assert pnorm > 0
         assert abs(mesh.areas @ pressure) <= 1e-12 * pnorm * mesh.areas.sum()
@@ -197,7 +207,7 @@ class TestSolveSaddle:
     def test_block_residuals(self):
         prob = _cavity_problem(8, 0.1)
         system = prob.newton_system(None)
-        x, pressure, _ = solve_saddle(system)
+        x, pressure, _, _ = solve_saddle(system)
         dm = system.dof_map
         free = dm.free_indices()
         xf = np.where(dm.constrained, 0.0, x)
@@ -212,7 +222,7 @@ class TestSolveSaddle:
     def test_constrained_values_reinserted(self):
         prob = _cavity_problem(4, 1.0)
         system = prob.newton_system(None)
-        x, _, _ = solve_saddle(system)
+        x, _, _, _ = solve_saddle(system)
         dm = system.dof_map
         con = dm.constrained
         assert np.array_equal(x[con], dm.values[con])
@@ -223,12 +233,17 @@ class TestSolveSaddle:
         with pytest.raises(SingularSystemError):
             solve_saddle(broken)
 
-    def test_non_finite_data_fails_residual_check(self):
+    def test_non_finite_data_fails_residual_check(self, monkeypatch):
         system = _cavity_problem(4, 1.0).newton_system(None)
         rhs_u = system.rhs_u.copy()
         rhs_u[system.dof_map.free_indices()[0]] = np.nan
+        factorizations = []
+        monkeypatch.setattr(spla, "splu", lambda K, **kw: factorizations.append(1)
+                            or _SPLU(K, **kw))
         with pytest.raises(SolverError, match="residuals"):
             solve_saddle(dataclasses.replace(system, rhs_u=rhs_u))
+        # no factorization mends NaN data: the pivoting one is not tried
+        assert factorizations == [1]
 
 
 _SPLU = spla.splu  # the real factorization, whatever a test patches in
@@ -269,10 +284,10 @@ class TestFallback:
         system = self._system()
         with monkeypatch.context() as m:
             _route_symmetric_lu(m, _SPLU)  # the default factorization, first try
-            x_ref, p_ref, fell_back = solve_saddle(system)
+            x_ref, p_ref, fell_back, _ = solve_saddle(system)
         assert not fell_back
         _route_symmetric_lu(monkeypatch, symmetric)
-        x, pressure, fell_back = solve_saddle(system)
+        x, pressure, fell_back, _ = solve_saddle(system)
         assert fell_back
         assert np.array_equal(x, x_ref)
         assert np.array_equal(pressure, p_ref)
@@ -319,7 +334,7 @@ class TestNullSpaceSolve:
         assert np.array_equal(rest.A.toarray(), zero.A.toarray())
         assert np.array_equal(rest.rhs_u, zero.rhs_u)
         system = prob.newton_system(solve_saddle(rest)[0])
-        u, pressure, _ = solve_saddle(system)
+        u, pressure, _, _ = solve_saddle(system)
         ref_u, ref_pressure = _saddle_oracle(system, prob.mesh)
         dp = np.linalg.norm(pressure - ref_pressure)
         assert dp <= 1e-10 * np.linalg.norm(ref_pressure)
@@ -371,6 +386,36 @@ class TestNullSpaceSolve:
         p = np.random.default_rng(0).standard_normal(B.shape[0])
         assert np.abs(B @ ns.particular(p) - p).max() <= 1e-12
         assert np.abs(ns.pressure(B.T @ p) - p).max() <= 1e-12
+
+
+class TestMatrixFreeResidual:
+    """problem.residual against the block residuals of newton_system(x)."""
+
+    @pytest.mark.parametrize("name", ["vortex", "cavity_f1", "step", "hole"])
+    def test_matches_assembled_system(self, name):
+        prob = _layout(name, 1e-2)
+        dm, nt = prob.dof_map, prob.mesh.num_triangles
+        free = dm.free_indices()
+        rng = np.random.default_rng(0)
+        x1, p1 = solve_saddle(prob.newton_system(None))[:2]
+        noisy = np.where(dm.constrained, dm.values, x1 + rng.standard_normal(dm.total))
+        # rest, the first Newton iterate, and a state off both equations
+        for x, p in [(None, np.zeros(nt)), (x1, p1), (noisy, rng.standard_normal(nt))]:
+            system = prob.newton_system(x)
+            xf = np.where(dm.constrained, 0.0, dm.values if x is None else x)
+            ru, rp, scale = egns.solver._block_residuals(system, free, xf, p)
+            pressure, *vectors = prob.residual(x, p)
+            got_ru, got_rp, got_scale = egns.solver._norms(free, *vectors)
+            assert pressure is p
+            assert got_scale == pytest.approx(scale, rel=1e-12, abs=0)
+            assert got_ru == pytest.approx(ru, rel=1e-12, abs=0)
+            assert abs(got_rp - rp) <= 1e-12 * max(rp, scale)
+            assert egns.solver._nonlinear_residual(prob, x, p)[2] == pytest.approx(
+                max(ru, rp) / scale, rel=1e-12, abs=0)
+            # without a pressure, the one solve_saddle would take at x
+            fitted = prob.null_space.pressure(system.A @ xf - system.rhs_u)
+            got = prob.residual(x)[0]
+            assert np.linalg.norm(got - fitted) <= 1e-12 * np.linalg.norm(fitted)
 
 
 class TestNewtonSolve:
@@ -432,25 +477,67 @@ class TestNewtonSolve:
         (field, pressure), report = newton_solve(prob)
         assert report.records[-1]["update"] < 1e-7
         assert report.iterations >= 2
-        keys = {"update", "residual", "step", "fallback"}
+        keys = {"update", "residual", "step", "fallback", "factored", "theta"}
         assert all(set(r) == keys for r in report.records)
+        # the first iteration factors; later ones reuse its LU while theta,
+        # computed after each full step, stays at or below 1/4
+        assert report.records[0]["factored"]
+        for r, nxt in zip(report.records, report.records[1:]):
+            assert nxt["factored"] == (not r["theta"] <= 0.25)
+        assert 1 <= report.factorizations < report.iterations
         assert report.wall_time > 0
 
     def test_superlinear_update_decay(self):
+        # a Newton step leaves a residual quadratic in its update, so the
+        # next update, chord or Newton, is superlinearly smaller.  Only
+        # factored records start a pair: a chord step contracts linearly
         prob = _homogeneous_problem(
-            8, 0.1, f=lambda xy: 20.0 * _smooth_force(xy)
+            8, 0.05, f=lambda xy: 100.0 * _smooth_force(xy)
         )
         _, report = newton_solve(prob)
         assert report.iterations >= 3
-        updates = [r["update"] for r in report.records]
+        records = report.records
         tail = [
-            (a, b)
-            for a, b in zip(updates, updates[1:])
-            if 1e-10 < a < 1e-2
+            (a["update"], b["update"])
+            for a, b in zip(records, records[1:])
+            if a["factored"] and 1e-10 < a["update"] < 1e-2
         ]
         assert tail, "no history pairs in the superlinear window"
         for a, b in tail:
             assert b < a**1.5
+
+    def test_chord_end_state_solves_the_assembled_equations(self):
+        prob = case_vortex_2d(1.0).problem(build_rect_uniform(16, 16))
+        config = NewtonConfig()
+        (field, pressure), report = newton_solve(prob, config)
+        assert not report.records[-1]["factored"]
+        x = DofMap.pack(field)
+        assert _assembled_residual(prob, x, pressure) < 1e-2 * config.rel_tol
+
+    def test_no_lu_alive_during_assembly(self, monkeypatch):
+        lus, assembled = [], []
+
+        class TrackedLU:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        def splu(K, **kwargs):
+            lus.append(TrackedLU(_SPLU(K, **kwargs)))
+            tracked, lus[-1] = lus[-1], weakref.ref(lus[-1])
+            return tracked
+
+        prob = _cavity_problem(8, 0.005)
+        real = prob.newton_system
+
+        def newton_system(x):
+            assert all(ref() is None for ref in lus)
+            assembled.append(1)
+            return real(x)
+
+        monkeypatch.setattr(spla, "splu", splu)
+        monkeypatch.setattr(prob, "newton_system", newton_system)
+        _, report = newton_solve(prob)
+        assert len(assembled) == len(lus) == report.factorizations >= 2
 
     def test_determinism(self):
         r1 = newton_solve(_cavity_problem(6, 0.1))
@@ -508,7 +595,9 @@ class TestNewtonSolve:
         lines = log.strip().splitlines()
         assert len(lines) == report.iterations + 1
         assert "1" in lines[0]
-        assert all(line.endswith(" fallback False") for line in lines[:-1])
+        assert all(" fallback False factored " in line for line in lines[:-1])
+        assert lines[0].endswith(f"factored True theta {report.records[0]['theta']:.3e}")
+        assert lines[-2].endswith("theta nan")
 
     def test_per_iteration_records_match_history(self):
         _, report = newton_solve(_cavity_problem(6, 0.1))
@@ -530,9 +619,7 @@ class TestDamping:
         res = [r["residual"] for r in report.records if not np.isnan(r["residual"])]
         assert all(b <= a for a, b in zip(res, res[1:]))
         # the damped iterates end on a solution of the discrete equations
-        x = DofMap.pack(field)
-        system = prob.newton_system(x)
-        assert egns.solver._nonlinear_residual(system, x, pressure) < 1e-8
+        assert _assembled_residual(prob, DofMap.pack(field), pressure) < 1e-8
 
     def test_lambda_floor_raises_named_error(self, monkeypatch):
         # with no damping allowed, a step that raises the residual ends the

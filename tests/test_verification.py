@@ -167,7 +167,7 @@ class TestVortexCase:
         prob = case.problem(build_rect_uniform(4, 4))
         system = prob.newton_system(None)
         assert system.null_space.closed
-        _, p, _ = solve_saddle(system)
+        _, p, _, _ = solve_saddle(system)
         assert abs(prob.mesh.areas @ p) <= 1e-14 * np.abs(p).max()
         assert prob.nu == 1.0
 
