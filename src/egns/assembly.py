@@ -80,8 +80,9 @@ def _viscous_unit(mesh):
     cache = mesh._cache
     if "viscous_unit" not in cache:
         ops = element_ops(mesh)
-        K = np.einsum("t,tai,taj->tij", mesh.areas, ops["D"], ops["D"])
-        K += np.einsum("tk,tki,tkj->tij", ops["stab_w"], ops["QB"], ops["QB"])
+        D, QB = ops["D"], ops["QB"]
+        K = (D.transpose(0, 2, 1) * mesh.areas[:, None, None]) @ D
+        K += (QB.transpose(0, 2, 1) * ops["stab_w"][:, None, :]) @ QB
         l2g = ops["l2g"]
         rows = np.repeat(l2g, 9, axis=1).ravel()
         cols = np.tile(l2g, (1, 9)).ravel()
@@ -178,7 +179,7 @@ def assemble_load(mesh, f):
     X = rule.physical_points(mesh)
     phi = rt_basis(mesh, X)
     fv = np.asarray(f(X.reshape(-1, 2)), dtype=float).reshape(X.shape)
-    vals = mesh.areas[:, None] * np.einsum("q,tqkd,tqd->tk", rule.weights, phi, fv)
+    vals = mesh.areas[:, None] * (rule.weights @ (phi @ fv[..., None])[..., 0])
     vec = np.zeros(_total_dofs(mesh))
     np.add.at(vec, (2 * mesh.num_vertices + mesh.triangle_edges).ravel(), vals.ravel())
     return vec

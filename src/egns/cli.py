@@ -213,7 +213,8 @@ def _resolve_nu(cfg: RunConfig, default: Optional[float] = None) -> float:
 
 
 def worker_count(jobs: int) -> int:
-    """Workers for level-parallel runs, honoring EGNS_THREADS."""
+    """Workers for level-parallel runs: EGNS_THREADS, else the CPUs this
+    process may run on."""
     env = os.environ.get("EGNS_THREADS", "")
     cap = None
     if env:
@@ -222,11 +223,13 @@ def worker_count(jobs: int) -> int:
         except ValueError:
             logger.warning("ignoring unparsable EGNS_THREADS=%r", env)
     if cap is None:
-        cap = os.cpu_count() or 1
+        affinity = getattr(os, "sched_getaffinity", None)  # not on every OS
+        cap = len(affinity(0)) if affinity else os.cpu_count() or 1
     return max(1, min(jobs, cap))
 
 
-_F = "{:.15e}".format
+_F = "%.15e"
+_XY0 = f"{_F} {_F} {_F % 0.0}"  # a 2D vector with z = 0
 
 
 def write_vtk(mesh, solution, path) -> None:
@@ -235,7 +238,8 @@ def write_vtk(mesh, solution, path) -> None:
     Point data: the continuous velocity (z = 0). Cell data: total
     pressure, kinematic pressure, broken divergence, the scalar curl of
     the vertex part, and the flux-corrected velocity at element
-    centroids. Identical inputs produce identical bytes.
+    centroids. Identical inputs produce identical bytes; -0.0 is
+    written as 0.
     """
     fld, pressure = solution
     pressure = np.asarray(pressure, dtype=float)
@@ -256,15 +260,13 @@ def write_vtk(mesh, solution, path) -> None:
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.num_vertices} double",
     ]
-    zero = _F(0.0)
 
-    def vectors(rows):
-        return (f"{_F(a + 0.0)} {_F(b + 0.0)} {zero}" for a, b in rows)
+    def vectors(arr):  # + 0.0 turns -0.0 into 0.0
+        return (_XY0 % (a, b) for a, b in (arr + 0.0).tolist())
 
     out.extend(vectors(mesh.vertices))
     out.append(f"CELLS {mesh.num_triangles} {4 * mesh.num_triangles}")
-    for i, j, k in mesh.triangles:
-        out.append(f"3 {i} {j} {k}")
+    out.extend("3 %d %d %d" % tuple(t) for t in mesh.triangles.tolist())
     out.append(f"CELL_TYPES {mesh.num_triangles}")
     out.extend(["5"] * mesh.num_triangles)
 
@@ -276,7 +278,7 @@ def write_vtk(mesh, solution, path) -> None:
     for name, arr in cell_scalars:
         out.append(f"SCALARS {name} double 1")
         out.append("LOOKUP_TABLE default")
-        out.extend(_F(v + 0.0) for v in arr)
+        out.extend(_F % v for v in (arr + 0.0).tolist())
     out.append("VECTORS reconstructed_velocity double")
     out.extend(vectors(recon))
 

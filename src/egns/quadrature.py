@@ -24,8 +24,7 @@ class QuadratureRule:
 
     def physical_points(self, mesh):
         """Map rule points into every triangle: returns (NT, n, 2)."""
-        corners = mesh.vertices[mesh.triangles]  # (NT, 3, 2)
-        return np.einsum("qk,tkd->tqd", self.points, corners)
+        return self.points @ mesh.vertices[mesh.triangles]
 
 
 def _orbit1():

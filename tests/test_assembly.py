@@ -507,3 +507,16 @@ class TestSteadyProblem:
             assert p.load_vector is prob.load_vector
             assert p.dof_map is prob.dof_map
         assert sorted(calls) == ["assemble_load", "dirichlet_dof_map", "null_space"]
+
+
+def test_viscous_matches_dense_element_oracle(shuffled_mesh):
+    mesh = shuffled_mesh()
+    ops = egns.assembly.element_ops(mesh)
+    n = 2 * mesh.num_vertices + mesh.num_edges
+    dense = np.zeros((n, n))
+    for t in range(mesh.num_triangles):
+        D, QB = ops["D"][t], ops["QB"][t]
+        Ke = mesh.areas[t] * D.T @ D + QB.T @ np.diag(ops["stab_w"][t]) @ QB
+        dense[np.ix_(ops["l2g"][t], ops["l2g"][t])] += Ke
+    got = assemble_viscous(mesh, 1.0).toarray()
+    assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()

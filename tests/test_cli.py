@@ -1,6 +1,7 @@
 """Command line interface: config parsing, VTK export, subcommand contracts."""
 
 import logging
+import os
 import re
 import time
 
@@ -10,8 +11,16 @@ import pytest
 import egns.assembly
 import egns.cli
 from egns.cli import ConfigError, RunConfig, load_config, main, worker_count, write_vtk
-from egns.eg_space import EGField, interpolate
+from egns.eg_space import (
+    EGField,
+    element_divergence,
+    element_ops,
+    interpolate,
+    local_dof_vectors,
+)
 from egns.mesh import build_rect_uniform, export_mesh
+from egns.reconstruction import rt_at_centroids
+from egns.verification import kinematic_pressure
 
 
 def _cfg(tmp_path, text, name="run.ini"):
@@ -135,9 +144,51 @@ class TestWorkerCount:
         monkeypatch.setenv("EGNS_THREADS", "16")
         assert worker_count(2) == 2
 
+    def test_affinity_caps_workers(self, monkeypatch):
+        monkeypatch.delenv("EGNS_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert worker_count(8) == 2
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("EGNS_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert worker_count(8) == 3
+
     def test_garbage_env_ignored(self, monkeypatch):
         monkeypatch.setenv("EGNS_THREADS", "lots")
         assert worker_count(4) >= 1
+
+
+def _reference_vtk(mesh, fld, pressure):
+    """write_vtk's bytes, formatted value by value from numpy scalars."""
+    fmt = "{:.15e}".format
+    ops = element_ops(mesh)
+    loc = local_dof_vectors(mesh, fld)
+    cell_scalars = [
+        ("pressure", pressure),
+        ("kinematic_pressure", kinematic_pressure(mesh, fld, pressure)),
+        ("divergence", element_divergence(mesh, fld)),
+        ("vorticity", np.einsum("tk,tk->t", ops["curl"], loc[:, :6])),
+    ]
+
+    def vectors(rows):
+        return [f"{fmt(a + 0.0)} {fmt(b + 0.0)} {fmt(0.0)}" for a, b in rows]
+
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    out = ["# vtk DataFile Version 3.0", "incompressible flow solution", "ASCII",
+           "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
+    out += vectors(mesh.vertices)
+    out += [f"CELLS {nt} {4 * nt}"] + [f"3 {i} {j} {k}" for i, j, k in mesh.triangles]
+    out += [f"CELL_TYPES {nt}"] + ["5"] * nt
+    out += [f"POINT_DATA {nv}", "VECTORS velocity double"] + vectors(fld.vertex_values)
+    out.append(f"CELL_DATA {nt}")
+    for name, arr in cell_scalars:
+        out += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        out += [fmt(v + 0.0) for v in arr]
+    out += ["VECTORS reconstructed_velocity double"] + vectors(rt_at_centroids(mesh, fld))
+    return "\n".join(out) + "\n"
 
 
 class TestWriteVtk:
@@ -171,6 +222,27 @@ class TestWriteVtk:
         ]:
             vals = _floats(_section(lines, header, count))
             assert np.all(vals == 0.0), header
+
+    def test_bytes_match_per_value_formatter(self, tmp_path):
+        mesh = build_rect_uniform(3, 2)
+        rng = np.random.default_rng(5)
+
+        def values(shape):
+            # signed zeros, and magnitudes from 1e-300 to 1e300
+            v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            v[rng.random(shape) < 0.3] = -0.0
+            return v
+
+        fld = EGField(values((mesh.num_vertices, 2)), values(mesh.num_edges))
+        fld.vertex_values[:, 1] = -0.0
+        p = values(mesh.num_triangles)
+        path = tmp_path / "signed.vtk"
+        with np.errstate(over="ignore", invalid="ignore"):
+            write_vtk(mesh, (fld, p), path)
+            want = _reference_vtk(mesh, fld, p)
+        got = path.read_text()
+        assert "-0.000000000000000e+00" not in got
+        assert got == want
 
     def test_byte_identical_rerun(self, tmp_path):
         mesh = build_rect_uniform(3, 2)

@@ -94,3 +94,15 @@ def test_gauss_1d_exactness():
 def test_gauss_1d_rejects_zero_points():
     with pytest.raises(ValueError):
         gauss_1d(0)
+
+
+@pytest.mark.parametrize("degree", [2, 5, 8])
+def test_physical_points_match_barycentric_sum(shuffled_mesh, degree):
+    mesh = shuffled_mesh()
+    for rule in (quadrature_rule(degree), refined_rule(quadrature_rule(degree))):
+        got = rule.physical_points(mesh)
+        assert got.shape == (mesh.num_triangles, rule.weights.size, 2)
+        for t, tri in enumerate(mesh.triangles):
+            for q, lam in enumerate(rule.points):
+                ref = sum(lam[k] * mesh.vertices[tri[k]] for k in range(3))
+                assert np.abs(got[t, q] - ref).max() <= 1e-15

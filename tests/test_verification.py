@@ -105,6 +105,23 @@ def _fd_divergence4(u, pts, h=1e-3):
     return d(0, 0) + d(1, 1)
 
 
+def _vortex_at(x, y, nu):
+    """Velocity, its gradient and the body force of case_vortex_2d at one
+    point, in closed form."""
+    a, da = x * x * (x - 1) ** 2, 2 * x * (x - 1) * (2 * x - 1)
+    d2a, d3a = 12 * x * x - 12 * x + 2, 24 * x - 12
+    b, db = y * y * (y - 1) ** 2, 2 * y * (y - 1) * (2 * y - 1)
+    d2b, d3b = 12 * y * y - 12 * y + 2, 24 * y - 12
+    u = (5 * a * db, -5 * da * b)
+    grad = ((5 * da * db, 5 * a * d2b), (-5 * d2a * b, -5 * da * db))
+    omega = -5 * (d2a * b + a * d2b)
+    f = (
+        -5 * nu * (d2a * db + a * d3b) - omega * u[1] + 20 * (2 * y - 1),
+        5 * nu * (d3a * b + da * d2b) + omega * u[0] + 20 * (2 * x - 1),
+    )
+    return u, grad, f
+
+
 class TestVortexCase:
     def test_velocity_matches_direct_polynomial(self):
         case = case_vortex_2d(1.0)
@@ -161,6 +178,19 @@ class TestVortexCase:
         )
         f = case.body_force(pts)
         assert np.abs(f - f_fd).max() < 1e-6 * np.abs(f).max()
+
+    @pytest.mark.parametrize("nu", [1.0, 1e-5])
+    def test_closed_forms_match_pointwise_oracle(self, shuffled_mesh, nu):
+        case = case_vortex_2d(nu)
+        pts = quadrature_rule(5).physical_points(shuffled_mesh())  # (NT, 7, 2)
+        got = [case.velocity(pts), case.velocity_gradient(pts), case.body_force(pts)]
+        want = [np.empty_like(g) for g in got]
+        for idx in np.ndindex(pts.shape[:-1]):
+            for w, v in zip(want, _vortex_at(*pts[idx], nu)):
+                w[idx] = v
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-14 * max(1.0, np.abs(w).max())
 
     def test_problem_is_pure_dirichlet(self):
         case = case_vortex_2d(1.0)
