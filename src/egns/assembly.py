@@ -7,11 +7,12 @@ The divergence block couples element pressures to the edge scalars only.
 Loads are tested against the flux-preserving reconstruction, so body
 forces enter exclusively through edge degrees of freedom.
 
-Dirichlet data is removed by symmetric elimination: constrained entries
-keep their rows in the stored matrices, and the solver works on the free
-index set with the known values folded into both right-hand sides.  The
-constrained set and its values depend only on the problem, so each
-problem builds its dof map once and shares it with every Newton system.
+Newton works in correction form: a Newton system is the Jacobian and
+the residual at a velocity dof vector x that holds the Dirichlet values
+on its constrained entries, and the solver finds a correction that is
+zero there.  The constrained set and its values depend only on the
+problem, so each problem builds its dof map once and shares it with
+every Newton system.
 """
 
 from __future__ import annotations
@@ -25,14 +26,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .eg_space import DofMap, edge_trace, element_ops
-from .nullspace import NullSpace, null_space
+from .nullspace import null_space
 from .quadrature import quadrature_rule
 from .reconstruction import rt_basis
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "SaddleSystem",
     "SteadyProblem",
     "assemble_viscous",
     "assemble_divergence",
@@ -42,23 +42,6 @@ __all__ = [
     "dirichlet_dof_map",
     "apply_dirichlet",
 ]
-
-
-@dataclass
-class SaddleSystem:
-    """One linearized saddle-point system.
-
-    A acts on velocity dofs, B maps velocities to element pressures.
-    null_space is the problem's divergence-free basis, which also fixes
-    the pressure gauge.  Treated as immutable once built.
-    """
-
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    rhs_u: np.ndarray
-    rhs_p: np.ndarray
-    dof_map: DofMap
-    null_space: NullSpace
 
 
 def _total_dofs(mesh):
@@ -126,16 +109,15 @@ def _convection_geometry(mesh):
 
 
 def assemble_convection_newton(mesh, x):
-    """Newton data for the rotational convection term at the dof vector x.
+    """Jacobian C of the rotational convection term at the dof vector x.
 
-    Returns (C, r): C carries the two first-order terms (rows only on edge
-    dofs; columns on edge dofs through the reconstruction and on vertex
-    dofs through the elementwise curl), r carries the value terms so that
-    C applied to x itself equals 2 r.
+    C carries the two first-order terms: rows only on edge dofs, columns
+    on edge dofs through the reconstruction and on vertex dofs through the
+    elementwise curl.  C applied to x itself is twice the term's value.
     """
     ops = element_ops(mesh)
     M = _convection_geometry(mesh)
-    omega, mtu, r = _convection_value(mesh, x)
+    omega, mtu, _ = _convection_value(mesh, x)
     edge_g, vert_g = ops["l2g"][:, 6:], ops["l2g"][:, :6]
     n = _total_dofs(mesh)
 
@@ -147,14 +129,13 @@ def assemble_convection_newton(mesh, x):
     rows2 = np.repeat(edge_g, 6, axis=1).ravel()
     cols2 = np.tile(vert_g, (1, 3)).ravel()
 
-    C = sp.coo_matrix(
+    return sp.coo_matrix(
         (
             np.concatenate([data1, data2]),
             (np.concatenate([rows1, rows2]), np.concatenate([cols1, cols2])),
         ),
         shape=(n, n),
     ).tocsr()
-    return C, r
 
 
 def _convection_value(mesh, x):
@@ -186,16 +167,14 @@ def assemble_load(mesh, f):
 
 
 def assemble_neumann(mesh, tags, x):
-    """Traction-free outflow terms on the boundary edges tagged in `tags`.
+    """Traction-free outflow Jacobian on the boundary edges tagged in `tags`.
 
-    Returns (matrix, vector).  The matrix linearizes the quadratic
-    boundary form (half the squared continuous trace against the test
-    edge scalar) at the dof vector x; the vector carries that form's
-    value at x.
+    The matrix linearizes the quadratic boundary form (half the squared
+    continuous trace against the test edge scalar) at the dof vector x.
     """
     nv = mesh.num_vertices
     n = _total_dofs(mesh)
-    sel, Ua, Ub, vec = _neumann_value(mesh, tags, x)
+    sel, Ua, Ub, _ = _neumann_value(mesh, tags, x)
     a, b = mesh.edges[sel].T
     L = mesh.edge_lengths[sel]
 
@@ -210,7 +189,7 @@ def assemble_neumann(mesh, tags, x):
     )
     rows = np.tile(2 * nv + sel, 4)
     cols = np.concatenate([a, b, nv + a, nv + b])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr(), vec
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _neumann_value(mesh, tags, x):
@@ -233,9 +212,10 @@ def dirichlet_dof_map(mesh, bcs):
 
     bcs is a sequence of (tags, u_D) pairs, tags a tuple of ints.  Later
     segments win at shared vertices (corner overrides are logged), so a
-    driven lid takes precedence over side walls.  Data that is NaN or
-    infinite at a vertex or an edge quadrature point is rejected, naming
-    its tags.  The returned map is read-only: every system shares it.
+    driven lid takes precedence over side walls.  Tags that select no
+    boundary edge, and data that is NaN or infinite at a vertex or an edge
+    quadrature point, are rejected naming the tags.  The returned map is
+    read-only: every system shares it.
     """
     dm = DofMap.unconstrained(mesh)
     nv = mesh.num_vertices
@@ -243,7 +223,7 @@ def dirichlet_dof_map(mesh, bcs):
     for tags, u_d in bcs:
         sel = be[np.isin(mesh.boundary_tags[be], tags)]
         if sel.size == 0:
-            continue
+            raise ValueError(f"Dirichlet tags {tags} select no boundary edge")
         verts = np.unique(mesh.edges[sel])
         vals = np.asarray(u_d(mesh.vertices[verts]), dtype=float)
         flux = edge_trace(mesh, u_d, sel)
@@ -278,8 +258,9 @@ def apply_dirichlet(dof_map, A, B, rhs_u, rhs_p):
     """Fold a dof map's constrained values into the right-hand sides.
 
     Returns new (rhs_u, rhs_p); the inputs and the map stay as they are.
-    Constrained rows stay in A and B; the solver restricts to the free
-    index set.
+    Nothing in egns calls it: Newton works in correction form, so no
+    system has an absolute right-hand side.  It stays because the
+    benchmark's span table (bench/child.py TARGETS) names it.
     """
     vvec = np.where(dof_map.constrained, dof_map.values, 0.0)
     return rhs_u - A @ vvec, rhs_p - B @ vvec
@@ -349,16 +330,17 @@ class SteadyProblem:
         return null_space(self.mesh, self.dof_map)
 
     def residual(self, x, pressure=None):
-        """Residuals of newton_system(x) at (x, pressure), no matrix assembled.
+        """Nonlinear residuals at (x, pressure), no matrix assembled.
 
         Returns (pressure, ru, rp, rhs_u, rhs_p): the momentum residual
-        A x - B^T pressure - rhs_u on all rows, the mass residual and the
-        system's right-hand sides.  C(x) x = 2 r(x) and D(x) x = 2 vec_N(x)
-        for the value terms r and vec_N, so with the Dirichlet values v
-            A x - rhs_u = nu V x + (r + vec_N)(x) - load,
+        nu V x + (r + vec_N)(x) - load - B^T pressure on all rows, with r
+        and vec_N the convection and outflow values, and the mass residual
+        B x.  rhs_u and rhs_p scale them: the data of the Newton equations
+        at x for the whole velocity, with the Dirichlet values v moved to
+        the right.  r and vec_N are quadratic, C and D their derivatives, so
             rhs_u = load - nu V v + (r + vec_N)(x - v) - (r + vec_N)(v).
         pressure None zeroes the momentum residual on the null space's tree
-        edges.  At x None, rest, the value terms vanish.
+        edges.  At x None, rest, x is v and the value terms vanish.
         """
         mesh, v, rest = self.mesh, self.dof_map.values, x is None
 
@@ -375,33 +357,16 @@ class SteadyProblem:
         return pressure, ru - B.T @ pressure, B @ x, rhs_u, -(B @ v)
 
     def newton_system(self, x):
-        """Assemble the saddle system linearized at the full dof vector x.
+        """The Jacobian A at the full dof vector x and the residual (ru, rp).
 
-        At None, zero velocity, the convection and outflow forms vanish
-        and are skipped.
+        A is nu V + C(x), plus D(x) with an outflow; ru and rp are those of
+        residual(x, 0), so ru holds no pressure term.  At None, zero
+        velocity, the convection and outflow forms vanish and are skipped.
         """
         mesh = self.mesh
         A = assemble_viscous(mesh, self.nu)
-        B = assemble_divergence(mesh)
-        rhs_u = self.load_vector.copy()
-
         if x is not None:
-            C, r = assemble_convection_newton(mesh, x)
-            A = A + C
-            rhs_u += r
+            A = A + assemble_convection_newton(mesh, x)
             if self.neumann_tags:
-                D, vec = assemble_neumann(mesh, self.neumann_tags, x)
-                A = A + D
-                rhs_u += vec
-
-        A = A.tocsr()
-        dm = self.dof_map
-        rhs_u, rhs_p = apply_dirichlet(dm, A, B, rhs_u, np.zeros(mesh.num_triangles))
-        return SaddleSystem(
-            A=A,
-            B=B,
-            rhs_u=rhs_u,
-            rhs_p=rhs_p,
-            dof_map=dm,
-            null_space=self.null_space,
-        )
+                A = A + assemble_neumann(mesh, self.neumann_tags, x)
+        return (A, *self.residual(x, np.zeros(mesh.num_triangles))[1:3])

@@ -102,12 +102,13 @@ class Mesh2D:
     def from_arrays(cls, vertices, triangles, tag_lookup=None, tri_lines=None):
         """Build full topology from raw vertex and triangle arrays.
 
-        Every defect raises MeshError: bad shapes or indices, repeated or
-        unused vertices, clockwise or degenerate triangles, non-manifold or
-        zero-length edges, and parts that share no edge.  tag_lookup maps
-        the boundary edges' endpoint pairs (B, 2), smaller index first, to
-        their int tags; None tags them 0.  tri_lines holds a source line per
-        triangle for error messages.
+        Every defect raises MeshError: bad shapes or indices, NaN or
+        infinite coordinates, repeated or unused vertices, clockwise or
+        degenerate triangles, non-manifold or zero-length edges, and parts
+        that share no edge.  tag_lookup maps the boundary edges' endpoint
+        pairs (B, 2), smaller index first, to their int tags; None tags
+        them 0.  tri_lines holds a source line per triangle for error
+        messages.
         """
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -115,6 +116,10 @@ class Mesh2D:
             raise MeshError("vertex array must have shape (NV, 2)")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshError("triangle array must have shape (NT, 3)")
+        bad = ~np.isfinite(vertices).all(axis=1)
+        if bad.any():
+            raise MeshError(f"vertex {int(np.flatnonzero(bad)[0])} has a NaN or "
+                            "infinite coordinate")
         nv = vertices.shape[0]
         nt = triangles.shape[0]
         if nt == 0:

@@ -1,16 +1,16 @@
 """Null-space linear solves, damped Newton iteration, viscosity continuation.
 
-One linear solve works on the divergence-free subspace (see
-egns.nullspace): a particular flux with the prescribed divergence comes
-from a sweep over a dual spanning tree, the divergence-free correction
-from the reduced matrix Z^T A Z over (free v0x, free v0y, stream
-function), factored with sparse LU in SuperLU's symmetric mode, and
-the pressures from a second tree sweep over the momentum residual.  The
-reduced matrix has no zero block and under half the unknowns of the
-saddle matrix, and pressure robustness holds by construction.  The null
-space also fixes the pressure constant of pure-Dirichlet problems;
-incompatible boundary flux is rejected when the problem's dof map is
-built.
+Newton works in correction form: a Newton system is the Jacobian A at
+the velocity dof vector x and the residual (ru, rp) there, and one
+linear solve gives the correction dx and the new pressure.  The solve
+works on the divergence-free subspace (see egns.nullspace), so pressure
+robustness holds by construction: a sweep over a dual spanning tree
+gives a flux with B dx = -rp, sparse LU of Z^T A Z over (free v0x, free
+v0y, stream function) the divergence-free part, and a second sweep the
+pressure.  Z^T A Z has no zero block and under half the unknowns of the
+saddle matrix.  The null space also fixes the pressure constant of
+pure-Dirichlet problems; incompatible boundary flux is rejected when the
+problem's dof map is built.
 
 Symmetric mode orders A + A^T by minimum degree and pivots on the
 diagonal (Li, *ACM TOMS* 31, 2005), which suits the nearly symmetric
@@ -22,14 +22,15 @@ is retried once with the default factorization.
 Newton is damped by residual decrease (Deuflhard, *Newton Methods for
 Nonlinear Problems*): a step of length lambda, full first, is kept if it
 lowers the nonlinear residual by the fraction 1e-4 lambda, else lambda is
-halved down to 1/64.  The residual F comes from vectors alone
-(SteadyProblem.residual), so a trial step assembles no matrix.  After a
-full step the last LU gives the simplified Newton correction
-Z LU^-1 Z^T F(x) and the contraction theta, its norm over the step's.
-While theta <= 1/4 that chord step is the next iteration, its pressure
-fitted to the new velocity on the tree edges, if it passes the decrease
-test at lambda = 1; otherwise the LU is dropped before the system is
-assembled and factored again, so one assembly serves each factorization.
+halved down to 1/64; every iterate is x + lambda dx.  The residual F
+comes from vectors alone (SteadyProblem.residual), so a trial step
+assembles no matrix.  After a full step the last LU gives the simplified
+Newton correction -Z LU^-1 Z^T F(x) and the contraction theta, its norm
+over the step's.  While theta <= 1/4 that chord step is the next
+iteration, its pressure fitted to the new velocity on the tree edges, if
+it passes the decrease test at lambda = 1; otherwise the LU is dropped
+before the system is assembled and factored again, so one assembly
+serves each factorization.
 
 Convergence is declared when the relative update of the stacked free
 velocity/pressure vector drops below the tolerance, or when the nonlinear
@@ -37,8 +38,8 @@ residual at the new iterate is already at solver precision.  The second
 test is what lets linear problems finish in one iteration.
 
 The Newton iterate is (x, p), x the velocity dof vector [v0x | v0y | edge]
-holding the Dirichlet values on its constrained entries, as solve_saddle
-returns it; only newton_solve's arguments and results are EGFields.
+with the Dirichlet values on its constrained entries; only newton_solve's
+arguments and results are EGFields.
 
 nu_continuation is how every egns command reaches its viscosity: step
 control on log(nu) (Allgower and Georg, *Numerical Continuation
@@ -61,6 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from .assembly import assemble_divergence
 from .eg_space import DofMap
 
 logger = logging.getLogger(__name__)
@@ -160,26 +162,26 @@ class SolveReport:
         return "\n".join(lines)
 
 
-def solve_saddle(system):
-    """Solve one linearized system, returning (x, pressures, fallback, lu).
+def solve_saddle(problem, system):
+    """Solve one Newton system, returning (dx, pressure, fallback, lu).
 
-    x is the full velocity dof vector.  Its free part is the tree's
-    particular flux u_p plus Z psi, where psi solves
-    Z^T A Z psi = Z^T (rhs_u - A u_p) with one iterative refinement pass;
-    its constrained entries are the dof map's values.  The pressures solve
-    B^T p = A u - rhs_u on the tree edges in the null space's gauge.
-    The block residuals of the full system are then required to sit at
-    solver precision relative to the data.
+    system is problem.newton_system(x): the Jacobian A and the residual
+    (ru, rp) at x.  dx, zero on constrained entries, is the tree's flux
+    with B dx = -rp minus Z psi, where Z^T A Z psi = Z^T (A dx + ru), with
+    one refinement pass.  The pressure solves B^T p = A dx + ru on the
+    tree edges in the null space's gauge; ru holds no pressure, so p is
+    the new pressure.  The block residuals A dx + ru - B^T p and
+    B dx + rp must then sit at solver precision relative to (ru, rp).
 
     Z^T A Z is factored in SuperLU's symmetric mode first.  fallback is
     True when that factorization raised or failed the residual check and
     the default, partial-pivoting one was used instead; only its failure
     is raised, or the first one's on non-finite data.  lu is the LU used.
     """
-    dm, ns = system.dof_map, system.null_space
-    A, Z = system.A, ns.Z
+    (A, ru, rp), ns = system, problem.null_space
+    Z, B = ns.Z, assemble_divergence(problem.mesh)
     K = (Z.T @ (A @ Z)).tocsc()
-    free = dm.free_indices()
+    free = problem.dof_map.free_indices()
 
     for fallback in (False, True):
         try:
@@ -190,37 +192,27 @@ def solve_saddle(system):
             logger.info("symmetric-mode factorization failed (%s); pivoting", exc)
             continue
 
-        # the solve and one refinement pass.  The velocity takes each
-        # correction in place: rebuilding it from the accumulated psi would
+        # the solve and one refinement pass.  The correction takes each
+        # step in place: rebuilding it from the accumulated psi would
         # round every flux again at eps |psi| / |e|, a residual floor that
         # grows with the mesh
-        xf = ns.particular(system.rhs_p)
+        dx = ns.particular(-rp)
         for _ in range(2):
-            xf += Z @ lu.solve(Z.T @ (system.rhs_u - A @ xf))
-        pressure = ns.pressure(A @ xf - system.rhs_u)
+            dx -= Z @ lu.solve(Z.T @ (A @ dx + ru))
+        mom = A @ dx + ru  # the linearized momentum residual, less B^T p
+        pressure = ns.pressure(mom)
 
-        ru, rp, scale = _block_residuals(system, free, xf, pressure)
+        nru, nrp, scale = _norms(free, mom - B.T @ pressure, B @ dx + rp, ru, rp)
         # written so that NaN residuals or data fail the check
-        if ru <= 1e-10 * scale and rp <= 1e-10 * scale:
-            return np.where(dm.constrained, dm.values, xf), pressure, fallback, lu
+        if nru <= 1e-10 * scale and nrp <= 1e-10 * scale:
+            return dx, pressure, fallback, lu
         message = (
-            f"saddle solve residuals too large: momentum {ru:.3e}, "
-            f"mass {rp:.3e}, data scale {scale:.3e}"
+            f"saddle solve residuals too large: momentum {nru:.3e}, "
+            f"mass {nrp:.3e}, data scale {scale:.3e}"
         )
         if fallback or not math.isfinite(scale):  # no factorization mends the data
             raise SolverError(message)
         logger.info("symmetric-mode factorization: %s; pivoting", message)
-
-
-def _block_residuals(system, free, xf, pressure):
-    """Momentum and mass residual norms and the data scale at a state.
-
-    xf is the full velocity vector with zeros on the constrained entries,
-    whose data the right-hand sides already carry.  The momentum residual
-    is taken on the free rows.
-    """
-    return _norms(free, system.A @ xf - system.B.T @ pressure - system.rhs_u,
-                  system.B @ xf - system.rhs_p, system.rhs_u, system.rhs_p)
 
 
 def _norms(free, ru, rp, rhs_u, rhs_p):
@@ -229,8 +221,13 @@ def _norms(free, ru, rp, rhs_u, rhs_p):
 
 
 def _nonlinear_residual(problem, x, pressure=None):
-    """(pressure, momentum residual, relative residual) at (x, pressure): as
-    _block_residuals on newton_system(x), but from problem.residual."""
+    """(pressure, momentum residual, relative residual) at (x, pressure).
+
+    The relative residual is the larger norm of problem.residual's
+    momentum (free rows) and mass residuals over the data scale of its
+    rhs_u and rhs_p.  It tests the iterate; solve_saddle's check, scaled
+    by the Newton residual, tests one correction.
+    """
     pressure, ru, rp, rhs_u, rhs_p = problem.residual(x, pressure)
     nru, nrp, scale = _norms(problem.dof_map.free_indices(), ru, rp, rhs_u, rhs_p)
     return pressure, ru, max(nru, nrp) / scale
@@ -239,12 +236,13 @@ def _nonlinear_residual(problem, x, pressure=None):
 def newton_solve(problem, config=None, initial=None):
     """Run the damped Newton loop on a steady problem from rest or a warm start.
 
-    problem needs newton_system(x), the saddle system linearized at the
+    problem needs newton_system(x), the Jacobian and the residual at the
     velocity dof vector x (None = zero velocity), residual(x, pressure),
-    dof_map and null_space.  initial, packed on entry, and the result are
-    (velocity field, pressure) pairs; returns (result, report).  Raises
-    NonConvergenceError with the best iterate attached if the iteration
-    budget runs out or the line search fails.
+    mesh, dof_map and null_space; every iterate is x + lambda dx, dx from
+    solve_saddle or the last LU.  initial, packed on entry, and the
+    result are (velocity field, pressure) pairs; returns (result,
+    report).  Raises NonConvergenceError with the best iterate attached
+    if the iteration budget runs out or the line search fails.
     """
     config = config or NewtonConfig()
     t0 = time.perf_counter()
@@ -263,10 +261,12 @@ def newton_solve(problem, config=None, initial=None):
         factored = lu is None
         if factored:  # the last LU is gone before the next assembly
             rest = initial is None and not records  # linearized at zero velocity
-            x1, p1, fallback, lu = solve_saddle(problem.newton_system(None if rest else x))
+            dx, p1, fallback, lu = solve_saddle(
+                problem, problem.newton_system(None if rest else x))
         else:  # simplified Newton: the chord step found with the last LU
-            x1 = x + chord
-            p1, ru1, res1 = _nonlinear_residual(problem, x1)
+            dx = chord
+            p1, ru1, res1 = _nonlinear_residual(problem, x + dx)
+        x1 = x + dx
         new = np.concatenate([x1[free], p1])
         rel = float(np.linalg.norm(new - prev)) / max(float(np.linalg.norm(new)), _TINY)
         logger.debug("newton iter %d: rel update %.3e", len(records) + 1, rel)
@@ -288,12 +288,12 @@ def newton_solve(problem, config=None, initial=None):
                     f"line search failed at iteration {len(records)}: no step down "
                     f"to lambda = {_MIN_LAMBDA:g} lowers the residual {res:.3e}",
                     best=(dm.unpack(x), p), report=report(converged=False))
-            xt, pt = x + lam * (x1 - x), p + lam * (p1 - p)
+            xt, pt = x + lam * dx, p + lam * (p1 - p)
         if not (factored or res1 <= (1.0 - _DECREASE) * res):
             lu = None  # the chord step does not lower the residual: factor at x
             continue
 
-        x_old, x, p, res = x, xt, pt, res1
+        x, p, res = xt, pt, res1
         prev = np.concatenate([x[free], p])
         record.update(residual=res, step=lam)
         records.append(record)
@@ -304,7 +304,7 @@ def newton_solve(problem, config=None, initial=None):
         if lam == 1.0:  # the chord step from the same LU, and its contraction
             chord = Z @ lu.solve(Z.T @ -ru1)
             record["theta"] = float(np.linalg.norm(chord)) / max(
-                float(np.linalg.norm(x - x_old)), _TINY)
+                float(np.linalg.norm(dx)), _TINY)
         if not record["theta"] <= _THETA_MAX:  # also when damped: theta is NaN
             lu = None
 

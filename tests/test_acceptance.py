@@ -183,7 +183,7 @@ def test_discrete_structure_property_suite(vortex_nu1):
             vertex_values=rng.standard_normal((nv, 2)),
             edge_values=rng.standard_normal(ne),
         )
-        C, _ = assemble_convection_newton(mesh, dm.pack(state))
+        C = assemble_convection_newton(mesh, dm.pack(state))
         w = np.zeros(2 * nv + ne)
         w[2 * nv :] = rng.standard_normal(ne)
         cw = C @ w

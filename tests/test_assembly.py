@@ -8,7 +8,9 @@ import scipy.io
 import scipy.sparse.linalg
 
 import egns.assembly
-from egns.mesh import TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, TAG_TOP, build_rect_uniform
+from egns.mesh import (
+    TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, TAG_TOP, Mesh2D, build_rect_uniform,
+)
 from egns.quadrature import gauss_1d, quadrature_rule
 from egns.eg_space import DofMap, EGField, energy_norm, interpolate, local_dof_vectors
 from egns.assembly import (
@@ -22,15 +24,16 @@ from egns.assembly import (
     dirichlet_dof_map,
 )
 from egns.solver import newton_solve, solve_saddle
+from egns.verification import case_vortex_2d
 
 ALL_SIDES = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)
 
 
-def export_matrix_market(system, prefix):
+def export_matrix_market(A, B, prefix):
     """Write A and B in coordinate text format next to the given prefix."""
     prefix = str(prefix)
-    scipy.io.mmwrite(prefix + "_A.mtx", system.A.tocoo())
-    scipy.io.mmwrite(prefix + "_B.mtx", system.B.tocoo())
+    scipy.io.mmwrite(prefix + "_A.mtx", A.tocoo())
+    scipy.io.mmwrite(prefix + "_B.mtx", B.tocoo())
 
 
 def _random_field(mesh, rng):
@@ -177,7 +180,7 @@ class TestConvection:
             v = _random_field(mesh, rng)
             w = _random_field(mesh, rng)
             z = _random_field(mesh, rng)
-            C, _ = assemble_convection_newton(mesh, dm.pack(v))
+            C = assemble_convection_newton(mesh, dm.pack(v))
             got = dm.pack(z) @ (C @ _masked_edges(dm, w))
             want = _trilinear_oracle(mesh, v, w, z)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
@@ -188,7 +191,7 @@ class TestConvection:
         rng = np.random.default_rng(11)
         u = _random_field(mesh, rng)
         z = _random_field(mesh, rng)
-        _, cvec = assemble_convection_newton(mesh, dm.pack(u))
+        cvec = egns.assembly._convection_value(mesh, dm.pack(u))[2]
         assert dm.pack(z) @ cvec == pytest.approx(
             _trilinear_oracle(mesh, u, u, z), rel=1e-12
         )
@@ -200,7 +203,8 @@ class TestConvection:
         rng = np.random.default_rng(12)
         u = _random_field(mesh, rng)
         x = dm.pack(u)
-        C, cvec = assemble_convection_newton(mesh, x)
+        C = assemble_convection_newton(mesh, x)
+        cvec = egns.assembly._convection_value(mesh, x)[2]
         assert np.abs(C @ x - 2 * cvec).max() < 1e-12
 
     def test_skew_in_last_two_arguments(self):
@@ -210,7 +214,7 @@ class TestConvection:
         for _ in range(20):
             v = _random_field(mesh, rng)
             w = _random_field(mesh, rng)
-            C, _ = assemble_convection_newton(mesh, dm.pack(v))
+            C = assemble_convection_newton(mesh, dm.pack(v))
             val = dm.pack(w) @ (C @ _masked_edges(dm, w))
             scale = max(
                 1.0,
@@ -222,7 +226,8 @@ class TestConvection:
         mesh = build_rect_uniform(2, 2)
         rng = np.random.default_rng(14)
         u = _random_field(mesh, rng)
-        C, cvec = assemble_convection_newton(mesh, DofMap.pack(u))
+        C = assemble_convection_newton(mesh, DofMap.pack(u))
+        cvec = egns.assembly._convection_value(mesh, DofMap.pack(u))[2]
         nv = mesh.num_vertices
         C = C.tocsr()
         for row in range(2 * nv):
@@ -286,7 +291,8 @@ class TestNeumann:
         nv = mesh.num_vertices
         x = np.zeros(2 * nv + mesh.num_edges)
         x[:nv] = 1.0  # constant (1, 0)
-        D, vec = assemble_neumann(mesh, (TAG_RIGHT,), x)
+        D = assemble_neumann(mesh, (TAG_RIGHT,), x)
+        vec = egns.assembly._neumann_value(mesh, (TAG_RIGHT,), x)[3]
         D = D.tocsr()
         right = [
             e
@@ -308,7 +314,8 @@ class TestNeumann:
     def test_zero_state_zero_data_vanishes(self):
         mesh = build_rect_uniform(2, 2)
         x = np.zeros(2 * mesh.num_vertices + mesh.num_edges)
-        D, vec = assemble_neumann(mesh, (TAG_RIGHT,), x)
+        D = assemble_neumann(mesh, (TAG_RIGHT,), x)
+        vec = egns.assembly._neumann_value(mesh, (TAG_RIGHT,), x)[3]
         assert D.nnz == 0 or abs(D).max() == 0.0
         assert np.abs(vec).max() == 0.0
 
@@ -316,7 +323,8 @@ class TestNeumann:
         mesh = build_rect_uniform(2, 2)
         x = np.zeros(2 * mesh.num_vertices + mesh.num_edges)
         x[: 2 * mesh.num_vertices] = 1.0
-        D, vec = assemble_neumann(mesh, (), x)
+        D = assemble_neumann(mesh, (), x)
+        vec = egns.assembly._neumann_value(mesh, (), x)[3]
         assert D.nnz == 0
         assert np.abs(vec).max() == 0.0
 
@@ -357,11 +365,11 @@ class TestDirichlet:
             dirichlet=[((TAG_BOTTOM, TAG_LEFT, TAG_RIGHT), walls), ((TAG_TOP,), lid)],
         )
         with caplog.at_level(logging.INFO, logger="egns.assembly"):
-            sys0 = prob.newton_system(None)
-            sys1 = prob.newton_system(np.zeros(sys0.dof_map.total))
-        # the map is built once per problem and shared by its systems
-        assert sys1.dof_map is sys0.dof_map
-        dm = sys0.dof_map
+            prob.newton_system(None)
+            prob.newton_system(np.zeros(prob.dof_map.total))
+        # the map is built once per problem and shared by its systems: the
+        # override is logged once
+        dm = prob.dof_map
         nv = mesh.num_vertices
         for i in range(nv):
             x, y = mesh.vertices[i]
@@ -421,6 +429,14 @@ class TestDirichlet:
             newton_solve(prob)
         assert factorizations == []
 
+    def test_tags_selecting_no_edge_named(self):
+        # an imported mesh without tags has every boundary edge at tag 0
+        base = build_rect_uniform(2, 2)
+        mesh = Mesh2D.from_arrays(base.vertices, base.triangles)
+        prob = case_vortex_2d(1.0).problem(mesh)
+        with pytest.raises(ValueError, match=r"tags \(1, 2, 3, 4\) select no bound"):
+            prob.dof_map
+
     @pytest.mark.parametrize("where", ["vertex", "edge"])
     def test_non_finite_data_names_tags(self, where):
         mesh = build_rect_uniform(4, 4)
@@ -444,10 +460,9 @@ class TestSteadyProblem:
             mesh=mesh, nu=1.0, body_force=lambda xy: xy,  # grad |x|^2 / 2
             dirichlet=[(ALL_SIDES, lambda xy: np.zeros_like(xy))],
         )
-        sys0 = prob.newton_system(None)
-        assert sys0.null_space.closed
-        assert np.array_equal(sys0.null_space.areas, mesh.areas)
-        _, p, _, _ = solve_saddle(sys0)
+        assert prob.null_space.closed
+        assert np.array_equal(prob.null_space.areas, mesh.areas)
+        _, p, _, _ = solve_saddle(prob, prob.newton_system(None))
         assert np.abs(p).max() > 1e-3
         assert abs(mesh.areas @ p) <= 1e-14 * np.abs(p).max()
 
@@ -458,13 +473,12 @@ class TestSteadyProblem:
             dirichlet=[((TAG_BOTTOM, TAG_TOP, TAG_LEFT), lambda xy: np.zeros_like(xy))],
             neumann_tags=(TAG_RIGHT,),
         )
-        sys0 = prob.newton_system(None)
-        assert not sys0.null_space.closed
+        assert not prob.null_space.closed
         # outflow edge scalars stay free
         nv = mesh.num_vertices
         for e in mesh.boundary_edge_indices:
             if mesh.boundary_tags[e] == TAG_RIGHT:
-                assert not sys0.dof_map.constrained[2 * nv + e]
+                assert not prob.dof_map.constrained[2 * nv + e]
 
     def test_matrix_market_export(self, tmp_path):
         mesh = build_rect_uniform(2, 2)
@@ -472,12 +486,12 @@ class TestSteadyProblem:
             mesh=mesh, nu=1.0, body_force=None,
             dirichlet=[(ALL_SIDES, lambda xy: np.zeros_like(xy))],
         )
-        system = prob.newton_system(None)
-        export_matrix_market(system, tmp_path / "sys")
+        A, B = prob.newton_system(None)[0], assemble_divergence(mesh)
+        export_matrix_market(A, B, tmp_path / "sys")
         a = scipy.io.mmread(tmp_path / "sys_A.mtx")
         b = scipy.io.mmread(tmp_path / "sys_B.mtx")
-        assert a.shape == system.A.shape
-        assert b.shape == system.B.shape
+        assert a.shape == A.shape
+        assert b.shape == B.shape
 
     def test_with_nu_shares_load_and_dof_map(self, monkeypatch):
         calls = []
@@ -503,7 +517,8 @@ class TestSteadyProblem:
         # the first with_nu builds all three, once
         assert sorted(calls) == ["assemble_load", "dirichlet_dof_map", "null_space"]
         for p in stages:
-            assert p.newton_system(None).null_space is prob.null_space
+            p.newton_system(None)
+            assert p.null_space is prob.null_space
             assert p.load_vector is prob.load_vector
             assert p.dof_map is prob.dof_map
         assert sorted(calls) == ["assemble_load", "dirichlet_dof_map", "null_space"]

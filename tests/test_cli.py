@@ -608,8 +608,15 @@ class TestRunCommand:
                 "0 1 1\n1 3 1\n2 3 1\n0 2 1\n4 5 1\n5 7 1\n6 7 1\n4 6 1\n",
                 "2 parts that share no edge",
             ),
+            # a unit square with vertex 3 at (nan, 1): the Dirichlet data
+            # sampled there is NaN too, which is not the cause
+            (
+                "4 2 4\n0 0\n1 0\n0 1\nnan 1\n0 1 3\n0 3 2\n"
+                "0 1 1\n1 3 1\n2 3 1\n0 2 1\n",
+                "vertex 3 has a NaN or infinite coordinate",
+            ),
         ],
-        ids=["unused-vertex", "two-parts"],
+        ids=["unused-vertex", "two-parts", "nan-vertex"],
     )
     def test_defective_imported_mesh(self, tmp_path, capsys, body, cause):
         mesh_file = tmp_path / "bad.m2d"
@@ -620,7 +627,8 @@ class TestRunCommand:
             "[physics]\nnu = 1.0\n\n[boundary]\n1 = noslip\n",
         )
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
-        assert cause in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("mesh error:") and cause in err
 
     def test_non_utf8_mesh_is_mesh_error(self, tmp_path, capsys):
         mesh_file = tmp_path / "latin.m2d"

@@ -327,6 +327,14 @@ class TestConstructionDefects:
         with pytest.raises(MeshError, match="triangle 1 references vertex 7"):
             Mesh2D.from_arrays(base.vertices, tris)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_named(self, value):
+        base = build_rect_uniform(2, 2)
+        verts = base.vertices.copy()
+        verts[4, 1] = value
+        with pytest.raises(MeshError, match="vertex 4 has a NaN or infinite"):
+            Mesh2D.from_arrays(verts, base.triangles)
+
     def test_unused_vertex_rejected(self):
         base = build_rect_uniform(4, 4)
         verts = np.vstack([base.vertices, [[0.5, 0.5]]])

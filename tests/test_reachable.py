@@ -7,9 +7,14 @@ The benchmark names the entry points it traces as strings, so string
 constants count in bench/.  Names listed in __all__ do not count: a
 module exporting a name does not use it.  The files are parsed, not
 imported.
+
+Code that only bench/ reaches is pinned by name, so that what the
+benchmark's span table alone keeps alive stays visible and cannot grow
+unnoticed.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,6 +23,9 @@ BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 # oracles the tests check the library against; no command needs them
 TEST_ORACLES = {"interpolate", "energy_norm", "export_mesh"}
+
+# reached from bench/ alone; no command needs them
+BENCH_ONLY = {"apply_dirichlet"}
 
 
 def _public_defs(tree):
@@ -65,23 +73,39 @@ def _references(tree, skip=None, strings=False):
 
 
 def _unreached(src_trees, bench_trees):
+    """Public names that src/egns does not reference: (unreached by
+    bench/ too, reached from bench/ alone)."""
     bench_refs = set().union(*(_references(t, strings=True) for t in bench_trees))
-    unreached = []
+    unreached, bench_only = [], []
     for module, tree in src_trees.items():
         for name, node in _public_defs(tree):
-            refs = set(bench_refs)
+            refs = set()
             for other, other_tree in src_trees.items():
                 refs |= _references(other_tree, skip=node if other == module else None)
             if node.name not in refs:
-                unreached.append(f"{module}.{name}")
-    return sorted(unreached)
+                found = bench_only if node.name in bench_refs else unreached
+                found.append(f"{module}.{name}")
+    return sorted(unreached), sorted(bench_only)
+
+
+@functools.cache
+def _scan():
+    src = {p.stem: ast.parse(p.read_text()) for p in SRC}
+    return _unreached(src, [ast.parse(p.read_text()) for p in BENCH])
+
+
+def _last(names):
+    return {name.rsplit(".", 1)[1] for name in names}
 
 
 def test_public_code_is_reached():
-    src = {p.stem: ast.parse(p.read_text()) for p in SRC}
-    bench = [ast.parse(p.read_text()) for p in BENCH]
-    found = _unreached(src, bench)
-    assert sorted(name.rsplit(".", 1)[1] for name in found) == sorted(TEST_ORACLES), found
+    found = _scan()[0]
+    assert _last(found) == TEST_ORACLES and len(found) == len(TEST_ORACLES), found
+
+
+def test_code_only_the_benchmark_reaches_is_pinned():
+    found = _scan()[1]
+    assert _last(found) == BENCH_ONLY and len(found) == len(BENCH_ONLY), found
 
 
 def test_scan_finds_an_unreached_function():
@@ -105,5 +129,6 @@ def test_scan_finds_an_unreached_function():
     }
     bench = [ast.parse("TARGETS = [('a', 'k', 'span')]\n")]
     # f and h.used reference only themselves; f is otherwise named in
-    # __all__ alone; np.zeros is numpy's, not h.zeros
-    assert _unreached(src, bench) == ["a.f", "a.h.used", "a.h.zeros"]
+    # __all__ alone; np.zeros is numpy's, not h.zeros; only the benchmark
+    # names k
+    assert _unreached(src, bench) == (["a.f", "a.h.used", "a.h.zeros"], ["a.k"])

@@ -22,7 +22,7 @@ from egns.mesh import (
 )
 from egns.quadrature import quadrature_rule, refined_rule
 from egns.eg_space import DofMap, EGField, energy_norm
-from egns.assembly import SteadyProblem
+from egns.assembly import SteadyProblem, assemble_divergence, assemble_viscous
 from egns.solver import (
     NewtonConfig,
     NonConvergenceError,
@@ -71,35 +71,42 @@ def _smooth_force(xy):
     return np.stack([np.sin(np.pi * y), np.cos(np.pi * x)], axis=-1)
 
 
-def _saddle_oracle(system, mesh):
+def _saddle_oracle(problem, system):
     """The direct saddle-point solve the null-space solve replaced.
 
     Factors [[A_ff, -B_f^T], [B_f, 0]] over the free velocities with one
-    refinement pass.  For pure Dirichlet (a closed null space) it pins
-    pressure 0, drops the redundant mass row 0 and shifts to zero
-    area-weighted mean.
+    refinement pass and solves it for the correction and the pressure,
+    with right-hand side (-ru, -rp).  For pure Dirichlet (a closed null
+    space) it pins pressure 0, drops the redundant mass row 0 and shifts
+    to zero area-weighted mean.
     """
-    dm = system.dof_map
-    free = dm.free_indices()
-    A_ff = system.A[free][:, free]
-    B_f = system.B[:, free]
-    rhs_p = system.rhs_p
-    pinned = system.null_space.closed
+    A, ru, rp = system
+    free = problem.dof_map.free_indices()
+    A_ff = A[free][:, free]
+    B_f = assemble_divergence(problem.mesh)[:, free]
+    rhs_p = -rp
+    pinned = problem.null_space.closed
     if pinned:
         B_f, rhs_p = B_f[1:], rhs_p[1:]
     K = sp.bmat([[A_ff, -B_f.T], [B_f, None]], format="csc")
-    rhs = np.concatenate([system.rhs_u[free], rhs_p])
+    rhs = np.concatenate([-ru[free], rhs_p])
     lu = spla.splu(K)
     x = lu.solve(rhs)
     x += lu.solve(rhs - K @ x)
     pressure = x[free.size :]
     if pinned:
-        a = mesh.areas
+        a = problem.mesh.areas
         pressure = np.concatenate([[0.0], pressure])
         pressure -= (a @ pressure) / a.sum()
-    xf = dm.values.copy()
-    xf[free] = x[: free.size]
-    return xf, pressure
+    dx = np.zeros(problem.dof_map.total)
+    dx[free] = x[: free.size]
+    return dx, pressure
+
+
+def _first_iterate(problem):
+    """(x, pressure) after one full Newton step from rest."""
+    dx, pressure = solve_saddle(problem, problem.newton_system(None))[:2]
+    return problem.dof_map.values + dx, pressure
 
 
 def _holed_square(n):
@@ -158,12 +165,28 @@ def _layout(name, nu):
 LAYOUTS = ["vortex", "step", "cavity_f1", "cavity_f2", "noflow", "channel", "hole"]
 
 
+def _assembled(problem, x):
+    """(momentum without pressure, mass, rhs_u, rhs_p) at x from assembled
+    matrices, x None being rest: the Dirichlet values, Jacobian nu V.
+
+    With J the Jacobian of newton_system(x), J x - nu V x is twice the
+    convection and outflow values at x.  rhs_u and rhs_p are the data of
+    J y = rhs_u, B y = rhs_p with the Dirichlet values v moved right.
+    """
+    mesh, v, load = problem.mesh, problem.dof_map.values, problem.load_vector
+    J, B = problem.newton_system(x)[0], assemble_divergence(mesh)
+    x = v if x is None else x
+    viscous = assemble_viscous(mesh, problem.nu) @ x
+    values = (J @ x - viscous) / 2
+    return viscous + values - load, B @ x, load + values - J @ v, -(B @ v)
+
+
 def _assembled_residual(problem, x, pressure):
-    """The relative residual at (x, pressure) on the assembled newton_system(x)."""
-    system = problem.newton_system(x)
-    dm = system.dof_map
-    xf = np.where(dm.constrained, 0.0, x)
-    ru, rp, scale = egns.solver._block_residuals(system, dm.free_indices(), xf, pressure)
+    """The relative residual at (x, pressure) from assembled matrices."""
+    momentum, mass, rhs_u, rhs_p = _assembled(problem, x)
+    B = assemble_divergence(problem.mesh)
+    ru, rp, scale = egns.solver._norms(problem.dof_map.free_indices(),
+                                       momentum - B.T @ pressure, mass, rhs_u, rhs_p)
     return max(ru, rp) / scale
 
 
@@ -192,58 +215,75 @@ class TestNewtonConfig:
 class TestSolveSaddle:
     def test_rest_state(self):
         prob = _homogeneous_problem(4, 1.0)
-        x, pressure, _, _ = solve_saddle(prob.newton_system(None))
-        assert np.abs(x).max() == 0.0
+        dx, pressure, _, _ = solve_saddle(prob, prob.newton_system(None))
+        assert np.abs(dx).max() == 0.0
         assert np.abs(pressure).max() == 0.0
 
     def test_pressure_mean_is_zero(self):
         prob = _homogeneous_problem(8, 1.0, f=_smooth_force)
         mesh = prob.mesh
-        _, pressure, _, _ = solve_saddle(prob.newton_system(None))
+        _, pressure, _, _ = solve_saddle(prob, prob.newton_system(None))
         pnorm = np.linalg.norm(pressure)
         assert pnorm > 0
         assert abs(mesh.areas @ pressure) <= 1e-12 * pnorm * mesh.areas.sum()
 
     def test_block_residuals(self):
         prob = _cavity_problem(8, 0.1)
-        system = prob.newton_system(None)
-        x, pressure, _, _ = solve_saddle(system)
-        dm = system.dof_map
-        free = dm.free_indices()
-        xf = np.where(dm.constrained, 0.0, x)
-        ru = (system.A @ xf - system.B.T @ pressure - system.rhs_u)[free]
-        rp = system.B @ xf - system.rhs_p
-        scale = max(
-            np.linalg.norm(system.rhs_u[free]), np.linalg.norm(system.rhs_p)
-        )
-        assert np.linalg.norm(ru) < 1e-10 * scale
-        assert np.linalg.norm(rp) < 1e-10 * scale
+        A, ru, rp = prob.newton_system(None)
+        dx, pressure, _, _ = solve_saddle(prob, (A, ru, rp))
+        B = assemble_divergence(prob.mesh)
+        free = prob.dof_map.free_indices()
+        scale = max(np.linalg.norm(ru[free]), np.linalg.norm(rp))
+        assert np.linalg.norm((A @ dx + ru - B.T @ pressure)[free]) < 1e-10 * scale
+        assert np.linalg.norm(B @ dx + rp) < 1e-10 * scale
 
     def test_constrained_values_reinserted(self):
+        # the correction keeps the Dirichlet values of x: it is zero there
         prob = _cavity_problem(4, 1.0)
-        system = prob.newton_system(None)
-        x, _, _, _ = solve_saddle(system)
-        dm = system.dof_map
-        con = dm.constrained
-        assert np.array_equal(x[con], dm.values[con])
+        dx, _, _, _ = solve_saddle(prob, prob.newton_system(None))
+        assert np.abs(dx[prob.dof_map.constrained]).max() == 0.0
 
     def test_singular_system_reported(self):
-        system = _homogeneous_problem(2, 1.0).newton_system(None)
-        broken = dataclasses.replace(system, A=sp.csr_matrix(system.A.shape))
+        prob = _homogeneous_problem(2, 1.0)
+        A, ru, rp = prob.newton_system(None)
         with pytest.raises(SingularSystemError):
-            solve_saddle(broken)
+            solve_saddle(prob, (sp.csr_matrix(A.shape), ru, rp))
 
     def test_non_finite_data_fails_residual_check(self, monkeypatch):
-        system = _cavity_problem(4, 1.0).newton_system(None)
-        rhs_u = system.rhs_u.copy()
-        rhs_u[system.dof_map.free_indices()[0]] = np.nan
+        prob = _cavity_problem(4, 1.0)
+        A, ru, rp = prob.newton_system(None)
+        ru = ru.copy()
+        ru[prob.dof_map.free_indices()[0]] = np.nan
         factorizations = []
         monkeypatch.setattr(spla, "splu", lambda K, **kw: factorizations.append(1)
                             or _SPLU(K, **kw))
         with pytest.raises(SolverError, match="residuals"):
-            solve_saddle(dataclasses.replace(system, rhs_u=rhs_u))
+            solve_saddle(prob, (A, ru, rp))
         # no factorization mends NaN data: the pivoting one is not tried
         assert factorizations == [1]
+
+    @pytest.mark.parametrize("name", [
+        "vortex", "cavity_f1", "channel",
+        pytest.param("cavity_f2", marks=pytest.mark.xfail(
+            strict=True, reason="Newton stops on a residual scaled by the full "
+            "load, before the velocity has converged under a large gradient "
+            "force (as in test_gradient_forcing_does_not_loosen_velocity_"
+            "convergence)")),
+    ])
+    def test_converged_state_needs_no_correction(self, name):
+        # ru holds no pressure, so at a solution its scale is the gradient
+        # part of the data, not the vanishing Newton residual: the symmetric
+        # factorization passes the check, and the correction is negligible
+        prob = _layout(name, 1e-2)
+        # rest skips the convection and outflow forms: both vanish at zero
+        zero = np.zeros(prob.dof_map.total)
+        rest, at_zero = prob.newton_system(None)[0], prob.newton_system(zero)[0]
+        assert np.array_equal(rest.toarray(), at_zero.toarray())
+        (field, _), _ = newton_solve(prob, NewtonConfig(rel_tol=1e-12))
+        x = DofMap.pack(field)
+        dx, _, fallback, _ = solve_saddle(prob, prob.newton_system(x))
+        assert not fallback
+        assert np.linalg.norm(dx) <= 1e-10 * np.linalg.norm(x)
 
 
 _SPLU = spla.splu  # the real factorization, whatever a test patches in
@@ -277,17 +317,17 @@ class TestFallback:
     @staticmethod
     def _system():
         prob = _cavity_problem(8, 0.05)
-        return prob.newton_system(solve_saddle(prob.newton_system(None))[0])
+        return prob, prob.newton_system(_first_iterate(prob)[0])
 
     @pytest.mark.parametrize("symmetric", [_raise_runtime, _factor_of_doubled])
     def test_fallback_matches_default_factorization(self, monkeypatch, symmetric):
-        system = self._system()
+        prob, system = self._system()
         with monkeypatch.context() as m:
             _route_symmetric_lu(m, _SPLU)  # the default factorization, first try
-            x_ref, p_ref, fell_back, _ = solve_saddle(system)
+            x_ref, p_ref, fell_back, _ = solve_saddle(prob, system)
         assert not fell_back
         _route_symmetric_lu(monkeypatch, symmetric)
-        x, pressure, fell_back, _ = solve_saddle(system)
+        x, pressure, fell_back, _ = solve_saddle(prob, system)
         assert fell_back
         assert np.array_equal(x, x_ref)
         assert np.array_equal(pressure, p_ref)
@@ -302,10 +342,10 @@ class TestFallback:
     def test_both_failing_raise_as_the_default_alone(
         self, monkeypatch, failing, error, match
     ):
-        system = self._system()
+        prob, system = self._system()
         _route_symmetric_lu(monkeypatch, failing, failing)
         with pytest.raises(error, match=match) as ei:
-            solve_saddle(system)
+            solve_saddle(prob, system)
         if error is SolverError:
             assert not isinstance(ei.value, SingularSystemError)
 
@@ -327,15 +367,11 @@ class TestNullSpaceSolve:
         prob = _layout(name, nu)
         # linearized at the first Newton iterate: convection and the
         # outflow form both enter
-        rest = prob.newton_system(None)
-        # at zero velocity the convection and outflow forms vanish, so rest
-        # skips them: the system is the one assembled at the zero vector
-        zero = prob.newton_system(np.zeros(prob.dof_map.total))
-        assert np.array_equal(rest.A.toarray(), zero.A.toarray())
-        assert np.array_equal(rest.rhs_u, zero.rhs_u)
-        system = prob.newton_system(solve_saddle(rest)[0])
-        u, pressure, _, _ = solve_saddle(system)
-        ref_u, ref_pressure = _saddle_oracle(system, prob.mesh)
+        x = _first_iterate(prob)[0]
+        system = prob.newton_system(x)
+        dx, pressure, _, _ = solve_saddle(prob, system)
+        ref_dx, ref_pressure = _saddle_oracle(prob, system)
+        u, ref_u = x + dx, x + ref_dx
         dp = np.linalg.norm(pressure - ref_pressure)
         assert dp <= 1e-10 * np.linalg.norm(ref_pressure)
         if name == "noflow":
@@ -353,7 +389,7 @@ class TestNullSpaceSolve:
     def test_basis_is_divergence_free(self, name):
         prob = _layout(name, 1.0)
         mesh, Z = prob.mesh, prob.null_space.Z
-        assert spla.norm(prob.newton_system(None).B @ Z, np.inf) <= 1e-14
+        assert spla.norm(assemble_divergence(mesh) @ Z, np.inf) <= 1e-14
         # one psi per free vertex, plus one per wall chain after the first
         nfv = int((~prob.dof_map.constrained[: mesh.num_vertices]).sum())
         euler = mesh.num_vertices - mesh.num_edges + mesh.num_triangles
@@ -363,7 +399,7 @@ class TestNullSpaceSolve:
     @pytest.mark.parametrize("name", ["vortex", "step", "channel", "hole"])
     def test_tree_sweeps_invert_the_divergence(self, name):
         prob = _layout(name, 1.0)
-        ns, B = prob.null_space, prob.newton_system(None).B
+        ns, B = prob.null_space, assemble_divergence(prob.mesh)
         rng = np.random.default_rng(0)
         rhs_p = rng.standard_normal(B.shape[0])
         p = rng.standard_normal(B.shape[0])
@@ -380,7 +416,7 @@ class TestNullSpaceSolve:
         assert not ns.closed
         assert ns.Z.shape == (prob.dof_map.total, 3 * nv - 1)
         assert np.linalg.matrix_rank(ns.Z.toarray()) == 3 * nv - 1
-        B = prob.newton_system(None).B
+        B = assemble_divergence(prob.mesh)
         assert np.abs(B @ ns.Z).max() <= 1e-14
         # corner elements reach the outside through two free edges
         p = np.random.default_rng(0).standard_normal(B.shape[0])
@@ -389,21 +425,21 @@ class TestNullSpaceSolve:
 
 
 class TestMatrixFreeResidual:
-    """problem.residual against the block residuals of newton_system(x)."""
+    """problem.residual against residuals from the assembled Jacobian."""
 
     @pytest.mark.parametrize("name", ["vortex", "cavity_f1", "step", "hole"])
     def test_matches_assembled_system(self, name):
         prob = _layout(name, 1e-2)
         dm, nt = prob.dof_map, prob.mesh.num_triangles
-        free = dm.free_indices()
+        free, B = dm.free_indices(), assemble_divergence(prob.mesh)
         rng = np.random.default_rng(0)
-        x1, p1 = solve_saddle(prob.newton_system(None))[:2]
+        x1, p1 = _first_iterate(prob)
         noisy = np.where(dm.constrained, dm.values, x1 + rng.standard_normal(dm.total))
         # rest, the first Newton iterate, and a state off both equations
         for x, p in [(None, np.zeros(nt)), (x1, p1), (noisy, rng.standard_normal(nt))]:
-            system = prob.newton_system(x)
-            xf = np.where(dm.constrained, 0.0, dm.values if x is None else x)
-            ru, rp, scale = egns.solver._block_residuals(system, free, xf, p)
+            momentum, mass, rhs_u, rhs_p = _assembled(prob, x)
+            ru, rp, scale = egns.solver._norms(
+                free, momentum - B.T @ p, mass, rhs_u, rhs_p)
             pressure, *vectors = prob.residual(x, p)
             got_ru, got_rp, got_scale = egns.solver._norms(free, *vectors)
             assert pressure is p
@@ -412,8 +448,8 @@ class TestMatrixFreeResidual:
             assert abs(got_rp - rp) <= 1e-12 * max(rp, scale)
             assert egns.solver._nonlinear_residual(prob, x, p)[2] == pytest.approx(
                 max(ru, rp) / scale, rel=1e-12, abs=0)
-            # without a pressure, the one solve_saddle would take at x
-            fitted = prob.null_space.pressure(system.A @ xf - system.rhs_u)
+            # without a pressure, the one fitted to the momentum residual
+            fitted = prob.null_space.pressure(momentum)
             got = prob.residual(x)[0]
             assert np.linalg.norm(got - fitted) <= 1e-12 * np.linalg.norm(fitted)
 
@@ -424,14 +460,14 @@ class TestNewtonSolve:
         solves = []
         real = egns.solver.solve_saddle
         monkeypatch.setattr(
-            egns.solver, "solve_saddle", lambda system: solves.append(1) or real(system)
+            egns.solver, "solve_saddle", lambda *a: solves.append(1) or real(*a)
         )
         initial = None
         if warm_start:
             # the lid state of a clean problem on the same mesh
-            system = _cavity_problem(4, 1.0).newton_system(None)
-            dm = system.dof_map
-            initial = (dm.unpack(dm.values), np.zeros(system.B.shape[0]))
+            clean = _cavity_problem(4, 1.0)
+            dm = clean.dof_map
+            initial = (dm.unpack(dm.values), np.zeros(clean.mesh.num_triangles))
         prob = _cavity_problem(4, 1.0, f=lambda xy: np.full(xy.shape, np.nan))
         with pytest.raises(ValueError, match="body force is not finite"):
             newton_solve(prob, NewtonConfig(max_iter=5), initial=initial)
@@ -441,7 +477,7 @@ class TestNewtonSolve:
         solves = []
         real = egns.solver.solve_saddle
         monkeypatch.setattr(
-            egns.solver, "solve_saddle", lambda system: solves.append(1) or real(system)
+            egns.solver, "solve_saddle", lambda *a: solves.append(1) or real(*a)
         )
         mesh = build_rect_uniform(4, 4)
         lid = lambda xy: np.broadcast_to((np.inf, 0.0), xy.shape)
