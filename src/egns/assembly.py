@@ -85,9 +85,8 @@ def assemble_divergence(mesh):
         rows = np.repeat(np.arange(nt), 3)
         cols = (2 * mesh.num_vertices + mesh.triangle_edges).ravel()
         data = (ops["L"] * ops["sig"]).ravel()
-        cache["divergence"] = sp.coo_matrix(
-            (data, (rows, cols)), shape=(nt, _total_dofs(mesh))
-        ).tocsr()
+        shape = (nt, _total_dofs(mesh))
+        cache["divergence"] = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
     return cache["divergence"]
 
 
@@ -129,13 +128,12 @@ def assemble_convection_newton(mesh, x):
     rows2 = np.repeat(edge_g, 6, axis=1).ravel()
     cols2 = np.tile(vert_g, (1, 3)).ravel()
 
+    # call temporaries: held in locals, the triplets would live through
+    # tocsr and raise the peak memory
     return sp.coo_matrix(
-        (
-            np.concatenate([data1, data2]),
-            (np.concatenate([rows1, rows2]), np.concatenate([cols1, cols2])),
-        ),
-        shape=(n, n),
-    ).tocsr()
+        (np.concatenate([data1, data2]),
+         (np.concatenate([rows1, rows2]), np.concatenate([cols1, cols2]))),
+        shape=(n, n)).tocsr()
 
 
 def _convection_value(mesh, x):
@@ -238,12 +236,8 @@ def dirichlet_dof_map(mesh, bcs):
             old = np.column_stack([dm.values[verts], dm.values[nv + verts]])
             changed = revisit & np.any(old != vals, axis=1)
             if changed.any():
-                logger.info(
-                    "%d shared boundary vertices overridden by a later "
-                    "Dirichlet segment (tags %s)",
-                    int(changed.sum()),
-                    tags,
-                )
+                logger.info("%d shared boundary vertices overridden by a later "
+                            "Dirichlet segment (tags %s)", int(changed.sum()), tags)
         dm.constrained[verts] = True
         dm.constrained[nv + verts] = True
         dm.values[verts] = vals[:, 0]
@@ -329,6 +323,16 @@ class SteadyProblem:
         """The divergence-free basis and the dual spanning tree."""
         return null_space(self.mesh, self.dof_map)
 
+    def _values(self, y):  # r + vec_N: the convection and outflow values
+        return (_convection_value(self.mesh, y)[2]
+                + _neumann_value(self.mesh, self.neumann_tags, y)[3])
+
+    def _momentum_mass(self, x):
+        # nu V x + (r + vec_N)(x) - load and B x; rest (None): x = v, no values
+        values, x = (0.0, self.dof_map.values) if x is None else (self._values(x), x)
+        ru = self.nu * (_viscous_unit(self.mesh) @ x) + values - self.load_vector
+        return ru, assemble_divergence(self.mesh) @ x
+
     def residual(self, x, pressure=None):
         """Nonlinear residuals at (x, pressure), no matrix assembled.
 
@@ -342,19 +346,14 @@ class SteadyProblem:
         pressure None zeroes the momentum residual on the null space's tree
         edges.  At x None, rest, x is v and the value terms vanish.
         """
-        mesh, v, rest = self.mesh, self.dof_map.values, x is None
-
-        def values(y):  # r + vec_N
-            return 0.0 if rest else (_convection_value(mesh, y)[2]
-                                     + _neumann_value(mesh, self.neumann_tags, y)[3])
-
-        x = v if rest else x
-        V, B = _viscous_unit(mesh), assemble_divergence(mesh)
-        ru = self.nu * (V @ x) + values(x) - self.load_vector
-        rhs_u = self.load_vector - self.nu * (V @ v) + values(x - v) - values(v)
+        v, B = self.dof_map.values, assemble_divergence(self.mesh)
+        ru, rp = self._momentum_mass(x)
+        rhs_u = self.load_vector - self.nu * (_viscous_unit(self.mesh) @ v)
+        if x is not None:
+            rhs_u = rhs_u + self._values(x - v) - self._values(v)
         if pressure is None:
             pressure = self.null_space.pressure(ru)
-        return pressure, ru - B.T @ pressure, B @ x, rhs_u, -(B @ v)
+        return pressure, ru - B.T @ pressure, rp, rhs_u, -(B @ v)
 
     def newton_system(self, x):
         """The Jacobian A at the full dof vector x and the residual (ru, rp).
@@ -369,4 +368,4 @@ class SteadyProblem:
             A = A + assemble_convection_newton(mesh, x)
             if self.neumann_tags:
                 A = A + assemble_neumann(mesh, self.neumann_tags, x)
-        return (A, *self.residual(x, np.zeros(mesh.num_triangles))[1:3])
+        return (A, *self._momentum_mass(x))

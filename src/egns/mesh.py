@@ -120,8 +120,7 @@ class Mesh2D:
         if bad.any():
             raise MeshError(f"vertex {int(np.flatnonzero(bad)[0])} has a NaN or "
                             "infinite coordinate")
-        nv = vertices.shape[0]
-        nt = triangles.shape[0]
+        nv, nt = vertices.shape[0], triangles.shape[0]
         if nt == 0:
             raise MeshError("mesh has no triangles")
 

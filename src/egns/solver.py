@@ -107,9 +107,7 @@ class NonConvergenceError(SolverError):
 
     def __init__(self, message, best=None, report=None, stage=None):
         super().__init__(message)
-        self.best = best
-        self.report = report
-        self.stage = stage
+        self.best, self.report, self.stage = best, report, stage
 
 
 @dataclass
@@ -239,7 +237,8 @@ def newton_solve(problem, config=None, initial=None):
     problem needs newton_system(x), the Jacobian and the residual at the
     velocity dof vector x (None = zero velocity), residual(x, pressure),
     mesh, dof_map and null_space; every iterate is x + lambda dx, dx from
-    solve_saddle or the last LU.  initial, packed on entry, and the
+    solve_saddle or the last LU.  initial, packed on entry with the
+    problem's Dirichlet values put on its constrained entries, and the
     result are (velocity field, pressure) pairs; returns (result,
     report).  Raises NonConvergenceError with the best iterate attached
     if the iteration budget runs out or the line search fails.
@@ -248,8 +247,10 @@ def newton_solve(problem, config=None, initial=None):
     t0 = time.perf_counter()
     dm, Z = problem.dof_map, problem.null_space.Z
     free = dm.free_indices()
+    # a warm start takes the problem's Dirichlet values: every dx is zero there
     x, p = ((None, np.zeros(problem.mesh.num_triangles)) if initial is None
-            else (DofMap.pack(initial[0]), initial[1]))
+            else (np.where(dm.constrained, dm.values, DofMap.pack(initial[0])),
+                  initial[1]))
     res = _nonlinear_residual(problem, x, p)[2]
     x = dm.values if x is None else x  # rest: the Dirichlet data, zero elsewhere
     prev, records, lu = np.concatenate([x[free], p]), [], None
@@ -320,10 +321,10 @@ def nu_continuation(factory, nu, config=None):
     factory maps a viscosity to a problem: a problem's with_nu, or a
     callable that also rebuilds nu-dependent forcing.  With nu at or
     above 1e-3 the first trial is newton_solve(factory(nu)) from rest,
-    and the whole solve when it converges.  Returns ((velocity, pressure), reports), one per trial stage,
-    rejected ones included.
-    Raises NonConvergenceError naming the stage when no start from rest
-    converges or the step in log(nu) falls below 1e-3.
+    and the whole solve when it converges.  Returns ((velocity,
+    pressure), reports), one report per trial stage, rejected ones
+    included.  Raises NonConvergenceError naming the stage when no start
+    from rest converges or the step in log(nu) falls below 1e-3.
     """
     if not (math.isfinite(nu) and nu > 0):
         raise ValueError(f"target viscosity must be positive and finite, got {nu}")

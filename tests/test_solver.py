@@ -57,9 +57,9 @@ def _homogeneous_problem(n, nu, f=None):
     )
 
 
-def _cavity_problem(n, nu, f=None):
+def _cavity_problem(n, nu, f=None, speed=1.0):
     mesh = build_rect_uniform(n, n)
-    lid = lambda xy: np.broadcast_to((1.0, 0.0), xy.shape)
+    lid = lambda xy: np.broadcast_to((speed, 0.0), xy.shape)
     return SteadyProblem(
         mesh=mesh, nu=nu, body_force=f,
         dirichlet=[((TAG_BOTTOM, TAG_LEFT, TAG_RIGHT), _zero_bc), ((TAG_TOP,), lid)],
@@ -262,6 +262,22 @@ class TestSolveSaddle:
         # no factorization mends NaN data: the pivoting one is not tried
         assert factorizations == [1]
 
+    @staticmethod
+    def _converged_correction(name):
+        """(x, dx, fallback): solve_saddle at the converged Newton state."""
+        prob = _layout(name, 1e-2)
+        (field, _), _ = newton_solve(prob, NewtonConfig(rel_tol=1e-12))
+        x = DofMap.pack(field)
+        dx, _, fallback, _ = solve_saddle(prob, prob.newton_system(x))
+        return x, dx, fallback
+
+    @pytest.mark.parametrize("name", ["vortex", "cavity_f1", "cavity_f2", "channel"])
+    def test_converged_state_factors_symmetrically(self, name):
+        # ru holds no pressure, so at a solution its scale is the gradient
+        # part of the data, not the vanishing Newton residual: the symmetric
+        # factorization passes the check, also under f2's 1e6 gradient force
+        assert not self._converged_correction(name)[2]
+
     @pytest.mark.parametrize("name", [
         "vortex", "cavity_f1", "channel",
         pytest.param("cavity_f2", marks=pytest.mark.xfail(
@@ -271,18 +287,7 @@ class TestSolveSaddle:
             "convergence)")),
     ])
     def test_converged_state_needs_no_correction(self, name):
-        # ru holds no pressure, so at a solution its scale is the gradient
-        # part of the data, not the vanishing Newton residual: the symmetric
-        # factorization passes the check, and the correction is negligible
-        prob = _layout(name, 1e-2)
-        # rest skips the convection and outflow forms: both vanish at zero
-        zero = np.zeros(prob.dof_map.total)
-        rest, at_zero = prob.newton_system(None)[0], prob.newton_system(zero)[0]
-        assert np.array_equal(rest.toarray(), at_zero.toarray())
-        (field, _), _ = newton_solve(prob, NewtonConfig(rel_tol=1e-12))
-        x = DofMap.pack(field)
-        dx, _, fallback, _ = solve_saddle(prob, prob.newton_system(x))
-        assert not fallback
+        x, dx, _ = self._converged_correction(name)
         assert np.linalg.norm(dx) <= 1e-10 * np.linalg.norm(x)
 
 
@@ -368,6 +373,11 @@ class TestNullSpaceSolve:
         # linearized at the first Newton iterate: convection and the
         # outflow form both enter
         x = _first_iterate(prob)[0]
+        # at zero velocity the convection and outflow forms vanish, so rest
+        # skips them: the Jacobian is the one assembled at the zero vector
+        rest = prob.newton_system(None)[0]
+        zero = prob.newton_system(np.zeros(prob.dof_map.total))[0]
+        assert np.array_equal(rest.toarray(), zero.toarray())
         system = prob.newton_system(x)
         dx, pressure, _, _ = solve_saddle(prob, system)
         ref_dx, ref_pressure = _saddle_oracle(prob, system)
@@ -488,6 +498,18 @@ class TestNewtonSolve:
         with pytest.raises(ValueError, match=r"Dirichlet data on tags \(3,\)"):
             newton_solve(prob, NewtonConfig(max_iter=5))
         assert solves == []
+
+    def test_warm_start_takes_the_problems_dirichlet_values(self):
+        # a lid-speed continuation: the start holds the slower lid
+        slow = _cavity_problem(8, 0.1)
+        fast = _cavity_problem(8, 0.1, speed=2.0)
+        start, _ = newton_solve(slow)
+        (field, _), _ = newton_solve(fast, initial=start)
+        x, dm = DofMap.pack(field), fast.dof_map
+        assert np.array_equal(x[dm.constrained], dm.values[dm.constrained])
+        (ref, _), _ = newton_solve(fast)
+        ref = DofMap.pack(ref)
+        assert np.linalg.norm(x - ref) <= 1e-7 * np.linalg.norm(ref)
 
     def test_zero_data_zero_solution_one_iteration(self):
         prob = _homogeneous_problem(4, 1.0)
