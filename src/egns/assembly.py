@@ -7,6 +7,10 @@ The divergence block couples element pressures to the edge scalars only.
 Loads are tested against the flux-preserving reconstruction, so body
 forces enter exclusively through edge degrees of freedom.
 
+Every form is elementwise: a matrix is a batch of element blocks summed
+by _sparse onto the local dofs l2g, and a vector a batch of element
+values summed by _scatter.
+
 Newton works in correction form: a Newton system is the Jacobian and
 the residual at a velocity dof vector x that holds the Dirichlet values
 on its constrained entries, and the solver finds a correction that is
@@ -48,6 +52,20 @@ def _total_dofs(mesh):
     return 2 * mesh.num_vertices + mesh.num_edges
 
 
+def _sparse(rows, cols, blocks, shape):
+    """CSR matrix with blocks[i] summed onto the global rows[i] x cols[i]."""
+    nr, nc = rows.shape[1], cols.shape[1]
+    return sp.coo_matrix(
+        (blocks.ravel(),
+         (np.repeat(rows, nc, axis=1).ravel(), np.tile(cols, (1, nr)).ravel())),
+        shape=shape).tocsr()
+
+
+def _scatter(index, values, n):
+    """values summed onto the entries index of a length-n vector, in order."""
+    return np.bincount(index.ravel(), values.ravel(), minlength=n)
+
+
 def assemble_viscous(mesh, nu):
     """Viscosity times (broken-gradient stiffness + flux penalty), CSR.
 
@@ -66,13 +84,8 @@ def _viscous_unit(mesh):
         D, QB = ops["D"], ops["QB"]
         K = (D.transpose(0, 2, 1) * mesh.areas[:, None, None]) @ D
         K += (QB.transpose(0, 2, 1) * ops["stab_w"][:, None, :]) @ QB
-        l2g = ops["l2g"]
-        rows = np.repeat(l2g, 9, axis=1).ravel()
-        cols = np.tile(l2g, (1, 9)).ravel()
         n = _total_dofs(mesh)
-        cache["viscous_unit"] = sp.coo_matrix(
-            (K.ravel(), (rows, cols)), shape=(n, n)
-        ).tocsr()
+        cache["viscous_unit"] = _sparse(ops["l2g"], ops["l2g"], K, (n, n))
     return cache["viscous_unit"]
 
 
@@ -82,17 +95,17 @@ def assemble_divergence(mesh):
     if "divergence" not in cache:
         ops = element_ops(mesh)
         nt = mesh.num_triangles
-        rows = np.repeat(np.arange(nt), 3)
-        cols = (2 * mesh.num_vertices + mesh.triangle_edges).ravel()
-        data = (ops["L"] * ops["sig"]).ravel()
-        shape = (nt, _total_dofs(mesh))
-        cache["divergence"] = sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+        cache["divergence"] = _sparse(
+            np.arange(nt)[:, None], ops["l2g"][:, 6:], (ops["L"] * ops["sig"])[:, None],
+            (nt, _total_dofs(mesh)))
     return cache["divergence"]
 
 
 def _convection_geometry(mesh):
-    # element tensors M[t,k,l] = |T| sum_q w_q cross2(phi_k, phi_l),
-    # degree-2 quadrature is exact for the quadratic integrand
+    # element tensors M[t,k,l] = |T| sum_q w_q cross2(phi_k, phi_l).  The
+    # integrand is linear: phi_k is a multiple of x - p_k, and
+    # cross(x - p_k, x - p_l) = cross(x, p_k - p_l) + cross(p_k, p_l).  The
+    # degree-2 rule is kept because a lower one would round differently
     cache = mesh._cache
     if "convection_m" not in cache:
         rule = quadrature_rule(2)
@@ -115,25 +128,14 @@ def assemble_convection_newton(mesh, x):
     elementwise curl.  C applied to x itself is twice the term's value.
     """
     ops = element_ops(mesh)
-    M = _convection_geometry(mesh)
     omega, mtu, _ = _convection_value(mesh, x)
-    edge_g, vert_g = ops["l2g"][:, 6:], ops["l2g"][:, :6]
+    # the 3x9 block [mtu (x) curl | omega M^T] on the edge rows
+    block = np.concatenate(
+        [mtu[:, :, None] * ops["curl"][:, None, :],
+         omega[:, None, None] * np.swapaxes(_convection_geometry(mesh), 1, 2)],
+        axis=2)
     n = _total_dofs(mesh)
-
-    data1 = (omega[:, None, None] * np.swapaxes(M, 1, 2)).ravel()
-    rows1 = np.repeat(edge_g, 3, axis=1).ravel()
-    cols1 = np.tile(edge_g, (1, 3)).ravel()
-
-    data2 = (mtu[:, :, None] * ops["curl"][:, None, :]).ravel()
-    rows2 = np.repeat(edge_g, 6, axis=1).ravel()
-    cols2 = np.tile(vert_g, (1, 3)).ravel()
-
-    # call temporaries: held in locals, the triplets would live through
-    # tocsr and raise the peak memory
-    return sp.coo_matrix(
-        (np.concatenate([data1, data2]),
-         (np.concatenate([rows1, rows2]), np.concatenate([cols1, cols2]))),
-        shape=(n, n)).tocsr()
+    return _sparse(ops["l2g"][:, 6:], ops["l2g"], block, (n, n))
 
 
 def _convection_value(mesh, x):
@@ -142,8 +144,7 @@ def _convection_value(mesh, x):
     dofs = x[ops["l2g"]]
     omega = np.einsum("tj,tj->t", ops["curl"], dofs[:, :6])
     mtu = np.einsum("tkl,tk->tl", _convection_geometry(mesh), dofs[:, 6:])
-    r = np.zeros(_total_dofs(mesh))
-    np.add.at(r, ops["l2g"][:, 6:].ravel(), (omega[:, None] * mtu).ravel())
+    r = _scatter(ops["l2g"][:, 6:], omega[:, None] * mtu, _total_dofs(mesh))
     return omega, mtu, r
 
 
@@ -159,9 +160,7 @@ def assemble_load(mesh, f):
     phi = rt_basis(mesh, X)
     fv = np.asarray(f(X.reshape(-1, 2)), dtype=float).reshape(X.shape)
     vals = mesh.areas[:, None] * (rule.weights @ (phi @ fv[..., None])[..., 0])
-    vec = np.zeros(_total_dofs(mesh))
-    np.add.at(vec, (2 * mesh.num_vertices + mesh.triangle_edges).ravel(), vals.ravel())
-    return vec
+    return _scatter(element_ops(mesh)["l2g"][:, 6:], vals, _total_dofs(mesh))
 
 
 def assemble_neumann(mesh, tags, x):
@@ -173,21 +172,13 @@ def assemble_neumann(mesh, tags, x):
     nv = mesh.num_vertices
     n = _total_dofs(mesh)
     sel, Ua, Ub, _ = _neumann_value(mesh, tags, x)
-    a, b = mesh.edges[sel].T
-    L = mesh.edge_lengths[sel]
-
-    # exact edge integrals of (linear trace) x (hat function)
-    data = np.concatenate(
-        [
-            L * (Ua[:, 0] / 3 + Ub[:, 0] / 6),
-            L * (Ua[:, 0] / 6 + Ub[:, 0] / 3),
-            L * (Ua[:, 1] / 3 + Ub[:, 1] / 6),
-            L * (Ua[:, 1] / 6 + Ub[:, 1] / 3),
-        ]
-    )
-    rows = np.tile(2 * nv + sel, 4)
-    cols = np.concatenate([a, b, nv + a, nv + b])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    ab = mesh.edges[sel]
+    # exact edge integrals of (linear trace) x (hat function), one 1x4
+    # block per edge on [a, b, nv + a, nv + b]
+    hats = np.stack([Ua / 3 + Ub / 6, Ua / 6 + Ub / 3], axis=2).reshape(-1, 1, 4)
+    block = mesh.edge_lengths[sel][:, None, None] * hats
+    return _sparse((2 * nv + sel)[:, None], np.concatenate([ab, nv + ab], axis=1),
+                   block, (n, n))
 
 
 def _neumann_value(mesh, tags, x):
@@ -200,8 +191,7 @@ def _neumann_value(mesh, tags, x):
     Ub = np.column_stack([x[b], x[nv + b]])
     # value of the quadratic form: half the edge integral of |trace|^2
     quad = ((Ua * Ua).sum(1) + (Ua * Ub).sum(1) + (Ub * Ub).sum(1)) / 3.0
-    vec = np.zeros(_total_dofs(mesh))
-    np.add.at(vec, 2 * nv + sel, 0.5 * mesh.edge_lengths[sel] * quad)
+    vec = _scatter(2 * nv + sel, 0.5 * mesh.edge_lengths[sel] * quad, _total_dofs(mesh))
     return sel, Ua, Ub, vec
 
 
@@ -300,11 +290,16 @@ class SteadyProblem:
     def dof_map(self):
         """The Dirichlet dof map.
 
-        When Dirichlet data covers the whole boundary, the net prescribed
-        boundary flux must vanish up to roundoff, or no velocity has zero
-        divergence; a violation raises ValueError.
+        A problem without a Dirichlet segment raises ValueError: its
+        linearization at rest is singular.  When Dirichlet data covers the
+        whole boundary, the net prescribed boundary flux must vanish up to
+        roundoff, or no velocity has zero divergence; a violation raises
+        ValueError.
         """
         mesh = self.mesh
+        if not self.dirichlet:
+            raise ValueError("no Dirichlet segment: at rest the viscous form "
+                             "alone leaves constant velocities free")
         dm = dirichlet_dof_map(mesh, self.dirichlet)
         be = mesh.boundary_edge_indices
         edge_dofs = 2 * mesh.num_vertices + be

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import SteadyProblem
-from .eg_space import EGField, element_divergence, element_ops, local_dof_vectors
+from .eg_space import DofMap, EGField, element_divergence, element_ops
 from .mesh import MeshError, build_rect_uniform, build_step_domain, import_mesh
 from .reconstruction import rt_at_centroids
 from .solver import NewtonConfig, SolverError, nu_continuation
@@ -244,7 +244,7 @@ def write_vtk(mesh, solution, path) -> None:
     fld, pressure = solution
     pressure = np.asarray(pressure, dtype=float)
     ops = element_ops(mesh)
-    loc = local_dof_vectors(mesh, fld)
+    loc = DofMap.pack(fld)[ops["l2g"]]
     cell_scalars = [
         ("pressure", pressure),
         ("kinematic_pressure", kinematic_pressure(mesh, fld, pressure)),

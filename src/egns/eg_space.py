@@ -29,7 +29,6 @@ __all__ = [
     "SingularElementError",
     "interpolate",
     "edge_trace",
-    "local_dof_vectors",
     "element_divergence",
     "energy_norm",
 ]
@@ -191,19 +190,6 @@ def element_ops(mesh):
     return ops
 
 
-def local_dof_vectors(mesh, field):
-    """Gather per-element local dof vectors, (NT, 9)."""
-    tri = mesh.triangles
-    return np.concatenate(
-        [
-            field.vertex_values[tri, 0],
-            field.vertex_values[tri, 1],
-            field.edge_values[mesh.triangle_edges],
-        ],
-        axis=1,
-    )
-
-
 def element_divergence(mesh, field):
     """Broken divergence per element, (NT,)."""
     ops = element_ops(mesh)
@@ -218,7 +204,7 @@ def energy_norm(mesh, field):
     on the diagonal.
     """
     ops = element_ops(mesh)
-    dofs = local_dof_vectors(mesh, field)
+    dofs = DofMap.pack(field)[ops["l2g"]]
     G = np.einsum("tij,tj->ti", ops["D"], dofs)
     grad_part = (mesh.areas * (G**2).sum(axis=1)).sum()
     gaps = np.einsum("tkj,tj->tk", ops["QB"], dofs)

@@ -13,8 +13,7 @@ psi has one value per vertex off the Dirichlet edges.  The homogeneous
 flux vanishes on a Dirichlet edge, so psi is constant along each
 connected chain of Dirichlet edges: the first chain holds psi = 0 and
 every further one (walls split by outflow segments, the boundary of a
-hole) adds one shared unknown.  Without Dirichlet edges psi is fixed at
-vertex 0.
+hole) adds one shared unknown.
 
 A breadth-first spanning tree of the dual graph over the free edges
 replaces a second factorization.  It is rooted at a virtual outside node
@@ -96,7 +95,8 @@ class NullSpace:
 
 
 def null_space(mesh, dof_map):
-    """Build the basis and the dual tree for a mesh and its Dirichlet dof map."""
+    """Build the basis and the dual tree for a mesh and its Dirichlet dof
+    map, which constrains at least one edge."""
     nv, nt = mesh.num_vertices, mesh.num_triangles
     con = dof_map.constrained
     on_wall, wall_edge = con[:nv], con[2 * nv :]
@@ -104,17 +104,15 @@ def null_space(mesh, dof_map):
     nfv = free_v.size
 
     # psi columns follow the 2 nfv vertex columns; -1 marks psi = 0
-    psi_v = free_v if wall_edge.any() else free_v[1:]
     col = np.full(nv, -1, dtype=np.int64)
-    col[psi_v] = 2 * nfv + np.arange(psi_v.size)
-    ncol = 2 * nfv + psi_v.size
-    if wall_edge.any():
-        a, b = mesh.edges[wall_edge].T
-        graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(nv, nv))
-        label = connected_components(graph, directed=False)[1]
-        chain = np.unique(label[on_wall], return_inverse=True)[1]
-        col[on_wall] = np.where(chain > 0, ncol - 1 + chain, -1)
-        ncol += int(chain.max())
+    col[free_v] = 2 * nfv + np.arange(nfv)
+    ncol = 3 * nfv
+    a, b = mesh.edges[wall_edge].T
+    graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(nv, nv))
+    label = connected_components(graph, directed=False)[1]
+    chain = np.unique(label[on_wall], return_inverse=True)[1]
+    col[on_wall] = np.where(chain > 0, ncol - 1 + chain, -1)
+    ncol += int(chain.max())
 
     fe = np.flatnonzero(~wall_edge)
     a, b = mesh.edges[fe].T

@@ -123,15 +123,7 @@ def _check_manufactured(case: "FlowCase") -> None:
         + case.velocity(pts - ey)
         - 4.0 * u
     ) / h2**2
-    exp = np.array([h1, 0.0])
-    eyp = np.array([0.0, h1])
-    gradp = np.stack(
-        [
-            (case.pressure(pts + exp) - case.pressure(pts - exp)) / (2.0 * h1),
-            (case.pressure(pts + eyp) - case.pressure(pts - eyp)) / (2.0 * h1),
-        ],
-        axis=-1,
-    )
+    gradp = _fd_jacobian(case.pressure, pts, h1)
     omega = J[:, 1, 0] - J[:, 0, 1]
     f_fd = (
         -case.nu * lap

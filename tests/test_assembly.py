@@ -12,7 +12,7 @@ from egns.mesh import (
     TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, TAG_TOP, Mesh2D, build_rect_uniform,
 )
 from egns.quadrature import gauss_1d, quadrature_rule
-from egns.eg_space import DofMap, EGField, energy_norm, interpolate, local_dof_vectors
+from egns.eg_space import DofMap, EGField, energy_norm, interpolate
 from egns.assembly import (
     SteadyProblem,
     apply_dirichlet,
@@ -196,16 +196,30 @@ class TestConvection:
             _trilinear_oracle(mesh, u, u, z), rel=1e-12
         )
 
-    def test_newton_consistency_at_linearization_point(self):
-        # the linearized matrix applied to the point itself gives twice the vector
-        mesh = build_rect_uniform(3, 2)
-        dm = DofMap.unconstrained(mesh)
+    @pytest.mark.parametrize("form", ["convection", "outflow"])
+    @pytest.mark.parametrize("mesh_kind", ["uniform", "shuffled"])
+    def test_newton_consistency_at_linearization_point(
+        self, mesh_kind, form, shuffled_mesh
+    ):
+        # the value v is quadratic, so polarization gives its Jacobian:
+        # J(x) y = (v(x + y) - v(x - y)) / 2 for every y, vertex columns
+        # included; y = x is the linearization point, J(x) x = 2 v(x).
+        # The imported mesh tags its whole boundary 0
+        mesh = build_rect_uniform(3, 2) if mesh_kind == "uniform" else shuffled_mesh()
+        tags = (0, *ALL_SIDES)
+        jacobian, value = {
+            "convection": (assemble_convection_newton,
+                           lambda x: egns.assembly._convection_value(mesh, x)[2]),
+            "outflow": (lambda mesh, x: assemble_neumann(mesh, tags, x),
+                        lambda x: egns.assembly._neumann_value(mesh, tags, x)[3]),
+        }[form]
         rng = np.random.default_rng(12)
-        u = _random_field(mesh, rng)
-        x = dm.pack(u)
-        C = assemble_convection_newton(mesh, x)
-        cvec = egns.assembly._convection_value(mesh, x)[2]
-        assert np.abs(C @ x - 2 * cvec).max() < 1e-12
+        x = DofMap.pack(_random_field(mesh, rng))
+        J = jacobian(mesh, x)
+        for y in (x, DofMap.pack(_random_field(mesh, rng))):
+            want = (value(x + y) - value(x - y)) / 2
+            assert np.abs(want).max() > 0
+            assert np.abs(J @ y - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_skew_in_last_two_arguments(self):
         mesh = build_rect_uniform(2, 2)

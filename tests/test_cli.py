@@ -11,13 +11,7 @@ import pytest
 import egns.assembly
 import egns.cli
 from egns.cli import ConfigError, RunConfig, load_config, main, worker_count, write_vtk
-from egns.eg_space import (
-    EGField,
-    element_divergence,
-    element_ops,
-    interpolate,
-    local_dof_vectors,
-)
+from egns.eg_space import DofMap, EGField, element_divergence, element_ops, interpolate
 from egns.mesh import build_rect_uniform, export_mesh
 from egns.reconstruction import rt_at_centroids
 from egns.verification import kinematic_pressure
@@ -165,7 +159,7 @@ def _reference_vtk(mesh, fld, pressure):
     """write_vtk's bytes, formatted value by value from numpy scalars."""
     fmt = "{:.15e}".format
     ops = element_ops(mesh)
-    loc = local_dof_vectors(mesh, fld)
+    loc = DofMap.pack(fld)[ops["l2g"]]
     cell_scalars = [
         ("pressure", pressure),
         ("kinematic_pressure", kinematic_pressure(mesh, fld, pressure)),
@@ -688,6 +682,17 @@ class TestRunCommand:
         assert stages[-1].startswith(f"continuation stage {len(stages) - 1}: nu=0.00025 accepted")
         assert sum("overrid" in r.message for r in caplog.records) == 1
         assert len(calls) == 1
+
+    def test_outflow_only_boundary_is_config_error(self, tmp_path, capsys):
+        path = _cfg(
+            tmp_path,
+            "[mesh]\nresolution = 4\n\n[physics]\nnu = 1.0\n\n"
+            "[boundary]\n1 = outflow\n2 = outflow\n3 = outflow\n4 = outflow\n",
+        )
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: boundary recipes: no Dirichlet segment")
+        assert not (tmp_path / "run.vtk").exists()
 
     def test_missing_boundary_section(self, tmp_path):
         path = _cfg(

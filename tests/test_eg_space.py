@@ -15,7 +15,6 @@ from egns.eg_space import (
     element_ops,
     energy_norm,
     interpolate,
-    local_dof_vectors,
 )
 
 
@@ -125,7 +124,7 @@ class TestModifiedGradient:
     def test_exact_on_interpolated_linears(self):
         mesh = build_rect_uniform(3, 3, (0.0, 0.0, 2.0, 1.0))
         field = interpolate(mesh, _linear_field)
-        dofs = local_dof_vectors(mesh, field)
+        dofs = DofMap.pack(field)[element_ops(mesh)["l2g"]]
         for t in range(mesh.num_triangles):
             G = modified_gradient_local(mesh, t, dofs[t])
             assert np.abs(G - _LINEAR_GRAD).max() < 1e-12
@@ -259,7 +258,7 @@ class TestStabilization:
     def test_kernel_contains_interpolated_linears(self):
         mesh = build_rect_uniform(3, 3)
         field = interpolate(mesh, _linear_field)
-        dofs = local_dof_vectors(mesh, field)
+        dofs = DofMap.pack(field)[element_ops(mesh)["l2g"]]
         for t in range(0, mesh.num_triangles, 5):
             S = stabilization_local(mesh, t)
             assert dofs[t] @ S @ dofs[t] < 1e-13

@@ -1,8 +1,10 @@
-"""Every public function, class, method and property of src/egns is used.
+"""Every function, class, method and property of src/egns is used.
 
 A public module-level function or class, or a public method or property
 of such a class, counts as used when its name is referenced outside its
-own definition, in src/egns or in bench/*.py.
+own definition, in src/egns or in bench/*.py.  So does a private one: a
+module-level function or a method of a module-level class whose name has
+a leading underscore and is not a dunder.
 The benchmark names the entry points it traces as strings, so string
 constants count in bench/.  Names listed in __all__ do not count: a
 module exporting a name does not use it.  The files are parsed, not
@@ -44,6 +46,21 @@ def _public_defs(tree):
     return found
 
 
+def _private_defs(tree):
+    """(qualified name, node) of private functions and class methods."""
+    def private(node):
+        if not isinstance(node, ast.FunctionDef):
+            return False
+        return node.name.startswith("_") and not (
+            node.name.startswith("__") and node.name.endswith("__"))
+
+    found = [(node.name, node) for node in tree.body if private(node)]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{m.name}", m) for m in node.body if private(m)]
+    return found
+
+
 def _references(tree, skip=None, strings=False):
     """Names a tree references, leaving out the subtree `skip`.
 
@@ -72,26 +89,25 @@ def _references(tree, skip=None, strings=False):
     return names
 
 
-def _unreached(src_trees, bench_trees):
-    """Public names that src/egns does not reference: (unreached by
+def _unreached(src_trees, bench_trees, defs=_public_defs):
+    """Names of defs that src/egns does not reference: (unreached by
     bench/ too, reached from bench/ alone)."""
     bench_refs = set().union(*(_references(t, strings=True) for t in bench_trees))
+    whole = {module: _references(tree) for module, tree in src_trees.items()}
     unreached, bench_only = [], []
     for module, tree in src_trees.items():
-        for name, node in _public_defs(tree):
-            refs = set()
-            for other, other_tree in src_trees.items():
-                refs |= _references(other_tree, skip=node if other == module else None)
-            if node.name not in refs:
+        others = set().union(*(r for m, r in whole.items() if m != module))
+        for name, node in defs(tree):
+            if node.name not in others | _references(tree, skip=node):
                 found = bench_only if node.name in bench_refs else unreached
                 found.append(f"{module}.{name}")
     return sorted(unreached), sorted(bench_only)
 
 
 @functools.cache
-def _scan():
+def _scan(defs=_public_defs):
     src = {p.stem: ast.parse(p.read_text()) for p in SRC}
-    return _unreached(src, [ast.parse(p.read_text()) for p in BENCH])
+    return _unreached(src, [ast.parse(p.read_text()) for p in BENCH], defs)
 
 
 def _last(names):
@@ -108,6 +124,10 @@ def test_code_only_the_benchmark_reaches_is_pinned():
     assert _last(found) == BENCH_ONLY and len(found) == len(BENCH_ONLY), found
 
 
+def test_private_code_is_reached():
+    assert _scan(_private_defs)[0] == []
+
+
 def test_scan_finds_an_unreached_function():
     src = {
         "a": ast.parse(
@@ -122,6 +142,11 @@ def test_scan_finds_an_unreached_function():
             "    @classmethod\n    def zeros(cls):\n        return cls()\n"
             "def k():\n    pass\n"
             "def _private():\n    pass\n"
+            "def _helper():\n    return 2\n"
+            "class _P:\n"
+            "    def _dead(self):\n        return self._dead\n"
+            "    def _live(self):\n        return _helper()\n"
+            "    def __init__(self):\n        self._live()\n"
         ),
         "b": ast.parse(
             "import numpy as np\nfrom a import g, h\nx = h(g()).grown() + np.zeros(3)\n"
@@ -132,3 +157,6 @@ def test_scan_finds_an_unreached_function():
     # __all__ alone; np.zeros is numpy's, not h.zeros; only the benchmark
     # names k
     assert _unreached(src, bench) == (["a.f", "a.h.used", "a.h.zeros"], ["a.k"])
+    # _P._dead references only itself and no one calls _private; dunders
+    # and private classes are not checked
+    assert _unreached(src, bench, _private_defs) == (["a._P._dead", "a._private"], [])

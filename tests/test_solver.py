@@ -153,6 +153,14 @@ def _layout(name, nu):
             body_force=force, dirichlet=[((TAG_BOTTOM, TAG_TOP), _zero_bc)],
             neumann_tags=(TAG_LEFT, TAG_RIGHT),
         )
+    if name == "corner":
+        # outflow on two adjacent sides: corner elements have two free
+        # boundary edges
+        return SteadyProblem(
+            mesh=square, nu=nu, body_force=lambda xy: np.ones_like(xy),
+            dirichlet=[((TAG_TOP, TAG_LEFT), _zero_bc)],
+            neumann_tags=(TAG_BOTTOM, TAG_RIGHT),
+        )
     assert name == "hole"
     lid = lambda xy: np.broadcast_to((1.0, 0.0), xy.shape)
     swirl = lambda xy: np.stack([0.5 - xy[..., 1], xy[..., 0] - 0.5], axis=-1)
@@ -406,10 +414,14 @@ class TestNullSpaceSolve:
         assert euler == (0 if name == "hole" else 1)
         assert Z.shape[1] - 3 * nfv == (1 if name in ("hole", "channel") else 0)
 
-    @pytest.mark.parametrize("name", ["vortex", "step", "channel", "hole"])
+    @pytest.mark.parametrize("name", ["vortex", "step", "channel", "hole", "corner"])
     def test_tree_sweeps_invert_the_divergence(self, name):
         prob = _layout(name, 1.0)
         ns, B = prob.null_space, assemble_divergence(prob.mesh)
+        mesh, te = prob.mesh, prob.mesh.triangle_edges
+        free_out = (mesh.boundary_tags[te] != -1) & ~prob.dof_map.constrained[
+            2 * mesh.num_vertices + te]
+        assert (free_out.sum(axis=1).max() == 2) == (name == "corner")
         rng = np.random.default_rng(0)
         rhs_p = rng.standard_normal(B.shape[0])
         p = rng.standard_normal(B.shape[0])
@@ -419,19 +431,20 @@ class TestNullSpaceSolve:
         assert np.abs(B @ ns.particular(rhs_p) - rhs_p).max() <= 1e-12
         assert np.abs(ns.pressure(B.T @ p) - p).max() <= 1e-12
 
-    def test_without_dirichlet_edges_psi_is_fixed_at_one_vertex(self):
-        prob = SteadyProblem(mesh=build_rect_uniform(3, 3), nu=1.0,
-                             neumann_tags=ALL_SIDES)
-        ns, nv = prob.null_space, prob.mesh.num_vertices
-        assert not ns.closed
-        assert ns.Z.shape == (prob.dof_map.total, 3 * nv - 1)
-        assert np.linalg.matrix_rank(ns.Z.toarray()) == 3 * nv - 1
-        B = assemble_divergence(prob.mesh)
-        assert np.abs(B @ ns.Z).max() <= 1e-14
-        # corner elements reach the outside through two free edges
-        p = np.random.default_rng(0).standard_normal(B.shape[0])
-        assert np.abs(B @ ns.particular(p) - p).max() <= 1e-12
-        assert np.abs(ns.pressure(B.T @ p) - p).max() <= 1e-12
+    @pytest.mark.parametrize("neumann_tags", [(), ALL_SIDES], ids=["bare", "outflow"])
+    def test_without_dirichlet_segment_named(self, neumann_tags, monkeypatch):
+        # at rest only nu V is left, and it leaves constant velocities
+        # free: named before any factorization, not as a failed solve
+        factorizations = []
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: factorizations.append(a))
+        prob = SteadyProblem(mesh=build_rect_uniform(4, 4), nu=1.0,
+                             body_force=lambda xy: np.ones_like(xy),
+                             neumann_tags=neumann_tags)
+        for build in (lambda: prob.dof_map, lambda: prob.null_space,
+                      lambda: newton_solve(prob)):
+            with pytest.raises(ValueError, match="no Dirichlet segment"):
+                build()
+        assert factorizations == []
 
 
 class TestMatrixFreeResidual:
