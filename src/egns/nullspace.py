@@ -5,9 +5,11 @@ so a field of free edge fluxes with zero broken divergence is the
 discrete curl of a continuous piecewise-linear stream function psi: the
 average normal flux across edge (a, b) is s_e (psi_b - psi_a) / |e|,
 where s_e = tau . (b - a) / |e| and tau is the assigned normal turned by
-+90 degrees.  A Newton system is then solved over (free v0x, free v0y,
-psi), the null-space method of Benzi, Golub and Liesen (Acta Numerica
-2005), which is pressure robust by construction.
++90 degrees.  A Newton system is then solved over (v0x, v0y, psi) per
+free vertex, the null-space method of Benzi, Golub and Liesen (Acta
+Numerica 2005), which is pressure robust by construction.  The free
+vertices come in a minimum-degree order of the mesh's vertex graph, the
+compressed graph of Z^T A Z (Ashcraft, SIAM J. Sci. Comput. 1995).
 
 psi has one value per vertex off the Dirichlet edges.  The homogeneous
 flux vanishes on a Dirichlet edge, so psi is constant along each
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 __all__ = ["NullSpace", "null_space"]
@@ -39,8 +42,9 @@ __all__ = ["NullSpace", "null_space"]
 class NullSpace:
     """Divergence-free basis Z and the dual spanning tree of one problem.
 
-    Z maps (free v0x, free v0y, psi) to the full velocity dof vector; its
-    rows on constrained entries are empty.  The tree lists the non-root
+    Z maps columns 3k to 3k + 2 to v0x, v0y and psi of free vertex k of the
+    vertex order, later columns to the psi of further Dirichlet chains;
+    its rows on constrained entries are empty.  The tree lists the non-root
     elements in breadth-first order, depth by depth from depth_start,
     each with the position of its parent in that order (-1 below the
     root), the dof of the edge to its parent and the divergence
@@ -94,18 +98,34 @@ class NullSpace:
         return p
 
 
+def _vertex_order(mesh):
+    """Minimum-degree order of the mesh's vertex graph, cached per mesh:
+    SuperLU's symmetric-mode order of a matrix with that pattern, read off
+    an incomplete LU that drops nearly all fill."""
+    cache = mesh._cache
+    if "vertex_order" not in cache:
+        nv, (a, b) = mesh.num_vertices, mesh.edges.T
+        G = sp.coo_matrix((-np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])), (nv, nv))
+        cache["vertex_order"] = np.argsort(spla.spilu(
+            (G + nv * sp.eye(nv)).tocsc(), drop_tol=1.0, fill_factor=1,
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True}).perm_c)
+    return cache["vertex_order"]
+
+
 def null_space(mesh, dof_map):
     """Build the basis and the dual tree for a mesh and its Dirichlet dof
     map, which constrains at least one edge."""
     nv, nt = mesh.num_vertices, mesh.num_triangles
     con = dof_map.constrained
     on_wall, wall_edge = con[:nv], con[2 * nv :]
-    free_v = np.flatnonzero(~on_wall)
+    order = _vertex_order(mesh)
+    free_v = order[~on_wall[order]]
     nfv = free_v.size
 
-    # psi columns follow the 2 nfv vertex columns; -1 marks psi = 0
+    # free_v[k] owns columns 3k to 3k + 2; chains follow; -1 marks psi = 0
     col = np.full(nv, -1, dtype=np.int64)
-    col[free_v] = 2 * nfv + np.arange(nfv)
+    col[free_v] = 3 * np.arange(nfv) + 2
     ncol = 3 * nfv
     a, b = mesh.edges[wall_edge].T
     graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(nv, nv))
@@ -121,7 +141,7 @@ def null_space(mesh, dof_map):
     w = np.where(n[:, 0] * d[:, 1] - n[:, 1] * d[:, 0] > 0, 1.0, -1.0)
     w /= mesh.edge_lengths[fe]
     rows = np.concatenate([free_v, nv + free_v, 2 * nv + fe, 2 * nv + fe])
-    cols = np.concatenate([np.arange(2 * nfv), col[b], col[a]])
+    cols = np.concatenate([col[free_v] - 2, col[free_v] - 1, col[b], col[a]])
     data = np.concatenate([np.ones(2 * nfv), w, -w])
     keep = cols >= 0
     Z = sp.coo_matrix(

@@ -12,10 +12,10 @@ saddle matrix.  The null space also fixes the pressure constant of
 pure-Dirichlet problems; incompatible boundary flux is rejected when the
 problem's dof map is built.
 
-Symmetric mode orders A + A^T by minimum degree and pivots on the
-diagonal (Li, *ACM TOMS* 31, 2005), which suits the nearly symmetric
-pattern of Z^T A Z: about half the fill of the default column ordering
-with partial pivoting.  With no pivoting a tiny pivot is possible, so a
+Z^T A Z is factored in SuperLU's symmetric mode with diagonal pivots in
+Z's column order (Li, *ACM TOMS* 31, 2005), minimum degree on the mesh's
+vertex graph (see egns.nullspace): it follows the mesh, not which
+entries cancel exactly.  With no pivoting a tiny pivot is possible, so a
 factorization that raises or a solve that fails the block-residual check
 is retried once with the default factorization.
 
@@ -80,8 +80,8 @@ __all__ = [
 
 _TINY = 1e-300
 
-# the factorization solve_saddle tries first (see above)
-_SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+# the factorization solve_saddle tries first: Z's column order (see above)
+_SYMMETRIC_MODE = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
 
 # damping; the largest contraction theta at which the last LU is reused

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import egns.nullspace
 import egns.solver
 from egns.mesh import (
     TAG_BOTTOM,
@@ -279,11 +280,13 @@ class TestSolveSaddle:
         dx, _, fallback, _ = solve_saddle(prob, prob.newton_system(x))
         return x, dx, fallback
 
-    @pytest.mark.parametrize("name", ["vortex", "cavity_f1", "cavity_f2", "channel"])
+    @pytest.mark.parametrize("name", ["vortex", "cavity_f1", "cavity_f2", "channel",
+                                      "step", "hole", "noflow"])
     def test_converged_state_factors_symmetrically(self, name):
         # ru holds no pressure, so at a solution its scale is the gradient
         # part of the data, not the vanishing Newton residual: the symmetric
-        # factorization passes the check, also under f2's 1e6 gradient force
+        # factorization passes the check, also under f2's 1e6 gradient force,
+        # with a wall-chain psi column last and with outflow rows
         assert not self._converged_correction(name)[2]
 
     @pytest.mark.parametrize("name", [
@@ -299,7 +302,8 @@ class TestSolveSaddle:
         assert np.linalg.norm(dx) <= 1e-10 * np.linalg.norm(x)
 
 
-_SPLU = spla.splu  # the real factorization, whatever a test patches in
+_SPLU = spla.splu  # the real factorizations, whatever a test patches in
+_SPILU = spla.spilu
 
 
 def _route_symmetric_lu(monkeypatch, symmetric, default=_SPLU):
@@ -413,6 +417,71 @@ class TestNullSpaceSolve:
         euler = mesh.num_vertices - mesh.num_edges + mesh.num_triangles
         assert euler == (0 if name == "hole" else 1)
         assert Z.shape[1] - 3 * nfv == (1 if name in ("hole", "channel") else 0)
+
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_columns_are_vertex_triples_in_vertex_order(self, name):
+        prob = _layout(name, 1.0)
+        mesh, Z = prob.mesh, prob.null_space.Z.tocsc()
+        nv = mesh.num_vertices
+        free = np.flatnonzero(~prob.dof_map.constrained[:nv])
+        order = egns.nullspace._vertex_order(mesh)
+        rows = np.split(Z.indices, Z.indptr[1:-1])
+        # free vertex k of the order: its v0x, its v0y, its psi on its edges
+        for k, v in enumerate(order[np.isin(order, free)]):
+            assert rows[3 * k].tolist() == [v]
+            assert rows[3 * k + 1].tolist() == [nv + v]
+            incident = np.flatnonzero((mesh.edges == v).any(axis=1))
+            assert sorted(rows[3 * k + 2]) == (2 * nv + incident).tolist()
+        # the psi of each further wall chain comes after all triples
+        assert all(r.size and r.min() >= 2 * nv for r in rows[3 * free.size :])
+
+    @pytest.mark.parametrize("build", [lambda: build_rect_uniform(16, 16),
+                                       lambda: build_step_domain(0.5)],
+                             ids=["square", "step"])
+    def test_vertex_order_matches_the_complete_factorization(self, build, monkeypatch):
+        # the incomplete LU that gives the order orders as the complete one
+        complete = []
+
+        def spilu(G, drop_tol, fill_factor, **kwargs):
+            complete.append(_SPLU(G, **kwargs).perm_c)
+            return _SPILU(G, drop_tol=drop_tol, fill_factor=fill_factor, **kwargs)
+
+        monkeypatch.setattr(spla, "spilu", spilu)
+        order = egns.nullspace._vertex_order(build())
+        assert np.array_equal(order, np.argsort(complete[0]))
+
+    def test_vertex_order_built_once_per_mesh(self, monkeypatch):
+        # every continuation stage builds a fresh problem on the one mesh
+        orders = []
+        monkeypatch.setattr(spla, "spilu", lambda *a, **k: orders.append(1)
+                            or _SPILU(*a, **k))
+        mesh = build_rect_uniform(8, 8)
+        _, reports = nu_continuation(lambda nu: case_vortex_2d(nu).problem(mesh), 1e-5)
+        assert len(reports) == 2
+        assert orders == [1]
+
+    @pytest.mark.parametrize("state", ["rest", "first"])
+    def test_fill_follows_the_mesh_not_rounding(self, state):
+        # entries of Z^T A Z on the vertex adjacency x 3 x 3 pattern that
+        # cancel exactly, put back at 1e-30, leave the LU fill in place
+        prob = case_vortex_2d(1e-5).problem(build_rect_uniform(8, 8))
+        mesh, Z = prob.mesh, prob.null_space.Z.tocsc()
+        x = None if state == "rest" else _first_iterate(prob)[0]
+        K = (Z.T @ (prob.newton_system(x)[0] @ Z)).tocsc()
+        tri = mesh.triangles
+        incidence = sp.csr_matrix((np.ones(tri.size), (np.arange(tri.size) // 3,
+                                                        tri.ravel())))
+        vertex = np.repeat(Z.indices[Z.indptr[:-1:3]], 3)  # the v0x row of a triple
+        pattern = ((incidence.T @ incidence)[vertex][:, vertex] != 0).astype(float)
+        cancelled = pattern - pattern.multiply(K != 0)
+        cancelled.eliminate_zeros()
+        assert cancelled.nnz > 0 and pattern.multiply(K != 0).nnz == K.nnz
+
+        def fill(M):
+            lu = _SPLU(M.tocsc(), **egns.solver._SYMMETRIC_MODE)
+            return lu.L.nnz + lu.U.nnz
+
+        assert abs(fill(K + 1e-30 * cancelled) - fill(K)) <= 1e-3 * fill(K)
 
     @pytest.mark.parametrize("name", ["vortex", "step", "channel", "hole", "corner"])
     def test_tree_sweeps_invert_the_divergence(self, name):
