@@ -72,7 +72,7 @@ def assemble_viscous(mesh, nu):
     The unit-viscosity matrix is cached on the mesh; both constituent
     forms scale linearly with nu.
     """
-    if nu <= 0:
+    if not nu > 0:  # also NaN
         raise ValueError(f"viscosity must be positive, got {nu}")
     return nu * _viscous_unit(mesh)
 
@@ -205,7 +205,8 @@ def dirichlet_dof_map(mesh, bcs):
     quadrature point, are rejected naming the tags.  The returned map is
     read-only: every system shares it.
     """
-    dm = DofMap.unconstrained(mesh)
+    n = _total_dofs(mesh)
+    dm = DofMap(constrained=np.zeros(n, dtype=bool), values=np.zeros(n))
     nv = mesh.num_vertices
     be = mesh.boundary_edge_indices
     for tags, u_d in bcs:

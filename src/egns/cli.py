@@ -14,7 +14,8 @@ keys are rejected, and so is a key the chosen subcommand does not read:
     noflow    [mesh] resolution; [physics] ra threshold
     cavity    [mesh] resolution; [physics] forcing_scale
     step      [mesh] h; [physics] inlet
-    run       [mesh] generator resolution h path; [boundary]
+    run       [mesh] generator and its key (unit_square resolution, step
+              h, import path); [boundary]
 
 [physics] continuation is obsolete: it is parsed as a boolean and
 otherwise ignored. Boundary recipes (run subcommand) map integer edge
@@ -45,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import SteadyProblem
-from .eg_space import DofMap, EGField, element_divergence, element_ops
+from .eg_space import element_divergence, element_ops, vertex_values
 from .mesh import MeshError, build_rect_uniform, build_step_domain, import_mesh
 from .reconstruction import rt_at_centroids
 from .solver import NewtonConfig, SolverError, nu_continuation
@@ -241,17 +242,16 @@ def write_vtk(mesh, solution, path) -> None:
     centroids. Identical inputs produce identical bytes; -0.0 is
     written as 0.
     """
-    fld, pressure = solution
+    u, pressure = solution
     pressure = np.asarray(pressure, dtype=float)
     ops = element_ops(mesh)
-    loc = DofMap.pack(fld)[ops["l2g"]]
     cell_scalars = [
         ("pressure", pressure),
-        ("kinematic_pressure", kinematic_pressure(mesh, fld, pressure)),
-        ("divergence", element_divergence(mesh, fld)),
-        ("vorticity", np.einsum("tk,tk->t", ops["curl"], loc[:, :6])),
+        ("kinematic_pressure", kinematic_pressure(mesh, u, pressure)),
+        ("divergence", element_divergence(mesh, u)),
+        ("vorticity", np.einsum("tk,tk->t", ops["curl"], u[ops["l2g"][:, :6]])),
     ]
-    recon = rt_at_centroids(mesh, fld)
+    recon = rt_at_centroids(mesh, u)
 
     out = [
         "# vtk DataFile Version 3.0",
@@ -272,7 +272,7 @@ def write_vtk(mesh, solution, path) -> None:
 
     out.append(f"POINT_DATA {mesh.num_vertices}")
     out.append("VECTORS velocity double")
-    out.extend(vectors(fld.vertex_values))
+    out.extend(vectors(vertex_values(mesh, u)))
 
     out.append(f"CELL_DATA {mesh.num_triangles}")
     for name, arr in cell_scalars:
@@ -289,19 +289,26 @@ def write_vtk(mesh, solution, path) -> None:
         raise OSError(f"cannot write VTK file {path}: {exc}") from exc
 
 
+# mesh generator -> the one [mesh] key it reads
+_GENERATOR_KEY = {"unit_square": "resolution", "step": "h", "import": "path"}
+
+
 def _build_mesh(cfg: RunConfig, default_generator: str):
     generator = cfg.generator or default_generator
+    if generator not in _GENERATOR_KEY:
+        raise ConfigError(f"unknown mesh generator {generator!r}")
+    for key in _GENERATOR_KEY.values():
+        if key != _GENERATOR_KEY[generator] and getattr(cfg, key) is not None:
+            raise ConfigError(f"[mesh] {key} is not read by the {generator} generator")
     if generator == "unit_square":
         n = cfg.resolution or 32
         mesh = build_rect_uniform(n, n)
     elif generator == "step":
         mesh = build_step_domain(cfg.h or 0.25)
-    elif generator == "import":
+    else:
         if not cfg.path:
             raise ConfigError("[mesh] path is required for generator = import")
         mesh = import_mesh(cfg.path)
-    else:
-        raise ConfigError(f"unknown mesh generator {generator!r}")
     logger.info("%s mesh: %d vertices, %d triangles",
                 generator, mesh.num_vertices, mesh.num_triangles)
     return mesh
@@ -382,10 +389,9 @@ def cmd_converge(cfg: RunConfig) -> int:
 def cmd_noflow(cfg: RunConfig) -> int:
     mesh = _build_mesh(cfg, "unit_square")
     problem = case_noflow(cfg.ra).problem(mesh)
-    (fld, _), _ = _solve(cfg, problem.with_nu, _resolve_nu(cfg, 1.0))
-    mx = float(np.abs(fld.vertex_values[:, 0]).max())
-    my = float(np.abs(fld.vertex_values[:, 1]).max())
-    mb = float(np.abs(fld.edge_values).max())
+    (u, _), _ = _solve(cfg, problem.with_nu, _resolve_nu(cfg, 1.0))
+    mx, my = np.abs(vertex_values(mesh, u)).max(axis=0).tolist()
+    mb = float(np.abs(u[2 * mesh.num_vertices :]).max())
     threshold = cfg.threshold if cfg.threshold is not None else 1e-9 * cfg.ra
     print(f"max |u0_x| = {mx:.6e}")
     print(f"max |u0_y| = {my:.6e}")
@@ -410,16 +416,12 @@ def cmd_cavity(cfg: RunConfig) -> int:
     denom = velocity_l2_norm(mesh, sol1[0])
     diff = velocity_l2_difference(mesh, sol1[0], sol2[0])
     rel = diff / denom if denom > 0 else diff
-    print(f"relative velocity difference = {rel:.6e}")
+    print(f"relative velocity difference = {rel:.3e}")
 
-    dfield = EGField(
-        sol2[0].vertex_values - sol1[0].vertex_values,
-        sol2[0].edge_values - sol1[0].edge_values,
-    )
     _write_vtk_files(cfg, mesh, {
         "cavity_f1.vtk": sol1,
         "cavity_f2.vtk": sol2,
-        "cavity_diff.vtk": (dfield, sol2[1] - sol1[1]),
+        "cavity_diff.vtk": (sol2[0] - sol1[0], sol2[1] - sol1[1]),
     })
     return 0
 

@@ -2,7 +2,9 @@
 
 A velocity field has a continuous piecewise-linear vector part (one 2-vector
 per mesh vertex) plus one scalar per edge that corrects the average normal
-flux across that edge.  Pressures are piecewise constant per triangle.
+flux across that edge.  Everywhere in egns a velocity is its dof vector
+[v0x | v0y | edge]; vertex_values views its continuous part.  Pressures
+are piecewise constant per triangle.
 
 The broken gradient is the constant tensor per element defined by testing
 against all constant tensors: its boundary functional replaces the normal
@@ -24,8 +26,8 @@ import numpy as np
 from .quadrature import EDGE_RULE
 
 __all__ = [
-    "EGField",
     "DofMap",
+    "vertex_values",
     "SingularElementError",
     "interpolate",
     "edge_trace",
@@ -39,14 +41,6 @@ class SingularElementError(Exception):
 
 
 @dataclass
-class EGField:
-    """Velocity field: nodal 2-vectors plus one normal-flux scalar per edge."""
-
-    vertex_values: np.ndarray  # (NV, 2)
-    edge_values: np.ndarray  # (NE,)
-
-
-@dataclass
 class DofMap:
     """Global layout [v0x block | v0y block | edge block] with constraints.
 
@@ -54,40 +48,20 @@ class DofMap:
     free entries).
     """
 
-    num_vertices: int
-    num_edges: int
     constrained: np.ndarray
     values: np.ndarray
 
-    @classmethod
-    def unconstrained(cls, mesh):
-        total = 2 * mesh.num_vertices + mesh.num_edges
-        return cls(
-            num_vertices=mesh.num_vertices,
-            num_edges=mesh.num_edges,
-            constrained=np.zeros(total, dtype=bool),
-            values=np.zeros(total),
-        )
-
     @property
     def total(self):
-        return 2 * self.num_vertices + self.num_edges
+        return self.values.size
 
     def free_indices(self):
         return np.flatnonzero(~self.constrained)
 
-    @staticmethod
-    def pack(field):
-        return np.concatenate(
-            [field.vertex_values[:, 0], field.vertex_values[:, 1], field.edge_values]
-        )
 
-    def unpack(self, vec):
-        nv = self.num_vertices
-        return EGField(
-            vertex_values=np.column_stack([vec[:nv], vec[nv : 2 * nv]]),
-            edge_values=vec[2 * nv :].copy(),
-        )
+def vertex_values(mesh, x):
+    """The continuous part of the dof vector x as (NV, 2) nodal vectors, a view."""
+    return x[: 2 * mesh.num_vertices].reshape(2, -1).T
 
 
 def edge_trace(mesh, u, edges):
@@ -104,13 +78,13 @@ def edge_trace(mesh, u, edges):
 
 
 def interpolate(mesh, u):
-    """Interpolate an analytic vector field: nodal values plus edge averages
-    of the normal component.  u maps (..., 2) points to (..., 2) values;
-    the edge averages are exact for traces up to degree 7.
+    """Interpolate an analytic vector field into a dof vector: nodal values
+    plus edge averages of the normal component.  u maps (..., 2) points to
+    (..., 2) values; the edge averages are exact for traces up to degree 7.
     """
-    vertex_values = np.asarray(u(mesh.vertices), dtype=float)
-    edge_values = edge_trace(mesh, u, np.arange(mesh.num_edges))
-    return EGField(vertex_values=vertex_values, edge_values=edge_values)
+    nodal = np.asarray(u(mesh.vertices), dtype=float)
+    return np.concatenate(
+        [nodal[:, 0], nodal[:, 1], edge_trace(mesh, u, np.arange(mesh.num_edges))])
 
 
 def element_ops(mesh):
@@ -190,21 +164,21 @@ def element_ops(mesh):
     return ops
 
 
-def element_divergence(mesh, field):
-    """Broken divergence per element, (NT,)."""
+def element_divergence(mesh, x):
+    """Broken divergence per element of the dof vector x, (NT,)."""
     ops = element_ops(mesh)
-    vb = field.edge_values[mesh.triangle_edges]
+    vb = x[2 * mesh.num_vertices + mesh.triangle_edges]
     return (ops["L"] * ops["sig"] * vb).sum(axis=1) / mesh.areas
 
 
-def energy_norm(mesh, field):
+def energy_norm(mesh, x):
     """Mesh-dependent energy norm: broken-gradient part plus penalty part.
 
     Its square times viscosity equals the assembled diffusion form's value
     on the diagonal.
     """
     ops = element_ops(mesh)
-    dofs = DofMap.pack(field)[ops["l2g"]]
+    dofs = x[ops["l2g"]]
     G = np.einsum("tij,tj->ti", ops["D"], dofs)
     grad_part = (mesh.areas * (G**2).sum(axis=1)).sum()
     gaps = np.einsum("tkj,tj->tk", ops["QB"], dofs)

@@ -1,10 +1,10 @@
 """Lowest-order divergence-conforming reconstruction of enriched velocities.
 
-The reconstruction maps an enriched field into the lowest-order
+The reconstruction maps an enriched velocity into the lowest-order
 Raviart-Thomas space by matching edge-average normal fluxes.  With the basis
 normalized so each basis function has unit normal component along its own
 edge (relative to the assigned edge normal), the coefficients are exactly
-the edge scalars of the enriched field.  The reconstruction preserves the
+the edge scalars of the enriched velocity.  The reconstruction preserves the
 broken divergence elementwise and is normal-continuous across edges, which
 is what decouples the discrete velocity from the pressure's gradient part.
 
@@ -31,12 +31,13 @@ def rt_basis(mesh, points):
     return _scale(mesh)[:, None, :, None] * (points[:, :, None, :] - P[:, None, :, :])
 
 
-def reconstruct(mesh, field, points):
-    """Reconstructed velocity on per-element point sets, (NT, nq, 2) -> (NT, nq, 2).
+def reconstruct(mesh, u, points):
+    """Reconstructed velocity of the dof vector u on per-element point sets,
+    (NT, nq, 2) -> (NT, nq, 2).
 
     No containment check; callers supply points of each element.
     """
-    fac = field.edge_values[mesh.triangle_edges] * _scale(mesh)  # (NT, 3)
+    fac = u[2 * mesh.num_vertices + mesh.triangle_edges] * _scale(mesh)  # (NT, 3)
     P = mesh.vertices[mesh.triangles]
     # sum_k fac_k (x - p_k) = (sum_k fac_k) x - sum_k fac_k p_k
     s = fac.sum(axis=1)
@@ -44,7 +45,7 @@ def reconstruct(mesh, field, points):
     return s[:, None, None] * points - shift[:, None, :]
 
 
-def rt_at_centroids(mesh, field):
-    """Reconstructed velocity at element centroids, (NT, 2)."""
+def rt_at_centroids(mesh, u):
+    """Reconstructed velocity of the dof vector u at element centroids, (NT, 2)."""
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    return reconstruct(mesh, field, centroids[:, None, :])[:, 0, :]
+    return reconstruct(mesh, u, centroids[:, None, :])[:, 0, :]

@@ -38,8 +38,8 @@ residual at the new iterate is already at solver precision.  The second
 test is what lets linear problems finish in one iteration.
 
 The Newton iterate is (x, p), x the velocity dof vector [v0x | v0y | edge]
-with the Dirichlet values on its constrained entries; only newton_solve's
-arguments and results are EGFields.
+with the Dirichlet values on its constrained entries, the same vector
+that newton_solve takes and returns.
 
 nu_continuation is how every egns command reaches its viscosity: step
 control on log(nu) (Allgower and Georg, *Numerical Continuation
@@ -63,7 +63,6 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_divergence
-from .eg_space import DofMap
 
 logger = logging.getLogger(__name__)
 
@@ -116,8 +115,8 @@ class NewtonConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+        if not 0 < self.rel_tol < math.inf:  # also NaN
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -237,11 +236,12 @@ def newton_solve(problem, config=None, initial=None):
     problem needs newton_system(x), the Jacobian and the residual at the
     velocity dof vector x (None = zero velocity), residual(x, pressure),
     mesh, dof_map and null_space; every iterate is x + lambda dx, dx from
-    solve_saddle or the last LU.  initial, packed on entry with the
-    problem's Dirichlet values put on its constrained entries, and the
-    result are (velocity field, pressure) pairs; returns (result,
-    report).  Raises NonConvergenceError with the best iterate attached
-    if the iteration budget runs out or the line search fails.
+    solve_saddle or the last LU.  initial, whose constrained entries give
+    way to the problem's Dirichlet values, and the result are (x,
+    pressure) pairs; returns (result, report).  Raises
+    NonConvergenceError with the best iterate attached if the iteration
+    budget runs out or the line search fails.  No returned x shares
+    memory with the dof map.
     """
     config = config or NewtonConfig()
     t0 = time.perf_counter()
@@ -249,8 +249,7 @@ def newton_solve(problem, config=None, initial=None):
     free = dm.free_indices()
     # a warm start takes the problem's Dirichlet values: every dx is zero there
     x, p = ((None, np.zeros(problem.mesh.num_triangles)) if initial is None
-            else (np.where(dm.constrained, dm.values, DofMap.pack(initial[0])),
-                  initial[1]))
+            else (np.where(dm.constrained, dm.values, initial[0]), initial[1]))
     res = _nonlinear_residual(problem, x, p)[2]
     x = dm.values if x is None else x  # rest: the Dirichlet data, zero elsewhere
     prev, records, lu = np.concatenate([x[free], p]), [], None
@@ -275,7 +274,7 @@ def newton_solve(problem, config=None, initial=None):
                   "fallback": fallback, "factored": factored, "theta": math.nan}
         if rel < config.rel_tol:
             records.append(record)
-            return (dm.unpack(x1), p1), report()
+            return (x1, p1), report()
 
         lam, xt, pt = 1.0, x1, p1
         while factored:
@@ -288,7 +287,7 @@ def newton_solve(problem, config=None, initial=None):
                 raise NonConvergenceError(
                     f"line search failed at iteration {len(records)}: no step down "
                     f"to lambda = {_MIN_LAMBDA:g} lowers the residual {res:.3e}",
-                    best=(dm.unpack(x), p), report=report(converged=False))
+                    best=(x.copy(), p), report=report(converged=False))
             xt, pt = x + lam * dx, p + lam * (p1 - p)
         if not (factored or res1 <= (1.0 - _DECREASE) * res):
             lu = None  # the chord step does not lower the residual: factor at x
@@ -301,7 +300,7 @@ def newton_solve(problem, config=None, initial=None):
         if res < 1e-2 * config.rel_tol:
             # the fresh iterate already satisfies the nonlinear equations;
             # the next update would be zero
-            return (dm.unpack(x), p), report()
+            return (x, p), report()
         if lam == 1.0:  # the chord step from the same LU, and its contraction
             chord = Z @ lu.solve(Z.T @ -ru1)
             record["theta"] = float(np.linalg.norm(chord)) / max(
@@ -312,7 +311,7 @@ def newton_solve(problem, config=None, initial=None):
     raise NonConvergenceError(
         f"no convergence after {config.max_iter} iterations "
         f"(last relative update {records[-1]['update']:.3e})",
-        best=(dm.unpack(x), p), report=report(converged=False))
+        best=(x, p), report=report(converged=False))
 
 
 def nu_continuation(factory, nu, config=None):

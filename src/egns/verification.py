@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .assembly import SteadyProblem
-from .eg_space import EGField, element_ops
+from .eg_space import element_ops, vertex_values
 from .mesh import (
     TAG_BOTTOM,
     TAG_INLET,
@@ -164,7 +164,7 @@ class FlowCase:
     pressure: Optional[ScalarFn] = None
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not self.nu > 0:  # also NaN
             raise VerificationError("viscosity must be positive")
         if (self.velocity is None) != (self.pressure is None):
             raise VerificationError(
@@ -332,7 +332,7 @@ def case_step(re: float = 100.0, inlet: str = "parabolic") -> FlowCase:
     "constant" variant imposes a plug profile (1, 0). The outlet at x = 20
     is traction free.
     """
-    if re <= 0:
+    if not re > 0:  # also NaN
         raise VerificationError("Reynolds number must be positive")
 
     if inlet == "parabolic":
@@ -364,11 +364,11 @@ def error_norms(
     """L2 and broken H1 errors of the continuous velocity part and the
     L2 pressure error, as a (e_l2, e_h1, e_p) tuple.
 
-    ``solution`` is an (EGField, element pressures) pair. The exact fields,
+    ``solution`` is a (dof vector, element pressures) pair. The exact fields,
     the velocity gradient in closed form among them, are sampled on the
     degree-8 rule refined once, _NORM_BLOCK triangles at a time.
     """
-    fld, p_h = solution
+    u, p_h = solution
     rule = refined_rule(quadrature_rule(8))
     w = rule.weights
     gradl = element_ops(mesh)["gradl"]
@@ -379,7 +379,7 @@ def error_norms(
         blk = slice(lo, lo + _NORM_BLOCK)
         tri = mesh.triangles[blk]
         X = rule.points @ mesh.vertices[tri]  # (nb, nq, 2)
-        V = fld.vertex_values[tri]  # (nb, 3, 2)
+        V = vertex_values(mesh, u)[tri]  # (nb, 3, 2)
         du = velocity(X) - rule.points @ V
         g0 = V.transpose(0, 2, 1) @ gradl[blk]  # constant per element
         dg = velocity_gradient(X) - g0[:, None, :, :]
@@ -394,34 +394,31 @@ def error_norms(
     return float(e_l2), float(e_h1), float(e_p)
 
 
-def _mean_sq(mesh: Mesh2D, fld: EGField) -> np.ndarray:
+def _mean_sq(mesh: Mesh2D, u: np.ndarray) -> np.ndarray:
     """Element means of |u0|^2, exact for the piecewise linear part."""
     rule = quadrature_rule(2)
-    u0 = rule.points @ fld.vertex_values[mesh.triangles]
+    u0 = rule.points @ vertex_values(mesh, u)[mesh.triangles]
     return np.einsum("q,tqd,tqd->t", rule.weights, u0, u0)
 
 
-def velocity_l2_norm(mesh: Mesh2D, fld: EGField) -> float:
+def velocity_l2_norm(mesh: Mesh2D, u: np.ndarray) -> float:
     """L2 norm of the continuous velocity part (exact for piecewise P1)."""
-    return float(np.sqrt(mesh.areas @ _mean_sq(mesh, fld)))
+    return float(np.sqrt(mesh.areas @ _mean_sq(mesh, u)))
 
 
-def velocity_l2_difference(mesh: Mesh2D, a: EGField, b: EGField) -> float:
-    diff = EGField(
-        a.vertex_values - b.vertex_values, a.edge_values - b.edge_values
-    )
-    return velocity_l2_norm(mesh, diff)
+def velocity_l2_difference(mesh: Mesh2D, a: np.ndarray, b: np.ndarray) -> float:
+    return velocity_l2_norm(mesh, a - b)
 
 
-def kinematic_pressure(mesh: Mesh2D, fld: EGField, pressure) -> np.ndarray:
+def kinematic_pressure(mesh: Mesh2D, u: np.ndarray, pressure) -> np.ndarray:
     """Convert total pressure to kinematic pressure per element.
 
     Subtracts half the element mean of |u0|^2.
     """
-    return np.asarray(pressure, float) - 0.5 * _mean_sq(mesh, fld)
+    return np.asarray(pressure, float) - 0.5 * _mean_sq(mesh, u)
 
 
-def recirculation_detect(mesh: Mesh2D, fld: EGField, region, threshold=-1e-3):
+def recirculation_detect(mesh: Mesh2D, u: np.ndarray, region, threshold=-1e-3):
     """Scan vertex velocities in an axis-aligned box for reversed flow.
 
     region is (xmin, xmax, ymin, ymax). Returns (detected, min u_x,
@@ -434,7 +431,7 @@ def recirculation_detect(mesh: Mesh2D, fld: EGField, region, threshold=-1e-3):
     inside = (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
     if not inside.any():
         raise VerificationError("recirculation region contains no mesh vertices")
-    ux = fld.vertex_values[:, 0]
+    ux = vertex_values(mesh, u)[:, 0]
     mn = float(ux[inside].min())
     return mn < threshold, mn, inside & (ux < threshold)
 

@@ -17,7 +17,7 @@ from egns.assembly import (
     dirichlet_dof_map,
 )
 from egns.cli import main
-from egns.eg_space import EGField, element_divergence, energy_norm, interpolate
+from egns.eg_space import element_divergence, energy_norm, interpolate, vertex_values
 from egns.mesh import (
     TAG_BOTTOM,
     TAG_LEFT,
@@ -62,9 +62,9 @@ REF_ERRORS_NU1 = np.array(
 ALL_SIDES = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)
 
 
-def rt_divergence_all(mesh, fld):
+def rt_divergence_all(mesh, u):
     """Oracle: divergence of the reconstruction per element, (NT,)."""
-    coeff = fld.edge_values[mesh.triangle_edges]
+    coeff = u[2 * mesh.num_vertices + mesh.triangle_edges]
     L = mesh.edge_lengths[mesh.triangle_edges]
     return (L * mesh.triangle_edge_sign * coeff).sum(axis=1) / mesh.areas
 
@@ -141,9 +141,9 @@ def test_vortex_pressure_robustness_nu1e5(vortex_nu1, vortex_nu1e5):
 def test_noflow_velocity_machine_zero():
     t0 = time.perf_counter()
     mesh = build_rect_uniform(32, 32)
-    (fld, _), _ = newton_solve(case_noflow(1000.0).problem(mesh, nu=1.0))
+    (u, _), _ = newton_solve(case_noflow(1000.0).problem(mesh, nu=1.0))
     wall = time.perf_counter() - t0
-    assert np.abs(fld.vertex_values).max() <= 1e-6
+    assert np.abs(vertex_values(mesh, u)).max() <= 1e-6
     assert wall <= 60.0, f"no-flow run took {wall:.0f}s"
 
 
@@ -167,6 +167,10 @@ def test_discrete_structure_property_suite(vortex_nu1):
     free = dm.free_indices()
     nv, ne = mesh.num_vertices, mesh.num_edges
 
+    def random_dofs():  # vertex values drawn as (nv, 2) rows, then the edges
+        vertex = rng.standard_normal((nv, 2))
+        return np.concatenate([vertex[:, 0], vertex[:, 1], rng.standard_normal(ne)])
+
     # diffusion form value equals viscosity times the squared energy norm
     nu = 0.37
     A = assemble_viscous(mesh, nu)
@@ -174,16 +178,12 @@ def test_discrete_structure_property_suite(vortex_nu1):
         x = np.zeros(2 * nv + ne)
         x[free] = rng.standard_normal(free.size)
         quad = float(x @ (A @ x))
-        en = energy_norm(mesh, dm.unpack(x))
+        en = energy_norm(mesh, x)
         assert abs(quad - nu * en**2) <= 1e-12 * quad, "diffusion/energy mismatch"
 
     # convection form vanishes when the last two arguments coincide
     for _ in range(100):
-        state = EGField(
-            vertex_values=rng.standard_normal((nv, 2)),
-            edge_values=rng.standard_normal(ne),
-        )
-        C = assemble_convection_newton(mesh, dm.pack(state))
+        C = assemble_convection_newton(mesh, random_dofs())
         w = np.zeros(2 * nv + ne)
         w[2 * nv :] = rng.standard_normal(ne)
         cw = C @ w
@@ -192,25 +192,19 @@ def test_discrete_structure_property_suite(vortex_nu1):
 
     # reconstructed divergence equals the broken divergence, bitwise
     for _ in range(100):
-        fld = EGField(
-            vertex_values=rng.standard_normal((nv, 2)),
-            edge_values=rng.standard_normal(ne),
-        )
+        u = random_dofs()
         assert np.array_equal(
-            rt_divergence_all(mesh, fld),
-            element_divergence(mesh, fld),
+            rt_divergence_all(mesh, u),
+            element_divergence(mesh, u),
         ), "reconstruction changed the elementwise divergence"
 
     # reconstructed normal flux at edge midpoints matches the edge dofs
     # as seen from every incident element
-    fld = EGField(
-        vertex_values=rng.standard_normal((nv, 2)),
-        edge_values=rng.standard_normal(ne),
-    )
+    u = random_dofs()
     midpts = mesh.vertices[mesh.edges[mesh.triangle_edges]].mean(axis=2)
-    vals = reconstruct(mesh, fld, midpts)
+    vals = reconstruct(mesh, u, midpts)
     flux = np.einsum("tkd,tkd->tk", vals, mesh.edge_normal[mesh.triangle_edges])
-    want = fld.edge_values[mesh.triangle_edges]
+    want = u[2 * nv + mesh.triangle_edges]
     scale = max(1.0, np.abs(want).max())
     assert np.abs(flux - want).max() <= 1e-12 * scale, "midpoint flux mismatch"
 
@@ -245,9 +239,9 @@ def test_discrete_structure_property_suite(vortex_nu1):
 
     # discrete energy stability of the converged vortex solutions at nu = 1
     force = case_vortex_2d(1.0).body_force
-    for mesh_l, (fld_l, _) in vortex_nu1["runs"]:
+    for mesh_l, (u_l, _) in vortex_nu1["runs"]:
         bound = 1.01 * _force_l2_norm(mesh_l, force) / 1.0
-        assert energy_norm(mesh_l, fld_l) <= bound, "energy stability violated"
+        assert energy_norm(mesh_l, u_l) <= bound, "energy stability violated"
 
     wall = time.perf_counter() - t0
     assert wall <= 60.0, f"property suite took {wall:.0f}s"
@@ -257,10 +251,10 @@ def test_step_recirculation_smoke():
     t0 = time.perf_counter()
     mesh = build_step_domain(0.25)
     case = case_step(re=100.0, inlet="parabolic")
-    (fld, _), report = newton_solve(case.problem(mesh))
+    (u, _), report = newton_solve(case.problem(mesh))
     wall = time.perf_counter() - t0
     assert report.iterations <= 1000
-    hit, min_ux, _ = recirculation_detect(mesh, fld, STEP_RECIRCULATION_BOX)
+    hit, min_ux, _ = recirculation_detect(mesh, u, STEP_RECIRCULATION_BOX)
     assert hit, f"no recirculation detected (min u_x = {min_ux:.3e})"
     assert wall <= 180.0, f"step run took {wall:.0f}s"
 

@@ -11,7 +11,7 @@ import pytest
 import egns.assembly
 import egns.cli
 from egns.cli import ConfigError, RunConfig, load_config, main, worker_count, write_vtk
-from egns.eg_space import DofMap, EGField, element_divergence, element_ops, interpolate
+from egns.eg_space import element_divergence, element_ops, interpolate, vertex_values
 from egns.mesh import build_rect_uniform, export_mesh
 from egns.reconstruction import rt_at_centroids
 from egns.verification import kinematic_pressure
@@ -159,7 +159,7 @@ def _reference_vtk(mesh, fld, pressure):
     """write_vtk's bytes, formatted value by value from numpy scalars."""
     fmt = "{:.15e}".format
     ops = element_ops(mesh)
-    loc = DofMap.pack(fld)[ops["l2g"]]
+    loc = fld[ops["l2g"]]
     cell_scalars = [
         ("pressure", pressure),
         ("kinematic_pressure", kinematic_pressure(mesh, fld, pressure)),
@@ -176,7 +176,7 @@ def _reference_vtk(mesh, fld, pressure):
     out += vectors(mesh.vertices)
     out += [f"CELLS {nt} {4 * nt}"] + [f"3 {i} {j} {k}" for i, j, k in mesh.triangles]
     out += [f"CELL_TYPES {nt}"] + ["5"] * nt
-    out += [f"POINT_DATA {nv}", "VECTORS velocity double"] + vectors(fld.vertex_values)
+    out += [f"POINT_DATA {nv}", "VECTORS velocity double"] + vectors(vertex_values(mesh, fld))
     out.append(f"CELL_DATA {nt}")
     for name, arr in cell_scalars:
         out += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
@@ -189,7 +189,8 @@ class TestWriteVtk:
     def test_zero_solution_layout(self, tmp_path):
         mesh = build_rect_uniform(1, 1)
         path = tmp_path / "zero.vtk"
-        write_vtk(mesh, (EGField(np.zeros((mesh.num_vertices, 2)), np.zeros(mesh.num_edges)), np.zeros(mesh.num_triangles)), path)
+        zero = np.zeros(2 * mesh.num_vertices + mesh.num_edges)
+        write_vtk(mesh, (zero, np.zeros(mesh.num_triangles)), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# vtk DataFile Version 3.0"
         assert lines[2] == "ASCII"
@@ -227,8 +228,9 @@ class TestWriteVtk:
             v[rng.random(shape) < 0.3] = -0.0
             return v
 
-        fld = EGField(values((mesh.num_vertices, 2)), values(mesh.num_edges))
-        fld.vertex_values[:, 1] = -0.0
+        vertex = values((mesh.num_vertices, 2))
+        fld = np.concatenate([vertex[:, 0], vertex[:, 1], values(mesh.num_edges)])
+        vertex_values(mesh, fld)[:, 1] = -0.0
         p = values(mesh.num_triangles)
         path = tmp_path / "signed.vtk"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -241,10 +243,7 @@ class TestWriteVtk:
     def test_byte_identical_rerun(self, tmp_path):
         mesh = build_rect_uniform(3, 2)
         rng = np.random.default_rng(3)
-        fld = EGField(
-            rng.standard_normal((mesh.num_vertices, 2)),
-            rng.standard_normal(mesh.num_edges),
-        )
+        fld = rng.standard_normal(2 * mesh.num_vertices + mesh.num_edges)
         p = rng.standard_normal(mesh.num_triangles)
         a, b = tmp_path / "a.vtk", tmp_path / "b.vtk"
         write_vtk(mesh, (fld, p), a)
@@ -343,6 +342,21 @@ class TestCommandKeys:
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"[{section}] {key} is not read by the {command} command" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+
+    @pytest.mark.parametrize(
+        "mesh, message",
+        [
+            ("generator = step\nresolution = 7\n", "resolution is not read by the step"),
+            ("h = 0.01\n", "h is not read by the unit_square"),
+            ("generator = unit_square\npath = mesh.msh\n", "path is not read by the unit_square"),
+            ("generator = import\npath = mesh.msh\nh = 0.5\n", "h is not read by the import"),
+        ],
+    )
+    def test_key_unread_by_the_generator_rejected(self, tmp_path, capsys, mesh, message):
+        path = _cfg(tmp_path, f"[mesh]\n{mesh}\n[boundary]\n1 = noslip\n")
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        assert f"[mesh] {message} generator" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
 
     @pytest.mark.parametrize("command", ["converge", "noflow", "cavity", "step"])
@@ -499,6 +513,7 @@ class TestCavityCommand:
         out = capsys.readouterr().out
         m = re.search(r"relative velocity difference = ([0-9.eE+-]+)", out)
         assert m, out
+        assert re.fullmatch(r"\d\.\d{3}e[+-]\d{2}", m.group(1)), out  # 4 digits
         assert float(m.group(1)) < 1e-6
         for name in ("cavity_f1.vtk", "cavity_f2.vtk", "cavity_diff.vtk"):
             assert (tmp_path / name).is_file()

@@ -9,17 +9,22 @@ from egns.mesh import Mesh2D, build_rect_uniform
 from egns.quadrature import gauss_1d, quadrature_rule
 from egns.eg_space import (
     DofMap,
-    EGField,
     SingularElementError,
     element_divergence,
     element_ops,
     energy_norm,
     interpolate,
+    vertex_values,
 )
 
 
 def _zero_field(mesh):
-    return EGField(np.zeros((mesh.num_vertices, 2)), np.zeros(mesh.num_edges))
+    return np.zeros(2 * mesh.num_vertices + mesh.num_edges)
+
+
+def _edges(mesh, x):
+    """The edge block of the dof vector x, a view."""
+    return x[2 * mesh.num_vertices :]
 
 
 # Per-element and per-edge oracles over the batched element operators.
@@ -30,10 +35,10 @@ def edge_normal_average(endpoint_values, n_e):
     return float(0.5 * (endpoint_values[0] + endpoint_values[1]) @ n_e)
 
 
-def normal_trace_average(mesh, field):
+def normal_trace_average(mesh, x):
     """Per-edge average of the continuous part's normal component, (NE,)."""
-    va = field.vertex_values[mesh.edges[:, 0]]
-    vb = field.vertex_values[mesh.edges[:, 1]]
+    va = vertex_values(mesh, x)[mesh.edges[:, 0]]
+    vb = vertex_values(mesh, x)[mesh.edges[:, 1]]
     return np.einsum("ed,ed->e", 0.5 * (va + vb), mesh.edge_normal)
 
 
@@ -100,7 +105,7 @@ class TestInterpolate:
     def test_nodal_values_exact(self):
         mesh = build_rect_uniform(4, 4)
         field = interpolate(mesh, _quintic_vortex)
-        assert np.array_equal(field.vertex_values, _quintic_vortex(mesh.vertices))
+        assert np.array_equal(vertex_values(mesh, field), _quintic_vortex(mesh.vertices))
 
     def test_edge_moments_match_high_order_oracle(self):
         mesh = build_rect_uniform(16, 16)
@@ -111,20 +116,20 @@ class TestInterpolate:
         pts = a[:, None, :] * (1 - t10)[None, :, None] + b[:, None, :] * t10[None, :, None]
         vals = _quintic_vortex(pts.reshape(-1, 2)).reshape(len(a), 10, 2)
         oracle = np.einsum("q,eqd,ed->e", w10, vals, mesh.edge_normal)
-        assert np.abs(field.edge_values - oracle).max() < 1e-12
+        assert np.abs(_edges(mesh, field) - oracle).max() < 1e-12
 
     def test_boundary_edge_values_vanish_for_vortex(self):
         # the field is zero on the boundary, so its normal fluxes are too
         mesh = build_rect_uniform(8, 8)
         field = interpolate(mesh, _quintic_vortex)
-        assert np.abs(field.edge_values[mesh.boundary_edge_indices]).max() < 1e-14
+        assert np.abs(_edges(mesh, field)[mesh.boundary_edge_indices]).max() < 1e-14
 
 
 class TestModifiedGradient:
     def test_exact_on_interpolated_linears(self):
         mesh = build_rect_uniform(3, 3, (0.0, 0.0, 2.0, 1.0))
         field = interpolate(mesh, _linear_field)
-        dofs = DofMap.pack(field)[element_ops(mesh)["l2g"]]
+        dofs = field[element_ops(mesh)["l2g"]]
         for t in range(mesh.num_triangles):
             G = modified_gradient_local(mesh, t, dofs[t])
             assert np.abs(G - _LINEAR_GRAD).max() < 1e-12
@@ -191,10 +196,10 @@ class TestModifiedDivergence:
         mesh = build_rect_uniform(4, 3)
         rng = np.random.default_rng(3)
         field = _zero_field(mesh)
-        field.edge_values[:] = rng.standard_normal(mesh.num_edges)
+        _edges(mesh, field)[:] = rng.standard_normal(mesh.num_edges)
         div = element_divergence(mesh, field)
         for t in (0, 5, 11):
-            vals = field.edge_values[mesh.triangle_edges[t]]
+            vals = _edges(mesh, field)[mesh.triangle_edges[t]]
             assert div[t] == pytest.approx(
                 modified_divergence_local(mesh, t, vals), rel=1e-14
             )
@@ -258,7 +263,7 @@ class TestStabilization:
     def test_kernel_contains_interpolated_linears(self):
         mesh = build_rect_uniform(3, 3)
         field = interpolate(mesh, _linear_field)
-        dofs = DofMap.pack(field)[element_ops(mesh)["l2g"]]
+        dofs = field[element_ops(mesh)["l2g"]]
         for t in range(0, mesh.num_triangles, 5):
             S = stabilization_local(mesh, t)
             assert dofs[t] @ S @ dofs[t] < 1e-13
@@ -272,11 +277,8 @@ class TestEnergyNorm:
     def test_homogeneous_of_degree_one(self):
         mesh = build_rect_uniform(3, 3)
         rng = np.random.default_rng(7)
-        field = EGField(
-            vertex_values=rng.standard_normal((mesh.num_vertices, 2)),
-            edge_values=rng.standard_normal(mesh.num_edges),
-        )
-        doubled = EGField(2 * field.vertex_values, 2 * field.edge_values)
+        field = rng.standard_normal(2 * mesh.num_vertices + mesh.num_edges)
+        doubled = 2 * field
         assert energy_norm(mesh, doubled) == pytest.approx(
             2 * energy_norm(mesh, field), rel=1e-13
         )
@@ -313,36 +315,36 @@ class TestQuasiCommutativity:
         assert np.abs(got - want).max() < 1e-12
 
 
+def _free_dof_map(mesh):
+    n = 2 * mesh.num_vertices + mesh.num_edges
+    return DofMap(constrained=np.zeros(n, dtype=bool), values=np.zeros(n))
+
+
 class TestDofMap:
     def test_layout_and_total(self):
         mesh = build_rect_uniform(2, 2)
-        dm = DofMap.unconstrained(mesh)
+        dm = _free_dof_map(mesh)
         nv = mesh.num_vertices
         assert dm.total == 2 * nv + mesh.num_edges
-        field = _zero_field(mesh)
-        field.vertex_values[3] = (1.0, 2.0)
-        field.edge_values[5] = 3.0
-        vec = dm.pack(field)
+        vec = _zero_field(mesh)
+        vertex_values(mesh, vec)[3] = (1.0, 2.0)
+        _edges(mesh, vec)[5] = 3.0
         assert np.array_equal(np.flatnonzero(vec), [3, nv + 3, 2 * nv + 5])
         assert np.array_equal(vec[[3, nv + 3, 2 * nv + 5]], [1.0, 2.0, 3.0])
 
-    def test_pack_unpack_round_trip(self):
+    def test_vertex_values_views_the_p1_blocks(self):
         mesh = build_rect_uniform(3, 2)
-        dm = DofMap.unconstrained(mesh)
+        nv = mesh.num_vertices
         rng = np.random.default_rng(11)
-        field = EGField(
-            vertex_values=rng.standard_normal((mesh.num_vertices, 2)),
-            edge_values=rng.standard_normal(mesh.num_edges),
-        )
-        vec = dm.pack(field)
-        assert vec.shape == (dm.total,)
-        back = dm.unpack(vec)
-        assert np.array_equal(back.vertex_values, field.vertex_values)
-        assert np.array_equal(back.edge_values, field.edge_values)
+        vec = rng.standard_normal(2 * nv + mesh.num_edges)
+        view = vertex_values(mesh, vec)
+        assert view.shape == (nv, 2)
+        assert np.shares_memory(view, vec)
+        assert np.array_equal(view, np.column_stack([vec[:nv], vec[nv : 2 * nv]]))
 
     def test_free_indices_with_constraints(self):
         mesh = build_rect_uniform(2, 2)
-        dm = DofMap.unconstrained(mesh)
+        dm = _free_dof_map(mesh)
         dm.constrained[0] = True
         dm.values[0] = 2.5
         assert 0 not in dm.free_indices()
@@ -362,13 +364,11 @@ class TestNormalTraceAverage:
     def test_matches_scalar_version(self):
         mesh = build_rect_uniform(3, 3)
         rng = np.random.default_rng(5)
-        field = EGField(
-            vertex_values=rng.standard_normal((mesh.num_vertices, 2)),
-            edge_values=np.zeros(mesh.num_edges),
-        )
+        field = _zero_field(mesh)
+        vertex_values(mesh, field)[:] = rng.standard_normal((mesh.num_vertices, 2))
         avg = normal_trace_average(mesh, field)
         for e in (0, 7, mesh.num_edges - 1):
-            ends = field.vertex_values[mesh.edges[e]]
+            ends = vertex_values(mesh, field)[mesh.edges[e]]
             assert avg[e] == pytest.approx(
                 edge_normal_average(ends, mesh.edge_normal[e]), rel=1e-14
             )

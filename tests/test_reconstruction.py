@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from egns.mesh import Mesh2D, build_rect_uniform
-from egns.eg_space import EGField, element_divergence, interpolate
+from egns.eg_space import element_divergence, interpolate
 from egns.reconstruction import reconstruct, rt_at_centroids, rt_basis
 
 
@@ -40,9 +40,14 @@ def _rt_evaluate(mesh, edge_values, t, point):
     return out
 
 
+def _edges(mesh, x):
+    """The edge block of the dof vector x, a view."""
+    return x[2 * mesh.num_vertices :]
+
+
 def _rt_divergence_all(mesh, field):
     """Oracle: divergence of the reconstruction per element, (NT,)."""
-    coeff = field.edge_values[mesh.triangle_edges]
+    coeff = _edges(mesh, field)[mesh.triangle_edges]
     L = mesh.edge_lengths[mesh.triangle_edges]
     return (L * mesh.triangle_edge_sign * coeff).sum(axis=1) / mesh.areas
 
@@ -62,19 +67,17 @@ def _reference_mesh():
 
 def _hypotenuse_field(mesh):
     # the edge joining (1,0) and (0,1) sits opposite vertex (0,0)
-    field = EGField(np.zeros((mesh.num_vertices, 2)), np.zeros(mesh.num_edges))
+    field = np.zeros(2 * mesh.num_vertices + mesh.num_edges)
     for e in range(3):
         if set(mesh.edges[e]) == {1, 2}:
-            field.edge_values[e] = 1.0
+            _edges(mesh, field)[e] = 1.0
     return field
 
 
 def _random_field(mesh, seed):
     rng = np.random.default_rng(seed)
-    return EGField(
-        vertex_values=rng.standard_normal((mesh.num_vertices, 2)),
-        edge_values=rng.standard_normal(mesh.num_edges),
-    )
+    vertex = rng.standard_normal((mesh.num_vertices, 2))
+    return np.concatenate([vertex[:, 0], vertex[:, 1], rng.standard_normal(mesh.num_edges)])
 
 
 class TestReconstruct:
@@ -83,13 +86,13 @@ class TestReconstruct:
         # left untouched
         mesh = build_rect_uniform(3, 3)
         field = _random_field(mesh, 1)
-        before = field.edge_values.copy()
+        before = field.copy()
         points = mesh.vertices[mesh.triangles].mean(axis=1)[:, None, :] + 0.01
         got = reconstruct(mesh, field, points)
-        coeff = field.edge_values[mesh.triangle_edges]
+        coeff = _edges(mesh, field)[mesh.triangle_edges]
         want = np.einsum("tqkd,tk->tqd", rt_basis(mesh, points), coeff)
         assert np.abs(got - want).max() < 1e-13
-        assert np.array_equal(field.edge_values, before)
+        assert np.array_equal(field, before)
 
     def test_divergence_preserved_exactly(self):
         mesh = build_rect_uniform(4, 3)
@@ -115,7 +118,7 @@ class TestEvaluate:
                     continue
                 val = _evaluate_at(mesh, field, int(t), mid)
                 assert val @ mesh.edge_normal[e] == pytest.approx(
-                    field.edge_values[e], rel=1e-12, abs=1e-13
+                    _edges(mesh, field)[e], rel=1e-12, abs=1e-13
                 )
 
     def test_interpolated_field_reproduces_edge_moments(self):
@@ -131,7 +134,7 @@ class TestEvaluate:
             mid = mesh.vertices[mesh.edges[e]].mean(axis=0)
             val = _evaluate_at(mesh, field, t, mid)
             assert val @ mesh.edge_normal[e] == pytest.approx(
-                field.edge_values[e], rel=1e-13
+                _edges(mesh, field)[e], rel=1e-13
             )
 
     def test_outside_point_rejected(self):
@@ -174,5 +177,5 @@ def test_centroid_values_match_pointwise_evaluation():
     vals = rt_at_centroids(mesh, field)
     for t in (0, 4, mesh.num_triangles - 1):
         centroid = mesh.vertices[mesh.triangles[t]].mean(axis=0)
-        want = _rt_evaluate(mesh, field.edge_values, t, centroid)
+        want = _rt_evaluate(mesh, _edges(mesh, field), t, centroid)
         assert np.allclose(vals[t], want, atol=1e-14)

@@ -22,7 +22,7 @@ from egns.mesh import (
     build_step_domain,
 )
 from egns.quadrature import quadrature_rule, refined_rule
-from egns.eg_space import DofMap, EGField, energy_norm
+from egns.eg_space import energy_norm, vertex_values
 from egns.assembly import SteadyProblem, assemble_divergence, assemble_viscous
 from egns.solver import (
     NewtonConfig,
@@ -221,6 +221,24 @@ class TestNewtonConfig:
             NewtonConfig(max_iter=0)
 
 
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: NewtonConfig(rel_tol=math.nan), "rel_tol"),
+        (lambda: NewtonConfig(rel_tol=math.inf), "rel_tol"),
+        (lambda: case_cavity("f1", math.nan), "viscosity"),
+        (lambda: case_step(re=math.nan), "Reynolds"),
+        (lambda: assemble_viscous(build_rect_uniform(2, 2), math.nan), "viscosity"),
+    ],
+    ids=["newton-rel_tol-nan", "newton-rel_tol-inf", "flow-case-nu-nan",
+         "step-re-nan", "viscous-nu-nan"],
+)
+def test_positivity_checks_reject_nan_and_inf(make, match):
+    # a check written v <= 0 lets NaN through, to fail much later
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 class TestSolveSaddle:
     def test_rest_state(self):
         prob = _homogeneous_problem(4, 1.0)
@@ -275,8 +293,7 @@ class TestSolveSaddle:
     def _converged_correction(name):
         """(x, dx, fallback): solve_saddle at the converged Newton state."""
         prob = _layout(name, 1e-2)
-        (field, _), _ = newton_solve(prob, NewtonConfig(rel_tol=1e-12))
-        x = DofMap.pack(field)
+        (x, _), _ = newton_solve(prob, NewtonConfig(rel_tol=1e-12))
         dx, _, fallback, _ = solve_saddle(prob, prob.newton_system(x))
         return x, dx, fallback
 
@@ -559,7 +576,7 @@ class TestNewtonSolve:
             # the lid state of a clean problem on the same mesh
             clean = _cavity_problem(4, 1.0)
             dm = clean.dof_map
-            initial = (dm.unpack(dm.values), np.zeros(clean.mesh.num_triangles))
+            initial = (dm.values, np.zeros(clean.mesh.num_triangles))
         prob = _cavity_problem(4, 1.0, f=lambda xy: np.full(xy.shape, np.nan))
         with pytest.raises(ValueError, match="body force is not finite"):
             newton_solve(prob, NewtonConfig(max_iter=5), initial=initial)
@@ -586,18 +603,17 @@ class TestNewtonSolve:
         slow = _cavity_problem(8, 0.1)
         fast = _cavity_problem(8, 0.1, speed=2.0)
         start, _ = newton_solve(slow)
-        (field, _), _ = newton_solve(fast, initial=start)
-        x, dm = DofMap.pack(field), fast.dof_map
+        (x, _), _ = newton_solve(fast, initial=start)
+        dm = fast.dof_map
         assert np.array_equal(x[dm.constrained], dm.values[dm.constrained])
         (ref, _), _ = newton_solve(fast)
-        ref = DofMap.pack(ref)
         assert np.linalg.norm(x - ref) <= 1e-7 * np.linalg.norm(ref)
 
     def test_zero_data_zero_solution_one_iteration(self):
         prob = _homogeneous_problem(4, 1.0)
         (field, pressure), report = newton_solve(prob)
         assert report.iterations == 1
-        assert np.abs(field.vertex_values).max() == 0.0
+        assert np.abs(vertex_values(prob.mesh, field)).max() == 0.0
         assert np.abs(pressure).max() == 0.0
 
     def test_linear_problem_converges_in_one_iteration(self):
@@ -610,7 +626,7 @@ class TestNewtonSolve:
         assert report.iterations == 1
         # the residual test ends it: the first update is the whole flow
         assert report.records[-1]["residual"] < 1e-7
-        assert np.abs(field.vertex_values).max() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(vertex_values(prob.mesh, field)).max() == pytest.approx(1.0, abs=1e-12)
 
     def test_nonlinear_problem_converges_with_history(self):
         prob = _cavity_problem(8, 0.05)
@@ -651,8 +667,7 @@ class TestNewtonSolve:
         config = NewtonConfig()
         (field, pressure), report = newton_solve(prob, config)
         assert not report.records[-1]["factored"]
-        x = DofMap.pack(field)
-        assert _assembled_residual(prob, x, pressure) < 1e-2 * config.rel_tol
+        assert _assembled_residual(prob, field, pressure) < 1e-2 * config.rel_tol
 
     def test_no_lu_alive_during_assembly(self, monkeypatch):
         lus, assembled = [], []
@@ -684,8 +699,7 @@ class TestNewtonSolve:
         r2 = newton_solve(_cavity_problem(6, 0.1))
         (f1, p1), _ = r1
         (f2, p2), _ = r2
-        assert np.array_equal(f1.vertex_values, f2.vertex_values)
-        assert np.array_equal(f1.edge_values, f2.edge_values)
+        assert np.array_equal(f1, f2)
         assert np.array_equal(p1, p2)
 
     def test_nonconvergence_carries_best_iterate(self):
@@ -696,17 +710,37 @@ class TestNewtonSolve:
         assert err.report.iterations == 1
         assert err.best is not None
         field, pressure = err.best
-        assert np.abs(field.vertex_values).max() > 0
+        assert np.abs(vertex_values(prob.mesh, field)).max() > 0
+
+    def test_returned_velocities_own_their_memory(self, monkeypatch):
+        # from rest the iterate is the problem's read-only dof map values;
+        # no result, a failed solve's best iterate included, hands them out
+        prob = _cavity_problem(8, 0.005)
+        dm = prob.dof_map
+        rest = (dm.values, np.zeros(prob.mesh.num_triangles))
+        velocities = [newton_solve(prob)[0][0], newton_solve(prob, initial=rest)[0][0],
+                      nu_continuation(prob.with_nu, prob.nu)[0][0]]
+        with pytest.raises(NonConvergenceError) as ei:
+            newton_solve(prob, NewtonConfig(max_iter=1))
+        velocities.append(ei.value.best[0])
+        monkeypatch.setattr(egns.solver, "_MIN_LAMBDA", 1.0)
+        with pytest.raises(NonConvergenceError, match="iteration 1") as ei:
+            newton_solve(prob)
+        velocities.append(ei.value.best[0])
+        for x in velocities:
+            assert x.flags.writeable
+            assert not np.shares_memory(x, dm.values)
 
     def test_gradient_forcing_leaves_velocity_unchanged(self):
         def grad_field(xy):
             x, y = xy[..., 0], xy[..., 1]
             return 1e6 * np.stack([x**2, y**2], axis=-1)
 
-        (u_a, _), _ = newton_solve(_cavity_problem(8, 1.0))
+        prob = _cavity_problem(8, 1.0)
+        (u_a, _), _ = newton_solve(prob)
         (u_b, _), _ = newton_solve(_cavity_problem(8, 1.0, f=grad_field))
-        num = np.linalg.norm(u_a.vertex_values - u_b.vertex_values)
-        den = np.linalg.norm(u_a.vertex_values)
+        num = np.linalg.norm(vertex_values(prob.mesh, u_a - u_b))
+        den = np.linalg.norm(vertex_values(prob.mesh, u_a))
         assert num / den < 1e-6
 
     @pytest.mark.xfail(
@@ -759,7 +793,7 @@ class TestDamping:
         res = [r["residual"] for r in report.records if not np.isnan(r["residual"])]
         assert all(b <= a for a, b in zip(res, res[1:]))
         # the damped iterates end on a solution of the discrete equations
-        assert _assembled_residual(prob, DofMap.pack(field), pressure) < 1e-8
+        assert _assembled_residual(prob, field, pressure) < 1e-8
 
     def test_lambda_floor_raises_named_error(self, monkeypatch):
         # with no damping allowed, a step that raises the residual ends the
@@ -774,7 +808,7 @@ class TestDamping:
         assert not err.report.converged
         field, pressure = err.best
         dm = prob.dof_map
-        assert np.array_equal(dm.pack(field), dm.values)
+        assert np.array_equal(field, dm.values)
         assert np.abs(pressure).max() == 0.0
 
 
@@ -811,8 +845,7 @@ class TestContinuation:
         (fb, pb), report = newton_solve(prob)
         assert len(reports) == 1 and reports[0].converged
         assert reports[0].iterations == report.iterations
-        assert np.array_equal(fa.vertex_values, fb.vertex_values)
-        assert np.array_equal(fa.edge_values, fb.edge_values)
+        assert np.array_equal(fa, fb)
         assert np.array_equal(pa, pb)
 
     def test_warm_start_descends_schedule(self, monkeypatch):
@@ -828,7 +861,7 @@ class TestContinuation:
         assert [r.nu for r in reports] == [1e-3, 5e-4]
         assert starts[0] is None
         assert starts[1] is not None
-        assert np.abs(field.vertex_values).max() > 0.1
+        assert np.abs(vertex_values(build_rect_uniform(6, 6), field)).max() > 0.1
 
     def test_rejects_bad_schedule(self):
         # the controller picks the schedule; only its end, the target
@@ -875,7 +908,7 @@ class TestContinuation:
         # the retry starts from the last converged state, stage 0's
         assert calls[2][1] is calls[1][1]
         assert nus[-1] == target and reports[-1].converged
-        assert np.abs(field.vertex_values).max() > 0.1
+        assert np.abs(vertex_values(build_rect_uniform(4, 4), field)).max() > 0.1
 
 
 class TestStepControl:

@@ -12,7 +12,7 @@ from egns.mesh import (
     TAG_TOP,
     build_rect_uniform,
 )
-from egns.eg_space import EGField, element_ops, interpolate
+from egns.eg_space import element_ops, interpolate, vertex_values
 from egns.quadrature import quadrature_rule, refined_rule
 from egns.solver import solve_saddle
 from egns.verification import (
@@ -60,7 +60,14 @@ BENCH_ORD_NU1E5 = np.array(
 
 
 def _zero_field(mesh):
-    return EGField(np.zeros((mesh.num_vertices, 2)), np.zeros(mesh.num_edges))
+    return np.zeros(2 * mesh.num_vertices + mesh.num_edges)
+
+
+def _vertex_field(mesh, values):
+    """A dof vector with the given (NV, 2) vertex values and zero edge values."""
+    field = _zero_field(mesh)
+    vertex_values(mesh, field)[:] = values
+    return field
 
 
 def _fd_scalar_grad(p, pts, h=1e-5):
@@ -362,8 +369,8 @@ class TestErrorNorms:
     def test_constant_offsets_closed_form(self):
         mesh = build_rect_uniform(3, 3)
         field = _zero_field(mesh)
-        field.vertex_values[:, 0] = 3.0
-        field.vertex_values[:, 1] = 4.0
+        vertex_values(mesh, field)[:, 0] = 3.0
+        vertex_values(mesh, field)[:, 1] = 4.0
         pressure = np.full(mesh.num_triangles, 2.0)
         zero_v = lambda xy: np.zeros_like(xy)
         zero_g = lambda xy: np.zeros(xy.shape[:-1] + (2, 2))
@@ -380,14 +387,14 @@ class TestErrorNorms:
         case = case_vortex_2d(1.0)
         rng = np.random.default_rng(7)
         field = interpolate(mesh, case.velocity)
-        field.vertex_values += 1e-3 * rng.standard_normal(field.vertex_values.shape)
+        vertex_values(mesh, field)[:] += 1e-3 * rng.standard_normal((mesh.num_vertices, 2))
         pressure = rng.standard_normal(mesh.num_triangles)
         exact = (case.velocity, case.pressure, case.velocity_gradient)
 
         # the unblocked sums over every triangle at once
         rule = refined_rule(quadrature_rule(8))
         X, w = rule.physical_points(mesh), rule.weights
-        V = field.vertex_values[mesh.triangles]
+        V = vertex_values(mesh, field)[mesh.triangles]
         du = case.velocity(X) - np.einsum("qk,tkd->tqd", rule.points, V)
         g0 = np.einsum("tkd,tke->tde", V, element_ops(mesh)["gradl"])
         dg = case.velocity_gradient(X) - g0[:, None]
@@ -405,15 +412,15 @@ class TestVelocityNormHelpers:
     def test_norm_of_constant_field(self):
         mesh = build_rect_uniform(3, 3)
         field = _zero_field(mesh)
-        field.vertex_values[:, 0] = 3.0
-        field.vertex_values[:, 1] = 4.0
+        vertex_values(mesh, field)[:, 0] = 3.0
+        vertex_values(mesh, field)[:, 1] = 4.0
         assert velocity_l2_norm(mesh, field) == pytest.approx(5.0, rel=1e-13)
 
     def test_difference_is_symmetric_and_zero_on_self(self):
         mesh = build_rect_uniform(3, 3)
         rng = np.random.default_rng(27)
-        a = EGField(rng.standard_normal((mesh.num_vertices, 2)), np.zeros(mesh.num_edges))
-        b = EGField(rng.standard_normal((mesh.num_vertices, 2)), np.zeros(mesh.num_edges))
+        a = _vertex_field(mesh, rng.standard_normal((mesh.num_vertices, 2)))
+        b = _vertex_field(mesh, rng.standard_normal((mesh.num_vertices, 2)))
         assert velocity_l2_difference(mesh, a, a) == 0.0
         assert velocity_l2_difference(mesh, a, b) == pytest.approx(
             velocity_l2_difference(mesh, b, a), rel=1e-14
@@ -490,16 +497,14 @@ class TestKinematicPressure:
     def test_unit_speed_shifts_by_half(self):
         mesh = build_rect_uniform(3, 3)
         field = _zero_field(mesh)
-        field.vertex_values[:, 0] = 1.0
+        vertex_values(mesh, field)[:, 0] = 1.0
         kin = kinematic_pressure(mesh, field, np.zeros(mesh.num_triangles))
         assert np.abs(kin + 0.5).max() < 1e-14
 
     def test_constant_shift_linearity(self):
         mesh = build_rect_uniform(3, 3)
         rng = np.random.default_rng(28)
-        field = EGField(
-            rng.standard_normal((mesh.num_vertices, 2)), np.zeros(mesh.num_edges)
-        )
+        field = _vertex_field(mesh, rng.standard_normal((mesh.num_vertices, 2)))
         p = rng.standard_normal(mesh.num_triangles)
         k1 = kinematic_pressure(mesh, field, p)
         k2 = kinematic_pressure(mesh, field, p + 7.5)
@@ -510,7 +515,7 @@ class TestRecirculation:
     def test_uniform_rightward_flow(self):
         mesh = build_rect_uniform(4, 4)
         field = _zero_field(mesh)
-        field.vertex_values[:, 0] = 1.0
+        vertex_values(mesh, field)[:, 0] = 1.0
         hit, mn, reversed_flow = recirculation_detect(
             mesh, field, (0.2, 0.8, 0.2, 0.8)
         )
@@ -521,11 +526,11 @@ class TestRecirculation:
     def test_detects_reversed_flow(self):
         mesh = build_rect_uniform(4, 4)
         field = _zero_field(mesh)
-        field.vertex_values[:, 0] = 1.0
+        vertex_values(mesh, field)[:, 0] = 1.0
         inside = np.flatnonzero(
             (mesh.vertices[:, 0] > 0.4) & (mesh.vertices[:, 1] > 0.4)
         )
-        field.vertex_values[inside[0], 0] = -0.01
+        vertex_values(mesh, field)[inside[0], 0] = -0.01
         hit, mn, reversed_flow = recirculation_detect(
             mesh, field, (0.0, 1.0, 0.0, 1.0)
         )
@@ -536,7 +541,7 @@ class TestRecirculation:
     def test_below_threshold_not_flagged(self):
         mesh = build_rect_uniform(4, 4)
         field = _zero_field(mesh)
-        field.vertex_values[:, 0] = -5e-4
+        vertex_values(mesh, field)[:, 0] = -5e-4
         hit, _, reversed_flow = recirculation_detect(
             mesh, field, (0.0, 1.0, 0.0, 1.0)
         )
