@@ -1,4 +1,4 @@
-"""Global sparse assembly for the linearized incompressible flow systems.
+"""Forms and Newton systems of the linearized incompressible flow problem.
 
 The velocity block combines the viscous broken-gradient form, the flux
 penalty, the Newton linearization of the rotational convection term, and
@@ -7,16 +7,17 @@ The divergence block couples element pressures to the edge scalars only.
 Loads are tested against the flux-preserving reconstruction, so body
 forces enter exclusively through edge degrees of freedom.
 
-Every form is elementwise: a matrix is a batch of element blocks summed
-by _sparse onto the local dofs l2g, and a vector a batch of element
-values summed by _scatter.
+Every form is elementwise: a batch of element blocks, summed by _sparse
+onto the local dofs l2g for the viscous and divergence matrices, and a
+vector a batch of element values summed by _scatter.  The convection and
+outflow Jacobians stay 3x9 blocks on each element's edge rows.
 
-Newton works in correction form: a Newton system is the Jacobian and
-the residual at a velocity dof vector x that holds the Dirichlet values
-on its constrained entries, and the solver finds a correction that is
-zero there.  The constrained set and its values depend only on the
-problem, so each problem builds its dof map once and shares it with
-every Newton system.
+Newton works in correction form: a Newton system is the reduced matrix
+Z^T A Z and the residual at a velocity dof vector x that holds the
+Dirichlet values on its constrained entries, and the solver finds a
+correction that is zero there.  Z^T A Z is summed from element blocks
+onto a pattern fixed per mesh and constraint set (see egns.nullspace):
+no global Jacobian is assembled.
 """
 
 from __future__ import annotations
@@ -77,15 +78,21 @@ def assemble_viscous(mesh, nu):
     return nu * _viscous_unit(mesh)
 
 
-def _viscous_unit(mesh):
+def _viscous_blocks(mesh):
+    """The 9x9 element blocks of the unit-viscosity form."""
+    ops = element_ops(mesh)
+    D, QB = ops["D"], ops["QB"]
+    K = (D.transpose(0, 2, 1) * mesh.areas[:, None, None]) @ D
+    K += (QB.transpose(0, 2, 1) * ops["stab_w"][:, None, :]) @ QB
+    return K
+
+
+def _viscous_unit(mesh, blocks=None):  # cached; blocks: _viscous_blocks(mesh)
     cache = mesh._cache
     if "viscous_unit" not in cache:
-        ops = element_ops(mesh)
-        D, QB = ops["D"], ops["QB"]
-        K = (D.transpose(0, 2, 1) * mesh.areas[:, None, None]) @ D
-        K += (QB.transpose(0, 2, 1) * ops["stab_w"][:, None, :]) @ QB
-        n = _total_dofs(mesh)
-        cache["viscous_unit"] = _sparse(ops["l2g"], ops["l2g"], K, (n, n))
+        l2g, n = element_ops(mesh)["l2g"], _total_dofs(mesh)
+        blocks = _viscous_blocks(mesh) if blocks is None else blocks
+        cache["viscous_unit"] = _sparse(l2g, l2g, blocks, (n, n))
     return cache["viscous_unit"]
 
 
@@ -126,16 +133,14 @@ def assemble_convection_newton(mesh, x):
     C carries the two first-order terms: rows only on edge dofs, columns
     on edge dofs through the reconstruction and on vertex dofs through the
     elementwise curl.  C applied to x itself is twice the term's value.
+    Returns C as one 3x9 block [mtu (x) curl | omega M^T] per element, on
+    its edge rows.
     """
-    ops = element_ops(mesh)
     omega, mtu, _ = _convection_value(mesh, x)
-    # the 3x9 block [mtu (x) curl | omega M^T] on the edge rows
-    block = np.concatenate(
-        [mtu[:, :, None] * ops["curl"][:, None, :],
+    return np.concatenate(
+        [mtu[:, :, None] * element_ops(mesh)["curl"][:, None, :],
          omega[:, None, None] * np.swapaxes(_convection_geometry(mesh), 1, 2)],
         axis=2)
-    n = _total_dofs(mesh)
-    return _sparse(ops["l2g"][:, 6:], ops["l2g"], block, (n, n))
 
 
 def _convection_value(mesh, x):
@@ -168,31 +173,43 @@ def assemble_neumann(mesh, tags, x):
 
     The matrix linearizes the quadratic boundary form (half the squared
     continuous trace against the test edge scalar) at the dof vector x.
+    Returns it as assemble_convection_newton does: one 1x4 block per edge
+    in the edge rows of its element, on its ends' v0x and v0y.
     """
-    nv = mesh.num_vertices
-    n = _total_dofs(mesh)
-    sel, Ua, Ub, _ = _neumann_value(mesh, tags, x)
-    ab = mesh.edges[sel]
-    # exact edge integrals of (linear trace) x (hat function), one 1x4
-    # block per edge on [a, b, nv + a, nv + b]
-    hats = np.stack([Ua / 3 + Ub / 6, Ua / 6 + Ub / 3], axis=2).reshape(-1, 1, 4)
-    block = mesh.edge_lengths[sel][:, None, None] * hats
-    return _sparse((2 * nv + sel)[:, None], np.concatenate([ab, nv + ab], axis=1),
-                   block, (n, n))
+    _, t, k, cols = _outflow_edges(mesh, tags)
+    block = np.zeros((mesh.num_triangles, 3, 9))
+    block[t, k, cols] = _neumann_value(mesh, tags, x)[0]
+    return block
+
+
+def _outflow_edges(mesh, tags):
+    """The tagged boundary edges and, per edge, its triangle, local edge
+    row and local columns [a, b, 3 + a, 3 + b]; cached per mesh and tags."""
+    key = ("outflow", tuple(tags))
+    if key not in mesh._cache:
+        be = mesh.boundary_edge_indices
+        sel = be[np.isin(mesh.boundary_tags[be], tags)]
+        t = mesh.edge_to_triangles[sel, :1]
+        k = np.argmax(mesh.triangle_edges[t[:, 0]] == sel[:, None], axis=1)
+        ab = np.argmax(mesh.triangles[t] == mesh.edges[sel][:, :, None], axis=2)
+        mesh._cache[key] = sel, t, k[:, None], np.concatenate([ab, 3 + ab], axis=1)
+    return mesh._cache[key]
 
 
 def _neumann_value(mesh, tags, x):
-    """The tagged edges, the velocity at both their ends and the value terms."""
+    """The outflow Jacobian's 1x4 block per tagged edge on [a, b, nv + a,
+    nv + b] at x, and the value terms."""
     nv = mesh.num_vertices
-    be = mesh.boundary_edge_indices
-    sel = be[np.isin(mesh.boundary_tags[be], tags)]
+    sel = _outflow_edges(mesh, tags)[0]
     a, b = mesh.edges[sel].T
     Ua = np.column_stack([x[a], x[nv + a]])
     Ub = np.column_stack([x[b], x[nv + b]])
     # value of the quadratic form: half the edge integral of |trace|^2
     quad = ((Ua * Ua).sum(1) + (Ua * Ub).sum(1) + (Ub * Ub).sum(1)) / 3.0
     vec = _scatter(2 * nv + sel, 0.5 * mesh.edge_lengths[sel] * quad, _total_dofs(mesh))
-    return sel, Ua, Ub, vec
+    # exact edge integrals of (linear trace) x (hat function)
+    hats = np.stack([Ua / 3 + Ub / 6, Ua / 6 + Ub / 3], axis=2).reshape(-1, 4)
+    return mesh.edge_lengths[sel][:, None] * hats, vec
 
 
 def dirichlet_dof_map(mesh, bcs):
@@ -259,7 +276,8 @@ class SteadyProblem:
     name the traction-free outflow sides.  The load vector, the Dirichlet
     dof map and the divergence-free basis are computed once per problem
     instance and reused across Newton iterations; with_nu returns a new
-    instance that shares all three, since none depends on nu.
+    instance that shares all three, since none depends on nu.  Problems
+    on one mesh with the same constrained dofs share one basis.
     """
 
     mesh: object
@@ -267,6 +285,10 @@ class SteadyProblem:
     body_force: object = None
     dirichlet: list = field(default_factory=list)
     neumann_tags: tuple = ()
+
+    def __post_init__(self):
+        if not self.nu > 0:  # also NaN
+            raise ValueError(f"viscosity must be positive, got {self.nu}")
 
     def with_nu(self, nu):
         new = dataclasses.replace(self, nu=nu)
@@ -316,12 +338,24 @@ class SteadyProblem:
 
     @cached_property
     def null_space(self):
-        """The divergence-free basis and the dual spanning tree."""
-        return null_space(self.mesh, self.dof_map)
+        """The divergence-free basis, the dual spanning tree and Z^T V Z."""
+        key = ("null_space", self.dof_map.constrained.tobytes())
+        cache = self.mesh._cache
+        if key not in cache:  # V from the same blocks, first: a lower peak memory
+            blocks = _viscous_blocks(self.mesh)
+            _viscous_unit(self.mesh, blocks)
+            cache[key] = null_space(self.mesh, self.dof_map, blocks)
+        return cache[key]
+
+    @cached_property
+    def _at_v(self):  # load - nu V v, the values at v and -B v: fixed data
+        v = self.dof_map.values
+        return (self.load_vector - self.nu * (_viscous_unit(self.mesh) @ v),
+                self._values(v), -(assemble_divergence(self.mesh) @ v))
 
     def _values(self, y):  # r + vec_N: the convection and outflow values
         return (_convection_value(self.mesh, y)[2]
-                + _neumann_value(self.mesh, self.neumann_tags, y)[3])
+                + _neumann_value(self.mesh, self.neumann_tags, y)[1])
 
     def _momentum_mass(self, x):
         # nu V x + (r + vec_N)(x) - load and B x; rest (None): x = v, no values
@@ -342,26 +376,39 @@ class SteadyProblem:
         pressure None zeroes the momentum residual on the null space's tree
         edges.  At x None, rest, x is v and the value terms vanish.
         """
-        v, B = self.dof_map.values, assemble_divergence(self.mesh)
         ru, rp = self._momentum_mass(x)
-        rhs_u = self.load_vector - self.nu * (_viscous_unit(self.mesh) @ v)
+        rhs_u, values_v, rhs_p = self._at_v
         if x is not None:
-            rhs_u = rhs_u + self._values(x - v) - self._values(v)
+            rhs_u = rhs_u + self._values(x - self.dof_map.values) - values_v
         if pressure is None:
             pressure = self.null_space.pressure(ru)
-        return pressure, ru - B.T @ pressure, rp, rhs_u, -(B @ v)
+        B = assemble_divergence(self.mesh)
+        return pressure, ru - B.T @ pressure, rp, rhs_u, rhs_p
 
     def newton_system(self, x):
-        """The Jacobian A at the full dof vector x and the residual (ru, rp).
+        """K = Z^T A Z, A and the residual (ru, rp) at the full dof vector x.
 
-        A is nu V + C(x), plus D(x) with an outflow; ru and rp are those of
-        residual(x, 0), so ru holds no pressure term.  At None, zero
-        velocity, the convection and outflow forms vanish and are skipped.
+        A = nu V + C(x), plus D(x) with an outflow, is the function y -> A y
+        from V and the edge-row blocks of C and D; K sums element blocks
+        onto the null space's pattern.  No global A is assembled.  ru and
+        rp are those of residual(x, 0), so ru holds no pressure term.  At
+        None, zero velocity, C and D vanish and are skipped.
         """
-        mesh = self.mesh
-        A = assemble_viscous(mesh, self.nu)
+        ns, V = self.null_space, _viscous_unit(self.mesh)
+        l2g = element_ops(self.mesh)["l2g"]
+        data, blocks = self.nu * ns.viscous, None
         if x is not None:
-            A = A + assemble_convection_newton(mesh, x)
+            blocks = assemble_convection_newton(self.mesh, x)
             if self.neumann_tags:
-                A = A + assemble_neumann(mesh, self.neumann_tags, x)
-        return (A, *self._momentum_mass(x))
+                blocks += assemble_neumann(self.mesh, self.neumann_tags, x)
+            data = data + ns.reduce(blocks)
+
+        def jacobian(y):
+            Ay = self.nu * (V @ y)
+            if blocks is not None:
+                edge_rows = np.einsum("tkj,tj->tk", blocks, y[l2g])
+                Ay += _scatter(l2g[:, 6:], edge_rows, y.size)
+            return Ay
+
+        K = sp.csc_matrix((data, ns.indices, ns.indptr), shape=(ns.Z.shape[1],) * 2)
+        return (K, jacobian, *self._momentum_mass(x))

@@ -28,7 +28,8 @@ tags to one of::
 
 Exit codes: 0 success, 1 solver or check failure, 2 config/mesh error.
 The environment variable EGNS_THREADS caps the worker count used by the
-converge subcommand; EGNS_THREADS=1 runs its levels one after another.
+converge subcommand, which starts its levels largest first;
+EGNS_THREADS=1 runs them one after another.
 """
 
 from __future__ import annotations
@@ -353,10 +354,13 @@ def cmd_converge(cfg: RunConfig) -> int:
     done = []
     failure = None
     with ThreadPoolExecutor(max_workers=worker_count(len(levels))) as pool:
-        futures = [pool.submit(run_level, n) for n in levels]
-        for n, fut in zip(levels, futures):
+        # largest first, so that smaller levels, not the next largest,
+        # run beside the largest one's LU
+        futures = {i: pool.submit(run_level, levels[i])
+                   for i in sorted(range(len(levels)), key=lambda i: -levels[i])}
+        for i, n in enumerate(levels):
             try:
-                done.append(fut.result())
+                done.append(futures[i].result())
             except SolverError as exc:
                 failure = (n, exc)
                 # later levels would be discarded: drop those not started

@@ -17,6 +17,12 @@ connected chain of Dirichlet edges: the first chain holds psi = 0 and
 every further one (walls split by outflow segments, the boundary of a
 hole) adds one shared unknown.
 
+Z is element-local: on triangle T it keeps v0x, v0y and maps the psi at
+T's vertices to T's edge fluxes by a 3x3 block G_T.  So Z^T A Z sums the
+element blocks Z_T^T A_T Z_T onto a pattern fixed per mesh and
+constraint set, with explicit zeros: a 3x3 block (a chain's psi: one row
+or column) per pair of equal or adjacent vertices.
+
 A breadth-first spanning tree of the dual graph over the free edges
 replaces a second factorization.  It is rooted at a virtual outside node
 when some boundary edge is free, and at element 0 otherwise.  Restricted
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 __all__ = ["NullSpace", "null_space"]
 
@@ -51,6 +57,10 @@ class NullSpace:
     coefficient sigma |e| of the element on that edge.  closed marks a
     boundary without free edges: the tree is then rooted at element 0
     and pressure fixes the free constant by zero area-weighted mean.
+    G holds the blocks G_T, indptr and indices the CSC pattern of Z^T A Z,
+    viscous Z^T V Z on it, and slots[T, k, j] the place of the entry in
+    the psi row of T's vertex k and T's local column j ([v0x | v0y | psi]
+    at its vertices, as its dofs), past the data if Z drops the column.
     """
 
     Z: sp.csr_matrix
@@ -61,6 +71,15 @@ class NullSpace:
     depth_start: np.ndarray
     closed: bool
     areas: np.ndarray
+    G: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+    viscous: np.ndarray
+
+    def reduce(self, blocks):
+        """Z^T A Z's data for A given by (NT, 3, 9) edge-row blocks."""
+        return _reduce(self.G, self.slots, blocks.copy(), self.indices.size)
 
     def particular(self, rhs_p):
         """A velocity u with B u = rhs_p, nonzero on the tree edges only.
@@ -113,9 +132,61 @@ def _vertex_order(mesh):
     return cache["vertex_order"]
 
 
-def null_space(mesh, dof_map):
+def _reduce(G, slots, blocks, n):
+    """The length-n data of sum Z_T^T A_T Z_T, blocks and slots on the last
+    rows of the local dofs; blocks is overwritten."""
+    blocks[:, -3:] = np.swapaxes(G, 1, 2).copy() @ blocks[:, -3:]  # contiguous: faster
+    blocks[..., 6:] = blocks[..., 6:] @ G
+    return np.bincount(slots.ravel(), blocks.ravel(), minlength=n + 1)[:n]
+
+
+def _pattern(mesh, first, triples, ncol):
+    """The CSC pattern of Z^T A Z and each element's 9 x 9 slots.
+
+    A vertex's node is its columns, named by the first (-1: none): a free
+    vertex's triple (below triples) or its chain's psi column.  A column
+    holds one row block per node equal or joined by an edge to its own,
+    in order; one sort of the vertex graph numbers these node pairs.
+    """
+    nv, tri, te = mesh.num_vertices, mesh.triangles, mesh.triangle_edges
+    a, b = mesh.edges.T
+    to, fro = np.r_[first, first[a], first[b]], np.r_[first, first[b], first[a]]
+    # a pair without a node sorts last, in no column
+    key = np.where((to >= 0) & (fro >= 0), to * (ncol + 1) + fro, ncol * (ncol + 1))
+    pair_key, pair = np.unique(key, return_inverse=True)
+    pair_col, pair_row = np.divmod(pair_key, ncol + 1)
+    height = np.where(pair_row < triples, 3, 1)
+    end = np.r_[0, np.cumsum(height)]
+    offset = end[:-1] - end[np.searchsorted(pair_col, pair_col)]  # within its column
+    node = np.arange(ncol) - np.r_[np.arange(triples) % 3, np.zeros(ncol - triples, int)]
+    lo, hi = (end[np.searchsorted(pair_col, node, side=s)] for s in ("left", "right"))
+    indptr = np.r_[0, np.cumsum(hi - lo)]
+    rows = np.repeat(pair_row - end[:-1], height) + np.arange(end[-1])
+    indices = rows[np.repeat(lo - indptr[:-1], hi - lo) + np.arange(indptr[-1])]
+    # pair[T, i, j]: row vertex i, column vertex j, by the edge opposite the third
+    opp = te[:, [[0, 2, 1], [2, 1, 0], [1, 0, 2]]]
+    pair = np.where(np.eye(3, dtype=bool), pair[tri][:, None, :],
+                    pair[np.where(a[opp] == tri[:, None, :], nv, nv + a.size) + opp])
+    # the column of each local unknown, ncol where Z drops it: its slots
+    # clip to the end of the data
+    f, nnz = first[tri], indices.size
+    triple = (f >= 0) & (f < triples)
+    unknown = np.concatenate([np.where(triple, f, ncol), np.where(triple, f + 1, ncol),
+                              np.where(triple, f + 2, np.where(f < 0, ncol, f))], axis=1)
+    in_block = np.where(unknown < ncol, unknown - np.tile(f, 3), nnz)
+    # [T, row component, row vertex, column component, column vertex]
+    slots = (offset[pair][:, None, :, None, :] + indptr[unknown].reshape(-1, 1, 1, 3, 3)
+             + in_block.reshape(-1, 3, 3, 1, 1))
+    np.minimum(slots, nnz, out=slots)
+    indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)  # as SciPy's
+    indptr.flags.writeable = indices.flags.writeable = False  # every K shares them
+    return indptr, indices, slots.reshape(-1, 9, 9)
+
+
+def null_space(mesh, dof_map, viscous):
     """Build the basis and the dual tree for a mesh and its Dirichlet dof
-    map, which constrains at least one edge."""
+    map, which constrains at least one edge, and reduce the viscous
+    form's (NT, 9, 9) element blocks, which are overwritten."""
     nv, nt = mesh.num_vertices, mesh.num_triangles
     con = dof_map.constrained
     on_wall, wall_edge = con[:nv], con[2 * nv :]
@@ -134,64 +205,57 @@ def null_space(mesh, dof_map):
     col[on_wall] = np.where(chain > 0, ncol - 1 + chain, -1)
     ncol += int(chain.max())
 
-    fe = np.flatnonzero(~wall_edge)
-    a, b = mesh.edges[fe].T
+    a, b = mesh.edges.T
     d = mesh.vertices[b] - mesh.vertices[a]
-    n = mesh.edge_normal[fe]
+    n = mesh.edge_normal
     w = np.where(n[:, 0] * d[:, 1] - n[:, 1] * d[:, 0] > 0, 1.0, -1.0)
-    w /= mesh.edge_lengths[fe]
+    w /= mesh.edge_lengths
+    # an edge between two vertices of one chain carries no homogeneous flux
+    w[wall_edge | (col[a] == col[b])] = 0.0
+    fe = np.flatnonzero(~wall_edge)
     rows = np.concatenate([free_v, nv + free_v, 2 * nv + fe, 2 * nv + fe])
-    cols = np.concatenate([col[free_v] - 2, col[free_v] - 1, col[b], col[a]])
-    data = np.concatenate([np.ones(2 * nfv), w, -w])
-    keep = cols >= 0
+    cols = np.concatenate([col[free_v] - 2, col[free_v] - 1, col[b[fe]], col[a[fe]]])
+    data = np.concatenate([np.ones(2 * nfv), w[fe], -w[fe]])
+    keep = (cols >= 0) & (data != 0)
     Z = sp.coo_matrix(
         (data[keep], (rows[keep], cols[keep])), shape=(dof_map.total, ncol)
     ).tocsr()
-    # an edge between two vertices of one chain carries no homogeneous flux
-    Z.eliminate_zeros()
+    tri, te = mesh.triangles, mesh.triangle_edges
+    G = w[te][..., None] * ((tri[:, None, :] == b[te][..., None]).astype(float)
+                            - (tri[:, None, :] == a[te][..., None]))
+    first = np.where(~on_wall, col - 2, col)  # a vertex's first column
+    indptr, indices, slots = _pattern(mesh, first, 3 * nfv, ncol)
 
     # dual graph over the free edges; node nt is the virtual outside node
     t0, t1 = mesh.edge_to_triangles[fe].T
     closed = bool((t1 >= 0).all())
-    t1 = np.where(t1 < 0, nt, t1)
-    src = np.concatenate([t0, t1])
-    order = np.argsort(src, kind="stable")
-    dst = np.concatenate([t1, t0])[order]
-    via = np.concatenate([fe, fe])[order]
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=nt + 1))])
-
-    root = 0 if closed else nt
-    seen = np.zeros(nt + 1, dtype=bool)
-    seen[root] = True
-    frontier = np.array([root])
-    levels = []
-    while True:
-        cnt = ptr[frontier + 1] - ptr[frontier]
-        shift = ptr[frontier] - np.cumsum(cnt) + cnt
-        k = np.arange(cnt.sum()) + np.repeat(shift, cnt)
-        nbr, parent, edge = dst[k], np.repeat(frontier, cnt), via[k]
-        new = ~seen[nbr]
-        # each new element keeps the first edge reaching it
-        child, first = np.unique(nbr[new], return_index=True)
-        if child.size == 0:
-            break
-        seen[child] = True
-        levels.append((child, parent[new][first], edge[new][first]))
-        frontier = child
-
-    # a lone element with no free edge is the whole tree
-    levels = levels or [(np.empty(0, np.int64),) * 3]
-    element, parent, edge = (np.concatenate(x) for x in zip(*levels))
+    dual = sp.csr_matrix((np.ones(fe.size), (t0, np.where(t1 < 0, nt, t1))),
+                         shape=(nt + 1, nt + 1))
+    depth, parent = shortest_path(dual, directed=False, unweighted=True,
+                                  indices=0 if closed else nt, return_predecessors=True)
+    # the non-root elements depth by depth; a lone element is the whole tree
+    element = np.argsort(depth, kind="stable")[1 : int(np.isfinite(depth).sum())]
+    parent = parent[element]
     pos = np.full(nt + 1, -1, dtype=np.int64)
     pos[element] = np.arange(element.size)
-    kk = np.argmax(mesh.triangle_edges[element] == edge[:, None], axis=1)
+    # the first free edge of each element towards its parent
+    own = mesh.triangle_edges[element]
+    other = mesh.edge_to_triangles[own].sum(axis=2) - element[:, None]
+    kk = np.argmax((np.where(other < 0, nt, other) == parent[:, None]) & ~wall_edge[own],
+                   axis=1)
+    edge = own[np.arange(element.size), kk]
     return NullSpace(
         Z=Z,
         element=element,
         up=pos[parent],
         edge_dof=2 * nv + edge,
         coef=mesh.edge_lengths[edge] * mesh.triangle_edge_sign[element, kk],
-        depth_start=np.cumsum([0] + [lv[0].size for lv in levels]),
+        depth_start=np.r_[0, np.cumsum(np.bincount(depth[element].astype(int))[1:])],
         closed=closed,
         areas=mesh.areas,
+        G=G,
+        indptr=indptr,
+        indices=indices,
+        slots=slots[:, 6:].astype(np.int32),  # the psi rows: all a Newton state needs
+        viscous=_reduce(G, slots, viscous, indices.size),
     )

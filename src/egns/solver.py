@@ -1,23 +1,25 @@
 """Null-space linear solves, damped Newton iteration, viscosity continuation.
 
-Newton works in correction form: a Newton system is the Jacobian A at
-the velocity dof vector x and the residual (ru, rp) there, and one
-linear solve gives the correction dx and the new pressure.  The solve
-works on the divergence-free subspace (see egns.nullspace), so pressure
-robustness holds by construction: a sweep over a dual spanning tree
-gives a flux with B dx = -rp, sparse LU of Z^T A Z over (free v0x, free
-v0y, stream function) the divergence-free part, and a second sweep the
-pressure.  Z^T A Z has no zero block and under half the unknowns of the
-saddle matrix.  The null space also fixes the pressure constant of
-pure-Dirichlet problems; incompatible boundary flux is rejected when the
-problem's dof map is built.
+Newton works in correction form: a Newton system is K = Z^T A Z for the
+Jacobian A at the velocity dof vector x, A as a function, and the
+residual (ru, rp) there; one linear solve gives the correction dx and
+the new pressure.  The solve works on the divergence-free subspace (see
+egns.nullspace), so pressure robustness holds by construction: a sweep
+over a dual spanning tree gives a flux with B dx = -rp, sparse LU of K
+over (free v0x, free v0y, stream function) the divergence-free part,
+and a second sweep the pressure.  K has no zero block and under half
+the unknowns of the saddle matrix; it is summed from element blocks,
+with the pattern and its explicit zeros fixed per mesh.  The null space
+also fixes the pressure constant of pure-Dirichlet problems;
+incompatible boundary flux is rejected when the problem's dof map is
+built.
 
-Z^T A Z is factored in SuperLU's symmetric mode with diagonal pivots in
-Z's column order (Li, *ACM TOMS* 31, 2005), minimum degree on the mesh's
-vertex graph (see egns.nullspace): it follows the mesh, not which
-entries cancel exactly.  With no pivoting a tiny pivot is possible, so a
-factorization that raises or a solve that fails the block-residual check
-is retried once with the default factorization.
+K is factored in SuperLU's symmetric mode with diagonal pivots in Z's
+column order (Li, *ACM TOMS* 31, 2005), minimum degree on the mesh's
+vertex graph (see egns.nullspace): like the pattern, it follows the
+mesh, not which entries cancel exactly.  With no pivoting a tiny pivot
+is possible, so a factorization that raises or a solve that fails the
+block-residual check is retried once with the default factorization.
 
 Newton is damped by residual decrease (Deuflhard, *Newton Methods for
 Nonlinear Problems*): a step of length lambda, full first, is kept if it
@@ -162,22 +164,21 @@ class SolveReport:
 def solve_saddle(problem, system):
     """Solve one Newton system, returning (dx, pressure, fallback, lu).
 
-    system is problem.newton_system(x): the Jacobian A and the residual
-    (ru, rp) at x.  dx, zero on constrained entries, is the tree's flux
-    with B dx = -rp minus Z psi, where Z^T A Z psi = Z^T (A dx + ru), with
-    one refinement pass.  The pressure solves B^T p = A dx + ru on the
-    tree edges in the null space's gauge; ru holds no pressure, so p is
-    the new pressure.  The block residuals A dx + ru - B^T p and
+    system is problem.newton_system(x): K = Z^T A Z, the function y -> A y
+    and the residual (ru, rp) at x.  dx, zero on constrained entries, is
+    the tree's flux with B dx = -rp minus Z psi, where K psi = Z^T (A dx +
+    ru), with one refinement pass.  The pressure solves B^T p = A dx + ru
+    on the tree edges in the null space's gauge; ru holds no pressure, so
+    p is the new pressure.  The block residuals A dx + ru - B^T p and
     B dx + rp must then sit at solver precision relative to (ru, rp).
 
-    Z^T A Z is factored in SuperLU's symmetric mode first.  fallback is
+    K is factored in SuperLU's symmetric mode first.  fallback is
     True when that factorization raised or failed the residual check and
     the default, partial-pivoting one was used instead; only its failure
     is raised, or the first one's on non-finite data.  lu is the LU used.
     """
-    (A, ru, rp), ns = system, problem.null_space
+    (K, A, ru, rp), ns = system, problem.null_space
     Z, B = ns.Z, assemble_divergence(problem.mesh)
-    K = (Z.T @ (A @ Z)).tocsc()
     free = problem.dof_map.free_indices()
 
     for fallback in (False, True):
@@ -195,8 +196,8 @@ def solve_saddle(problem, system):
         # grows with the mesh
         dx = ns.particular(-rp)
         for _ in range(2):
-            dx -= Z @ lu.solve(Z.T @ (A @ dx + ru))
-        mom = A @ dx + ru  # the linearized momentum residual, less B^T p
+            dx -= Z @ lu.solve(Z.T @ (A(dx) + ru))
+        mom = A(dx) + ru  # the linearized momentum residual, less B^T p
         pressure = ns.pressure(mom)
 
         nru, nrp, scale = _norms(free, mom - B.T @ pressure, B @ dx + rp, ru, rp)
@@ -233,8 +234,8 @@ def _nonlinear_residual(problem, x, pressure=None):
 def newton_solve(problem, config=None, initial=None):
     """Run the damped Newton loop on a steady problem from rest or a warm start.
 
-    problem needs newton_system(x), the Jacobian and the residual at the
-    velocity dof vector x (None = zero velocity), residual(x, pressure),
+    problem needs newton_system(x), the Newton system at the velocity
+    dof vector x (None = zero velocity), residual(x, pressure),
     mesh, dof_map and null_space; every iterate is x + lambda dx, dx from
     solve_saddle or the last LU.  initial, whose constrained entries give
     way to the problem's Dirichlet values, and the result are (x,

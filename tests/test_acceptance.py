@@ -12,12 +12,19 @@ import numpy as np
 import pytest
 
 from egns.assembly import (
+    _sparse,
     assemble_convection_newton,
     assemble_viscous,
     dirichlet_dof_map,
 )
 from egns.cli import main
-from egns.eg_space import element_divergence, energy_norm, interpolate, vertex_values
+from egns.eg_space import (
+    element_divergence,
+    element_ops,
+    energy_norm,
+    interpolate,
+    vertex_values,
+)
 from egns.mesh import (
     TAG_BOTTOM,
     TAG_LEFT,
@@ -182,8 +189,11 @@ def test_discrete_structure_property_suite(vortex_nu1):
         assert abs(quad - nu * en**2) <= 1e-12 * quad, "diffusion/energy mismatch"
 
     # convection form vanishes when the last two arguments coincide
+    l2g = element_ops(mesh)["l2g"]
     for _ in range(100):
-        C = assemble_convection_newton(mesh, random_dofs())
+        # the element blocks on the edge rows, summed into one matrix
+        C = _sparse(l2g[:, 6:], l2g, assemble_convection_newton(mesh, random_dofs()),
+                    (2 * nv + ne,) * 2)
         w = np.zeros(2 * nv + ne)
         w[2 * nv :] = rng.standard_normal(ne)
         cw = C @ w

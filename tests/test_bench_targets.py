@@ -83,9 +83,12 @@ def test_converge_submits_every_level_to_the_pool(tmp_path, monkeypatch, threads
     monkeypatch.setattr(egns.cli, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setenv("EGNS_THREADS", threads)
     config = tmp_path / "run.ini"
-    config.write_text("[mesh]\nlevels = 2 4\n")
+    config.write_text("[mesh]\nlevels = 2 4 3\n")
     assert egns.cli.main(["converge", "--config", str(config), "--out", str(tmp_path)]) == 0
-    assert submitted == [(2,), (4,)]
+    # largest first; the table keeps the listed order
+    assert submitted == [(4,), (3,), (2,)]
+    rows = (tmp_path / "convergence.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == pytest.approx([1 / 2, 1 / 4, 1 / 3])
 
 
 def test_one_factorization_per_linear_solve(monkeypatch):

@@ -475,22 +475,24 @@ class TestConvergeCommand:
 
         def fake_mesh(nx, ny):
             started.append(nx)
-            if nx == 1:
+            if nx == 10:
                 raise egns.cli.SolverError("fails at once")
             time.sleep(0.5)
             raise egns.cli.SolverError("slow level")
 
         monkeypatch.setattr(egns.cli, "build_rect_uniform", fake_mesh)
-        path = _cfg(tmp_path, "[mesh]\nlevels = " + " ".join(map(str, range(1, 11))) + "\n")
-        # two workers: level 2 runs beside level 1, and the freed worker may
-        # take level 3 before the failure is seen. One worker may take
-        # level 2 before the failure is seen. The other levels never start.
+        # levels start largest first: listed largest first, the failing
+        # level 10 is both the first started and the first reported
+        path = _cfg(tmp_path, "[mesh]\nlevels = " + " ".join(map(str, range(10, 0, -1))) + "\n")
+        # two workers: level 9 runs beside level 10, and the freed worker may
+        # take level 8 before the failure is seen. One worker may take
+        # level 9 before the failure is seen. The other levels never start.
         for threads, most in (("2", 3), ("1", 2)):
             started.clear()
             monkeypatch.setenv("EGNS_THREADS", threads)
             rc = main(["converge", "--config", path, "--out", str(tmp_path)])
             assert rc == 1
-            assert "level n=1 failed: fails at once" in capsys.readouterr().err
+            assert "level n=10 failed: fails at once" in capsys.readouterr().err
             assert 1 <= len(started) <= most, threads
 
     def test_continuation_through_cli(self, tmp_path):

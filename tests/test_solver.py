@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import egns.assembly
 import egns.nullspace
 import egns.solver
 from egns.mesh import (
@@ -23,7 +24,13 @@ from egns.mesh import (
 )
 from egns.quadrature import quadrature_rule, refined_rule
 from egns.eg_space import energy_norm, vertex_values
-from egns.assembly import SteadyProblem, assemble_divergence, assemble_viscous
+from egns.assembly import (
+    SteadyProblem,
+    assemble_convection_newton,
+    assemble_divergence,
+    assemble_neumann,
+    assemble_viscous,
+)
 from egns.solver import (
     NewtonConfig,
     NonConvergenceError,
@@ -72,11 +79,26 @@ def _smooth_force(xy):
     return np.stack([np.sin(np.pi * y), np.cos(np.pi * x)], axis=-1)
 
 
+def _jacobian(problem, x):
+    """The Jacobian A at x (None: rest) assembled as one global matrix,
+    the oracle of newton_system's K = Z^T A Z and of its A."""
+    mesh = problem.mesh
+    A = assemble_viscous(mesh, problem.nu)
+    if x is not None:
+        blocks = assemble_convection_newton(mesh, x)
+        if problem.neumann_tags:
+            blocks = blocks + assemble_neumann(mesh, problem.neumann_tags, x)
+        l2g = egns.assembly.element_ops(mesh)["l2g"]
+        A = A + egns.assembly._sparse(l2g[:, 6:], l2g, blocks, A.shape)
+    return A
+
+
 def _saddle_oracle(problem, system):
     """The direct saddle-point solve the null-space solve replaced.
 
-    Factors [[A_ff, -B_f^T], [B_f, 0]] over the free velocities with one
-    refinement pass and solves it for the correction and the pressure,
+    system is (A, ru, rp), A assembled.  Factors [[A_ff, -B_f^T],
+    [B_f, 0]] over the free velocities with one refinement pass and
+    solves it for the correction and the pressure,
     with right-hand side (-ru, -rp).  For pure Dirichlet (a closed null
     space) it pins pressure 0, drops the redundant mass row 0 and shifts
     to zero area-weighted mean.
@@ -178,12 +200,12 @@ def _assembled(problem, x):
     """(momentum without pressure, mass, rhs_u, rhs_p) at x from assembled
     matrices, x None being rest: the Dirichlet values, Jacobian nu V.
 
-    With J the Jacobian of newton_system(x), J x - nu V x is twice the
+    With J the assembled Jacobian at x, J x - nu V x is twice the
     convection and outflow values at x.  rhs_u and rhs_p are the data of
     J y = rhs_u, B y = rhs_p with the Dirichlet values v moved right.
     """
     mesh, v, load = problem.mesh, problem.dof_map.values, problem.load_vector
-    J, B = problem.newton_system(x)[0], assemble_divergence(mesh)
+    J, B = _jacobian(problem, x), assemble_divergence(mesh)
     x = v if x is None else x
     viscous = assemble_viscous(mesh, problem.nu) @ x
     values = (J @ x - viscous) / 2
@@ -229,9 +251,10 @@ class TestNewtonConfig:
         (lambda: case_cavity("f1", math.nan), "viscosity"),
         (lambda: case_step(re=math.nan), "Reynolds"),
         (lambda: assemble_viscous(build_rect_uniform(2, 2), math.nan), "viscosity"),
+        (lambda: _homogeneous_problem(2, 1.0).with_nu(math.nan), "viscosity"),
     ],
     ids=["newton-rel_tol-nan", "newton-rel_tol-inf", "flow-case-nu-nan",
-         "step-re-nan", "viscous-nu-nan"],
+         "step-re-nan", "viscous-nu-nan", "problem-nu-nan"],
 )
 def test_positivity_checks_reject_nan_and_inf(make, match):
     # a check written v <= 0 lets NaN through, to fail much later
@@ -256,8 +279,9 @@ class TestSolveSaddle:
 
     def test_block_residuals(self):
         prob = _cavity_problem(8, 0.1)
-        A, ru, rp = prob.newton_system(None)
-        dx, pressure, _, _ = solve_saddle(prob, (A, ru, rp))
+        system = prob.newton_system(None)
+        dx, pressure, _, _ = solve_saddle(prob, system)
+        A, (_, _, ru, rp) = _jacobian(prob, None), system
         B = assemble_divergence(prob.mesh)
         free = prob.dof_map.free_indices()
         scale = max(np.linalg.norm(ru[free]), np.linalg.norm(rp))
@@ -272,20 +296,20 @@ class TestSolveSaddle:
 
     def test_singular_system_reported(self):
         prob = _homogeneous_problem(2, 1.0)
-        A, ru, rp = prob.newton_system(None)
+        K, A, ru, rp = prob.newton_system(None)
         with pytest.raises(SingularSystemError):
-            solve_saddle(prob, (sp.csr_matrix(A.shape), ru, rp))
+            solve_saddle(prob, (sp.csc_matrix(K.shape), A, ru, rp))
 
     def test_non_finite_data_fails_residual_check(self, monkeypatch):
         prob = _cavity_problem(4, 1.0)
-        A, ru, rp = prob.newton_system(None)
+        K, A, ru, rp = prob.newton_system(None)
         ru = ru.copy()
         ru[prob.dof_map.free_indices()[0]] = np.nan
         factorizations = []
         monkeypatch.setattr(spla, "splu", lambda K, **kw: factorizations.append(1)
                             or _SPLU(K, **kw))
         with pytest.raises(SolverError, match="residuals"):
-            solve_saddle(prob, (A, ru, rp))
+            solve_saddle(prob, (K, A, ru, rp))
         # no factorization mends NaN data: the pivoting one is not tried
         assert factorizations == [1]
 
@@ -409,7 +433,7 @@ class TestNullSpaceSolve:
         assert np.array_equal(rest.toarray(), zero.toarray())
         system = prob.newton_system(x)
         dx, pressure, _, _ = solve_saddle(prob, system)
-        ref_dx, ref_pressure = _saddle_oracle(prob, system)
+        ref_dx, ref_pressure = _saddle_oracle(prob, (_jacobian(prob, x), *system[2:]))
         u, ref_u = x + dx, x + ref_dx
         dp = np.linalg.norm(pressure - ref_pressure)
         assert dp <= 1e-10 * np.linalg.norm(ref_pressure)
@@ -479,26 +503,32 @@ class TestNullSpaceSolve:
 
     @pytest.mark.parametrize("state", ["rest", "first"])
     def test_fill_follows_the_mesh_not_rounding(self, state):
-        # entries of Z^T A Z on the vertex adjacency x 3 x 3 pattern that
-        # cancel exactly, put back at 1e-30, leave the LU fill in place
+        # K keeps the vertex adjacency x 3 x 3 pattern, also where the
+        # product with the assembled Jacobian cancels exactly; those
+        # entries put back at 1e-30 leave the factor SuperLU stores in
+        # place (lu.nnz; L.nnz + U.nnz leaves out factor entries that
+        # come out exactly zero, which rounding decides)
         prob = case_vortex_2d(1e-5).problem(build_rect_uniform(8, 8))
         mesh, Z = prob.mesh, prob.null_space.Z.tocsc()
         x = None if state == "rest" else _first_iterate(prob)[0]
-        K = (Z.T @ (prob.newton_system(x)[0] @ Z)).tocsc()
+        K = prob.newton_system(x)[0]
+        product = (Z.T @ (_jacobian(prob, x) @ Z)).tocsc()
         tri = mesh.triangles
         incidence = sp.csr_matrix((np.ones(tri.size), (np.arange(tri.size) // 3,
                                                         tri.ravel())))
         vertex = np.repeat(Z.indices[Z.indptr[:-1:3]], 3)  # the v0x row of a triple
         pattern = ((incidence.T @ incidence)[vertex][:, vertex] != 0).astype(float)
-        cancelled = pattern - pattern.multiply(K != 0)
-        cancelled.eliminate_zeros()
-        assert cancelled.nnz > 0 and pattern.multiply(K != 0).nnz == K.nnz
+        structure = sp.csc_matrix((np.ones(K.nnz), K.indices, K.indptr), K.shape)
+        assert K.nnz == pattern.nnz and (structure != pattern).nnz == 0
+        assert product.nnz < K.nnz
+        assert abs(K - product).max() <= 1e-14 * abs(product).max()
 
         def fill(M):
-            lu = _SPLU(M.tocsc(), **egns.solver._SYMMETRIC_MODE)
-            return lu.L.nnz + lu.U.nnz
+            return _SPLU(M, **egns.solver._SYMMETRIC_MODE).nnz
 
-        assert abs(fill(K + 1e-30 * cancelled) - fill(K)) <= 1e-3 * fill(K)
+        tiny = K.copy()
+        tiny.data[tiny.data == 0.0] = 1e-30
+        assert fill(tiny) == fill(K)
 
     @pytest.mark.parametrize("name", ["vortex", "step", "channel", "hole", "corner"])
     def test_tree_sweeps_invert_the_divergence(self, name):
@@ -531,6 +561,80 @@ class TestNullSpaceSolve:
             with pytest.raises(ValueError, match="no Dirichlet segment"):
                 build()
         assert factorizations == []
+
+
+class TestReducedMatrix:
+    """K = Z^T A Z summed from element blocks, against the assembled A."""
+
+    @pytest.mark.parametrize("name", LAYOUTS + ["corner"])
+    def test_equals_the_product_with_the_assembled_jacobian(self, name):
+        # rest, and a state with the Dirichlet values where convection and
+        # the outflow form enter: wall chains (hole, channel), outflow
+        # edges (step, channel, corner) and two of them on one element
+        # (corner)
+        prob = _layout(name, 1e-2)
+        dm, Z = prob.dof_map, prob.null_space.Z
+        rng = np.random.default_rng(3)
+        state = np.where(dm.constrained, dm.values, rng.standard_normal(dm.total))
+        for x in (None, state):
+            K, A, _, _ = prob.newton_system(x)
+            J = _jacobian(prob, x)
+            product = Z.T @ (J @ Z)
+            assert abs(K - product).max() <= 1e-14 * abs(product).max()
+            y = rng.standard_normal(dm.total)
+            assert np.abs(A(y) - J @ y).max() <= 1e-14 * np.abs(J @ y).max()
+
+    def test_warm_newton_solve_assembles_no_global_matrix(self, monkeypatch):
+        prob = _layout("step", 1e-2)
+        newton_solve(prob)  # the per-mesh caches: V, B, the null space
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a global assembly or a sparse-sparse product")
+
+        monkeypatch.setattr(egns.assembly, "_sparse", refuse)
+        monkeypatch.setattr(sp._compressed._cs_matrix, "_matmul_sparse", refuse)
+        _, report = newton_solve(prob.with_nu(2e-2))
+        assert report.factorizations >= 2
+
+    def test_nnz_and_fill_ignore_the_viscous_summation_order(self, monkeypatch):
+        # the element blocks summed by einsum round differently; nnz(K) and
+        # the factor SuperLU stores follow the pattern alone
+        def factored():
+            prob = case_vortex_2d(1e-3).problem(build_rect_uniform(16, 16))
+            K = prob.newton_system(None)[0]
+            lu = _SPLU(K, **egns.solver._SYMMETRIC_MODE)
+            return K.nnz, lu.nnz, egns.assembly._viscous_blocks(prob.mesh)
+
+        def einsum_blocks(mesh):
+            ops = egns.assembly.element_ops(mesh)
+            D, QB = ops["D"], ops["QB"]
+            return (np.einsum("t,tki,tkj->tij", mesh.areas, D, D)
+                    + np.einsum("tk,tki,tkj->tij", ops["stab_w"], QB, QB))
+
+        nnz, fill, blocks = factored()
+        monkeypatch.setattr(egns.assembly, "_viscous_blocks", einsum_blocks)
+        einsum_nnz, einsum_fill, einsum = factored()
+        assert not np.array_equal(einsum, blocks)
+        assert np.abs(einsum - blocks).max() <= 1e-14 * np.abs(blocks).max()
+        assert (einsum_nnz, einsum_fill) == (nnz, fill)
+
+    def test_null_space_built_once_per_mesh_and_constraint_set(self, monkeypatch):
+        # every continuation stage builds a fresh problem on the one mesh,
+        # and the cavity's f1 and f2 constrain the same dofs as the vortex
+        built = []
+        real = egns.assembly.null_space
+        monkeypatch.setattr(egns.assembly, "null_space",
+                            lambda *a: built.append(1) or real(*a))
+        mesh = build_rect_uniform(8, 8)
+        _, reports = nu_continuation(lambda nu: case_vortex_2d(nu).problem(mesh), 1e-5)
+        assert len(reports) == 2
+        f1, f2 = (case_cavity(f, 1.0).problem(mesh) for f in ("f1", "f2"))
+        assert f1.null_space is f2.null_space
+        assert built == [1]
+        channel = SteadyProblem(mesh=mesh, nu=1.0, dirichlet=[((TAG_BOTTOM, TAG_TOP), _zero_bc)],
+                                neumann_tags=(TAG_LEFT, TAG_RIGHT))
+        assert channel.null_space is not f1.null_space
+        assert built == [1, 1]
 
 
 class TestMatrixFreeResidual:
