@@ -9,8 +9,9 @@ forces enter exclusively through edge degrees of freedom.
 
 Every form is elementwise: a batch of element blocks, summed by _sparse
 onto the local dofs l2g for the viscous and divergence matrices, and a
-vector a batch of element values summed by _scatter.  The convection and
-outflow Jacobians stay 3x9 blocks on each element's edge rows.
+vector a batch of element values summed by _scatter.  The convection
+Jacobian stays a 3x9 block on each element's edge rows, the outflow
+Jacobian a 1x4 block per edge.
 
 Newton works in correction form: a Newton system is the reduced matrix
 Z^T A Z and the residual at a velocity dof vector x that holds the
@@ -78,21 +79,15 @@ def assemble_viscous(mesh, nu):
     return nu * _viscous_unit(mesh)
 
 
-def _viscous_blocks(mesh):
-    """The 9x9 element blocks of the unit-viscosity form."""
-    ops = element_ops(mesh)
-    D, QB = ops["D"], ops["QB"]
-    K = (D.transpose(0, 2, 1) * mesh.areas[:, None, None]) @ D
-    K += (QB.transpose(0, 2, 1) * ops["stab_w"][:, None, :]) @ QB
-    return K
-
-
-def _viscous_unit(mesh, blocks=None):  # cached; blocks: _viscous_blocks(mesh)
+def _viscous_unit(mesh):
     cache = mesh._cache
     if "viscous_unit" not in cache:
-        l2g, n = element_ops(mesh)["l2g"], _total_dofs(mesh)
-        blocks = _viscous_blocks(mesh) if blocks is None else blocks
-        cache["viscous_unit"] = _sparse(l2g, l2g, blocks, (n, n))
+        ops = element_ops(mesh)
+        D, QB = ops["D"], ops["QB"]
+        K = (D.transpose(0, 2, 1) * mesh.areas[:, None, None]) @ D
+        K += (QB.transpose(0, 2, 1) * ops["stab_w"][:, None, :]) @ QB
+        n = _total_dofs(mesh)
+        cache["viscous_unit"] = _sparse(ops["l2g"], ops["l2g"], K, (n, n))
     return cache["viscous_unit"]
 
 
@@ -173,13 +168,10 @@ def assemble_neumann(mesh, tags, x):
 
     The matrix linearizes the quadratic boundary form (half the squared
     continuous trace against the test edge scalar) at the dof vector x.
-    Returns it as assemble_convection_newton does: one 1x4 block per edge
-    in the edge rows of its element, on its ends' v0x and v0y.
+    Returns one 1x4 block per tagged edge, in the edge row of its element
+    on its ends' v0x and v0y (see _outflow_edges).
     """
-    _, t, k, cols = _outflow_edges(mesh, tags)
-    block = np.zeros((mesh.num_triangles, 3, 9))
-    block[t, k, cols] = _neumann_value(mesh, tags, x)[0]
-    return block
+    return _neumann_value(mesh, tags, x)[0]
 
 
 def _outflow_edges(mesh, tags):
@@ -341,10 +333,8 @@ class SteadyProblem:
         """The divergence-free basis, the dual spanning tree and Z^T V Z."""
         key = ("null_space", self.dof_map.constrained.tobytes())
         cache = self.mesh._cache
-        if key not in cache:  # V from the same blocks, first: a lower peak memory
-            blocks = _viscous_blocks(self.mesh)
-            _viscous_unit(self.mesh, blocks)
-            cache[key] = null_space(self.mesh, self.dof_map, blocks)
+        if key not in cache:
+            cache[key] = null_space(self.mesh, self.dof_map, _viscous_unit(self.mesh))
         return cache[key]
 
     @cached_property
@@ -400,7 +390,8 @@ class SteadyProblem:
         if x is not None:
             blocks = assemble_convection_newton(self.mesh, x)
             if self.neumann_tags:
-                blocks += assemble_neumann(self.mesh, self.neumann_tags, x)
+                _, t, k, cols = _outflow_edges(self.mesh, self.neumann_tags)
+                blocks[t, k, cols] += assemble_neumann(self.mesh, self.neumann_tags, x)
             data = data + ns.reduce(blocks)
 
         def jacobian(y):

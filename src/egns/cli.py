@@ -39,7 +39,7 @@ import configparser
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -351,21 +351,24 @@ def cmd_converge(cfg: RunConfig) -> int:
         )
         return errs, sum(r.iterations for r in reports)
 
-    done = []
-    failure = None
     with ThreadPoolExecutor(max_workers=worker_count(len(levels))) as pool:
         # largest first, so that smaller levels, not the next largest,
         # run beside the largest one's LU
-        futures = {i: pool.submit(run_level, levels[i])
-                   for i in sorted(range(len(levels)), key=lambda i: -levels[i])}
-        for i, n in enumerate(levels):
-            try:
-                done.append(futures[i].result())
-            except SolverError as exc:
-                failure = (n, exc)
-                # later levels would be discarded: drop those not started
-                pool.shutdown(cancel_futures=True)
-                break
+        futures = [None] * len(levels)
+        for i in sorted(range(len(levels)), key=lambda i: -levels[i]):
+            futures[i] = pool.submit(run_level, levels[i])
+        # the first failure ends the run: drop the levels not started
+        failed = next((f for f in as_completed(futures) if f.exception() is not None), None)
+        if failed is not None:
+            pool.shutdown(cancel_futures=True)
+
+    # the table keeps the levels in order up to the first one that did not finish
+    stop = next((i for i, f in enumerate(futures) if f.cancelled() or f.exception() is not None),
+                len(levels))
+    done = [f.result() for f in futures[:stop]]
+    failure = None if failed is None else (levels[futures.index(failed)], failed.exception())
+    if failure is not None and not isinstance(failure[1], SolverError):
+        raise failure[1]
 
     for n, (errs, iters) in zip(levels, done):
         logger.info(

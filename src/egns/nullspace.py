@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import connected_components
 
 __all__ = ["NullSpace", "null_space"]
 
@@ -60,7 +60,7 @@ class NullSpace:
     G holds the blocks G_T, indptr and indices the CSC pattern of Z^T A Z,
     viscous Z^T V Z on it, and slots[T, k, j] the place of the entry in
     the psi row of T's vertex k and T's local column j ([v0x | v0y | psi]
-    at its vertices, as its dofs), past the data if Z drops the column.
+    at its vertices, as its dofs), past the data if Z drops either.
     """
 
     Z: sp.csr_matrix
@@ -79,7 +79,10 @@ class NullSpace:
 
     def reduce(self, blocks):
         """Z^T A Z's data for A given by (NT, 3, 9) edge-row blocks."""
-        return _reduce(self.G, self.slots, blocks.copy(), self.indices.size)
+        G, n = self.G, self.indices.size
+        psi_rows = np.swapaxes(G, 1, 2).copy() @ np.concatenate(  # contiguous: faster
+            [blocks[..., :6], blocks[..., 6:] @ G], axis=2)
+        return np.bincount(self.slots.ravel(), psi_rows.ravel(), minlength=n + 1)[:n]
 
     def particular(self, rhs_p):
         """A velocity u with B u = rhs_p, nonzero on the tree edges only.
@@ -132,16 +135,8 @@ def _vertex_order(mesh):
     return cache["vertex_order"]
 
 
-def _reduce(G, slots, blocks, n):
-    """The length-n data of sum Z_T^T A_T Z_T, blocks and slots on the last
-    rows of the local dofs; blocks is overwritten."""
-    blocks[:, -3:] = np.swapaxes(G, 1, 2).copy() @ blocks[:, -3:]  # contiguous: faster
-    blocks[..., 6:] = blocks[..., 6:] @ G
-    return np.bincount(slots.ravel(), blocks.ravel(), minlength=n + 1)[:n]
-
-
 def _pattern(mesh, first, triples, ncol):
-    """The CSC pattern of Z^T A Z and each element's 9 x 9 slots.
+    """The CSC pattern of Z^T A Z and each element's psi-row slots.
 
     A vertex's node is its columns, named by the first (-1: none): a free
     vertex's triple (below triples) or its chain's psi column.  A column
@@ -173,20 +168,19 @@ def _pattern(mesh, first, triples, ncol):
     triple = (f >= 0) & (f < triples)
     unknown = np.concatenate([np.where(triple, f, ncol), np.where(triple, f + 1, ncol),
                               np.where(triple, f + 2, np.where(f < 0, ncol, f))], axis=1)
-    in_block = np.where(unknown < ncol, unknown - np.tile(f, 3), nnz)
-    # [T, row component, row vertex, column component, column vertex]
-    slots = (offset[pair][:, None, :, None, :] + indptr[unknown].reshape(-1, 1, 1, 3, 3)
-             + in_block.reshape(-1, 3, 3, 1, 1))
-    np.minimum(slots, nnz, out=slots)
+    psi_row = np.where(f < 0, nnz, 2 * triple)  # in its node's block
+    # [T, row vertex, column component, column vertex]
+    slots = (offset[pair][:, :, None, :] + indptr[unknown].reshape(-1, 1, 3, 3)
+             + psi_row[:, :, None, None])
     indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)  # as SciPy's
     indptr.flags.writeable = indices.flags.writeable = False  # every K shares them
-    return indptr, indices, slots.reshape(-1, 9, 9)
+    return indptr, indices, np.minimum(slots, nnz).astype(np.int32).reshape(-1, 3, 9)
 
 
-def null_space(mesh, dof_map, viscous):
+def null_space(mesh, dof_map, V):
     """Build the basis and the dual tree for a mesh and its Dirichlet dof
-    map, which constrains at least one edge, and reduce the viscous
-    form's (NT, 9, 9) element blocks, which are overwritten."""
+    map, which constrains at least one edge, and Z^T V Z on the pattern
+    for the viscous matrix V."""
     nv, nt = mesh.num_vertices, mesh.num_triangles
     con = dof_map.constrained
     on_wall, wall_edge = con[:nv], con[2 * nv :]
@@ -225,37 +219,59 @@ def null_space(mesh, dof_map, viscous):
                             - (tri[:, None, :] == a[te][..., None]))
     first = np.where(~on_wall, col - 2, col)  # a vertex's first column
     indptr, indices, slots = _pattern(mesh, first, 3 * nfv, ncol)
+    # Z^T V Z from the sparse product, once, placed on the pattern
+    P = (Z.T @ (V @ Z)).tocsc()
+    where = lambda ptr, ind: np.repeat(ncol * np.arange(ncol), np.diff(ptr)) + ind
+    viscous = np.zeros(indices.size)
+    viscous[np.searchsorted(where(indptr, indices), where(P.indptr, P.indices))] = P.data
 
     # dual graph over the free edges; node nt is the virtual outside node
     t0, t1 = mesh.edge_to_triangles[fe].T
     closed = bool((t1 >= 0).all())
-    dual = sp.csr_matrix((np.ones(fe.size), (t0, np.where(t1 < 0, nt, t1))),
-                         shape=(nt + 1, nt + 1))
-    depth, parent = shortest_path(dual, directed=False, unweighted=True,
-                                  indices=0 if closed else nt, return_predecessors=True)
-    # the non-root elements depth by depth; a lone element is the whole tree
-    element = np.argsort(depth, kind="stable")[1 : int(np.isfinite(depth).sum())]
-    parent = parent[element]
+    t1 = np.where(t1 < 0, nt, t1)
+    src = np.concatenate([t0, t1])
+    order = np.argsort(src, kind="stable")
+    dst = np.concatenate([t1, t0])[order]
+    via = np.concatenate([fe, fe])[order]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=nt + 1))])
+
+    root = 0 if closed else nt
+    seen = np.zeros(nt + 1, dtype=bool)
+    seen[root] = True
+    frontier = np.array([root])
+    levels = []
+    while True:
+        cnt = ptr[frontier + 1] - ptr[frontier]
+        shift = ptr[frontier] - np.cumsum(cnt) + cnt
+        k = np.arange(cnt.sum()) + np.repeat(shift, cnt)
+        nbr, parent, edge = dst[k], np.repeat(frontier, cnt), via[k]
+        new = ~seen[nbr]
+        # each new element keeps the first edge reaching it
+        child, first = np.unique(nbr[new], return_index=True)
+        if child.size == 0:
+            break
+        seen[child] = True
+        levels.append((child, parent[new][first], edge[new][first]))
+        frontier = child
+
+    # a lone element with no free edge is the whole tree
+    levels = levels or [(np.empty(0, np.int64),) * 3]
+    element, parent, edge = (np.concatenate(x) for x in zip(*levels))
     pos = np.full(nt + 1, -1, dtype=np.int64)
     pos[element] = np.arange(element.size)
-    # the first free edge of each element towards its parent
-    own = mesh.triangle_edges[element]
-    other = mesh.edge_to_triangles[own].sum(axis=2) - element[:, None]
-    kk = np.argmax((np.where(other < 0, nt, other) == parent[:, None]) & ~wall_edge[own],
-                   axis=1)
-    edge = own[np.arange(element.size), kk]
+    kk = np.argmax(mesh.triangle_edges[element] == edge[:, None], axis=1)
     return NullSpace(
         Z=Z,
         element=element,
         up=pos[parent],
         edge_dof=2 * nv + edge,
         coef=mesh.edge_lengths[edge] * mesh.triangle_edge_sign[element, kk],
-        depth_start=np.r_[0, np.cumsum(np.bincount(depth[element].astype(int))[1:])],
+        depth_start=np.cumsum([0] + [lv[0].size for lv in levels]),
         closed=closed,
         areas=mesh.areas,
         G=G,
         indptr=indptr,
         indices=indices,
-        slots=slots[:, 6:].astype(np.int32),  # the psi rows: all a Newton state needs
-        viscous=_reduce(G, slots, viscous, indices.size),
+        slots=slots,
+        viscous=viscous,
     )

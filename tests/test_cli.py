@@ -481,19 +481,20 @@ class TestConvergeCommand:
             raise egns.cli.SolverError("slow level")
 
         monkeypatch.setattr(egns.cli, "build_rect_uniform", fake_mesh)
-        # levels start largest first: listed largest first, the failing
-        # level 10 is both the first started and the first reported
-        path = _cfg(tmp_path, "[mesh]\nlevels = " + " ".join(map(str, range(10, 0, -1))) + "\n")
-        # two workers: level 9 runs beside level 10, and the freed worker may
-        # take level 8 before the failure is seen. One worker may take
-        # level 9 before the failure is seen. The other levels never start.
-        for threads, most in (("2", 3), ("1", 2)):
-            started.clear()
-            monkeypatch.setenv("EGNS_THREADS", threads)
-            rc = main(["converge", "--config", path, "--out", str(tmp_path)])
-            assert rc == 1
-            assert "level n=10 failed: fails at once" in capsys.readouterr().err
-            assert 1 <= len(started) <= most, threads
+        # levels start largest first in either listed order, so level 10
+        # fails first also when it is listed last. Two workers: level 9
+        # runs beside level 10, and the freed worker may take level 8
+        # before the failure is seen. One worker may take level 9 before
+        # the failure is seen. The other levels never start.
+        for levels in (range(1, 11), range(10, 0, -1)):
+            path = _cfg(tmp_path, "[mesh]\nlevels = " + " ".join(map(str, levels)) + "\n")
+            for threads, most in (("2", 3), ("1", 2)):
+                started.clear()
+                monkeypatch.setenv("EGNS_THREADS", threads)
+                rc = main(["converge", "--config", path, "--out", str(tmp_path)])
+                assert rc == 1
+                assert "level n=10 failed: fails at once" in capsys.readouterr().err
+                assert 1 <= len(started) <= most, (list(levels), threads)
 
     def test_continuation_through_cli(self, tmp_path):
         # the obsolete switch changes nothing

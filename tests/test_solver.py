@@ -85,11 +85,16 @@ def _jacobian(problem, x):
     mesh = problem.mesh
     A = assemble_viscous(mesh, problem.nu)
     if x is not None:
-        blocks = assemble_convection_newton(mesh, x)
+        l2g, nv = egns.assembly.element_ops(mesh)["l2g"], mesh.num_vertices
+        A = A + egns.assembly._sparse(l2g[:, 6:], l2g, assemble_convection_newton(mesh, x),
+                                      A.shape)
         if problem.neumann_tags:
-            blocks = blocks + assemble_neumann(mesh, problem.neumann_tags, x)
-        l2g = egns.assembly.element_ops(mesh)["l2g"]
-        A = A + egns.assembly._sparse(l2g[:, 6:], l2g, blocks, A.shape)
+            # one 1x4 block per edge, on its row and its ends' v0x and v0y
+            sel = egns.assembly._outflow_edges(mesh, problem.neumann_tags)[0]
+            ab = mesh.edges[sel]
+            block = assemble_neumann(mesh, problem.neumann_tags, x)[:, None, :]
+            A = A + egns.assembly._sparse((2 * nv + sel)[:, None],
+                                          np.concatenate([ab, nv + ab], axis=1), block, A.shape)
     return A
 
 
@@ -505,9 +510,8 @@ class TestNullSpaceSolve:
     def test_fill_follows_the_mesh_not_rounding(self, state):
         # K keeps the vertex adjacency x 3 x 3 pattern, also where the
         # product with the assembled Jacobian cancels exactly; those
-        # entries put back at 1e-30 leave the factor SuperLU stores in
-        # place (lu.nnz; L.nnz + U.nnz leaves out factor entries that
-        # come out exactly zero, which rounding decides)
+        # entries, and any that K holds at exactly zero, put back at 1e-30
+        # leave the LU fill in place
         prob = case_vortex_2d(1e-5).problem(build_rect_uniform(8, 8))
         mesh, Z = prob.mesh, prob.null_space.Z.tocsc()
         x = None if state == "rest" else _first_iterate(prob)[0]
@@ -520,15 +524,19 @@ class TestNullSpaceSolve:
         pattern = ((incidence.T @ incidence)[vertex][:, vertex] != 0).astype(float)
         structure = sp.csc_matrix((np.ones(K.nnz), K.indices, K.indptr), K.shape)
         assert K.nnz == pattern.nnz and (structure != pattern).nnz == 0
-        assert product.nnz < K.nnz
         assert abs(K - product).max() <= 1e-14 * abs(product).max()
+        cancelled = pattern - pattern.multiply(product != 0)
+        cancelled.eliminate_zeros()
+        assert cancelled.nnz > 0
 
         def fill(M):
-            return _SPLU(M, **egns.solver._SYMMETRIC_MODE).nnz
+            lu = _SPLU(M.tocsc(), **egns.solver._SYMMETRIC_MODE)
+            return lu.L.nnz + lu.U.nnz
 
         tiny = K.copy()
         tiny.data[tiny.data == 0.0] = 1e-30
-        assert fill(tiny) == fill(K)
+        for M in (K + 1e-30 * cancelled, tiny):
+            assert abs(fill(M) - fill(K)) <= 1e-3 * fill(K)
 
     @pytest.mark.parametrize("name", ["vortex", "step", "channel", "hole", "corner"])
     def test_tree_sweeps_invert_the_divergence(self, name):
@@ -598,24 +606,25 @@ class TestReducedMatrix:
 
     def test_nnz_and_fill_ignore_the_viscous_summation_order(self, monkeypatch):
         # the element blocks summed by einsum round differently; nnz(K) and
-        # the factor SuperLU stores follow the pattern alone
+        # the LU fill stay the same
         def factored():
             prob = case_vortex_2d(1e-3).problem(build_rect_uniform(16, 16))
             K = prob.newton_system(None)[0]
             lu = _SPLU(K, **egns.solver._SYMMETRIC_MODE)
-            return K.nnz, lu.nnz, egns.assembly._viscous_blocks(prob.mesh)
+            return K.nnz, lu.L.nnz + lu.U.nnz, egns.assembly._viscous_unit(prob.mesh)
 
-        def einsum_blocks(mesh):
+        def einsum_unit(mesh):
             ops = egns.assembly.element_ops(mesh)
             D, QB = ops["D"], ops["QB"]
-            return (np.einsum("t,tki,tkj->tij", mesh.areas, D, D)
-                    + np.einsum("tk,tki,tkj->tij", ops["stab_w"], QB, QB))
+            blocks = (np.einsum("t,tki,tkj->tij", mesh.areas, D, D)
+                      + np.einsum("tk,tki,tkj->tij", ops["stab_w"], QB, QB))
+            n = 2 * mesh.num_vertices + mesh.num_edges
+            return egns.assembly._sparse(ops["l2g"], ops["l2g"], blocks, (n, n))
 
-        nnz, fill, blocks = factored()
-        monkeypatch.setattr(egns.assembly, "_viscous_blocks", einsum_blocks)
+        nnz, fill, V = factored()
+        monkeypatch.setattr(egns.assembly, "_viscous_unit", einsum_unit)
         einsum_nnz, einsum_fill, einsum = factored()
-        assert not np.array_equal(einsum, blocks)
-        assert np.abs(einsum - blocks).max() <= 1e-14 * np.abs(blocks).max()
+        assert 0 < abs(einsum - V).max() <= 1e-14 * abs(V).max()
         assert (einsum_nnz, einsum_fill) == (nnz, fill)
 
     def test_null_space_built_once_per_mesh_and_constraint_set(self, monkeypatch):
