@@ -16,9 +16,10 @@ Jacobian a 1x4 block per edge.
 Newton works in correction form: a Newton system is the reduced matrix
 Z^T A Z and the residual at a velocity dof vector x that holds the
 Dirichlet values on its constrained entries, and the solver finds a
-correction that is zero there.  Z^T A Z is summed from element blocks
-onto a pattern fixed per mesh and constraint set (see egns.nullspace):
-no global Jacobian is assembled.
+correction that is zero there.  Z^T A Z lives on a pattern fixed per
+mesh and constraint set (see egns.nullspace): its viscous part is formed
+once and each state adds element blocks, so no global Jacobian is
+assembled.
 """
 
 from __future__ import annotations
@@ -379,8 +380,8 @@ class SteadyProblem:
         """K = Z^T A Z, A and the residual (ru, rp) at the full dof vector x.
 
         A = nu V + C(x), plus D(x) with an outflow, is the function y -> A y
-        from V and the edge-row blocks of C and D; K sums element blocks
-        onto the null space's pattern.  No global A is assembled.  ru and
+        from V and the edge-row blocks of C and D; K is nu Z^T V Z plus
+        their reduced blocks, on the null space's pattern.  ru and
         rp are those of residual(x, 0), so ru holds no pressure term.  At
         None, zero velocity, C and D vanish and are skipped.
         """

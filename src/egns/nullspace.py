@@ -18,10 +18,10 @@ every further one (walls split by outflow segments, the boundary of a
 hole) adds one shared unknown.
 
 Z is element-local: on triangle T it keeps v0x, v0y and maps the psi at
-T's vertices to T's edge fluxes by a 3x3 block G_T.  So Z^T A Z sums the
-element blocks Z_T^T A_T Z_T onto a pattern fixed per mesh and
-constraint set, with explicit zeros: a 3x3 block (a chain's psi: one row
-or column) per pair of equal or adjacent vertices.
+T's vertices to T's edge fluxes by a 3x3 block G_T.  So Z^T A Z has a
+pattern fixed per mesh and constraint set, with explicit zeros: a 3x3
+block (a chain's psi: one row or column) per pair of equal or adjacent
+vertices.  A Newton state sums its element blocks Z_T^T A_T Z_T onto it.
 
 A breadth-first spanning tree of the dual graph over the free edges
 replaces a second factorization.  It is rooted at a virtual outside node
@@ -220,10 +220,11 @@ def null_space(mesh, dof_map, V):
     first = np.where(~on_wall, col - 2, col)  # a vertex's first column
     indptr, indices, slots = _pattern(mesh, first, 3 * nfv, ncol)
     # Z^T V Z from the sparse product, once, placed on the pattern
-    P = (Z.T @ (V @ Z)).tocsc()
-    where = lambda ptr, ind: np.repeat(ncol * np.arange(ncol), np.diff(ptr)) + ind
+    P = (Z.T.tocsr() @ (V @ Z)).tocoo()
+    where = sp.csc_matrix((np.arange(indices.size), indices, indptr), P.shape)
     viscous = np.zeros(indices.size)
-    viscous[np.searchsorted(where(indptr, indices), where(P.indptr, P.indices))] = P.data
+    if P.nnz:  # scipy answers an empty lookup with a matrix
+        viscous[np.asarray(where[P.row, P.col]).ravel()] = P.data
 
     # dual graph over the free edges; node nt is the virtual outside node
     t0, t1 = mesh.edge_to_triangles[fe].T

@@ -8,11 +8,10 @@ egns.nullspace), so pressure robustness holds by construction: a sweep
 over a dual spanning tree gives a flux with B dx = -rp, sparse LU of K
 over (free v0x, free v0y, stream function) the divergence-free part,
 and a second sweep the pressure.  K has no zero block and under half
-the unknowns of the saddle matrix; it is summed from element blocks,
-with the pattern and its explicit zeros fixed per mesh.  The null space
-also fixes the pressure constant of pure-Dirichlet problems;
-incompatible boundary flux is rejected when the problem's dof map is
-built.
+the unknowns of the saddle matrix; its pattern, explicit zeros
+included, is fixed per mesh.  The null space also fixes the pressure
+constant of pure-Dirichlet problems; incompatible boundary flux is
+rejected when the problem's dof map is built.
 
 K is factored in SuperLU's symmetric mode with diagonal pivots in Z's
 column order (Li, *ACM TOMS* 31, 2005), minimum degree on the mesh's
