@@ -381,9 +381,9 @@ class SteadyProblem:
 
         A = nu V + C(x), plus D(x) with an outflow, is the function y -> A y
         from V and the edge-row blocks of C and D; K is nu Z^T V Z plus
-        their reduced blocks, on the null space's pattern.  ru and
-        rp are those of residual(x, 0), so ru holds no pressure term.  At
-        None, zero velocity, C and D vanish and are skipped.
+        their reduced blocks, on the null space's pattern.  ru and rp are
+        those of residual(x, 0), so ru holds no pressure term.  At None,
+        zero velocity, C and D vanish and are skipped.
         """
         ns, V = self.null_space, _viscous_unit(self.mesh)
         l2g = element_ops(self.mesh)["l2g"]
