@@ -417,8 +417,13 @@ def cmd_cavity(cfg: RunConfig) -> int:
     def body(xy):
         return cfg.forcing_scale * forced.body_force(xy)
 
+    problem = forced.problem(mesh, body_force=body)
+    try:
+        problem.load_vector  # cached: the solves reuse it
+    except ValueError as exc:
+        raise ConfigError(f"forcing_scale: {exc}") from None
     sol1, _ = _solve(cfg, case_cavity("f1").problem(mesh).with_nu, nu)
-    sol2, _ = _solve(cfg, forced.problem(mesh, body_force=body).with_nu, nu)
+    sol2, _ = _solve(cfg, problem.with_nu, nu)
 
     denom = velocity_l2_norm(mesh, sol1[0])
     diff = velocity_l2_difference(mesh, sol1[0], sol2[0])

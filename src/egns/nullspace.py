@@ -19,17 +19,18 @@ hole) adds one shared unknown.
 
 Z is element-local: on triangle T it keeps v0x, v0y and maps the psi at
 T's vertices to T's edge fluxes by a 3x3 block G_T.  So Z^T A Z has a
-pattern fixed per mesh and constraint set, with explicit zeros: a 3x3
-block (a chain's psi: one row or column) per pair of equal or adjacent
-vertices.  A Newton state sums its element blocks Z_T^T A_T Z_T onto it.
+pattern fixed per mesh and constraint set, with explicit zeros: that of
+C^T C, C the incidence of the elements and the columns they hold.  A
+Newton state sums its element blocks Z_T^T A_T Z_T onto it.
 
 A breadth-first spanning tree of the dual graph over the free edges
 replaces a second factorization.  It is rooted at a virtual outside node
-when some boundary edge is free, and at element 0 otherwise.  Restricted
-to the tree edges the divergence block is triangular in breadth-first
-order: one sweep from the leaves gives a flux with prescribed
-divergence, one sweep from the root gives the pressures from the
-momentum residual.
+when some boundary edge is free, and at element 0 otherwise; each
+element hangs from its least neighbour one level up, by its least edge.
+Restricted to the tree edges the divergence block is triangular in
+breadth-first order: one sweep from the leaves gives a flux with
+prescribed divergence, one sweep from the root gives the pressures from
+the momentum residual.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 __all__ = ["NullSpace", "null_space"]
 
@@ -51,9 +52,9 @@ class NullSpace:
     Z maps columns 3k to 3k + 2 to v0x, v0y and psi of free vertex k of the
     vertex order, later columns to the psi of further Dirichlet chains;
     its rows on constrained entries are empty.  The tree lists the non-root
-    elements in breadth-first order, depth by depth from depth_start,
-    each with the position of its parent in that order (-1 below the
-    root), the dof of the edge to its parent and the divergence
+    elements by (depth, index), depth by depth from depth_start, each
+    with the position of its parent in that order (-1 below the root),
+    the dof of the edge to its parent and the divergence
     coefficient sigma |e| of the element on that edge.  closed marks a
     boundary without free edges: the tree is then rooted at element 0
     and pressure fixes the free constant by zero area-weighted mean.
@@ -135,48 +136,6 @@ def _vertex_order(mesh):
     return cache["vertex_order"]
 
 
-def _pattern(mesh, first, triples, ncol):
-    """The CSC pattern of Z^T A Z and each element's psi-row slots.
-
-    A vertex's node is its columns, named by the first (-1: none): a free
-    vertex's triple (below triples) or its chain's psi column.  A column
-    holds one row block per node equal or joined by an edge to its own,
-    in order; one sort of the vertex graph numbers these node pairs.
-    """
-    nv, tri, te = mesh.num_vertices, mesh.triangles, mesh.triangle_edges
-    a, b = mesh.edges.T
-    to, fro = np.r_[first, first[a], first[b]], np.r_[first, first[b], first[a]]
-    # a pair without a node sorts last, in no column
-    key = np.where((to >= 0) & (fro >= 0), to * (ncol + 1) + fro, ncol * (ncol + 1))
-    pair_key, pair = np.unique(key, return_inverse=True)
-    pair_col, pair_row = np.divmod(pair_key, ncol + 1)
-    height = np.where(pair_row < triples, 3, 1)
-    end = np.r_[0, np.cumsum(height)]
-    offset = end[:-1] - end[np.searchsorted(pair_col, pair_col)]  # within its column
-    node = np.arange(ncol) - np.r_[np.arange(triples) % 3, np.zeros(ncol - triples, int)]
-    lo, hi = (end[np.searchsorted(pair_col, node, side=s)] for s in ("left", "right"))
-    indptr = np.r_[0, np.cumsum(hi - lo)]
-    rows = np.repeat(pair_row - end[:-1], height) + np.arange(end[-1])
-    indices = rows[np.repeat(lo - indptr[:-1], hi - lo) + np.arange(indptr[-1])]
-    # pair[T, i, j]: row vertex i, column vertex j, by the edge opposite the third
-    opp = te[:, [[0, 2, 1], [2, 1, 0], [1, 0, 2]]]
-    pair = np.where(np.eye(3, dtype=bool), pair[tri][:, None, :],
-                    pair[np.where(a[opp] == tri[:, None, :], nv, nv + a.size) + opp])
-    # the column of each local unknown, ncol where Z drops it: its slots
-    # clip to the end of the data
-    f, nnz = first[tri], indices.size
-    triple = (f >= 0) & (f < triples)
-    unknown = np.concatenate([np.where(triple, f, ncol), np.where(triple, f + 1, ncol),
-                              np.where(triple, f + 2, np.where(f < 0, ncol, f))], axis=1)
-    psi_row = np.where(f < 0, nnz, 2 * triple)  # in its node's block
-    # [T, row vertex, column component, column vertex]
-    slots = (offset[pair][:, :, None, :] + indptr[unknown].reshape(-1, 1, 3, 3)
-             + psi_row[:, :, None, None])
-    indptr, indices = indptr.astype(np.int32), indices.astype(np.int32)  # as SciPy's
-    indptr.flags.writeable = indices.flags.writeable = False  # every K shares them
-    return indptr, indices, np.minimum(slots, nnz).astype(np.int32).reshape(-1, 3, 9)
-
-
 def null_space(mesh, dof_map, V):
     """Build the basis and the dual tree for a mesh and its Dirichlet dof
     map, which constrains at least one edge, and Z^T V Z on the pattern
@@ -189,7 +148,7 @@ def null_space(mesh, dof_map, V):
     nfv = free_v.size
 
     # free_v[k] owns columns 3k to 3k + 2; chains follow; -1 marks psi = 0
-    col = np.full(nv, -1, dtype=np.int64)
+    col = np.full(nv, -1, dtype=np.int32)  # as SciPy's indices: lookups take it as is
     col[free_v] = 3 * np.arange(nfv) + 2
     ncol = 3 * nfv
     a, b = mesh.edges[wall_edge].T
@@ -217,47 +176,45 @@ def null_space(mesh, dof_map, V):
     tri, te = mesh.triangles, mesh.triangle_edges
     G = w[te][..., None] * ((tri[:, None, :] == b[te][..., None]).astype(float)
                             - (tri[:, None, :] == a[te][..., None]))
-    first = np.where(~on_wall, col - 2, col)  # a vertex's first column
-    indptr, indices, slots = _pattern(mesh, first, 3 * nfv, ncol)
-    # Z^T V Z from the sparse product, once, placed on the pattern
-    P = (Z.T.tocsr() @ (V @ Z)).tocoo()
-    where = sp.csc_matrix((np.arange(indices.size), indices, indptr), P.shape)
-    viscous = np.zeros(indices.size)
-    if P.nnz:  # scipy answers an empty lookup with a matrix
-        viscous[np.asarray(where[P.row, P.col]).ravel()] = P.data
+    P = (Z.T.tocsr() @ (V @ Z)).tocoo()  # Z^T V Z, formed before the pattern: less memory
+    # T's columns [v0x | v0y | psi] at its vertices, -1 where Z drops one;
+    # two columns pair in Z^T A Z when some element holds both
+    unknown = np.concatenate([np.where(on_wall, -1, col - 2)[tri],
+                              np.where(on_wall, -1, col - 1)[tri], col[tri]], axis=1)
+    has = unknown >= 0
+    C = sp.csr_matrix((np.ones(has.sum()), unknown[has], np.r_[0, np.cumsum(has.sum(axis=1))]),
+                      (nt, ncol))
+    S = (C.T @ C).tocsc()
+    S.sort_indices()
+    # S with each entry's position as its value is a lookup: it places the
+    # psi-row slots (row of T's vertex k, T's column j; past the data
+    # where Z drops either) and Z^T V Z
+    S.data = np.arange(S.nnz, dtype=np.int32)
+    row, column = np.broadcast_arrays(unknown[:, 6:, None], unknown[:, None, :])
+    found = (row >= 0) & (column >= 0)
+    slots = np.full(row.shape, S.nnz, dtype=np.int32)
+    viscous = np.zeros(S.nnz)
+    if S.nnz:  # scipy answers an empty lookup with a matrix
+        slots[found] = np.asarray(S[row[found], column[found]]).ravel()
+        viscous[np.asarray(S[P.row, P.col]).ravel()] = P.data
+    indptr, indices = S.indptr, S.indices  # int32, as SciPy's
+    indptr.flags.writeable = indices.flags.writeable = False  # every K shares them
 
     # dual graph over the free edges; node nt is the virtual outside node
     t0, t1 = mesh.edge_to_triangles[fe].T
     closed = bool((t1 >= 0).all())
     t1 = np.where(t1 < 0, nt, t1)
-    src = np.concatenate([t0, t1])
-    order = np.argsort(src, kind="stable")
-    dst = np.concatenate([t1, t0])[order]
-    via = np.concatenate([fe, fe])[order]
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=nt + 1))])
-
     root = 0 if closed else nt
-    seen = np.zeros(nt + 1, dtype=bool)
-    seen[root] = True
-    frontier = np.array([root])
-    levels = []
-    while True:
-        cnt = ptr[frontier + 1] - ptr[frontier]
-        shift = ptr[frontier] - np.cumsum(cnt) + cnt
-        k = np.arange(cnt.sum()) + np.repeat(shift, cnt)
-        nbr, parent, edge = dst[k], np.repeat(frontier, cnt), via[k]
-        new = ~seen[nbr]
-        # each new element keeps the first edge reaching it
-        child, first = np.unique(nbr[new], return_index=True)
-        if child.size == 0:
-            break
-        seen[child] = True
-        levels.append((child, parent[new][first], edge[new][first]))
-        frontier = child
-
-    # a lone element with no free edge is the whole tree
-    levels = levels or [(np.empty(0, np.int64),) * 3]
-    element, parent, edge = (np.concatenate(x) for x in zip(*levels))
+    dual = sp.coo_matrix((np.ones(fe.size), (t0, t1)), shape=(nt + 1, nt + 1))
+    depth = shortest_path(dual, directed=False, unweighted=True, indices=root)
+    # each element keeps the least (parent, edge) one level up, in order
+    # of (depth, element); a lone element with no free edge is the whole tree
+    src, dst, via = np.r_[t0, t1], np.r_[t1, t0], np.r_[fe, fe]
+    k = np.flatnonzero(depth[dst] - depth[src] == 1)
+    k = k[np.lexsort((via[k], src[k], dst[k], depth[dst[k]]))]
+    k = k[np.sort(np.unique(dst[k], return_index=True)[1])]
+    element, parent, edge = dst[k], src[k], via[k]
+    level = np.bincount(depth[element].astype(int), minlength=2)  # 0 holds the root alone
     pos = np.full(nt + 1, -1, dtype=np.int64)
     pos[element] = np.arange(element.size)
     kk = np.argmax(mesh.triangle_edges[element] == edge[:, None], axis=1)
@@ -267,7 +224,7 @@ def null_space(mesh, dof_map, V):
         up=pos[parent],
         edge_dof=2 * nv + edge,
         coef=mesh.edge_lengths[edge] * mesh.triangle_edge_sign[element, kk],
-        depth_start=np.cumsum([0] + [lv[0].size for lv in levels]),
+        depth_start=np.r_[0, np.cumsum(level[1:])],
         closed=closed,
         areas=mesh.areas,
         G=G,

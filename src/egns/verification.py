@@ -445,26 +445,21 @@ class ConvergenceTable:
     orders: np.ndarray  # (levels, 3), first row is nan
 
     def to_csv(self) -> str:
-        lines = ["h,e_l2,order,e_h1,order,e_p,order"]
-        for i in range(self.h.size):
-            cells = [f"{self.h[i]:.10g}"]
-            for j in range(3):
-                cells.append(f"{self.errors[i, j]:.6e}")
-                o = self.orders[i, j]
-                cells.append("" if np.isnan(o) else f"{o:.2f}")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return self._table("h,e_l2,order,e_h1,order,e_p,order", ",",
+                           ".10g", ".6e", ".2f", "") + "\n"
 
     def to_log(self) -> str:
         header = f"{'h':>10} {'|u-u0|_0':>12} {'ord':>6} {'|u-u0|_1':>12} {'ord':>6} {'|p-p_h|_0':>12} {'ord':>6}"
+        return self._table(header, " ", ">10.6f", ">12.3e", ">6.2f", "     -")
+
+    def _table(self, header, sep, h_fmt, e_fmt, o_fmt, blank):
+        """The header and one line per level, an order blank where nan."""
         lines = [header]
-        for i in range(self.h.size):
-            cells = [f"{self.h[i]:>10.6f}"]
-            for j in range(3):
-                cells.append(f"{self.errors[i, j]:>12.3e}")
-                o = self.orders[i, j]
-                cells.append("     -" if np.isnan(o) else f"{o:>6.2f}")
-            lines.append(" ".join(cells))
+        for h, errors, orders in zip(self.h, self.errors, self.orders):
+            cells = [format(h, h_fmt)]
+            for e, o in zip(errors, orders):
+                cells += [format(e, e_fmt), blank if np.isnan(o) else format(o, o_fmt)]
+            lines.append(sep.join(cells))
         return "\n".join(lines)
 
 

@@ -552,6 +552,18 @@ class TestCavityCommand:
         f2 = (tmp_path / "cavity_f2.vtk").read_bytes()
         assert f1 == f2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_forcing_scale_is_config_error(self, tmp_path, capsys):
+        # finite in the config, infinite in the load: named before any solve
+        path = _cfg(
+            tmp_path, "[mesh]\nresolution = 4\n\n[physics]\nforcing_scale = 1e308\n"
+        )
+        assert main(["cavity", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: forcing_scale: body force is not finite")
+        assert not list(tmp_path.glob("*.vtk"))
+
 
 class TestStepCommand:
     def test_recirculation_behind_step(self, tmp_path, capsys):

@@ -555,6 +555,42 @@ class TestNullSpaceSolve:
         assert np.abs(B @ ns.particular(rhs_p) - rhs_p).max() <= 1e-12
         assert np.abs(ns.pressure(B.T @ p) - p).max() <= 1e-12
 
+    @pytest.mark.parametrize("name", LAYOUTS + ["corner"])
+    def test_dual_tree_is_the_least_breadth_first_tree(self, name):
+        # the tree fixes the order of the sweeps' sums, so the pressure and
+        # the VTK bytes: checked against a plain breadth-first search over
+        # the free edges, node nt being the outside
+        prob = _layout(name, 1.0)
+        ns, mesh = prob.null_space, prob.mesh
+        nt, nv = mesh.num_triangles, mesh.num_vertices
+        arcs = [[] for _ in range(nt + 1)]
+        for e in np.flatnonzero(~prob.dof_map.constrained[2 * nv :]):
+            t0, t1 = mesh.edge_to_triangles[e]
+            t1 = nt if t1 < 0 else t1
+            arcs[t0].append((t1, e))
+            arcs[t1].append((t0, e))
+        root = 0 if ns.closed else nt
+        dist, queue = {root: 0}, [root]
+        for t in queue:
+            for s, _ in arcs[t]:
+                if s not in dist:
+                    dist[s] = dist[t] + 1
+                    queue.append(s)
+        # every element but the root, by (depth, index), depth by depth
+        assert [(dist[t], t) for t in ns.element] == sorted(
+            (d, t) for t, d in dist.items() if t != root)
+        assert len(dist) == nt + (not ns.closed)
+        depth = np.searchsorted(ns.depth_start, np.arange(ns.element.size), side="right")
+        assert depth.tolist() == [dist[t] for t in ns.element]
+        assert ns.depth_start[-1] == ns.element.size
+        # each keeps the least (parent, edge) one level up: below the
+        # outside, its least free boundary edge
+        parent = np.append(ns.element, root)[ns.up]
+        for t, p, e in zip(ns.element, parent, ns.edge_dof - 2 * nv):
+            assert (p, e) == min((s, f) for s, f in arcs[t] if dist[s] == dist[t] - 1)
+        two = [t for t in range(nt) if sum(s == nt for s, _ in arcs[t]) == 2]
+        assert bool(two) == (name == "corner")
+
     @pytest.mark.parametrize("neumann_tags", [(), ALL_SIDES], ids=["bare", "outflow"])
     def test_without_dirichlet_segment_named(self, neumann_tags, monkeypatch):
         # at rest only nu V is left, and it leaves constant velocities
@@ -582,10 +618,20 @@ class TestReducedMatrix:
         # (corner)
         prob = _layout(name, 1e-2)
         dm, Z = prob.dof_map, prob.null_space.Z
+        # K's pattern is all that Z^T A Z can reach through A's element
+        # blocks, cancelled or not: the element incidence mapped through Z
+        l2g = egns.assembly.element_ops(prob.mesh)["l2g"]
+        rows = np.repeat(np.arange(l2g.shape[0]), l2g.shape[1])
+        incidence = sp.csr_matrix((np.ones(l2g.size), (rows, l2g.ravel())),
+                                  (l2g.shape[0], dm.total))
+        reach = incidence @ abs(Z)
+        pattern = ((reach.T @ reach) != 0).astype(float)
         rng = np.random.default_rng(3)
         state = np.where(dm.constrained, dm.values, rng.standard_normal(dm.total))
         for x in (None, state):
             K, A, _, _ = prob.newton_system(x)
+            structure = sp.csc_matrix((np.ones(K.nnz), K.indices, K.indptr), K.shape)
+            assert K.nnz == pattern.nnz and (structure != pattern).nnz == 0
             J = _jacobian(prob, x)
             product = Z.T @ (J @ Z)
             assert abs(K - product).max() <= 1e-14 * abs(product).max()
