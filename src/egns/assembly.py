@@ -293,7 +293,8 @@ class SteadyProblem:
     def load_vector(self):
         if self.body_force is None:
             return np.zeros(_total_dofs(self.mesh))
-        load = assemble_load(self.mesh, self.body_force)
+        with np.errstate(over="ignore", invalid="ignore"):  # named just below
+            load = assemble_load(self.mesh, self.body_force)
         bad = ~np.isfinite(load)
         if bad.any():
             raise ValueError(

@@ -13,12 +13,15 @@ included, is fixed per mesh.  The null space also fixes the pressure
 constant of pure-Dirichlet problems; incompatible boundary flux is
 rejected when the problem's dof map is built.
 
-K is factored in SuperLU's symmetric mode with diagonal pivots in Z's
-column order (Li, *ACM TOMS* 31, 2005), minimum degree on the mesh's
-vertex graph (see egns.nullspace): like the pattern, it follows the
-mesh, not which entries cancel exactly.  With no pivoting a tiny pivot
-is possible, so a factorization that raises or a solve that fails the
-block-residual check is retried once with the default factorization.
+K is factored on three rungs, each tried when the one before raises or
+its solve fails the block-residual check: float32 and float64 in
+SuperLU's symmetric mode (Li, *ACM TOMS* 31, 2005), pivots in Z's column
+order, minimum degree on the vertex graph (see egns.nullspace); then
+float64 with partial pivoting.  Float64 solves take one refinement pass;
+float32 ones are refined in float64 (Carson and Higham, *SIAM J. Sci.
+Comput.* 40, 2018).  A pass leaves about kappa u32 of the residual, a
+float64 solve kappa u64, so the pass taking in at most u64/u32 = 2^-29
+of the first residual is the last, as is one failing to halve it.
 
 Newton is damped by residual decrease (Deuflhard, *Newton Methods for
 Nonlinear Problems*): a step of length lambda, full first, is kept if it
@@ -80,9 +83,10 @@ __all__ = [
 
 _TINY = 1e-300
 
-# the factorization solve_saddle tries first: Z's column order (see above)
+# K's factorizations in the order tried (see above): Z's column order first
 _SYMMETRIC_MODE = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
+_RUNGS = ((np.float32, _SYMMETRIC_MODE), (np.float64, _SYMMETRIC_MODE), (np.float64, {}))
 
 # damping; the largest contraction theta at which the last LU is reused
 _DECREASE, _MIN_LAMBDA, _THETA_MAX = 1e-4, 1.0 / 64, 0.25
@@ -97,8 +101,8 @@ class SolverError(Exception):
 class SingularSystemError(SolverError):
     """Factorization hit an exactly singular pivot.
 
-    Raised only when the default, partial-pivoting factorization does; a
-    symmetric-mode one that fails is retried with it first.
+    Raised only when the last, partial-pivoting factorization does; the
+    symmetric-mode ones that fail are retried with it first.
     """
 
 
@@ -128,9 +132,10 @@ class SolveReport:
 
     records holds one dict per iteration: update (relative Newton update),
     residual (at the kept iterate, NaN if the update test ended the solve),
-    step (lambda, 0 if the line search failed), fallback (the LU it used is
-    the pivoting one), factored (False for a chord step with the last LU)
-    and theta (contraction estimate of its step, NaN where not computed).
+    step (lambda, 0 if the line search failed), single and fallback (the LU
+    it used is float32, the pivoting one), passes (of its refined solve),
+    factored (False for a chord step with the last LU) and theta
+    (contraction estimate of its step, NaN where not computed).
     """
 
     records: list
@@ -149,15 +154,53 @@ class SolveReport:
     def to_log(self):
         lines = [
             f"iter {i}: rel_update {r['update']:.6e} residual {r['residual']:.6e} "
-            f"step {r['step']:g} fallback {r['fallback']} "
-            f"factored {r['factored']} theta {r['theta']:.3e}"
+            f"step {r['step']:g} single {r['single']} passes {r['passes']} "
+            f"fallback {r['fallback']} factored {r['factored']} theta {r['theta']:.3e}"
             for i, r in enumerate(self.records, 1)
         ]
-        lines.append(
-            f"converged={self.converged} iterations={self.iterations} "
-            f"wall_time={self.wall_time:.3f}s"
-        )
+        lines.append(f"converged={self.converged} iterations={self.iterations} "
+                     f"wall_time={self.wall_time:.3f}s")
         return "\n".join(lines)
+
+
+class _Factor:
+    """K's LU on the first rung whose solve passes the check, and its solves;
+    single and fallback tell float32 and pivoting, passes the last solve's."""
+
+    def __init__(self, K, A, Z, attempt):
+        """Factor K rung by rung; result is attempt(self)'s first not None."""
+        self.A, self.Z = A, Z
+        for dtype, options in _RUNGS:
+            self.single, self.fallback = dtype is np.float32, not options
+            try:
+                with np.errstate(over="ignore"):  # beyond float32's range: the check fails
+                    self.lu = spla.splu(K.astype(dtype, copy=False), **options)
+            except RuntimeError as exc:
+                if self.fallback:
+                    raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
+                logger.info("%s factorization failed (%s); next rung", dtype.__name__, exc)
+                continue
+            self.result = attempt(self)
+            if self.result is not None:
+                return
+
+    def refine(self, dx, ru, passes):
+        """dx -= Z LU^-1 Z^T (A dx + ru) in place (summing the psi instead would
+        round every flux again at eps |psi| / |e|): passes times in float64,
+        as above in float32, at most 12 times on unit-norm right-hand sides."""
+        Z, self.passes, last, first = self.Z, 0, math.inf, None
+        while self.passes < (12 if self.single else passes):
+            r = Z.T @ (self.A(dx) + ru)
+            if self.single:
+                size = float(np.linalg.norm(r))
+                if not 0.0 < size < last / 2:  # solved, or no gain (also inf or NaN)
+                    break
+                r, first, last = (r / size).astype(np.float32), first or size, size
+            dx -= (Z @ self.lu.solve(r)) * (last if self.single else 1.0)
+            self.passes += 1
+            if self.single and last <= 2.0**-29 * first:  # a float64 solve's level
+                break
+        return dx
 
 
 def solve_saddle(problem, system):
@@ -166,50 +209,35 @@ def solve_saddle(problem, system):
     system is problem.newton_system(x): K = Z^T A Z, the function y -> A y
     and the residual (ru, rp) at x.  dx, zero on constrained entries, is
     the tree's flux with B dx = -rp minus Z psi, where K psi = Z^T (A dx +
-    ru), with one refinement pass.  The pressure solves B^T p = A dx + ru
-    on the tree edges in the null space's gauge; ru holds no pressure, so
-    p is the new pressure.  The block residuals A dx + ru - B^T p and
-    B dx + rp must then sit at solver precision relative to (ru, rp).
+    ru), refined as above.  The pressure solves B^T p = A dx + ru on the
+    tree edges in the null space's gauge; ru holds no pressure, so p is the
+    new pressure.  The block residuals A dx + ru - B^T p and B dx + rp must
+    then sit at solver precision relative to (ru, rp).
 
-    K is factored in SuperLU's symmetric mode first.  fallback is
-    True when that factorization raised or failed the residual check and
-    the default, partial-pivoting one was used instead; only its failure
-    is raised, or the first one's on non-finite data.  lu is the LU used.
+    K is factored on the first rung (see above) whose solve passes that
+    check; only the last rung's failure is raised, or the first one's on
+    non-finite data.  lu is that factor, with single and passes, and
+    fallback whether it is the partial-pivoting one.
     """
     (K, A, ru, rp), ns = system, problem.null_space
-    Z, B = ns.Z, assemble_divergence(problem.mesh)
-    free = problem.dof_map.free_indices()
+    B, free = assemble_divergence(problem.mesh), problem.dof_map.free_indices()
 
-    for fallback in (False, True):
-        try:
-            lu = spla.splu(K) if fallback else spla.splu(K, **_SYMMETRIC_MODE)
-        except RuntimeError as exc:
-            if fallback:
-                raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
-            logger.info("symmetric-mode factorization failed (%s); pivoting", exc)
-            continue
-
-        # the solve and one refinement pass.  The correction takes each
-        # step in place: rebuilding it from the accumulated psi would
-        # round every flux again at eps |psi| / |e|, a residual floor that
-        # grows with the mesh
-        dx = ns.particular(-rp)
-        for _ in range(2):
-            dx -= Z @ lu.solve(Z.T @ (A(dx) + ru))
+    def attempt(lu):
+        dx = lu.refine(ns.particular(-rp), ru, 2)
         mom = A(dx) + ru  # the linearized momentum residual, less B^T p
         pressure = ns.pressure(mom)
-
         nru, nrp, scale = _norms(free, mom - B.T @ pressure, B @ dx + rp, ru, rp)
         # written so that NaN residuals or data fail the check
         if nru <= 1e-10 * scale and nrp <= 1e-10 * scale:
-            return dx, pressure, fallback, lu
-        message = (
-            f"saddle solve residuals too large: momentum {nru:.3e}, "
-            f"mass {nrp:.3e}, data scale {scale:.3e}"
-        )
-        if fallback or not math.isfinite(scale):  # no factorization mends the data
+            return dx, pressure
+        message = (f"saddle solve residuals too large: momentum {nru:.3e}, "
+                   f"mass {nrp:.3e}, data scale {scale:.3e}")
+        if lu.fallback or not math.isfinite(scale):  # no factorization mends the data
             raise SolverError(message)
-        logger.info("symmetric-mode factorization: %s; pivoting", message)
+        logger.info("symmetric-mode factorization: %s; next rung", message)
+
+    lu = _Factor(K, A, ns.Z, attempt)
+    return (*lu.result, lu.fallback, lu)
 
 
 def _norms(free, ru, rp, rhs_u, rhs_p):
@@ -245,8 +273,7 @@ def newton_solve(problem, config=None, initial=None):
     """
     config = config or NewtonConfig()
     t0 = time.perf_counter()
-    dm, Z = problem.dof_map, problem.null_space.Z
-    free = dm.free_indices()
+    dm, free = problem.dof_map, problem.dof_map.free_indices()
     # a warm start takes the problem's Dirichlet values: every dx is zero there
     x, p = ((None, np.zeros(problem.mesh.num_triangles)) if initial is None
             else (np.where(dm.constrained, dm.values, initial[0]), initial[1]))
@@ -270,8 +297,9 @@ def newton_solve(problem, config=None, initial=None):
         new = np.concatenate([x1[free], p1])
         rel = float(np.linalg.norm(new - prev)) / max(float(np.linalg.norm(new)), _TINY)
         logger.debug("newton iter %d: rel update %.3e", len(records) + 1, rel)
-        record = {"update": rel, "residual": math.nan, "step": 1.0,
-                  "fallback": fallback, "factored": factored, "theta": math.nan}
+        record = {"update": rel, "residual": math.nan, "step": 1.0, "single": lu.single,
+                  "passes": lu.passes, "fallback": fallback, "factored": factored,
+                  "theta": math.nan}
         if rel < config.rel_tol:
             records.append(record)
             return (x1, p1), report()
@@ -302,7 +330,7 @@ def newton_solve(problem, config=None, initial=None):
             # the next update would be zero
             return (x, p), report()
         if lam == 1.0:  # the chord step from the same LU, and its contraction
-            chord = Z @ lu.solve(Z.T @ -ru1)
+            chord = lu.refine(np.zeros_like(x), ru1, 1)
             record["theta"] = float(np.linalg.norm(chord)) / max(
                 float(np.linalg.norm(dx)), _TINY)
         if not record["theta"] <= _THETA_MAX:  # also when damped: theta is NaN

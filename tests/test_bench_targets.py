@@ -14,6 +14,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg
 
@@ -134,3 +135,36 @@ def test_symmetric_mode_cuts_the_fill(monkeypatch):
     default = real(K)
     fill = lu.L.nnz + lu.U.nnz
     assert fill < 0.7 * (default.L.nnz + default.U.nnz)
+
+
+def test_traced_factor_is_the_float32_one(monkeypatch):
+    # bench/child.py counts splu calls as factorizations, and reads nnz(K)
+    # from the first argument and L.nnz + U.nnz from the factor returned:
+    # one float32 call per solve_saddle, with the float64 factor's storage.
+    # L and U leave out entries that are exactly 0.0, and those differ by
+    # precision (4,603,267 against 4,607,586 of 4,611,936 at n = 96)
+    real, real_saddle = scipy.sparse.linalg.splu, egns.solver.solve_saddle
+    factors, saddles = [], []  # (K, factor) per splu call; K per solve_saddle
+
+    def capture(K, **kwargs):
+        factors.append((K, real(K, **kwargs)))
+        return factors[-1][1]
+
+    def saddle(problem, system):
+        saddles.append(system[0])
+        result = real_saddle(problem, system)
+        assert len(factors) == len(saddles)
+        return result
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", capture)
+    monkeypatch.setattr(egns.solver, "solve_saddle", saddle)
+    problem = case_cavity("f1", 0.005).problem(build_rect_uniform(8, 8))
+    _, report = egns.solver.newton_solve(problem)
+    assert report.factorizations == len(saddles) >= 2
+    assert all(r["single"] for r in report.records)
+    for K, (K32, lu) in zip(saddles, factors):
+        assert K32.dtype == lu.L.dtype == np.float32 and K32.nnz == K.nnz
+        double = real(K, **egns.solver._SYMMETRIC_MODE)
+        fill = double.L.nnz + double.U.nnz
+        assert lu.nnz == double.nnz
+        assert abs(lu.L.nnz + lu.U.nnz - fill) <= 1e-3 * fill

@@ -552,8 +552,6 @@ class TestCavityCommand:
         f2 = (tmp_path / "cavity_f2.vtk").read_bytes()
         assert f1 == f2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_forcing_scale_is_config_error(self, tmp_path, capsys):
         # finite in the config, infinite in the load: named before any solve
         path = _cfg(

@@ -352,11 +352,20 @@ _SPLU = spla.splu  # the real factorizations, whatever a test patches in
 _SPILU = spla.spilu
 
 
-def _route_symmetric_lu(monkeypatch, symmetric, default=_SPLU):
-    """Send solve_saddle's symmetric-mode factorization to symmetric(K) and
-    its default one to default(K)."""
+def _raise_runtime(K):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _route_symmetric_lu(monkeypatch, symmetric, default=_SPLU, single=_raise_runtime):
+    """Send solve_saddle's float32 factorization to single(K), its float64
+    symmetric-mode one to symmetric(K) and its default one to default(K).
+
+    single raises unless given, so that the float64 rungs stand alone."""
 
     def splu(K, **kwargs):
+        if K.dtype == np.float32:
+            assert kwargs == egns.solver._SYMMETRIC_MODE
+            return single(K)
         if kwargs.get("options", {}).get("SymmetricMode"):
             return symmetric(K)
         assert not kwargs
@@ -365,17 +374,30 @@ def _route_symmetric_lu(monkeypatch, symmetric, default=_SPLU):
     monkeypatch.setattr(spla, "splu", splu)
 
 
-def _raise_runtime(K):
-    raise RuntimeError("Factor is exactly singular")
+def _symmetric_lu(K):
+    return _SPLU(K, **egns.solver._SYMMETRIC_MODE)
 
 
 def _factor_of_doubled(K):
-    # the solve and one refinement pass leave a quarter of the data
+    # each pass at best halves the residual: the solve and one refinement
+    # pass leave a quarter of the data, twelve passes 2.4e-4
     return _SPLU(2.0 * K)
 
 
+def _float64_symmetric_solve(problem, system):
+    """(dx, pressure) from the float64 symmetric-mode LU, the solve and one
+    refinement pass: the second rung's solve, written out."""
+    (K, A, ru, rp), ns = system, problem.null_space
+    lu = _symmetric_lu(K)
+    dx = ns.particular(-rp)
+    for _ in range(2):
+        dx -= ns.Z @ lu.solve(ns.Z.T @ (A(dx) + ru))
+    return dx, ns.pressure(A(dx) + ru)
+
+
 class TestFallback:
-    """The pivoting factorization stands in when the symmetric one fails."""
+    """Each rung stands in when the one before fails: float32 and float64
+    in symmetric mode, then float64 with partial pivoting."""
 
     @staticmethod
     def _system():
@@ -412,6 +434,16 @@ class TestFallback:
         if error is SolverError:
             assert not isinstance(ei.value, SingularSystemError)
 
+    @pytest.mark.parametrize("single", [_raise_runtime, _factor_of_doubled])
+    def test_float32_failure_gives_the_float64_symmetric_solve(self, monkeypatch, single):
+        prob, system = self._system()
+        x_ref, p_ref = _float64_symmetric_solve(prob, system)
+        _route_symmetric_lu(monkeypatch, _symmetric_lu, single=single)
+        x, pressure, fell_back, lu = solve_saddle(prob, system)
+        assert not fell_back and not lu.single and lu.passes == 2
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(pressure, p_ref)
+
     def test_records_fallback_per_iteration(self, monkeypatch):
         prob = case_vortex_2d(1.0).problem(build_rect_uniform(16, 16))
         _, report = newton_solve(prob)
@@ -419,6 +451,39 @@ class TestFallback:
         _route_symmetric_lu(monkeypatch, _raise_runtime)
         _, report = newton_solve(prob)
         assert [r["fallback"] for r in report.records] == [True] * report.iterations
+
+
+class TestSinglePrecision:
+    """The float32 factor refined in float64, against the float64 one."""
+
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_agrees_with_the_float64_factor(self, name, monkeypatch):
+        prob = _layout(name, 1e-2)
+        x = _first_iterate(prob)[0]
+        system = prob.newton_system(x)
+
+        def solves():
+            """The precisions of the factors used, and a saddle correction
+            at x, the chord step after it and the converged solution."""
+            dx, _, _, lu = solve_saddle(prob, system)
+            ru1 = egns.solver._nonlinear_residual(prob, x + dx)[1]
+            chord = lu.refine(np.zeros_like(x), ru1, 1)
+            (u, p), report = newton_solve(prob)
+            return {lu.single} | {r["single"] for r in report.records}, [dx, chord, u, p]
+
+        singles, single = solves()
+        _route_symmetric_lu(monkeypatch, _symmetric_lu)
+        doubles, double = solves()
+        assert singles == {True} and doubles == {False}
+        tols = [1e-8, 1e-8, 1e-9, 1e-9]
+        if name == "noflow":
+            # no flow: the velocities are the rounding of the hydrostatic
+            # load, as in test_agrees_with_saddle_oracle
+            for v in single[:3] + double[:3]:
+                assert np.abs(v).max() <= 1e-14 / prob.nu
+            single, double, tols = single[3:], double[3:], tols[3:]
+        for a, b, tol in zip(single, double, tols):
+            assert np.linalg.norm(a - b) <= tol * np.linalg.norm(b)
 
 
 class TestNullSpaceSolve:
@@ -792,7 +857,8 @@ class TestNewtonSolve:
         (field, pressure), report = newton_solve(prob)
         assert report.records[-1]["update"] < 1e-7
         assert report.iterations >= 2
-        keys = {"update", "residual", "step", "fallback", "factored", "theta"}
+        keys = {"update", "residual", "step", "single", "passes", "fallback", "factored",
+                "theta"}
         assert all(set(r) == keys for r in report.records)
         # the first iteration factors; later ones reuse its LU while theta,
         # computed after each full step, stays at or below 1/4
