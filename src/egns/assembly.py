@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .eg_space import DofMap, edge_trace, element_ops
+from .eg_space import DofMap, dof_count, edge_trace, edge_values, element_ops, vertex_values
 from .nullspace import null_space
 from .quadrature import quadrature_rule
 from .reconstruction import rt_basis
@@ -41,7 +41,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "SteadyProblem",
-    "assemble_viscous",
     "assemble_divergence",
     "assemble_convection_newton",
     "assemble_load",
@@ -49,10 +48,6 @@ __all__ = [
     "dirichlet_dof_map",
     "apply_dirichlet",
 ]
-
-
-def _total_dofs(mesh):
-    return 2 * mesh.num_vertices + mesh.num_edges
 
 
 def _sparse(rows, cols, blocks, shape):
@@ -69,17 +64,6 @@ def _scatter(index, values, n):
     return np.bincount(index.ravel(), values.ravel(), minlength=n)
 
 
-def assemble_viscous(mesh, nu):
-    """Viscosity times (broken-gradient stiffness + flux penalty), CSR.
-
-    The unit-viscosity matrix is cached on the mesh; both constituent
-    forms scale linearly with nu.
-    """
-    if not nu > 0:  # also NaN
-        raise ValueError(f"viscosity must be positive, got {nu}")
-    return nu * _viscous_unit(mesh)
-
-
 def _viscous_unit(mesh):
     cache = mesh._cache
     if "viscous_unit" not in cache:
@@ -87,7 +71,7 @@ def _viscous_unit(mesh):
         D, QB = ops["D"], ops["QB"]
         K = (D.transpose(0, 2, 1) * mesh.areas[:, None, None]) @ D
         K += (QB.transpose(0, 2, 1) * ops["stab_w"][:, None, :]) @ QB
-        n = _total_dofs(mesh)
+        n = dof_count(mesh)
         cache["viscous_unit"] = _sparse(ops["l2g"], ops["l2g"], K, (n, n))
     return cache["viscous_unit"]
 
@@ -100,7 +84,7 @@ def assemble_divergence(mesh):
         nt = mesh.num_triangles
         cache["divergence"] = _sparse(
             np.arange(nt)[:, None], ops["l2g"][:, 6:], (ops["L"] * ops["sig"])[:, None],
-            (nt, _total_dofs(mesh)))
+            (nt, dof_count(mesh)))
     return cache["divergence"]
 
 
@@ -145,7 +129,7 @@ def _convection_value(mesh, x):
     dofs = x[ops["l2g"]]
     omega = np.einsum("tj,tj->t", ops["curl"], dofs[:, :6])
     mtu = np.einsum("tkl,tk->tl", _convection_geometry(mesh), dofs[:, 6:])
-    r = _scatter(ops["l2g"][:, 6:], omega[:, None] * mtu, _total_dofs(mesh))
+    r = _scatter(ops["l2g"][:, 6:], omega[:, None] * mtu, dof_count(mesh))
     return omega, mtu, r
 
 
@@ -161,7 +145,7 @@ def assemble_load(mesh, f):
     phi = rt_basis(mesh, X)
     fv = np.asarray(f(X.reshape(-1, 2)), dtype=float).reshape(X.shape)
     vals = mesh.areas[:, None] * (rule.weights @ (phi @ fv[..., None])[..., 0])
-    return _scatter(element_ops(mesh)["l2g"][:, 6:], vals, _total_dofs(mesh))
+    return _scatter(element_ops(mesh)["l2g"][:, 6:], vals, dof_count(mesh))
 
 
 def assemble_neumann(mesh, tags, x):
@@ -190,16 +174,14 @@ def _outflow_edges(mesh, tags):
 
 
 def _neumann_value(mesh, tags, x):
-    """The outflow Jacobian's 1x4 block per tagged edge on [a, b, nv + a,
-    nv + b] at x, and the value terms."""
-    nv = mesh.num_vertices
+    """The outflow Jacobian's 1x4 block per tagged edge, on the v0x and
+    then the v0y of its ends (a, b), at x, and the value terms."""
     sel = _outflow_edges(mesh, tags)[0]
-    a, b = mesh.edges[sel].T
-    Ua = np.column_stack([x[a], x[nv + a]])
-    Ub = np.column_stack([x[b], x[nv + b]])
+    Ua, Ub = vertex_values(mesh, x)[mesh.edges[sel].T]
     # value of the quadratic form: half the edge integral of |trace|^2
     quad = ((Ua * Ua).sum(1) + (Ua * Ub).sum(1) + (Ub * Ub).sum(1)) / 3.0
-    vec = _scatter(2 * nv + sel, 0.5 * mesh.edge_lengths[sel] * quad, _total_dofs(mesh))
+    vec = np.zeros(dof_count(mesh))
+    edge_values(mesh, vec)[sel] = 0.5 * mesh.edge_lengths[sel] * quad
     # exact edge integrals of (linear trace) x (hat function)
     hats = np.stack([Ua / 3 + Ub / 6, Ua / 6 + Ub / 3], axis=2).reshape(-1, 4)
     return mesh.edge_lengths[sel][:, None] * hats, vec
@@ -215,9 +197,10 @@ def dirichlet_dof_map(mesh, bcs):
     quadrature point, are rejected naming the tags.  The returned map is
     read-only: every system shares it.
     """
-    n = _total_dofs(mesh)
+    n = dof_count(mesh)
     dm = DofMap(constrained=np.zeros(n, dtype=bool), values=np.zeros(n))
-    nv = mesh.num_vertices
+    con_v, val_v = vertex_values(mesh, dm.constrained), vertex_values(mesh, dm.values)
+    con_e, val_e = edge_values(mesh, dm.constrained), edge_values(mesh, dm.values)
     be = mesh.boundary_edge_indices
     for tags, u_d in bcs:
         sel = be[np.isin(mesh.boundary_tags[be], tags)]
@@ -232,19 +215,16 @@ def dirichlet_dof_map(mesh, bcs):
                 "boundary vertex or edge quadrature point"
             )
 
-        revisit = dm.constrained[verts]
+        revisit = con_v[verts, 0]
         if revisit.any():
-            old = np.column_stack([dm.values[verts], dm.values[nv + verts]])
-            changed = revisit & np.any(old != vals, axis=1)
+            changed = revisit & np.any(val_v[verts] != vals, axis=1)
             if changed.any():
                 logger.info("%d shared boundary vertices overridden by a later "
                             "Dirichlet segment (tags %s)", int(changed.sum()), tags)
-        dm.constrained[verts] = True
-        dm.constrained[nv + verts] = True
-        dm.values[verts] = vals[:, 0]
-        dm.values[nv + verts] = vals[:, 1]
-        dm.constrained[2 * nv + sel] = True
-        dm.values[2 * nv + sel] = flux
+        con_v[verts] = True
+        val_v[verts] = vals
+        con_e[sel] = True
+        val_e[sel] = flux
     dm.constrained.flags.writeable = dm.values.flags.writeable = False
     return dm
 
@@ -292,7 +272,7 @@ class SteadyProblem:
     @cached_property
     def load_vector(self):
         if self.body_force is None:
-            return np.zeros(_total_dofs(self.mesh))
+            return np.zeros(dof_count(self.mesh))
         with np.errstate(over="ignore", invalid="ignore"):  # named just below
             load = assemble_load(self.mesh, self.body_force)
         bad = ~np.isfinite(load)
@@ -319,9 +299,8 @@ class SteadyProblem:
                              "alone leaves constant velocities free")
         dm = dirichlet_dof_map(mesh, self.dirichlet)
         be = mesh.boundary_edge_indices
-        edge_dofs = 2 * mesh.num_vertices + be
-        if dm.constrained[edge_dofs].all():
-            flux = float(mesh.edge_lengths[be] @ dm.values[edge_dofs])
+        if edge_values(mesh, dm.constrained)[be].all():
+            flux = float(mesh.edge_lengths[be] @ edge_values(mesh, dm.values)[be])
             perimeter = float(mesh.edge_lengths[be].sum())
             if abs(flux) > 1e-10 * perimeter:
                 raise ValueError(

@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import SteadyProblem
-from .eg_space import element_divergence, element_ops, vertex_values
+from .eg_space import edge_values, element_divergence, element_ops, vertex_values
 from .mesh import MeshError, build_rect_uniform, build_step_domain, import_mesh
 from .reconstruction import rt_at_centroids
 from .solver import NewtonConfig, SolverError, nu_continuation
@@ -77,38 +77,47 @@ class ConfigError(Exception):
 _ALL = "converge noflow cavity step run"
 
 
-def _key(section, kind, readers=_ALL, default=None):
-    """A field read from [section] under its own name, parsed as kind."""
-    return field(default=default, metadata={"section": section, "rule": (kind, readers)})
+# range rule -> (the test a value must pass, what the error says)
+_RANGES = {
+    "positive": (lambda v: v > 0, "must be positive"),
+    "at least 1": (lambda v: v >= 1, "must be at least 1"),
+    "not negative": (lambda v: v >= 0, "cannot be negative"),
+    "positive integers": (lambda v: min(v) >= 1, "must be positive integers"),
+}
+
+
+def _key(section, kind, readers=_ALL, default=None, rule=None):
+    """A field read from [section] under its own name as kind, to a _RANGES rule."""
+    return field(default=default, metadata={"section": section, "read": (kind, readers, rule)})
 
 
 @dataclass
 class RunConfig:
     generator: Optional[str] = _key("mesh", "str", "run")
-    resolution: Optional[int] = _key("mesh", "int", "noflow cavity run")
-    levels: Optional[list] = _key("mesh", "ints", "converge")
-    h: Optional[float] = _key("mesh", "float", "step run")
+    resolution: Optional[int] = _key("mesh", "int", "noflow cavity run", rule="at least 1")
+    levels: Optional[list] = _key("mesh", "ints", "converge", rule="positive integers")
+    h: Optional[float] = _key("mesh", "float", "step run", rule="positive")
     path: Optional[str] = _key("mesh", "str", "run")
-    nu: Optional[float] = _key("physics", "float")
-    reynolds: Optional[float] = _key("physics", "float")
-    ra: float = _key("physics", "float", "noflow", 1000.0)
+    nu: Optional[float] = _key("physics", "float", rule="positive")
+    reynolds: Optional[float] = _key("physics", "float", rule="positive")
+    ra: float = _key("physics", "float", "noflow", 1000.0, rule="not negative")
     inlet: str = _key("physics", "str", "step", "parabolic")
     forcing_scale: float = _key("physics", "float", "cavity", 1.0)
-    threshold: Optional[float] = _key("physics", "float", "noflow")
-    rel_tol: float = _key("newton", "float", default=1e-7)
-    max_iter: int = _key("newton", "int", default=1000)
+    threshold: Optional[float] = _key("physics", "float", "noflow", rule="not negative")
+    rel_tol: float = _key("newton", "float", default=1e-7, rule="positive")
+    max_iter: int = _key("newton", "int", default=1000, rule="at least 1")
     out_dir: Path = Path(".")  # set by --out
     boundary: dict = field(default_factory=dict)
 
 
 def _schema():
-    # section -> key -> (parser, the subcommands that read it); other keys
-    # are rejected.  The obsolete continuation key has no field: it is
-    # validated and dropped
-    schema = {"physics": {"continuation": ("bool", _ALL)}}
+    # section -> key -> (parser, the subcommands that read it, range rule);
+    # other keys are rejected.  The obsolete continuation key has no field:
+    # it is validated and dropped
+    schema = {"physics": {"continuation": ("bool", _ALL, None)}}
     for f in fields(RunConfig):
         if f.metadata:
-            schema.setdefault(f.metadata["section"], {})[f.name] = f.metadata["rule"]
+            schema.setdefault(f.metadata["section"], {})[f.name] = f.metadata["read"]
     return schema
 
 
@@ -172,35 +181,19 @@ def load_config(path, command=None) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            kind, readers = _SCHEMA[section][key]
+            kind, readers, rule = _SCHEMA[section][key]
             if command is not None and command not in readers.split():
                 raise ConfigError(
                     f"[{section}] {key} is not read by the {command} command"
                 )
             value = _parse_value(section, key, raw, kind)
+            if rule is not None and not _RANGES[rule][0](value):
+                raise ConfigError(f"[{section}] {key} {_RANGES[rule][1]}")
             if key != "continuation":
                 setattr(cfg, key, value)
 
     if cfg.nu is not None and cfg.reynolds is not None:
         raise ConfigError("set either [physics] nu or reynolds, not both")
-    if cfg.nu is not None and cfg.nu <= 0:
-        raise ConfigError("[physics] nu must be positive")
-    if cfg.reynolds is not None and cfg.reynolds <= 0:
-        raise ConfigError("[physics] reynolds must be positive")
-    if cfg.resolution is not None and cfg.resolution < 1:
-        raise ConfigError("[mesh] resolution must be at least 1")
-    if cfg.levels is not None and any(n < 1 for n in cfg.levels):
-        raise ConfigError("[mesh] levels must be positive integers")
-    if cfg.h is not None and cfg.h <= 0:
-        raise ConfigError("[mesh] h must be positive")
-    if cfg.ra < 0:
-        raise ConfigError("[physics] ra cannot be negative")
-    if cfg.threshold is not None and cfg.threshold < 0:
-        raise ConfigError("[physics] threshold cannot be negative")
-    if cfg.rel_tol <= 0:
-        raise ConfigError("[newton] rel_tol must be positive")
-    if cfg.max_iter < 1:
-        raise ConfigError("[newton] max_iter must be at least 1")
     return cfg
 
 
@@ -398,7 +391,7 @@ def cmd_noflow(cfg: RunConfig) -> int:
     problem = case_noflow(cfg.ra).problem(mesh)
     (u, _), _ = _solve(cfg, problem.with_nu, _resolve_nu(cfg, 1.0))
     mx, my = np.abs(vertex_values(mesh, u)).max(axis=0).tolist()
-    mb = float(np.abs(u[2 * mesh.num_vertices :]).max())
+    mb = float(np.abs(edge_values(mesh, u)).max())
     threshold = cfg.threshold if cfg.threshold is not None else 1e-9 * cfg.ra
     print(f"max |u0_x| = {mx:.6e}")
     print(f"max |u0_y| = {my:.6e}")

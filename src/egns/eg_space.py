@@ -3,8 +3,8 @@
 A velocity field has a continuous piecewise-linear vector part (one 2-vector
 per mesh vertex) plus one scalar per edge that corrects the average normal
 flux across that edge.  Everywhere in egns a velocity is its dof vector
-[v0x | v0y | edge]; vertex_values views its continuous part.  Pressures
-are piecewise constant per triangle.
+[v0x | v0y | edge] of dof_count(mesh) entries, whose blocks vertex_values
+and edge_values view.  Pressures are piecewise constant per triangle.
 
 The broken gradient is the constant tensor per element defined by testing
 against all constant tensors: its boundary functional replaces the normal
@@ -27,7 +27,9 @@ from .quadrature import EDGE_RULE
 
 __all__ = [
     "DofMap",
+    "dof_count",
     "vertex_values",
+    "edge_values",
     "SingularElementError",
     "interpolate",
     "edge_trace",
@@ -51,17 +53,23 @@ class DofMap:
     constrained: np.ndarray
     values: np.ndarray
 
-    @property
-    def total(self):
-        return self.values.size
-
     def free_indices(self):
         return np.flatnonzero(~self.constrained)
+
+
+def dof_count(mesh):
+    """The length of a dof vector: two per vertex, one per edge."""
+    return 2 * mesh.num_vertices + mesh.num_edges
 
 
 def vertex_values(mesh, x):
     """The continuous part of the dof vector x as (NV, 2) nodal vectors, a view."""
     return x[: 2 * mesh.num_vertices].reshape(2, -1).T
+
+
+def edge_values(mesh, x):
+    """The edge scalars of the dof vector x, (NE,), a view."""
+    return x[2 * mesh.num_vertices :]
 
 
 def edge_trace(mesh, u, edges):
@@ -167,7 +175,7 @@ def element_ops(mesh):
 def element_divergence(mesh, x):
     """Broken divergence per element of the dof vector x, (NT,)."""
     ops = element_ops(mesh)
-    vb = x[2 * mesh.num_vertices + mesh.triangle_edges]
+    vb = edge_values(mesh, x)[mesh.triangle_edges]
     return (ops["L"] * ops["sig"] * vb).sum(axis=1) / mesh.areas
 
 

@@ -108,10 +108,12 @@ class Mesh2D:
         that share no edge.  tag_lookup maps the boundary edges' endpoint
         pairs (B, 2), smaller index first, to their int tags; None tags
         them 0.  tri_lines holds a source line per triangle for error
-        messages.
+        messages.  Triangle indices may be floats with integral values.
         """
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        given = np.asarray(triangles)
+        with np.errstate(invalid="ignore"):  # NaN or infinite: named below
+            triangles = np.ascontiguousarray(given, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertex array must have shape (NV, 2)")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
@@ -129,11 +131,12 @@ class Mesh2D:
                 return f"line {tri_lines[t]}: "
             return ""
 
-        outside = (triangles < 0) | (triangles >= nv)
+        # a fraction, NaN or infinity is no index either
+        outside = (triangles < 0) | (triangles >= nv) | (triangles != given)
         if outside.any():
             t, k = (int(i[0]) for i in np.nonzero(outside))
             raise MeshError(
-                f"{_loc(t)}triangle {t} references vertex {triangles[t, k]} "
+                f"{_loc(t)}triangle {t} references vertex {given[t, k]} "
                 f"outside 0..{nv - 1}"
             )
 
@@ -353,6 +356,36 @@ def _tokens(path):
             yield lineno, line.split()
 
 
+# record kind -> (fields, parser, its layout, a field that does not parse,
+# a record that fails its check, formatted with its fields and index)
+_RECORDS = {
+    "vertex": (2, float, "vertex needs exactly 'x y'", "bad vertex coordinates",
+               "vertex {index} has a NaN or infinite coordinate"),
+    "triangle": (3, int, "triangle needs exactly 'i j k'", "bad triangle indices", None),
+    "boundary": (3, int, "boundary record needs 'a b tag'", "bad boundary record",
+                 "bad boundary edge ({0}, {1})"),
+}
+
+
+def _records(path, rows, kind, check=None):
+    """(records, lines) of the (line, tokens) rows of one kind, one array
+    row per record; the first row that is malformed or fails check names
+    its line."""
+    width, parse, layout, unparsed, failed = _RECORDS[kind]
+    out = np.empty((len(rows), width), dtype=parse)
+    for i, (lineno, tok) in enumerate(rows):
+        if len(tok) != width:
+            raise MeshError(f"{path}: line {lineno}: {layout}")
+        try:
+            out[i] = [parse(s) for s in tok]
+        except (ValueError, OverflowError):
+            raise MeshError(f"{path}: line {lineno}: {unparsed}") from None
+        if check is not None and not check(out[i]):
+            why = failed.format(*out[i].tolist(), index=i)
+            raise MeshError(f"{path}: line {lineno}: {why}")
+    return out, np.array([lineno for lineno, _ in rows], dtype=np.int64)
+
+
 def import_mesh(path):
     """Read a mesh interchange file and rebuild the topology from scratch.
 
@@ -382,43 +415,11 @@ def import_mesh(path):
             f"found {len(rows) - 1}"
         )
 
-    vertices = np.empty((nv, 2), dtype=np.float64)
-    for i in range(nv):
-        lineno, tok = rows[1 + i]
-        if len(tok) != 2:
-            raise MeshError(f"{path}: line {lineno}: vertex needs exactly 'x y'")
-        try:
-            vertices[i] = (float(tok[0]), float(tok[1]))
-        except ValueError:
-            raise MeshError(f"{path}: line {lineno}: bad vertex coordinates") from None
-
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    tri_lines = np.empty(nt, dtype=np.int64)
-    for t in range(nt):
-        lineno, tok = rows[1 + nv + t]
-        tri_lines[t] = lineno
-        if len(tok) != 3:
-            raise MeshError(f"{path}: line {lineno}: triangle needs exactly 'i j k'")
-        try:
-            triangles[t] = [int(s) for s in tok]
-        except (ValueError, OverflowError):
-            raise MeshError(f"{path}: line {lineno}: bad triangle indices") from None
-
-    # boundary records as (smaller index, larger index, tag) rows
-    records = np.empty((nb, 3), dtype=np.int64)
-    rec_lines = np.empty(nb, dtype=np.int64)
-    for r in range(nb):
-        lineno, tok = rows[1 + nv + nt + r]
-        rec_lines[r] = lineno
-        if len(tok) != 3:
-            raise MeshError(f"{path}: line {lineno}: boundary record needs 'a b tag'")
-        try:
-            a, b, tag = (int(s) for s in tok)
-            records[r] = (min(a, b), max(a, b), tag)
-        except (ValueError, OverflowError):
-            raise MeshError(f"{path}: line {lineno}: bad boundary record") from None
-        if not (0 <= a < nv and 0 <= b < nv) or a == b:
-            raise MeshError(f"{path}: line {lineno}: bad boundary edge ({a}, {b})")
+    vertices = _records(path, rows[1 : 1 + nv], "vertex", lambda v: np.isfinite(v).all())[0]
+    triangles, tri_lines = _records(path, rows[1 + nv : 1 + nv + nt], "triangle")
+    records, rec_lines = _records(path, rows[1 + nv + nt :], "boundary",
+                                  lambda r: 0 <= r[0] < nv and 0 <= r[1] < nv and r[0] != r[1])
+    records[:, :2].sort(axis=1)  # as (smaller index, larger index, tag) rows
 
     keys = records[:, 0] * nv + records[:, 1]
     order = np.argsort(keys, kind="stable")

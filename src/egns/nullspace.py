@@ -42,6 +42,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components, shortest_path
 
+from .eg_space import dof_count, edge_values, vertex_values
+
 __all__ = ["NullSpace", "null_space"]
 
 
@@ -141,8 +143,8 @@ def null_space(mesh, dof_map, V):
     map, which constrains at least one edge, and Z^T V Z on the pattern
     for the viscous matrix V."""
     nv, nt = mesh.num_vertices, mesh.num_triangles
-    con = dof_map.constrained
-    on_wall, wall_edge = con[:nv], con[2 * nv :]
+    con, dof = dof_map.constrained, np.arange(dof_count(mesh))
+    on_wall, wall_edge = vertex_values(mesh, con)[:, 0], edge_values(mesh, con)
     order = _vertex_order(mesh)
     free_v = order[~on_wall[order]]
     nfv = free_v.size
@@ -166,12 +168,13 @@ def null_space(mesh, dof_map, V):
     # an edge between two vertices of one chain carries no homogeneous flux
     w[wall_edge | (col[a] == col[b])] = 0.0
     fe = np.flatnonzero(~wall_edge)
-    rows = np.concatenate([free_v, nv + free_v, 2 * nv + fe, 2 * nv + fe])
+    edge_rows = edge_values(mesh, dof)[fe]
+    rows = np.concatenate([*vertex_values(mesh, dof)[free_v].T, edge_rows, edge_rows])
     cols = np.concatenate([col[free_v] - 2, col[free_v] - 1, col[b[fe]], col[a[fe]]])
     data = np.concatenate([np.ones(2 * nfv), w[fe], -w[fe]])
     keep = (cols >= 0) & (data != 0)
     Z = sp.coo_matrix(
-        (data[keep], (rows[keep], cols[keep])), shape=(dof_map.total, ncol)
+        (data[keep], (rows[keep], cols[keep])), shape=(dof.size, ncol)
     ).tocsr()
     tri, te = mesh.triangles, mesh.triangle_edges
     G = w[te][..., None] * ((tri[:, None, :] == b[te][..., None]).astype(float)
@@ -222,7 +225,7 @@ def null_space(mesh, dof_map, V):
         Z=Z,
         element=element,
         up=pos[parent],
-        edge_dof=2 * nv + edge,
+        edge_dof=edge_values(mesh, dof)[edge],
         coef=mesh.edge_lengths[edge] * mesh.triangle_edge_sign[element, kk],
         depth_start=np.r_[0, np.cumsum(level[1:])],
         closed=closed,

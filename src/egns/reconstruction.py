@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .eg_space import edge_values
+
 __all__ = ["rt_basis", "reconstruct", "rt_at_centroids"]
 
 
@@ -37,7 +39,7 @@ def reconstruct(mesh, u, points):
 
     No containment check; callers supply points of each element.
     """
-    fac = u[2 * mesh.num_vertices + mesh.triangle_edges] * _scale(mesh)  # (NT, 3)
+    fac = edge_values(mesh, u)[mesh.triangle_edges] * _scale(mesh)  # (NT, 3)
     P = mesh.vertices[mesh.triangles]
     # sum_k fac_k (x - p_k) = (sum_k fac_k) x - sum_k fac_k p_k
     s = fac.sum(axis=1)

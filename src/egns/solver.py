@@ -164,25 +164,14 @@ class SolveReport:
 
 
 class _Factor:
-    """K's LU on the first rung whose solve passes the check, and its solves;
-    single and fallback tell float32 and pivoting, passes the last solve's."""
+    """K's LU on one rung, and its refined solves; single and fallback
+    tell float32 and pivoting, passes the last solve's."""
 
-    def __init__(self, K, A, Z, attempt):
-        """Factor K rung by rung; result is attempt(self)'s first not None."""
+    def __init__(self, K, A, Z, dtype, options):
         self.A, self.Z = A, Z
-        for dtype, options in _RUNGS:
-            self.single, self.fallback = dtype is np.float32, not options
-            try:
-                with np.errstate(over="ignore"):  # beyond float32's range: the check fails
-                    self.lu = spla.splu(K.astype(dtype, copy=False), **options)
-            except RuntimeError as exc:
-                if self.fallback:
-                    raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
-                logger.info("%s factorization failed (%s); next rung", dtype.__name__, exc)
-                continue
-            self.result = attempt(self)
-            if self.result is not None:
-                return
+        self.single, self.fallback = dtype is np.float32, not options
+        with np.errstate(over="ignore"):  # beyond float32's range: the check fails
+            self.lu = spla.splu(K.astype(dtype, copy=False), **options)
 
     def refine(self, dx, ru, passes):
         """dx -= Z LU^-1 Z^T (A dx + ru) in place (summing the psi instead would
@@ -204,7 +193,7 @@ class _Factor:
 
 
 def solve_saddle(problem, system):
-    """Solve one Newton system, returning (dx, pressure, fallback, lu).
+    """Solve one Newton system, returning (dx, pressure, lu).
 
     system is problem.newton_system(x): K = Z^T A Z, the function y -> A y
     and the residual (ru, rp) at x.  dx, zero on constrained entries, is
@@ -216,28 +205,31 @@ def solve_saddle(problem, system):
 
     K is factored on the first rung (see above) whose solve passes that
     check; only the last rung's failure is raised, or the first one's on
-    non-finite data.  lu is that factor, with single and passes, and
-    fallback whether it is the partial-pivoting one.
+    non-finite data.  lu is that factor, with single, fallback (whether it
+    is the partial-pivoting one) and passes.
     """
     (K, A, ru, rp), ns = system, problem.null_space
     B, free = assemble_divergence(problem.mesh), problem.dof_map.free_indices()
-
-    def attempt(lu):
+    for dtype, options in _RUNGS:
+        try:
+            lu = _Factor(K, A, ns.Z, dtype, options)
+        except RuntimeError as exc:
+            if not options:
+                raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
+            logger.info("%s factorization failed (%s); next rung", dtype.__name__, exc)
+            continue
         dx = lu.refine(ns.particular(-rp), ru, 2)
         mom = A(dx) + ru  # the linearized momentum residual, less B^T p
         pressure = ns.pressure(mom)
         nru, nrp, scale = _norms(free, mom - B.T @ pressure, B @ dx + rp, ru, rp)
         # written so that NaN residuals or data fail the check
         if nru <= 1e-10 * scale and nrp <= 1e-10 * scale:
-            return dx, pressure
+            return dx, pressure, lu
         message = (f"saddle solve residuals too large: momentum {nru:.3e}, "
                    f"mass {nrp:.3e}, data scale {scale:.3e}")
         if lu.fallback or not math.isfinite(scale):  # no factorization mends the data
             raise SolverError(message)
         logger.info("symmetric-mode factorization: %s; next rung", message)
-
-    lu = _Factor(K, A, ns.Z, attempt)
-    return (*lu.result, lu.fallback, lu)
 
 
 def _norms(free, ru, rp, rhs_u, rhs_p):
@@ -288,8 +280,7 @@ def newton_solve(problem, config=None, initial=None):
         factored = lu is None
         if factored:  # the last LU is gone before the next assembly
             rest = initial is None and not records  # linearized at zero velocity
-            dx, p1, fallback, lu = solve_saddle(
-                problem, problem.newton_system(None if rest else x))
+            dx, p1, lu = solve_saddle(problem, problem.newton_system(None if rest else x))
         else:  # simplified Newton: the chord step found with the last LU
             dx = chord
             p1, ru1, res1 = _nonlinear_residual(problem, x + dx)
@@ -298,7 +289,7 @@ def newton_solve(problem, config=None, initial=None):
         rel = float(np.linalg.norm(new - prev)) / max(float(np.linalg.norm(new)), _TINY)
         logger.debug("newton iter %d: rel update %.3e", len(records) + 1, rel)
         record = {"update": rel, "residual": math.nan, "step": 1.0, "single": lu.single,
-                  "passes": lu.passes, "fallback": fallback, "factored": factored,
+                  "passes": lu.passes, "fallback": lu.fallback, "factored": factored,
                   "theta": math.nan}
         if rel < config.rel_tol:
             records.append(record)

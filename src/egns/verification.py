@@ -350,8 +350,9 @@ def case_step(re: float = 100.0, inlet: str = "parabolic") -> FlowCase:
     )
 
 
-# triangles per error_norms pass: its 64-point temporaries stay under 20 MB
-_NORM_BLOCK = 2048
+# triangles per error_norms pass: its 64-point temporaries, under 10 MB,
+# then fit in the heap the solve before them freed: no new peak
+_NORM_BLOCK = 1024
 
 
 def error_norms(

@@ -13,8 +13,8 @@ import pytest
 
 from egns.assembly import (
     _sparse,
+    _viscous_unit,
     assemble_convection_newton,
-    assemble_viscous,
     dirichlet_dof_map,
 )
 from egns.cli import main
@@ -180,7 +180,7 @@ def test_discrete_structure_property_suite(vortex_nu1):
 
     # diffusion form value equals viscosity times the squared energy norm
     nu = 0.37
-    A = assemble_viscous(mesh, nu)
+    A = nu * _viscous_unit(mesh)
     for _ in range(100):
         x = np.zeros(2 * nv + ne)
         x[free] = rng.standard_normal(free.size)
@@ -243,7 +243,7 @@ def test_discrete_structure_property_suite(vortex_nu1):
     small = build_rect_uniform(2, 2)
     dm2 = dirichlet_dof_map(small, [(ALL_SIDES, zero)])
     f2 = dm2.free_indices()
-    Af = assemble_viscous(small, 1.0)[f2][:, f2].toarray()
+    Af = _viscous_unit(small)[f2][:, f2].toarray()
     eigs = np.linalg.eigvalsh(0.5 * (Af + Af.T))
     assert eigs.min() > 0, f"free stiffness block not PD, min eig {eigs.min():.3e}"
 

@@ -130,7 +130,7 @@ def test_symmetric_mode_cuts_the_fill(monkeypatch):
     dx = egns.solver.solve_saddle(problem, problem.newton_system(None))[0]
     system = problem.newton_system(problem.dof_map.values + dx)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", capture)
-    assert not egns.solver.solve_saddle(problem, system)[2]
+    assert not egns.solver.solve_saddle(problem, system)[2].fallback
     (K, lu), = factors
     default = real(K)
     fill = lu.L.nnz + lu.U.nnz

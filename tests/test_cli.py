@@ -101,6 +101,12 @@ class TestLoadConfig:
         assert err.startswith("config error:") and f"[{section}] {key} " in err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
 
+    def test_first_error_in_file_order_named(self, tmp_path):
+        # a key's range is checked as it is read, before the keys after it
+        path = _cfg(tmp_path, "[mesh]\nresolution = 0\nbogus = 1\n")
+        with pytest.raises(ConfigError, match=re.escape("[mesh] resolution must be at least 1")):
+            load_config(path)
+
     def test_boundary_recipes(self, tmp_path):
         path = _cfg(tmp_path, "[boundary]\n1 = noslip\n2 = outflow\n3 = velocity 1 0\n")
         cfg = load_config(path)

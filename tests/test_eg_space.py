@@ -1,6 +1,7 @@
 """Enriched velocity space: interpolation, broken operators, stabilization."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from egns.quadrature import gauss_1d, quadrature_rule
 from egns.eg_space import (
     DofMap,
     SingularElementError,
+    dof_count,
+    edge_values,
     element_divergence,
     element_ops,
     energy_norm,
@@ -19,12 +22,7 @@ from egns.eg_space import (
 
 
 def _zero_field(mesh):
-    return np.zeros(2 * mesh.num_vertices + mesh.num_edges)
-
-
-def _edges(mesh, x):
-    """The edge block of the dof vector x, a view."""
-    return x[2 * mesh.num_vertices :]
+    return np.zeros(dof_count(mesh))
 
 
 # Per-element and per-edge oracles over the batched element operators.
@@ -48,11 +46,11 @@ def modified_gradient_local(mesh, t, local_dofs):
     return (ops["D"][t] @ np.asarray(local_dofs)).reshape(2, 2)
 
 
-def modified_divergence_local(mesh, t, edge_values):
+def modified_divergence_local(mesh, t, scalars):
     """Broken divergence on element t from its three local edge scalars."""
     ops = element_ops(mesh)
     return float(
-        (ops["L"][t] * ops["sig"][t] * np.asarray(edge_values)).sum() / mesh.areas[t]
+        (ops["L"][t] * ops["sig"][t] * np.asarray(scalars)).sum() / mesh.areas[t]
     )
 
 
@@ -116,13 +114,13 @@ class TestInterpolate:
         pts = a[:, None, :] * (1 - t10)[None, :, None] + b[:, None, :] * t10[None, :, None]
         vals = _quintic_vortex(pts.reshape(-1, 2)).reshape(len(a), 10, 2)
         oracle = np.einsum("q,eqd,ed->e", w10, vals, mesh.edge_normal)
-        assert np.abs(_edges(mesh, field) - oracle).max() < 1e-12
+        assert np.abs(edge_values(mesh, field) - oracle).max() < 1e-12
 
     def test_boundary_edge_values_vanish_for_vortex(self):
         # the field is zero on the boundary, so its normal fluxes are too
         mesh = build_rect_uniform(8, 8)
         field = interpolate(mesh, _quintic_vortex)
-        assert np.abs(_edges(mesh, field)[mesh.boundary_edge_indices]).max() < 1e-14
+        assert np.abs(edge_values(mesh, field)[mesh.boundary_edge_indices]).max() < 1e-14
 
 
 class TestModifiedGradient:
@@ -196,10 +194,10 @@ class TestModifiedDivergence:
         mesh = build_rect_uniform(4, 3)
         rng = np.random.default_rng(3)
         field = _zero_field(mesh)
-        _edges(mesh, field)[:] = rng.standard_normal(mesh.num_edges)
+        edge_values(mesh, field)[:] = rng.standard_normal(mesh.num_edges)
         div = element_divergence(mesh, field)
         for t in (0, 5, 11):
-            vals = _edges(mesh, field)[mesh.triangle_edges[t]]
+            vals = edge_values(mesh, field)[mesh.triangle_edges[t]]
             assert div[t] == pytest.approx(
                 modified_divergence_local(mesh, t, vals), rel=1e-14
             )
@@ -316,19 +314,18 @@ class TestQuasiCommutativity:
 
 
 def _free_dof_map(mesh):
-    n = 2 * mesh.num_vertices + mesh.num_edges
+    n = dof_count(mesh)
     return DofMap(constrained=np.zeros(n, dtype=bool), values=np.zeros(n))
 
 
 class TestDofMap:
     def test_layout_and_total(self):
         mesh = build_rect_uniform(2, 2)
-        dm = _free_dof_map(mesh)
         nv = mesh.num_vertices
-        assert dm.total == 2 * nv + mesh.num_edges
+        assert dof_count(mesh) == 2 * nv + mesh.num_edges
         vec = _zero_field(mesh)
         vertex_values(mesh, vec)[3] = (1.0, 2.0)
-        _edges(mesh, vec)[5] = 3.0
+        edge_values(mesh, vec)[5] = 3.0
         assert np.array_equal(np.flatnonzero(vec), [3, nv + 3, 2 * nv + 5])
         assert np.array_equal(vec[[3, nv + 3, 2 * nv + 5]], [1.0, 2.0, 3.0])
 
@@ -342,13 +339,35 @@ class TestDofMap:
         assert np.shares_memory(view, vec)
         assert np.array_equal(view, np.column_stack([vec[:nv], vec[nv : 2 * nv]]))
 
+    @pytest.mark.parametrize("dtype", [float, bool])
+    def test_writes_through_the_views_change_the_dof_vector(self, dtype):
+        # dirichlet_dof_map sets its values and its constrained flags so
+        mesh = build_rect_uniform(3, 2)
+        nv, vec = mesh.num_vertices, np.zeros(dof_count(mesh), dtype=dtype)
+        vertex_values(mesh, vec)[[1, 4]] = 1
+        edge_values(mesh, vec)[[0, 6]] = 1
+        assert edge_values(mesh, vec).shape == (mesh.num_edges,)
+        assert np.flatnonzero(vec).tolist() == [1, 4, nv + 1, nv + 4, 2 * nv, 2 * nv + 6]
+
     def test_free_indices_with_constraints(self):
         mesh = build_rect_uniform(2, 2)
         dm = _free_dof_map(mesh)
         dm.constrained[0] = True
         dm.values[0] = 2.5
         assert 0 not in dm.free_indices()
-        assert dm.free_indices().size == dm.total - 1
+        assert dm.free_indices().size == dof_count(mesh) - 1
+
+
+def test_only_eg_space_spells_out_the_dof_layout():
+    # every other module reaches the blocks through dof_count, vertex_values
+    # and edge_values; mesh.py's "nv + " counts .m2d records
+    src = Path(__file__).resolve().parents[1] / "src" / "egns"
+    offsets = ("2 * nv", "2 * mesh.num_vertices", "nv + ")
+    hits = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+            if path.name not in ("eg_space.py", "mesh.py")
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if any(offset in line for offset in offsets)]
+    assert hits == []
 
 
 class TestDegenerateElements:

@@ -293,6 +293,22 @@ class TestInterchangeFormat:
         with pytest.raises(MeshError, match="line 5"):
             import_mesh(path)
 
+    @pytest.mark.parametrize("coordinate", ["nan", "1e400"])
+    def test_non_finite_coordinate_reported_with_line(self, tmp_path, coordinate):
+        path = tmp_path / "m.m2d"
+        path.write_text(f"3 1 0\n0 0\n{coordinate} 0\n0 1\n0 1 2\n")
+        with pytest.raises(MeshError, match="line 3: vertex 1 has a NaN or infinite"):
+            import_mesh(path)
+
+    def test_first_bad_boundary_line_named(self, tmp_path):
+        # a boundary edge off the mesh on line 9, a malformed record on line 10
+        path = tmp_path / "m.m2d"
+        path.write_text(
+            "4 2 4\n0 0\n1 0\n0 1\n1 1\n0 1 3\n0 3 2\n0 1 7\n1 9 7\n2 3\n0 2 7\n"
+        )
+        with pytest.raises(MeshError, match=r"line 9: bad boundary edge \(1, 9\)"):
+            import_mesh(path)
+
     def test_unlisted_boundary_edge_rejected(self, tmp_path):
         path = tmp_path / "m.m2d"
         path.write_text(
@@ -326,6 +342,16 @@ class TestConstructionDefects:
         tris[1, 2] = 7
         with pytest.raises(MeshError, match="triangle 1 references vertex 7"):
             Mesh2D.from_arrays(base.vertices, tris)
+
+    @pytest.mark.parametrize("value", [2.7, np.nan, np.inf])
+    def test_non_integral_index_names_triangle(self, value):
+        base = build_rect_uniform(1, 1)
+        tris = base.triangles.astype(float)  # integral floats are indices
+        assert np.array_equal(Mesh2D.from_arrays(base.vertices, tris).triangles,
+                              base.triangles)
+        tris[1, 2] = value
+        with pytest.raises(MeshError, match=f"line 12: triangle 1 references vertex {value} "):
+            Mesh2D.from_arrays(base.vertices, tris, tri_lines=[11, 12])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_vertex_named(self, value):

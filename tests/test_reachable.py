@@ -23,10 +23,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "egns").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 
-# oracles the tests check the library against; no command needs them.
-# assemble_viscous assembles the global viscous matrix, which Newton no
-# longer needs: K = Z^T A Z comes from element blocks
-TEST_ORACLES = {"interpolate", "energy_norm", "export_mesh", "assemble_viscous"}
+# oracles the tests check the library against; no command needs them
+TEST_ORACLES = {"interpolate", "energy_norm", "export_mesh"}
 
 # reached from bench/ alone; no command needs them
 BENCH_ONLY = {"apply_dirichlet"}

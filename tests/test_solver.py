@@ -23,13 +23,13 @@ from egns.mesh import (
     build_step_domain,
 )
 from egns.quadrature import quadrature_rule, refined_rule
-from egns.eg_space import energy_norm, vertex_values
+from egns.eg_space import dof_count, energy_norm, vertex_values
 from egns.assembly import (
+    _viscous_unit,
     SteadyProblem,
     assemble_convection_newton,
     assemble_divergence,
     assemble_neumann,
-    assemble_viscous,
 )
 from egns.solver import (
     NewtonConfig,
@@ -83,7 +83,7 @@ def _jacobian(problem, x):
     """The Jacobian A at x (None: rest) assembled as one global matrix,
     the oracle of newton_system's K = Z^T A Z and of its A."""
     mesh = problem.mesh
-    A = assemble_viscous(mesh, problem.nu)
+    A = problem.nu * _viscous_unit(mesh)
     if x is not None:
         l2g, nv = egns.assembly.element_ops(mesh)["l2g"], mesh.num_vertices
         A = A + egns.assembly._sparse(l2g[:, 6:], l2g, assemble_convection_newton(mesh, x),
@@ -126,7 +126,7 @@ def _saddle_oracle(problem, system):
         a = problem.mesh.areas
         pressure = np.concatenate([[0.0], pressure])
         pressure -= (a @ pressure) / a.sum()
-    dx = np.zeros(problem.dof_map.total)
+    dx = np.zeros(dof_count(problem.mesh))
     dx[free] = x[: free.size]
     return dx, pressure
 
@@ -212,7 +212,7 @@ def _assembled(problem, x):
     mesh, v, load = problem.mesh, problem.dof_map.values, problem.load_vector
     J, B = _jacobian(problem, x), assemble_divergence(mesh)
     x = v if x is None else x
-    viscous = assemble_viscous(mesh, problem.nu) @ x
+    viscous = problem.nu * _viscous_unit(mesh) @ x
     values = (J @ x - viscous) / 2
     return viscous + values - load, B @ x, load + values - J @ v, -(B @ v)
 
@@ -255,11 +255,10 @@ class TestNewtonConfig:
         (lambda: NewtonConfig(rel_tol=math.inf), "rel_tol"),
         (lambda: case_cavity("f1", math.nan), "viscosity"),
         (lambda: case_step(re=math.nan), "Reynolds"),
-        (lambda: assemble_viscous(build_rect_uniform(2, 2), math.nan), "viscosity"),
         (lambda: _homogeneous_problem(2, 1.0).with_nu(math.nan), "viscosity"),
     ],
     ids=["newton-rel_tol-nan", "newton-rel_tol-inf", "flow-case-nu-nan",
-         "step-re-nan", "viscous-nu-nan", "problem-nu-nan"],
+         "step-re-nan", "problem-nu-nan"],
 )
 def test_positivity_checks_reject_nan_and_inf(make, match):
     # a check written v <= 0 lets NaN through, to fail much later
@@ -270,14 +269,14 @@ def test_positivity_checks_reject_nan_and_inf(make, match):
 class TestSolveSaddle:
     def test_rest_state(self):
         prob = _homogeneous_problem(4, 1.0)
-        dx, pressure, _, _ = solve_saddle(prob, prob.newton_system(None))
+        dx, pressure, _ = solve_saddle(prob, prob.newton_system(None))
         assert np.abs(dx).max() == 0.0
         assert np.abs(pressure).max() == 0.0
 
     def test_pressure_mean_is_zero(self):
         prob = _homogeneous_problem(8, 1.0, f=_smooth_force)
         mesh = prob.mesh
-        _, pressure, _, _ = solve_saddle(prob, prob.newton_system(None))
+        _, pressure, _ = solve_saddle(prob, prob.newton_system(None))
         pnorm = np.linalg.norm(pressure)
         assert pnorm > 0
         assert abs(mesh.areas @ pressure) <= 1e-12 * pnorm * mesh.areas.sum()
@@ -285,7 +284,7 @@ class TestSolveSaddle:
     def test_block_residuals(self):
         prob = _cavity_problem(8, 0.1)
         system = prob.newton_system(None)
-        dx, pressure, _, _ = solve_saddle(prob, system)
+        dx, pressure, _ = solve_saddle(prob, system)
         A, (_, _, ru, rp) = _jacobian(prob, None), system
         B = assemble_divergence(prob.mesh)
         free = prob.dof_map.free_indices()
@@ -296,7 +295,7 @@ class TestSolveSaddle:
     def test_constrained_values_reinserted(self):
         # the correction keeps the Dirichlet values of x: it is zero there
         prob = _cavity_problem(4, 1.0)
-        dx, _, _, _ = solve_saddle(prob, prob.newton_system(None))
+        dx, _, _ = solve_saddle(prob, prob.newton_system(None))
         assert np.abs(dx[prob.dof_map.constrained]).max() == 0.0
 
     def test_singular_system_reported(self):
@@ -323,8 +322,8 @@ class TestSolveSaddle:
         """(x, dx, fallback): solve_saddle at the converged Newton state."""
         prob = _layout(name, 1e-2)
         (x, _), _ = newton_solve(prob, NewtonConfig(rel_tol=1e-12))
-        dx, _, fallback, _ = solve_saddle(prob, prob.newton_system(x))
-        return x, dx, fallback
+        dx, _, lu = solve_saddle(prob, prob.newton_system(x))
+        return x, dx, lu.fallback
 
     @pytest.mark.parametrize("name", ["vortex", "cavity_f1", "cavity_f2", "channel",
                                       "step", "hole", "noflow"])
@@ -409,11 +408,11 @@ class TestFallback:
         prob, system = self._system()
         with monkeypatch.context() as m:
             _route_symmetric_lu(m, _SPLU)  # the default factorization, first try
-            x_ref, p_ref, fell_back, _ = solve_saddle(prob, system)
-        assert not fell_back
+            x_ref, p_ref, lu = solve_saddle(prob, system)
+        assert not lu.fallback
         _route_symmetric_lu(monkeypatch, symmetric)
-        x, pressure, fell_back, _ = solve_saddle(prob, system)
-        assert fell_back
+        x, pressure, lu = solve_saddle(prob, system)
+        assert lu.fallback
         assert np.array_equal(x, x_ref)
         assert np.array_equal(pressure, p_ref)
 
@@ -439,8 +438,8 @@ class TestFallback:
         prob, system = self._system()
         x_ref, p_ref = _float64_symmetric_solve(prob, system)
         _route_symmetric_lu(monkeypatch, _symmetric_lu, single=single)
-        x, pressure, fell_back, lu = solve_saddle(prob, system)
-        assert not fell_back and not lu.single and lu.passes == 2
+        x, pressure, lu = solve_saddle(prob, system)
+        assert not lu.fallback and not lu.single and lu.passes == 2
         assert np.array_equal(x, x_ref)
         assert np.array_equal(pressure, p_ref)
 
@@ -465,7 +464,7 @@ class TestSinglePrecision:
         def solves():
             """The precisions of the factors used, and a saddle correction
             at x, the chord step after it and the converged solution."""
-            dx, _, _, lu = solve_saddle(prob, system)
+            dx, _, lu = solve_saddle(prob, system)
             ru1 = egns.solver._nonlinear_residual(prob, x + dx)[1]
             chord = lu.refine(np.zeros_like(x), ru1, 1)
             (u, p), report = newton_solve(prob)
@@ -499,10 +498,10 @@ class TestNullSpaceSolve:
         # at zero velocity the convection and outflow forms vanish, so rest
         # skips them: the Jacobian is the one assembled at the zero vector
         rest = prob.newton_system(None)[0]
-        zero = prob.newton_system(np.zeros(prob.dof_map.total))[0]
+        zero = prob.newton_system(np.zeros(dof_count(prob.mesh)))[0]
         assert np.array_equal(rest.toarray(), zero.toarray())
         system = prob.newton_system(x)
-        dx, pressure, _, _ = solve_saddle(prob, system)
+        dx, pressure, _ = solve_saddle(prob, system)
         ref_dx, ref_pressure = _saddle_oracle(prob, (_jacobian(prob, x), *system[2:]))
         u, ref_u = x + dx, x + ref_dx
         dp = np.linalg.norm(pressure - ref_pressure)
@@ -682,17 +681,17 @@ class TestReducedMatrix:
         # edges (step, channel, corner) and two of them on one element
         # (corner)
         prob = _layout(name, 1e-2)
-        dm, Z = prob.dof_map, prob.null_space.Z
+        dm, Z, n = prob.dof_map, prob.null_space.Z, dof_count(prob.mesh)
         # K's pattern is all that Z^T A Z can reach through A's element
         # blocks, cancelled or not: the element incidence mapped through Z
         l2g = egns.assembly.element_ops(prob.mesh)["l2g"]
         rows = np.repeat(np.arange(l2g.shape[0]), l2g.shape[1])
         incidence = sp.csr_matrix((np.ones(l2g.size), (rows, l2g.ravel())),
-                                  (l2g.shape[0], dm.total))
+                                  (l2g.shape[0], n))
         reach = incidence @ abs(Z)
         pattern = ((reach.T @ reach) != 0).astype(float)
         rng = np.random.default_rng(3)
-        state = np.where(dm.constrained, dm.values, rng.standard_normal(dm.total))
+        state = np.where(dm.constrained, dm.values, rng.standard_normal(n))
         for x in (None, state):
             K, A, _, _ = prob.newton_system(x)
             structure = sp.csc_matrix((np.ones(K.nnz), K.indices, K.indptr), K.shape)
@@ -700,7 +699,7 @@ class TestReducedMatrix:
             J = _jacobian(prob, x)
             product = Z.T @ (J @ Z)
             assert abs(K - product).max() <= 1e-14 * abs(product).max()
-            y = rng.standard_normal(dm.total)
+            y = rng.standard_normal(n)
             assert np.abs(A(y) - J @ y).max() <= 1e-14 * np.abs(J @ y).max()
 
     def test_warm_newton_solve_assembles_no_global_matrix(self, monkeypatch):
@@ -767,7 +766,7 @@ class TestMatrixFreeResidual:
         free, B = dm.free_indices(), assemble_divergence(prob.mesh)
         rng = np.random.default_rng(0)
         x1, p1 = _first_iterate(prob)
-        noisy = np.where(dm.constrained, dm.values, x1 + rng.standard_normal(dm.total))
+        noisy = np.where(dm.constrained, dm.values, x1 + rng.standard_normal(dof_count(prob.mesh)))
         # rest, the first Newton iterate, and a state off both equations
         for x, p in [(None, np.zeros(nt)), (x1, p1), (noisy, rng.standard_normal(nt))]:
             momentum, mass, rhs_u, rhs_p = _assembled(prob, x)
