@@ -33,6 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .eg_space import DofMap, dof_count, edge_trace, edge_values, element_ops, vertex_values
+from .mesh import per_mesh
 from .nullspace import null_space
 from .quadrature import quadrature_rule
 from .reconstruction import rt_basis
@@ -64,47 +65,36 @@ def _scatter(index, values, n):
     return np.bincount(index.ravel(), values.ravel(), minlength=n)
 
 
+@per_mesh
 def _viscous_unit(mesh):
-    cache = mesh._cache
-    if "viscous_unit" not in cache:
-        ops = element_ops(mesh)
-        D, QB = ops["D"], ops["QB"]
-        K = (D.transpose(0, 2, 1) * mesh.areas[:, None, None]) @ D
-        K += (QB.transpose(0, 2, 1) * ops["stab_w"][:, None, :]) @ QB
-        n = dof_count(mesh)
-        cache["viscous_unit"] = _sparse(ops["l2g"], ops["l2g"], K, (n, n))
-    return cache["viscous_unit"]
+    ops = element_ops(mesh)
+    D, QB = ops["D"], ops["QB"]
+    K = (D.transpose(0, 2, 1) * mesh.areas[:, None, None]) @ D
+    K += (QB.transpose(0, 2, 1) * ops["stab_w"][:, None, :]) @ QB
+    return _sparse(ops["l2g"], ops["l2g"], K, (dof_count(mesh),) * 2)
 
 
+@per_mesh
 def assemble_divergence(mesh):
     """Divergence block: row T has sigma_e |e| on the three edge dofs of T."""
-    cache = mesh._cache
-    if "divergence" not in cache:
-        ops = element_ops(mesh)
-        nt = mesh.num_triangles
-        cache["divergence"] = _sparse(
-            np.arange(nt)[:, None], ops["l2g"][:, 6:], (ops["L"] * ops["sig"])[:, None],
-            (nt, dof_count(mesh)))
-    return cache["divergence"]
+    ops = element_ops(mesh)
+    return _sparse(np.arange(mesh.num_triangles)[:, None], ops["l2g"][:, 6:],
+                   ops["div"][:, None], (mesh.num_triangles, dof_count(mesh)))
 
 
+@per_mesh
 def _convection_geometry(mesh):
     # element tensors M[t,k,l] = |T| sum_q w_q cross2(phi_k, phi_l).  The
     # integrand is linear: phi_k is a multiple of x - p_k, and
     # cross(x - p_k, x - p_l) = cross(x, p_k - p_l) + cross(p_k, p_l).  The
     # degree-2 rule is kept because a lower one would round differently
-    cache = mesh._cache
-    if "convection_m" not in cache:
-        rule = quadrature_rule(2)
-        phi = rt_basis(mesh, rule.physical_points(mesh))
-        cross = (
-            phi[..., :, None, 0] * phi[..., None, :, 1]
-            - phi[..., :, None, 1] * phi[..., None, :, 0]
-        )
-        cache["convection_m"] = mesh.areas[:, None, None] * np.einsum(
-            "q,tqkl->tkl", rule.weights, cross
-        )
-    return cache["convection_m"]
+    rule = quadrature_rule(2)
+    phi = rt_basis(mesh, rule.physical_points(mesh))
+    cross = (
+        phi[..., :, None, 0] * phi[..., None, :, 1]
+        - phi[..., :, None, 1] * phi[..., None, :, 0]
+    )
+    return mesh.areas[:, None, None] * np.einsum("q,tqkl->tkl", rule.weights, cross)
 
 
 def assemble_convection_newton(mesh, x):
@@ -159,24 +149,23 @@ def assemble_neumann(mesh, tags, x):
     return _neumann_value(mesh, tags, x)[0]
 
 
+@per_mesh
 def _outflow_edges(mesh, tags):
-    """The tagged boundary edges and, per edge, its triangle, local edge
-    row and local columns [a, b, 3 + a, 3 + b]; cached per mesh and tags."""
-    key = ("outflow", tuple(tags))
-    if key not in mesh._cache:
-        be = mesh.boundary_edge_indices
-        sel = be[np.isin(mesh.boundary_tags[be], tags)]
-        t = mesh.edge_to_triangles[sel, :1]
-        k = np.argmax(mesh.triangle_edges[t[:, 0]] == sel[:, None], axis=1)
-        ab = np.argmax(mesh.triangles[t] == mesh.edges[sel][:, :, None], axis=2)
-        mesh._cache[key] = sel, t, k[:, None], np.concatenate([ab, 3 + ab], axis=1)
-    return mesh._cache[key]
+    """The boundary edges tagged in tags and, per edge, its triangle, local
+    edge row and local columns [a, b, 3 + a, 3 + b]; cached per mesh and
+    tags, so tags is hashable: callers pass tuple(tags)."""
+    be = mesh.boundary_edge_indices
+    sel = be[np.isin(mesh.boundary_tags[be], tags)]
+    t = mesh.edge_to_triangles[sel, :1]
+    k = np.argmax(mesh.triangle_edges[t[:, 0]] == sel[:, None], axis=1)
+    ab = np.argmax(mesh.triangles[t] == mesh.edges[sel][:, :, None], axis=2)
+    return sel, t, k[:, None], np.concatenate([ab, 3 + ab], axis=1)
 
 
 def _neumann_value(mesh, tags, x):
     """The outflow Jacobian's 1x4 block per tagged edge, on the v0x and
     then the v0y of its ends (a, b), at x, and the value terms."""
-    sel = _outflow_edges(mesh, tags)[0]
+    sel = _outflow_edges(mesh, tuple(tags))[0]
     Ua, Ub = vertex_values(mesh, x)[mesh.edges[sel].T]
     # value of the quadratic form: half the edge integral of |trace|^2
     quad = ((Ua * Ua).sum(1) + (Ua * Ub).sum(1) + (Ub * Ub).sum(1)) / 3.0
@@ -185,6 +174,12 @@ def _neumann_value(mesh, tags, x):
     # exact edge integrals of (linear trace) x (hat function)
     hats = np.stack([Ua / 3 + Ub / 6, Ua / 6 + Ub / 3], axis=2).reshape(-1, 4)
     return mesh.edge_lengths[sel][:, None] * hats, vec
+
+
+@per_mesh
+def _null_space(mesh, constrained):
+    """The null space of the constrained mask given as its bytes."""
+    return null_space(mesh, np.frombuffer(constrained, dtype=bool), _viscous_unit(mesh))
 
 
 def dirichlet_dof_map(mesh, bcs):
@@ -260,8 +255,8 @@ class SteadyProblem:
     neumann_tags: tuple = ()
 
     def __post_init__(self):
-        if not self.nu > 0:  # also NaN
-            raise ValueError(f"viscosity must be positive, got {self.nu}")
+        if not 0 < self.nu < np.inf:  # also NaN
+            raise ValueError(f"viscosity must be positive and finite, got {self.nu}")
 
     def with_nu(self, nu):
         new = dataclasses.replace(self, nu=nu)
@@ -312,11 +307,7 @@ class SteadyProblem:
     @cached_property
     def null_space(self):
         """The divergence-free basis, the dual spanning tree and Z^T V Z."""
-        key = ("null_space", self.dof_map.constrained.tobytes())
-        cache = self.mesh._cache
-        if key not in cache:
-            cache[key] = null_space(self.mesh, self.dof_map, _viscous_unit(self.mesh))
-        return cache[key]
+        return _null_space(self.mesh, self.dof_map.constrained.tobytes())
 
     @cached_property
     def _at_v(self):  # load - nu V v, the values at v and -B v: fixed data
@@ -371,7 +362,7 @@ class SteadyProblem:
         if x is not None:
             blocks = assemble_convection_newton(self.mesh, x)
             if self.neumann_tags:
-                _, t, k, cols = _outflow_edges(self.mesh, self.neumann_tags)
+                _, t, k, cols = _outflow_edges(self.mesh, tuple(self.neumann_tags))
                 blocks[t, k, cols] += assemble_neumann(self.mesh, self.neumann_tags, x)
             data = data + ns.reduce(blocks)
 

@@ -201,6 +201,9 @@ def _resolve_nu(cfg: RunConfig, default: Optional[float] = None) -> float:
     if cfg.nu is not None:
         return cfg.nu
     if cfg.reynolds is not None:
+        if not 1.0 / cfg.reynolds < np.inf:
+            raise ConfigError(f"[physics] reynolds {cfg.reynolds!r} is too small: "
+                              "the viscosity 1/reynolds is infinite")
         return 1.0 / cfg.reynolds
     if default is None:
         raise ConfigError("viscosity required: set [physics] nu or reynolds")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import per_mesh
 from .quadrature import EDGE_RULE
 
 __all__ = [
@@ -30,16 +31,11 @@ __all__ = [
     "dof_count",
     "vertex_values",
     "edge_values",
-    "SingularElementError",
     "interpolate",
     "edge_trace",
     "element_divergence",
     "energy_norm",
 ]
-
-
-class SingularElementError(Exception):
-    """Raised when an element is too degenerate for the broken operators."""
 
 
 @dataclass
@@ -95,6 +91,7 @@ def interpolate(mesh, u):
         [nodal[:, 0], nodal[:, 1], edge_trace(mesh, u, np.arange(mesh.num_edges))])
 
 
+@per_mesh
 def element_ops(mesh):
     """Per-element geometry and operator tensors, cached on the mesh.
 
@@ -102,23 +99,13 @@ def element_ops(mesh):
     (rows are the row-major entries of the gradient tensor), the 3x9
     penalty rows QB (average normal trace minus edge scalar, one row per
     local edge), penalty weights, curl coefficients of the continuous part,
-    signed edge data, and the local-to-global index map.
+    the divergence coefficients div = sigma_k |e_k| of the local edges, the
+    barycentric gradients and the local-to-global index map.
     """
-    cache = mesh._cache
-    if "eg_ops" in cache:
-        return cache["eg_ops"]
-
     tri = mesh.triangles
     nt = mesh.num_triangles
     nv = mesh.num_vertices
     A = mesh.areas
-    scale = 1e-14 * mesh.h * mesh.h
-    if (A < scale).any():
-        t = int(np.argmin(A))
-        raise SingularElementError(
-            f"triangle {t} has area {A[t]:.3e}, below {scale:.3e}"
-        )
-
     TE = mesh.triangle_edges
     sig = mesh.triangle_edge_sign.astype(np.float64)
     L = mesh.edge_lengths[TE]
@@ -134,9 +121,9 @@ def element_ops(mesh):
     nn = np.einsum("tki,tkj->tkij", nout, nout).reshape(nt, 3, 4)
     tn = np.einsum("tki,tkj->tkij", that, nout).reshape(nt, 3, 4)
     D = np.zeros((nt, 4, 9))
-    coeff = L * sig / A[:, None]
+    div = L * sig
     for k in range(3):
-        D[:, :, 6 + k] = coeff[:, k, None] * nn[:, k, :]
+        D[:, :, 6 + k] = (div[:, k] / A)[:, None] * nn[:, k, :]
         w = 0.5 * L[:, k] / A
         for j in ((k + 1) % 3, (k + 2) % 3):
             D[:, :, j] += (w * that[:, k, 0])[:, None] * tn[:, k, :]
@@ -158,25 +145,21 @@ def element_ops(mesh):
 
     l2g = np.concatenate([tri, nv + tri, 2 * nv + TE], axis=1)
 
-    ops = {
+    return {
         "D": D,
         "QB": QB,
         "stab_w": stab_w,
         "curl": curl,
         "l2g": l2g,
-        "L": L,
-        "sig": sig,
+        "div": div,
         "gradl": gradl,
     }
-    cache["eg_ops"] = ops
-    return ops
 
 
 def element_divergence(mesh, x):
     """Broken divergence per element of the dof vector x, (NT,)."""
-    ops = element_ops(mesh)
     vb = edge_values(mesh, x)[mesh.triangle_edges]
-    return (ops["L"] * ops["sig"] * vb).sum(axis=1) / mesh.areas
+    return (element_ops(mesh)["div"] * vb).sum(axis=1) / mesh.areas
 
 
 def energy_norm(mesh, x):

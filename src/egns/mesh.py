@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import wraps
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -47,6 +48,18 @@ def _freeze(arr):
     return arr
 
 
+def per_mesh(build):
+    """build(mesh, *key), computed once per mesh and hashable key: kept in
+    mesh._cache under (build, *key), so it lives as long as the mesh."""
+    @wraps(build)
+    def cached(mesh, *key):
+        slot = (build, *key)
+        if slot not in mesh._cache:
+            mesh._cache[slot] = build(mesh, *key)
+        return mesh._cache[slot]
+    return cached
+
+
 @dataclass(eq=False)
 class Mesh2D:
     """Immutable triangle mesh with precomputed edge topology.
@@ -80,7 +93,7 @@ class Mesh2D:
     areas: np.ndarray
     h_T: np.ndarray
     h: float
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)  # see per_mesh
 
     @property
     def num_vertices(self):
@@ -104,11 +117,13 @@ class Mesh2D:
 
         Every defect raises MeshError: bad shapes or indices, NaN or
         infinite coordinates, repeated or unused vertices, clockwise or
-        degenerate triangles, non-manifold or zero-length edges, and parts
-        that share no edge.  tag_lookup maps the boundary edges' endpoint
-        pairs (B, 2), smaller index first, to their int tags; None tags
-        them 0.  tri_lines holds a source line per triangle for error
-        messages.  Triangle indices may be floats with integral values.
+        degenerate triangles, triangles of area below 1e-14 h^2 (slivers
+        the broken operators cannot invert), non-manifold or zero-length
+        edges, and parts that share no edge.  tag_lookup maps the boundary
+        edges' endpoint pairs (B, 2), smaller index first, to their int
+        tags; None tags them 0.  tri_lines holds a source line per
+        triangle for error messages.  Triangle indices may be floats with
+        integral values.
         """
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         given = np.asarray(triangles)
@@ -159,6 +174,13 @@ class Mesh2D:
                 f"(signed area {signed[t]:.3e})"
             )
         areas = np.abs(signed)
+        side = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+        h_T = np.sqrt((side**2).sum(axis=2)).max(axis=1)
+        floor = 1e-14 * h_T.max() * h_T.max()
+        bad = areas < floor
+        if bad.any():
+            t = int(np.flatnonzero(bad)[0])
+            raise MeshError(f"{_loc(t)}triangle {t} has area {areas[t]:.3e}, below {floor:.3e}")
 
         unused = np.bincount(triangles.ravel(), minlength=nv) == 0
         if unused.any():
@@ -228,9 +250,6 @@ class Mesh2D:
         boundary_tags = np.full(ne, TAG_INTERIOR, dtype=np.int64)
         boundary_tags[be] = 0 if tag_lookup is None else tag_lookup(edges[be])
 
-        side = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-        h_T = np.sqrt((side**2).sum(axis=2)).max(axis=1)
-
         return cls(
             vertices=_freeze(vertices),
             triangles=_freeze(triangles),
@@ -247,14 +266,20 @@ class Mesh2D:
         )
 
 
-def _cell_triangles(i, j, nx):
-    """Two triangles per grid cell (i, j) of a vertex grid nx + 1 wide,
-    split along the lower-left to upper-right diagonal, in cell order."""
-    ll = j * (nx + 1) + i
-    lr = ll + 1
-    ul = ll + nx + 1
-    ur = ul + 1
-    return np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
+def _grid(xs, ys, keep, tags):
+    """The mesh of the kept cells of the vertex grid xs by ys, keep a mask
+    over the cells row by row.  Each cell is split along its lower-left to
+    upper-right diagonal, and vertices that no kept cell uses are dropped.
+    tags maps the boundary edges' midpoints (B, 2) to their tags."""
+    j, i = np.divmod(np.flatnonzero(keep), xs.size - 1)
+    ll = j * xs.size + i
+    ul = ll + xs.size
+    cells = np.stack([ll, ll + 1, ul + 1, ll, ul + 1, ul], axis=1).reshape(-1, 3)
+    used, triangles = np.unique(cells, return_inverse=True)
+    X, Y = np.meshgrid(xs, ys)
+    vertices = np.column_stack([X.ravel(), Y.ravel()])[used]
+    return Mesh2D.from_arrays(vertices, triangles.reshape(-1, 3),
+                              tag_lookup=lambda pairs: tags(vertices[pairs].mean(axis=1)))
 
 
 def build_rect_uniform(nx, ny, bounds=(0.0, 0.0, 1.0, 1.0)):
@@ -270,19 +295,9 @@ def build_rect_uniform(nx, ny, bounds=(0.0, 0.0, 1.0, 1.0)):
     x0, y0, x1, y1 = map(float, bounds)
     if not (x1 > x0 and y1 > y0):
         raise MeshError(f"empty rectangle {bounds}")
-
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    X, Y = np.meshgrid(xs, ys)
-    vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    j, i = np.divmod(np.arange(nx * ny, dtype=np.int64), nx)
-    triangles = _cell_triangles(i, j, nx)
-
     tol = 1e-9 * max(x1 - x0, y1 - y0)
 
-    def tags(pairs):
-        mids = vertices[pairs].mean(axis=1)
+    def tags(mids):
         mx, my = mids[:, 0], mids[:, 1]
         # the first matching side wins
         sides = [
@@ -295,7 +310,8 @@ def build_rect_uniform(nx, ny, bounds=(0.0, 0.0, 1.0, 1.0)):
             raise MeshError("boundary edge midpoint off every side")
         return np.select(sides, [TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT])
 
-    return Mesh2D.from_arrays(vertices, triangles, tag_lookup=tags)
+    return _grid(np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1),
+                 np.ones(nx * ny, dtype=bool), tags)
 
 
 def build_step_domain(h_target):
@@ -313,32 +329,19 @@ def build_step_domain(h_target):
     dy = 1.0 / ky
     nx = 6 * kx
     ny = 2 * ky
-    xs = np.linspace(-4.0, 20.0, nx + 1)
-    ys = np.linspace(0.0, 2.0, ny + 1)
 
     # cells row by row, except those whose center lies under the step
     j, i = np.divmod(np.arange(nx * ny, dtype=np.int64), nx)
     keep = ~((-4.0 + (i + 0.5) * dx < 0.0) & ((j + 0.5) * dy < 1.0))
-    triangles = _cell_triangles(i[keep], j[keep], nx)
-
-    X, Y = np.meshgrid(xs, ys)
-    vertices_full = np.column_stack([X.ravel(), Y.ravel()])
-    used = np.unique(triangles)
-    remap = np.full(vertices_full.shape[0], -1, dtype=np.int64)
-    remap[used] = np.arange(used.size)
-    vertices = vertices_full[used]
-    triangles = remap[triangles]
-
     tol = 1e-9 * 24.0
 
-    def tags(pairs):
-        mids = vertices[pairs].mean(axis=1)
+    def tags(mids):
         out = np.full(mids.shape[0], TAG_WALL, dtype=np.int64)
         out[np.abs(mids[:, 0] + 4.0) < tol] = TAG_INLET
         out[np.abs(mids[:, 0] - 20.0) < tol] = TAG_OUTLET
         return out
 
-    mesh = Mesh2D.from_arrays(vertices, triangles, tag_lookup=tags)
+    mesh = _grid(np.linspace(-4.0, 20.0, nx + 1), np.linspace(0.0, 2.0, ny + 1), keep, tags)
     if abs(dx - h_target) > 1e-12 or abs(dy - h_target) > 1e-12:
         logger.info(
             "step mesh spacing snapped to dx=%g dy=%g (target %g)", dx, dy, h_target

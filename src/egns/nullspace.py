@@ -42,7 +42,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .eg_space import dof_count, edge_values, vertex_values
+from .eg_space import dof_count, edge_values, element_ops, vertex_values
+from .mesh import per_mesh
 
 __all__ = ["NullSpace", "null_space"]
 
@@ -123,27 +124,25 @@ class NullSpace:
         return p
 
 
+@per_mesh
 def _vertex_order(mesh):
     """Minimum-degree order of the mesh's vertex graph, cached per mesh:
     SuperLU's symmetric-mode order of a matrix with that pattern, read off
     an incomplete LU that drops nearly all fill."""
-    cache = mesh._cache
-    if "vertex_order" not in cache:
-        nv, (a, b) = mesh.num_vertices, mesh.edges.T
-        G = sp.coo_matrix((-np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])), (nv, nv))
-        cache["vertex_order"] = np.argsort(spla.spilu(
-            (G + nv * sp.eye(nv)).tocsc(), drop_tol=1.0, fill_factor=1,
-            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True}).perm_c)
-    return cache["vertex_order"]
+    nv, (a, b) = mesh.num_vertices, mesh.edges.T
+    G = sp.coo_matrix((-np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])), (nv, nv))
+    return np.argsort(spla.spilu(
+        (G + nv * sp.eye(nv)).tocsc(), drop_tol=1.0, fill_factor=1,
+        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True}).perm_c)
 
 
-def null_space(mesh, dof_map, V):
-    """Build the basis and the dual tree for a mesh and its Dirichlet dof
-    map, which constrains at least one edge, and Z^T V Z on the pattern
-    for the viscous matrix V."""
+def null_space(mesh, con, V):
+    """Build the basis and the dual tree for a mesh and the constrained
+    mask con of its Dirichlet dof map, which constrains at least one
+    edge, and Z^T V Z on the pattern for the viscous matrix V."""
     nv, nt = mesh.num_vertices, mesh.num_triangles
-    con, dof = dof_map.constrained, np.arange(dof_count(mesh))
+    dof = np.arange(dof_count(mesh))
     on_wall, wall_edge = vertex_values(mesh, con)[:, 0], edge_values(mesh, con)
     order = _vertex_order(mesh)
     free_v = order[~on_wall[order]]
@@ -226,7 +225,7 @@ def null_space(mesh, dof_map, V):
         element=element,
         up=pos[parent],
         edge_dof=edge_values(mesh, dof)[edge],
-        coef=mesh.edge_lengths[edge] * mesh.triangle_edge_sign[element, kk],
+        coef=element_ops(mesh)["div"][element, kk],
         depth_start=np.r_[0, np.cumsum(level[1:])],
         closed=closed,
         areas=mesh.areas,

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eg_space import edge_values
+from .eg_space import edge_values, element_ops
 
 __all__ = ["rt_basis", "reconstruct", "rt_at_centroids"]
 
 
 def _scale(mesh):
     """Basis scales s_k = sigma_k |e_k| / (2 |T|), (NT, 3)."""
-    L = mesh.edge_lengths[mesh.triangle_edges]
-    return L * mesh.triangle_edge_sign / (2.0 * mesh.areas[:, None])
+    return element_ops(mesh)["div"] / (2.0 * mesh.areas[:, None])
 
 
 def rt_basis(mesh, points):

@@ -164,8 +164,8 @@ class FlowCase:
     pressure: Optional[ScalarFn] = None
 
     def __post_init__(self):
-        if not self.nu > 0:  # also NaN
-            raise VerificationError("viscosity must be positive")
+        if not 0 < self.nu < np.inf:  # also NaN
+            raise VerificationError("viscosity must be positive and finite")
         if (self.velocity is None) != (self.pressure is None):
             raise VerificationError(
                 f"case {self.name!r}: exact velocity and pressure come together"

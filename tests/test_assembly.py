@@ -112,12 +112,28 @@ def _masked_edges(mesh, w):
     return out
 
 
+def test_outflow_tags_may_come_as_a_list():
+    # the per-mesh cache keys on tuple(tags)
+    mesh = build_rect_uniform(3, 3)
+    x = _random_field(mesh, np.random.default_rng(4))
+    assert np.array_equal(assemble_neumann(mesh, [TAG_RIGHT], x),
+                          assemble_neumann(mesh, (TAG_RIGHT,), x))
+
+
 class TestViscous:
     def test_linear_in_viscosity(self):
+        # the momentum residual SteadyProblem writes moves with nu by nu V x
         mesh = build_rect_uniform(3, 3)
-        A1 = _viscous_unit(mesh)
-        A2 = 2.0 * _viscous_unit(mesh)
-        assert (A2 - 2 * A1).nnz == 0 or abs((A2 - 2 * A1)).max() < 1e-15
+        prob = SteadyProblem(mesh, nu=1.0, body_force=lambda X: np.cos(X),
+                             dirichlet=[((TAG_BOTTOM, TAG_TOP, TAG_LEFT), lambda X: X**2)],
+                             neumann_tags=(TAG_RIGHT,))
+        x = _random_field(mesh, np.random.default_rng(3))
+        p = np.zeros(mesh.num_triangles)
+        nu1, nu2 = 0.3, 1.7
+        ru1, ru2 = (prob.with_nu(nu).residual(x, p)[1] for nu in (nu1, nu2))
+        free = prob.dof_map.free_indices()
+        want = ((nu2 - nu1) * (_viscous_unit(mesh) @ x))[free]
+        assert np.abs((ru2 - ru1)[free] - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_symmetric(self):
         mesh = build_rect_uniform(3, 2)

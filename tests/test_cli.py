@@ -75,6 +75,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="reynolds"):
             load_config(path)
 
+    def test_reynolds_whose_reciprocal_overflows(self, tmp_path, capsys):
+        # 1e-320 is positive, but nu = 1 / 1e-320 is infinite
+        path = _cfg(tmp_path, "[mesh]\nh = 1.0\n\n[physics]\nreynolds = 1e-320\n")
+        assert main(["step", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [physics] reynolds 1e-320 is too small")
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+
     @pytest.mark.parametrize(
         "command, section, key, value",
         [
@@ -643,8 +651,15 @@ class TestRunCommand:
                 "0 1 1\n1 3 1\n2 3 1\n0 2 1\n",
                 "vertex 3 has a NaN or infinite coordinate",
             ),
+            # triangle 1, on line 7, has area 5e-16: the broken operators
+            # could not invert it
+            (
+                "4 2 4\n0 0\n1 0\n0.5 1\n0.5 -1e-15\n0 1 2\n1 0 3\n"
+                "0 2 1\n1 2 1\n1 3 1\n0 3 1\n",
+                "line 7: triangle 1 has area 5.000e-16, below 1.250e-14",
+            ),
         ],
-        ids=["unused-vertex", "two-parts", "nan-vertex"],
+        ids=["unused-vertex", "two-parts", "nan-vertex", "sliver"],
     )
     def test_defective_imported_mesh(self, tmp_path, capsys, body, cause):
         mesh_file = tmp_path / "bad.m2d"

@@ -6,11 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from egns.mesh import Mesh2D, build_rect_uniform
+from egns.mesh import Mesh2D, MeshError, build_rect_uniform
 from egns.quadrature import gauss_1d, quadrature_rule
 from egns.eg_space import (
     DofMap,
-    SingularElementError,
     dof_count,
     edge_values,
     element_divergence,
@@ -48,10 +47,7 @@ def modified_gradient_local(mesh, t, local_dofs):
 
 def modified_divergence_local(mesh, t, scalars):
     """Broken divergence on element t from its three local edge scalars."""
-    ops = element_ops(mesh)
-    return float(
-        (ops["L"][t] * ops["sig"][t] * np.asarray(scalars)).sum() / mesh.areas[t]
-    )
+    return float((element_ops(mesh)["div"][t] * np.asarray(scalars)).sum() / mesh.areas[t])
 
 
 def stabilization_local(mesh, t):
@@ -358,25 +354,31 @@ class TestDofMap:
         assert dm.free_indices().size == dof_count(mesh) - 1
 
 
-def test_only_eg_space_spells_out_the_dof_layout():
+@pytest.mark.parametrize("spellings, owners", [
     # every other module reaches the blocks through dof_count, vertex_values
     # and edge_values; mesh.py's "nv + " counts .m2d records
+    (("2 * nv", "2 * mesh.num_vertices", "nv + "), ("eg_space.py", "mesh.py")),
+    # every per-mesh cache goes through mesh.per_mesh
+    (("._cache",), ("mesh.py",)),
+    # sigma |e| comes from element_ops(mesh)["div"]
+    (("triangle_edge_sign",), ("mesh.py", "eg_space.py")),
+], ids=["dof-layout", "per-mesh-cache", "edge-sign"])
+def test_each_rule_has_one_owner(spellings, owners):
     src = Path(__file__).resolve().parents[1] / "src" / "egns"
-    offsets = ("2 * nv", "2 * mesh.num_vertices", "nv + ")
     hits = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
-            if path.name not in ("eg_space.py", "mesh.py")
+            if path.name not in owners
             for n, line in enumerate(path.read_text().splitlines(), 1)
-            if any(offset in line for offset in offsets)]
+            if any(spelling in line for spelling in spellings)]
     assert hits == []
 
 
 class TestDegenerateElements:
     def test_sliver_triggers_singular_element_error(self):
+        # a sliver would make the broken operators singular: the mesh refuses it
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-16]])
         tris = np.array([[0, 1, 2]])
-        mesh = Mesh2D.from_arrays(verts, tris)
-        with pytest.raises(SingularElementError):
-            modified_gradient_local(mesh, 0, np.zeros(9))
+        with pytest.raises(MeshError, match="triangle 0 has area 5.000e-17, below 1.000e-14"):
+            Mesh2D.from_arrays(verts, tris)
 
 
 class TestNormalTraceAverage:

@@ -20,6 +20,7 @@ from egns.mesh import (
     build_step_domain,
     export_mesh,
     import_mesh,
+    per_mesh,
 )
 
 
@@ -300,6 +301,14 @@ class TestInterchangeFormat:
         with pytest.raises(MeshError, match="line 3: vertex 1 has a NaN or infinite"):
             import_mesh(path)
 
+    def test_sliver_reported_with_line(self, tmp_path):
+        # triangle 1 has area 5e-16 < 1e-14 h^2, h^2 = 1.25
+        path = tmp_path / "m.m2d"
+        path.write_text("4 2 4\n0 0\n1 0\n0.5 1\n0.5 -1e-15\n0 1 2\n1 0 3\n"
+                        "0 2 1\n1 2 1\n1 3 1\n0 3 1\n")
+        with pytest.raises(MeshError, match="line 7: triangle 1 has area 5.000e-16, below 1.250e-14"):
+            import_mesh(path)
+
     def test_first_bad_boundary_line_named(self, tmp_path):
         # a boundary edge off the mesh on line 9, a malformed record on line 10
         path = tmp_path / "m.m2d"
@@ -333,6 +342,23 @@ class TestInterchangeFormat:
         )
         with pytest.raises(MeshError, match="line 8"):
             import_mesh(path)
+
+
+class TestPerMesh:
+    def test_built_once_per_mesh_and_key(self):
+        calls = []
+
+        @per_mesh
+        def build(mesh, key):
+            calls.append(key)
+            return np.full(3, key)
+
+        a, b = build_rect_uniform(2, 2), build_rect_uniform(2, 2)
+        first = build(a, 1)
+        assert build(a, 1) is first
+        assert build(b, 1) is not first  # two meshes share no entry
+        assert build(a, 2) is not first
+        assert calls == [1, 1, 2]
 
 
 class TestConstructionDefects:

@@ -17,8 +17,7 @@ from egns.mesh import (
     TAG_LEFT,
     TAG_RIGHT,
     TAG_TOP,
-    Mesh2D,
-    _cell_triangles,
+    _grid,
     build_rect_uniform,
     build_step_domain,
 )
@@ -143,20 +142,14 @@ def _holed_square(n):
     j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
     center = lambda k: (k + 0.5) / n
     keep = ~((np.abs(center(i) - 0.5) < 0.2) & (np.abs(center(j) - 0.5) < 0.2))
-    triangles = _cell_triangles(i[keep], j[keep], n)
-    xs = np.linspace(0.0, 1.0, n + 1)
-    X, Y = np.meshgrid(xs, xs)
-    used = np.unique(triangles)
-    remap = np.full((n + 1) ** 2, -1, dtype=np.int64)
-    remap[used] = np.arange(used.size)
-    vertices = np.column_stack([X.ravel(), Y.ravel()])[used]
 
-    def tags(pairs):
-        mx, my = vertices[pairs].mean(axis=1).T
+    def tags(mids):
+        mx, my = mids.T
         sides = [my == 0.0, mx == 1.0, my == 1.0, mx == 0.0]
         return np.select(sides, [TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT], 5)
 
-    return Mesh2D.from_arrays(vertices, remap[triangles], tag_lookup=tags)
+    xs = np.linspace(0.0, 1.0, n + 1)
+    return _grid(xs, xs, keep, tags)
 
 
 def _layout(name, nu):
@@ -254,11 +247,14 @@ class TestNewtonConfig:
         (lambda: NewtonConfig(rel_tol=math.nan), "rel_tol"),
         (lambda: NewtonConfig(rel_tol=math.inf), "rel_tol"),
         (lambda: case_cavity("f1", math.nan), "viscosity"),
+        (lambda: case_cavity("f1", math.inf), "viscosity must be positive and finite"),
         (lambda: case_step(re=math.nan), "Reynolds"),
         (lambda: _homogeneous_problem(2, 1.0).with_nu(math.nan), "viscosity"),
+        (lambda: _homogeneous_problem(2, 1.0).with_nu(math.inf),
+         "viscosity must be positive and finite"),
     ],
-    ids=["newton-rel_tol-nan", "newton-rel_tol-inf", "flow-case-nu-nan",
-         "step-re-nan", "problem-nu-nan"],
+    ids=["newton-rel_tol-nan", "newton-rel_tol-inf", "flow-case-nu-nan", "flow-case-nu-inf",
+         "step-re-nan", "problem-nu-nan", "problem-nu-inf"],
 )
 def test_positivity_checks_reject_nan_and_inf(make, match):
     # a check written v <= 0 lets NaN through, to fail much later
