@@ -32,7 +32,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .eg_space import DofMap, dof_count, edge_trace, edge_values, element_ops, vertex_values
+from .eg_space import (DofMap, dof_count, edge_trace, edge_values, element_ops,
+                       energy_operators, vertex_values)
 from .mesh import per_mesh
 from .nullspace import null_space
 from .quadrature import quadrature_rule
@@ -52,12 +53,19 @@ __all__ = [
 
 
 def _sparse(rows, cols, blocks, shape):
-    """CSR matrix with blocks[i] summed onto the global rows[i] x cols[i]."""
+    """CSR matrix with blocks[i] summed onto the global rows[i] x cols[i],
+    owning exactly its nnz entries."""
     nr, nc = rows.shape[1], cols.shape[1]
-    return sp.coo_matrix(
+    # SciPy's index type, chosen before the COO-sized index arrays are made
+    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    rows, cols = rows.astype(index), cols.astype(index)
+    M = sp.coo_matrix(
         (blocks.ravel(),
          (np.repeat(rows, nc, axis=1).ravel(), np.tile(cols, (1, nr)).ravel())),
         shape=shape).tocsr()
+    # summing duplicates in place may leave views on the COO-sized buffers
+    M.data, M.indices = M.data.copy(), M.indices.copy()
+    return M
 
 
 def _scatter(index, values, n):
@@ -67,11 +75,13 @@ def _scatter(index, values, n):
 
 @per_mesh
 def _viscous_unit(mesh):
-    ops = element_ops(mesh)
-    D, QB = ops["D"], ops["QB"]
+    """The viscous matrix at nu = 1, from energy_operators' blocks."""
+    D, QB, stab_w = energy_operators(mesh)
     K = (D.transpose(0, 2, 1) * mesh.areas[:, None, None]) @ D
-    K += (QB.transpose(0, 2, 1) * ops["stab_w"][:, None, :]) @ QB
-    return _sparse(ops["l2g"], ops["l2g"], K, (dof_count(mesh),) * 2)
+    K += (QB.transpose(0, 2, 1) * stab_w[:, None, :]) @ QB
+    del D, QB, stab_w  # freed before _sparse makes its COO-sized arrays
+    l2g = element_ops(mesh)["l2g"]
+    return _sparse(l2g, l2g, K, (dof_count(mesh),) * 2)
 
 
 @per_mesh

@@ -83,6 +83,8 @@ _RANGES = {
     "at least 1": (lambda v: v >= 1, "must be at least 1"),
     "not negative": (lambda v: v >= 0, "cannot be negative"),
     "positive integers": (lambda v: min(v) >= 1, "must be positive integers"),
+    "at least eps": (lambda v: v >= np.finfo(float).eps,
+                     f"must be at least machine epsilon {np.finfo(float).eps:.3g}"),
 }
 
 
@@ -104,7 +106,7 @@ class RunConfig:
     inlet: str = _key("physics", "str", "step", "parabolic")
     forcing_scale: float = _key("physics", "float", "cavity", 1.0)
     threshold: Optional[float] = _key("physics", "float", "noflow", rule="not negative")
-    rel_tol: float = _key("newton", "float", default=1e-7, rule="positive")
+    rel_tol: float = _key("newton", "float", default=1e-7, rule="at least eps")
     max_iter: int = _key("newton", "int", default=1000, rule="at least 1")
     out_dir: Path = Path(".")  # set by --out
     boundary: dict = field(default_factory=dict)
@@ -290,6 +292,16 @@ def write_vtk(mesh, solution, path) -> None:
 _GENERATOR_KEY = {"unit_square": "resolution", "step": "h", "import": "path"}
 
 
+def _generated(key, build):
+    """build(), a mesh generated from [mesh] key.  Past the key's _RANGES
+    rule the generator refuses only a grid too large to index, a config
+    error naming the key."""
+    try:
+        return build()
+    except MeshError as exc:
+        raise ConfigError(f"[mesh] {key}: {exc}") from None
+
+
 def _build_mesh(cfg: RunConfig, default_generator: str):
     generator = cfg.generator or default_generator
     if generator not in _GENERATOR_KEY:
@@ -299,9 +311,9 @@ def _build_mesh(cfg: RunConfig, default_generator: str):
             raise ConfigError(f"[mesh] {key} is not read by the {generator} generator")
     if generator == "unit_square":
         n = cfg.resolution or 32
-        mesh = build_rect_uniform(n, n)
+        mesh = _generated("resolution", lambda: build_rect_uniform(n, n))
     elif generator == "step":
-        mesh = build_step_domain(cfg.h or 0.25)
+        mesh = _generated("h", lambda: build_step_domain(cfg.h or 0.25))
     else:
         if not cfg.path:
             raise ConfigError("[mesh] path is required for generator = import")
@@ -338,7 +350,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     case = case_vortex_2d(nu)
 
     def run_level(n):
-        mesh = build_rect_uniform(n, n)
+        mesh = _generated("levels", lambda: build_rect_uniform(n, n))
         sol, reports = _solve(
             cfg, lambda v: case_vortex_2d(v).problem(mesh), nu
         )

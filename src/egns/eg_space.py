@@ -34,6 +34,7 @@ __all__ = [
     "interpolate",
     "edge_trace",
     "element_divergence",
+    "energy_operators",
     "energy_norm",
 ]
 
@@ -91,37 +92,61 @@ def interpolate(mesh, u):
         [nodal[:, 0], nodal[:, 1], edge_trace(mesh, u, np.arange(mesh.num_edges))])
 
 
-@per_mesh
-def element_ops(mesh):
-    """Per-element geometry and operator tensors, cached on the mesh.
-
-    Returns a dict with, per element: the 4x9 broken-gradient matrix D
-    (rows are the row-major entries of the gradient tensor), the 3x9
-    penalty rows QB (average normal trace minus edge scalar, one row per
-    local edge), penalty weights, curl coefficients of the continuous part,
-    the divergence coefficients div = sigma_k |e_k| of the local edges, the
-    barycentric gradients and the local-to-global index map.
-    """
-    tri = mesh.triangles
-    nt = mesh.num_triangles
-    nv = mesh.num_vertices
-    A = mesh.areas
+def _edge_frames(mesh):
+    """Per element: edge lengths L, the divergence coefficients sigma_k
+    |e_k|, the assigned and the outward normals and the ccw tangents."""
     TE = mesh.triangle_edges
-    sig = mesh.triangle_edge_sign.astype(np.float64)
     L = mesh.edge_lengths[TE]
     n_e = mesh.edge_normal[TE]  # assigned normals, (NT, 3, 2)
+    sig = mesh.triangle_edge_sign.astype(np.float64)
     nout = sig[..., None] * n_e  # outward normals
     that = np.stack([-nout[..., 1], nout[..., 0]], axis=-1)  # ccw tangents
+    return L, L * sig, n_e, nout, that
+
+
+@per_mesh
+def element_ops(mesh):
+    """Per-element operator tensors the Newton loop reads, cached on the mesh.
+
+    Returns a dict with, per element: curl coefficients of the continuous
+    part, the divergence coefficients div = sigma_k |e_k| of the local
+    edges, the barycentric gradients and the local-to-global index map.
+    The viscous blocks come from energy_operators, uncached: they are read
+    once per mesh.
+    """
+    tri = mesh.triangles
+    L, div, _, nout, _ = _edge_frames(mesh)
 
     # gradients of the barycentric basis: grad l_k = -L_k n_out_k / (2A)
-    gradl = -L[..., None] * nout / (2.0 * A[:, None, None])
+    gradl = -L[..., None] * nout / (2.0 * mesh.areas[:, None, None])
+
+    # scalar curl of the continuous part: sum_j (dx l_j) v0y_j - (dy l_j) v0x_j
+    curl = np.zeros((mesh.num_triangles, 6))
+    curl[:, 0:3] = -gradl[:, :, 1]
+    curl[:, 3:6] = gradl[:, :, 0]
+
+    nv = mesh.num_vertices
+    l2g = np.concatenate([tri, nv + tri, 2 * nv + mesh.triangle_edges], axis=1)
+    return {"curl": curl, "l2g": l2g, "div": div, "gradl": gradl}
+
+
+def energy_operators(mesh):
+    """The blocks of the energy norm per element, built on each call.
+
+    Returns (D, QB, stab_w): the 4x9 broken-gradient matrix D (rows are the
+    row-major entries of the gradient tensor), the 3x9 penalty rows QB
+    (average normal trace minus edge scalar, one row per local edge) and
+    the penalty weights |e_k| / h_T.  The viscous matrix is assembled from
+    them once per mesh, and energy_norm reads them on its own.
+    """
+    nt, A = mesh.num_triangles, mesh.areas
+    L, div, n_e, nout, that = _edge_frames(mesh)
 
     # broken gradient: G = (1/A) sum_k L_k [ sigma_k vb_k (n x n)
     #                                        + (t . v0(mid_k)) (t x n) ]
     nn = np.einsum("tki,tkj->tkij", nout, nout).reshape(nt, 3, 4)
     tn = np.einsum("tki,tkj->tkij", that, nout).reshape(nt, 3, 4)
     D = np.zeros((nt, 4, 9))
-    div = L * sig
     for k in range(3):
         D[:, :, 6 + k] = (div[:, k] / A)[:, None] * nn[:, k, :]
         w = 0.5 * L[:, k] / A
@@ -136,24 +161,7 @@ def element_ops(mesh):
             QB[:, k, j] = 0.5 * n_e[:, k, 0]
             QB[:, k, 3 + j] = 0.5 * n_e[:, k, 1]
         QB[:, k, 6 + k] = -1.0
-    stab_w = L / mesh.h_T[:, None]
-
-    # scalar curl of the continuous part: sum_j (dx l_j) v0y_j - (dy l_j) v0x_j
-    curl = np.zeros((nt, 6))
-    curl[:, 0:3] = -gradl[:, :, 1]
-    curl[:, 3:6] = gradl[:, :, 0]
-
-    l2g = np.concatenate([tri, nv + tri, 2 * nv + TE], axis=1)
-
-    return {
-        "D": D,
-        "QB": QB,
-        "stab_w": stab_w,
-        "curl": curl,
-        "l2g": l2g,
-        "div": div,
-        "gradl": gradl,
-    }
+    return D, QB, L / mesh.h_T[:, None]
 
 
 def element_divergence(mesh, x):
@@ -168,10 +176,10 @@ def energy_norm(mesh, x):
     Its square times viscosity equals the assembled diffusion form's value
     on the diagonal.
     """
-    ops = element_ops(mesh)
-    dofs = x[ops["l2g"]]
-    G = np.einsum("tij,tj->ti", ops["D"], dofs)
+    D, QB, stab_w = energy_operators(mesh)
+    dofs = x[element_ops(mesh)["l2g"]]
+    G = np.einsum("tij,tj->ti", D, dofs)
     grad_part = (mesh.areas * (G**2).sum(axis=1)).sum()
-    gaps = np.einsum("tkj,tj->tk", ops["QB"], dofs)
-    stab_part = (ops["stab_w"] * gaps**2).sum()
+    gaps = np.einsum("tkj,tj->tk", QB, dofs)
+    stab_part = (stab_w * gaps**2).sum()
     return float(np.sqrt(grad_part + stab_part))

@@ -228,9 +228,6 @@ class Mesh2D:
 
         dvec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
         edge_lengths = np.hypot(dvec[:, 0], dvec[:, 1])
-        if (edge_lengths == 0).any():
-            e = int(np.flatnonzero(edge_lengths == 0)[0])
-            raise MeshError(f"edge ({edges[e,0]}, {edges[e,1]}) has zero length")
         tvec = dvec / edge_lengths[:, None]
         edge_normal = np.column_stack([-tvec[:, 1], tvec[:, 0]])
 
@@ -282,6 +279,16 @@ def _grid(xs, ys, keep, tags):
                               tag_lookup=lambda pairs: tags(vertices[pairs].mean(axis=1)))
 
 
+def _grid_cells(nx, ny, what):
+    """nx * ny, the cells of a grid, refused with a MeshError naming what
+    beyond the 2^31 - 1 that int32 indices address."""
+    cells = nx * ny
+    if not cells <= np.iinfo(np.int32).max:  # also inf
+        raise MeshError(f"{what} has more than 2^31 - 1 cells, "
+                        "beyond what int32 indices address")
+    return cells
+
+
 def build_rect_uniform(nx, ny, bounds=(0.0, 0.0, 1.0, 1.0)):
     """Uniform triangulation of a rectangle, nx by ny cells.
 
@@ -292,6 +299,7 @@ def build_rect_uniform(nx, ny, bounds=(0.0, 0.0, 1.0, 1.0)):
         raise MeshError("cell counts must be integers")
     if nx < 1 or ny < 1:
         raise MeshError(f"cell counts must be positive, got ({nx}, {ny})")
+    cells = _grid_cells(int(nx), int(ny), f"a {nx} by {ny} grid")
     x0, y0, x1, y1 = map(float, bounds)
     if not (x1 > x0 and y1 > y0):
         raise MeshError(f"empty rectangle {bounds}")
@@ -311,7 +319,7 @@ def build_rect_uniform(nx, ny, bounds=(0.0, 0.0, 1.0, 1.0)):
         return np.select(sides, [TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT])
 
     return _grid(np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1),
-                 np.ones(nx * ny, dtype=bool), tags)
+                 np.ones(cells, dtype=bool), tags)
 
 
 def build_step_domain(h_target):
@@ -323,6 +331,9 @@ def build_step_domain(h_target):
     """
     if not h_target > 0:
         raise MeshError(f"target spacing must be positive, got {h_target}")
+    what = f"the grid of target spacing {h_target}"
+    # the grid is 6 kx by 2 ky cells; first unrounded, as 4 / h may be inf
+    _grid_cells(24.0 / h_target, 2.0 / h_target, what)
     kx = max(1, round(4.0 / h_target))
     ky = max(1, round(1.0 / h_target))
     dx = 4.0 / kx
@@ -331,7 +342,7 @@ def build_step_domain(h_target):
     ny = 2 * ky
 
     # cells row by row, except those whose center lies under the step
-    j, i = np.divmod(np.arange(nx * ny, dtype=np.int64), nx)
+    j, i = np.divmod(np.arange(_grid_cells(nx, ny, what), dtype=np.int64), nx)
     keep = ~((-4.0 + (i + 0.5) * dx < 0.0) & ((j + 0.5) * dy < 1.0))
     tol = 1e-9 * 24.0
 

@@ -64,6 +64,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_divergence
@@ -171,7 +172,9 @@ class _Factor:
         self.A, self.Z = A, Z
         self.single, self.fallback = dtype is np.float32, not options
         with np.errstate(over="ignore"):  # beyond float32's range: the check fails
-            self.lu = spla.splu(K.astype(dtype, copy=False), **options)
+            # on K's own index arrays: astype would copy them too
+            data = K.data.astype(dtype, copy=False)
+            self.lu = spla.splu(sp.csc_matrix((data, K.indices, K.indptr), K.shape), **options)
 
     def refine(self, dx, ru, passes):
         """dx -= Z LU^-1 Z^T (A dx + ru) in place (summing the psi instead would
@@ -205,8 +208,10 @@ def solve_saddle(problem, system):
 
     K is factored on the first rung (see above) whose solve passes that
     check; only the last rung's failure is raised, or the first one's on
-    non-finite data.  lu is that factor, with single, fallback (whether it
-    is the partial-pivoting one) and passes.
+    non-finite data.  One factor is alive at a time: a rejected rung's LU
+    is freed before the next rung factors, and the float32 copy of K
+    shares K's index arrays.  lu is that factor, with single, fallback
+    (whether it is the partial-pivoting one) and passes.
     """
     (K, A, ru, rp), ns = system, problem.null_space
     B, free = assemble_divergence(problem.mesh), problem.dof_map.free_indices()
@@ -230,6 +235,7 @@ def solve_saddle(problem, system):
         if lu.fallback or not math.isfinite(scale):  # no factorization mends the data
             raise SolverError(message)
         logger.info("symmetric-mode factorization: %s; next rung", message)
+        lu = None  # freed before the next rung factors
 
 
 def _norms(free, ru, rp, rhs_u, rhs_p):

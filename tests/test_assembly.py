@@ -12,7 +12,7 @@ from egns.mesh import (
     TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, TAG_TOP, Mesh2D, build_rect_uniform,
 )
 from egns.quadrature import gauss_1d, quadrature_rule
-from egns.eg_space import dof_count, energy_norm, interpolate, vertex_values
+from egns.eg_space import dof_count, energy_norm, energy_operators, interpolate, vertex_values
 from egns.assembly import (
     _viscous_unit,
     SteadyProblem,
@@ -561,12 +561,25 @@ class TestSteadyProblem:
 
 def test_viscous_matches_dense_element_oracle(shuffled_mesh):
     mesh = shuffled_mesh()
-    ops = egns.assembly.element_ops(mesh)
+    l2g = egns.assembly.element_ops(mesh)["l2g"]
+    D, QB, stab_w = energy_operators(mesh)
     n = 2 * mesh.num_vertices + mesh.num_edges
     dense = np.zeros((n, n))
     for t in range(mesh.num_triangles):
-        D, QB = ops["D"][t], ops["QB"][t]
-        Ke = mesh.areas[t] * D.T @ D + QB.T @ np.diag(ops["stab_w"][t]) @ QB
-        dense[np.ix_(ops["l2g"][t], ops["l2g"][t])] += Ke
+        Ke = mesh.areas[t] * D[t].T @ D[t] + QB[t].T @ np.diag(stab_w[t]) @ QB[t]
+        dense[np.ix_(l2g[t], l2g[t])] += Ke
     got = _viscous_unit(mesh).toarray()
     assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("name", ["viscous", "divergence", "null-space"])
+def test_per_mesh_matrices_own_exactly_their_entries(name):
+    # tocsr sums duplicates in place, and SciPy keeps views on the
+    # COO-sized buffers when more than half of the entries survive
+    mesh = build_rect_uniform(8, 8)
+    M = {"viscous": _viscous_unit, "divergence": assemble_divergence,
+         "null-space": lambda mesh: SteadyProblem(
+             mesh, 1.0, dirichlet=[(ALL_SIDES, lambda xy: np.zeros_like(xy))]).null_space.Z,
+         }[name](mesh)
+    for a in (M.data, M.indices):  # a view holds its base's bytes
+        assert a.size == M.nnz and (a if a.base is None else a.base).nbytes == a.nbytes

@@ -83,6 +83,31 @@ class TestLoadConfig:
         assert err.startswith("config error: [physics] reynolds 1e-320 is too small")
         assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
 
+    def test_rel_tol_below_machine_epsilon(self, tmp_path, capsys):
+        # a relative update below eps cannot be reached: the solve would
+        # end in a failed line search at a residual of roundoff size
+        path = _cfg(tmp_path, "[mesh]\nresolution = 2\n\n[newton]\nrel_tol = 1e-300\n")
+        assert main(["cavity", "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: [newton] rel_tol must be at least machine epsilon 2.22e-16")
+        eps = float(np.finfo(float).eps)
+        assert load_config(_cfg(tmp_path, f"[newton]\nrel_tol = {eps!r}\n")).rel_tol == eps
+
+    @pytest.mark.parametrize("command, key, value", [
+        pytest.param("step", "h", "1e-300", id="h"),
+        pytest.param("step", "h", "5e-324", id="h-inverse-inf"),
+        pytest.param("noflow", "resolution", "46341", id="resolution"),  # 46341^2 > 2^31 - 1
+        pytest.param("converge", "levels", "4 46341", id="levels"),
+    ])
+    def test_grid_beyond_int32_indices_named(self, tmp_path, capsys, command, key, value):
+        # refused before any grid array is allocated
+        path = _cfg(tmp_path, f"[mesh]\n{key} = {value}\n")
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [mesh] {key}: ")
+        assert "has more than 2^31 - 1 cells" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+
     @pytest.mark.parametrize(
         "command, section, key, value",
         [

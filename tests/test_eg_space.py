@@ -15,6 +15,7 @@ from egns.eg_space import (
     element_divergence,
     element_ops,
     energy_norm,
+    energy_operators,
     interpolate,
     vertex_values,
 )
@@ -41,8 +42,7 @@ def normal_trace_average(mesh, x):
 
 def modified_gradient_local(mesh, t, local_dofs):
     """Broken gradient on element t for a local dof vector, as a 2x2 tensor."""
-    ops = element_ops(mesh)
-    return (ops["D"][t] @ np.asarray(local_dofs)).reshape(2, 2)
+    return (energy_operators(mesh)[0][t] @ np.asarray(local_dofs)).reshape(2, 2)
 
 
 def modified_divergence_local(mesh, t, scalars):
@@ -57,10 +57,8 @@ def stabilization_local(mesh, t):
     times the squared gap between the average continuous normal trace and
     the edge scalar.  Viscosity is applied at assembly.
     """
-    ops = element_ops(mesh)
-    qb = ops["QB"][t]
-    w = ops["stab_w"][t]
-    return np.einsum("k,ki,kj->ij", w, qb, qb)
+    _, QB, stab_w = energy_operators(mesh)
+    return np.einsum("k,ki,kj->ij", stab_w[t], QB[t], QB[t])
 
 
 def _quintic_vortex(xy):
@@ -362,7 +360,10 @@ class TestDofMap:
     (("._cache",), ("mesh.py",)),
     # sigma |e| comes from element_ops(mesh)["div"]
     (("triangle_edge_sign",), ("mesh.py", "eg_space.py")),
-], ids=["dof-layout", "per-mesh-cache", "edge-sign"])
+    # D, QB and the penalty weights: built per call, read by energy_norm
+    # and by _viscous_unit once per mesh
+    (("energy_operators(",), ("eg_space.py", "assembly.py")),
+], ids=["dof-layout", "per-mesh-cache", "edge-sign", "energy-blocks"])
 def test_each_rule_has_one_owner(spellings, owners):
     src = Path(__file__).resolve().parents[1] / "src" / "egns"
     hits = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
@@ -370,6 +371,19 @@ def test_each_rule_has_one_owner(spellings, owners):
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if any(spelling in line for spelling in spellings)]
     assert hits == []
+
+
+def test_element_ops_keeps_no_viscous_block():
+    # the Newton loop never reads D (NT, 4, 9), QB (NT, 3, 9) or the
+    # weights: the cache keeps what it reads
+    mesh = build_rect_uniform(4, 3)
+    nt = mesh.num_triangles
+    ops = element_ops(mesh)
+    assert sorted(ops) == ["curl", "div", "gradl", "l2g"]
+    assert all(v.shape not in ((nt, 4, 9), (nt, 3, 9)) for v in ops.values())
+    D, QB, stab_w = energy_operators(mesh)
+    assert (D.shape, QB.shape, stab_w.shape) == ((nt, 4, 9), (nt, 3, 9), (nt, 3))
+    assert energy_operators(mesh)[0] is not D  # uncached
 
 
 class TestDegenerateElements:

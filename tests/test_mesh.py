@@ -48,6 +48,12 @@ class TestRectUniform:
         assert mesh.num_edges == 800
         assert mesh.h == pytest.approx(math.sqrt(2.0) / 16.0, rel=1e-15)
 
+    @pytest.mark.parametrize("n", [46341, np.int64(2**32)], ids=["just-over", "int64-wraps"])
+    def test_grid_beyond_int32_indices_refused(self, n):
+        # 46341^2 is past 2^31 - 1; (2^32)^2 is 0 in int64 arithmetic
+        with pytest.raises(MeshError, match=r"has more than 2\^31 - 1 cells"):
+            build_rect_uniform(n, n)
+
     def test_areas_positive_and_sum_to_domain(self):
         mesh = build_rect_uniform(5, 3, (0.0, 0.0, 2.0, 1.5))
         assert np.all(mesh.areas > 0)

@@ -22,7 +22,7 @@ from egns.mesh import (
     build_step_domain,
 )
 from egns.quadrature import quadrature_rule, refined_rule
-from egns.eg_space import dof_count, energy_norm, vertex_values
+from egns.eg_space import dof_count, energy_norm, energy_operators, vertex_values
 from egns.assembly import (
     _viscous_unit,
     SteadyProblem,
@@ -439,6 +439,36 @@ class TestFallback:
         assert np.array_equal(x, x_ref)
         assert np.array_equal(pressure, p_ref)
 
+    def test_float32_factor_shares_the_index_arrays(self, monkeypatch):
+        prob, system = self._system()
+        factored = []
+        monkeypatch.setattr(spla, "splu", lambda K, **kw: factored.append(K) or _SPLU(K, **kw))
+        assert solve_saddle(prob, system)[2].single
+        (K32,), K = factored, system[0]
+        assert K32.dtype == np.float32
+        assert np.shares_memory(K32.indices, K.indices)
+        assert np.shares_memory(K32.indptr, K.indptr)
+
+    def test_failed_rung_freed_before_the_next_factors(self, monkeypatch):
+        # one LU alive at a time: the rejected float32 factor is gone by the
+        # time the float64 one is computed
+        factors = []
+
+        class Tracked(egns.solver._Factor):
+            def __init__(self, *args):
+                super().__init__(*args)
+                factors.append(weakref.ref(self))
+
+        def symmetric(K):
+            assert len(factors) == 1 and factors[0]() is None
+            return _symmetric_lu(K)
+
+        prob, system = self._system()
+        monkeypatch.setattr(egns.solver, "_Factor", Tracked)
+        _route_symmetric_lu(monkeypatch, symmetric, single=_factor_of_doubled)
+        lu = solve_saddle(prob, system)[2]
+        assert not lu.single and factors[-1]() is lu
+
     def test_records_fallback_per_iteration(self, monkeypatch):
         prob = case_vortex_2d(1.0).problem(build_rect_uniform(16, 16))
         _, report = newton_solve(prob)
@@ -720,12 +750,12 @@ class TestReducedMatrix:
             return K.nnz, lu.L.nnz + lu.U.nnz, egns.assembly._viscous_unit(prob.mesh)
 
         def einsum_unit(mesh):
-            ops = egns.assembly.element_ops(mesh)
-            D, QB = ops["D"], ops["QB"]
+            l2g = egns.assembly.element_ops(mesh)["l2g"]
+            D, QB, stab_w = energy_operators(mesh)
             blocks = (np.einsum("t,tki,tkj->tij", mesh.areas, D, D)
-                      + np.einsum("tk,tki,tkj->tij", ops["stab_w"], QB, QB))
+                      + np.einsum("tk,tki,tkj->tij", stab_w, QB, QB))
             n = 2 * mesh.num_vertices + mesh.num_edges
-            return egns.assembly._sparse(ops["l2g"], ops["l2g"], blocks, (n, n))
+            return egns.assembly._sparse(l2g, l2g, blocks, (n, n))
 
         nnz, fill, V = factored()
         monkeypatch.setattr(egns.assembly, "_viscous_unit", einsum_unit)
