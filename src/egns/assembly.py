@@ -37,7 +37,7 @@ from .eg_space import (DofMap, dof_count, edge_trace, edge_values, element_ops,
 from .mesh import per_mesh
 from .nullspace import null_space
 from .quadrature import quadrature_rule
-from .reconstruction import rt_basis
+from .reconstruction import rt_basis, rt_scale
 
 logger = logging.getLogger(__name__)
 
@@ -136,15 +136,20 @@ def _convection_value(mesh, x):
 def assemble_load(mesh, f):
     """Body force tested against the reconstructed basis, degree-5 rule.
 
+    The basis function of local edge k is s_k (x - p_k) (see
+    egns.reconstruction), so its entry is s_k (int f.x - p_k . int f):
+    two element moments of f at the rule's points, and no basis values.
     Vertex entries are identically zero: the reconstruction sees only the
     edge scalars, which is what makes gradient forces drop out on the
     discretely divergence-free subspace.
     """
     rule = quadrature_rule(5)
     X = rule.physical_points(mesh)
-    phi = rt_basis(mesh, X)
     fv = np.asarray(f(X.reshape(-1, 2)), dtype=float).reshape(X.shape)
-    vals = mesh.areas[:, None] * (rule.weights @ (phi @ fv[..., None])[..., 0])
+    fx = mesh.areas * np.einsum("q,tqd,tqd->t", rule.weights, fv, X)
+    f1 = mesh.areas[:, None] * np.einsum("q,tqd->td", rule.weights, fv)
+    P = mesh.vertices[mesh.triangles]  # vertex k is opposite local edge k
+    vals = rt_scale(mesh) * (fx[:, None] - np.einsum("tkd,td->tk", P, f1))
     return _scatter(element_ops(mesh)["l2g"][:, 6:], vals, dof_count(mesh))
 
 
@@ -199,8 +204,8 @@ def dirichlet_dof_map(mesh, bcs):
     segments win at shared vertices (corner overrides are logged), so a
     driven lid takes precedence over side walls.  Tags that select no
     boundary edge, and data that is NaN or infinite at a vertex or an edge
-    quadrature point, are rejected naming the tags.  The returned map is
-    read-only: every system shares it.
+    quadrature point or whose square's norm overflows, are rejected naming
+    the tags.  The returned map is read-only: every system shares it.
     """
     n = dof_count(mesh)
     dm = DofMap(constrained=np.zeros(n, dtype=bool), values=np.zeros(n))
@@ -218,6 +223,13 @@ def dirichlet_dof_map(mesh, bcs):
             raise ValueError(
                 f"Dirichlet data on tags {tags} is NaN or infinite at a "
                 "boundary vertex or edge quadrature point"
+            )
+        with np.errstate(over="ignore"):  # named just below
+            square = np.linalg.norm(np.concatenate([vals.ravel(), flux]) ** 2)
+        if not square < np.inf:
+            raise ValueError(
+                f"Dirichlet data on tags {tags} is beyond float64 range: the norm "
+                "of its square, as the convection residual takes it, overflows"
             )
 
         revisit = con_v[verts, 0]
@@ -280,12 +292,15 @@ class SteadyProblem:
             return np.zeros(dof_count(self.mesh))
         with np.errstate(over="ignore", invalid="ignore"):  # named just below
             load = assemble_load(self.mesh, self.body_force)
+            norm = np.linalg.norm(load)
         bad = ~np.isfinite(load)
         if bad.any():
             raise ValueError(
                 f"body force is not finite: {int(bad.sum())} load "
                 f"entries are NaN or infinite"
             )
+        if not norm < np.inf:
+            raise ValueError("body force is beyond float64 range: its load's norm overflows")
         return load
 
     @cached_property

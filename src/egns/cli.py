@@ -302,6 +302,15 @@ def _generated(key, build):
         raise ConfigError(f"[mesh] {key}: {exc}") from None
 
 
+def _problem_data(what, read):
+    """read(): problem data cached for the solves, refused before any
+    factorization; its ValueError is a config error naming what."""
+    try:
+        return read()
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def _build_mesh(cfg: RunConfig, default_generator: str):
     generator = cfg.generator or default_generator
     if generator not in _GENERATOR_KEY:
@@ -404,6 +413,7 @@ def cmd_converge(cfg: RunConfig) -> int:
 def cmd_noflow(cfg: RunConfig) -> int:
     mesh = _build_mesh(cfg, "unit_square")
     problem = case_noflow(cfg.ra).problem(mesh)
+    _problem_data("ra", lambda: problem.load_vector)
     (u, _), _ = _solve(cfg, problem.with_nu, _resolve_nu(cfg, 1.0))
     mx, my = np.abs(vertex_values(mesh, u)).max(axis=0).tolist()
     mb = float(np.abs(edge_values(mesh, u)).max())
@@ -426,10 +436,7 @@ def cmd_cavity(cfg: RunConfig) -> int:
         return cfg.forcing_scale * forced.body_force(xy)
 
     problem = forced.problem(mesh, body_force=body)
-    try:
-        problem.load_vector  # cached: the solves reuse it
-    except ValueError as exc:
-        raise ConfigError(f"forcing_scale: {exc}") from None
+    _problem_data("forcing_scale", lambda: problem.load_vector)
     sol1, _ = _solve(cfg, case_cavity("f1").problem(mesh).with_nu, nu)
     sol2, _ = _solve(cfg, problem.with_nu, nu)
 
@@ -515,10 +522,7 @@ def cmd_run(cfg: RunConfig) -> int:
     problem = SteadyProblem(
         mesh, nu=_resolve_nu(cfg), dirichlet=dirichlet, neumann_tags=neumann
     )
-    try:
-        problem.dof_map  # cached: the solves reuse it
-    except ValueError as exc:
-        raise ConfigError(f"boundary recipes: {exc}") from None
+    _problem_data("boundary recipes", lambda: problem.dof_map)
     sol, _ = _solve(cfg, problem.with_nu, problem.nu)
     _write_vtk_files(cfg, mesh, {"run.vtk": sol})
     return 0

@@ -18,10 +18,10 @@ import numpy as np
 
 from .eg_space import edge_values, element_ops
 
-__all__ = ["rt_basis", "reconstruct", "rt_at_centroids"]
+__all__ = ["rt_scale", "rt_basis", "reconstruct", "rt_at_centroids"]
 
 
-def _scale(mesh):
+def rt_scale(mesh):
     """Basis scales s_k = sigma_k |e_k| / (2 |T|), (NT, 3)."""
     return element_ops(mesh)["div"] / (2.0 * mesh.areas[:, None])
 
@@ -29,7 +29,7 @@ def _scale(mesh):
 def rt_basis(mesh, points):
     """Basis values on per-element point sets, points (NT, nq, 2) -> (NT, nq, 3, 2)."""
     P = mesh.vertices[mesh.triangles]  # vertex k is opposite local edge k
-    return _scale(mesh)[:, None, :, None] * (points[:, :, None, :] - P[:, None, :, :])
+    return rt_scale(mesh)[:, None, :, None] * (points[:, :, None, :] - P[:, None, :, :])
 
 
 def reconstruct(mesh, u, points):
@@ -38,7 +38,7 @@ def reconstruct(mesh, u, points):
 
     No containment check; callers supply points of each element.
     """
-    fac = edge_values(mesh, u)[mesh.triangle_edges] * _scale(mesh)  # (NT, 3)
+    fac = edge_values(mesh, u)[mesh.triangle_edges] * rt_scale(mesh)  # (NT, 3)
     P = mesh.vertices[mesh.triangles]
     # sum_k fac_k (x - p_k) = (sum_k fac_k) x - sum_k fac_k p_k
     s = fac.sum(axis=1)

@@ -17,11 +17,14 @@ K is factored on three rungs, each tried when the one before raises or
 its solve fails the block-residual check: float32 and float64 in
 SuperLU's symmetric mode (Li, *ACM TOMS* 31, 2005), pivots in Z's column
 order, minimum degree on the vertex graph (see egns.nullspace); then
-float64 with partial pivoting.  Float64 solves take one refinement pass;
-float32 ones are refined in float64 (Carson and Higham, *SIAM J. Sci.
-Comput.* 40, 2018).  A pass leaves about kappa u32 of the residual, a
-float64 solve kappa u64, so the pass taking in at most u64/u32 = 2^-29
-of the first residual is the last, as is one failing to halve it.
+float64 with partial pivoting.  Float64 saddle solves take one
+refinement pass; float32 ones are refined in float64 (Carson and Higham,
+*SIAM J. Sci. Comput.* 40, 2018).  A pass leaves about kappa u32 of the
+residual, a float64 solve kappa u64, so the pass taking in at most
+u64/u32 = 2^-29 of the first residual is the last, as is one failing to
+halve it.  A chord step (below), which the next Newton iteration
+corrects, takes one float64 solve, or the float32 solve and one pass:
+at a measured 2e-4 to 3e-2 per pass they leave about 1e-3 of it.
 
 Newton is damped by residual decrease (Deuflhard, *Newton Methods for
 Nonlinear Problems*): a step of length lambda, full first, is kept if it
@@ -134,8 +137,9 @@ class SolveReport:
     records holds one dict per iteration: update (relative Newton update),
     residual (at the kept iterate, NaN if the update test ended the solve),
     step (lambda, 0 if the line search failed), single and fallback (the LU
-    it used is float32, the pivoting one), passes (of its refined solve),
-    factored (False for a chord step with the last LU) and theta
+    it used is float32, the pivoting one), passes (of its refined solve:
+    at most 2 for a chord step, 1 in float64), factored (False for a
+    chord step with the last LU) and theta
     (contraction estimate of its step, NaN where not computed).
     """
 
@@ -176,15 +180,23 @@ class _Factor:
             data = K.data.astype(dtype, copy=False)
             self.lu = spla.splu(sp.csc_matrix((data, K.indices, K.indptr), K.shape), **options)
 
-    def refine(self, dx, ru, passes):
-        """dx -= Z LU^-1 Z^T (A dx + ru) in place (summing the psi instead would
-        round every flux again at eps |psi| / |e|): passes times in float64,
-        as above in float32, at most 12 times on unit-norm right-hand sides."""
-        Z, self.passes, last, first = self.Z, 0, math.inf, None
-        while self.passes < (12 if self.single else passes):
-            r = Z.T @ (self.A(dx) + ru)
+    def refine(self, ru, dx=None):
+        """dx - Z LU^-1 Z^T (A dx + ru), refined, in place of dx (summing the
+        psi instead would round every flux again at eps |psi| / |e|).
+
+        Given dx, a saddle solve: two passes in float64, and in float32 as
+        above, at most 12, on unit-norm right-hand sides.  Without dx, a
+        chord step from zero, whose first residual is Z^T ru: the next
+        Newton iteration corrects it, so it takes one solve in float64 and
+        at most two passes in float32, which leave about 1e-3 of it."""
+        Z, chord = self.Z, dx is None
+        dx = np.zeros(Z.shape[0]) if chord else dx
+        cap = ((1, 2) if chord else (2, 12))[self.single]  # (float64, float32) passes
+        self.passes, last, first = 0, math.inf, None
+        while self.passes < cap:
+            r = Z.T @ (ru if chord and not self.passes else self.A(dx) + ru)
             if self.single:
-                size = float(np.linalg.norm(r))
+                size = _norm(r)
                 if not 0.0 < size < last / 2:  # solved, or no gain (also inf or NaN)
                     break
                 r, first, last = (r / size).astype(np.float32), first or size, size
@@ -223,7 +235,7 @@ def solve_saddle(problem, system):
                 raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
             logger.info("%s factorization failed (%s); next rung", dtype.__name__, exc)
             continue
-        dx = lu.refine(ns.particular(-rp), ru, 2)
+        dx = lu.refine(ru, ns.particular(-rp))
         mom = A(dx) + ru  # the linearized momentum residual, less B^T p
         pressure = ns.pressure(mom)
         nru, nrp, scale = _norms(free, mom - B.T @ pressure, B @ dx + rp, ru, rp)
@@ -238,9 +250,14 @@ def solve_saddle(problem, system):
         lu = None  # freed before the next rung factors
 
 
+def _norm(v):
+    """The 2-norm, inf where its square overflows: every test it feeds fails."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
+
+
 def _norms(free, ru, rp, rhs_u, rhs_p):
-    norm = lambda v: float(np.linalg.norm(v))
-    return norm(ru[free]), norm(rp), max(norm(rhs_u[free]), norm(rhs_p), _TINY)
+    return _norm(ru[free]), _norm(rp), max(_norm(rhs_u[free]), _norm(rhs_p), _TINY)
 
 
 def _nonlinear_residual(problem, x, pressure=None):
@@ -292,7 +309,7 @@ def newton_solve(problem, config=None, initial=None):
             p1, ru1, res1 = _nonlinear_residual(problem, x + dx)
         x1 = x + dx
         new = np.concatenate([x1[free], p1])
-        rel = float(np.linalg.norm(new - prev)) / max(float(np.linalg.norm(new)), _TINY)
+        rel = _norm(new - prev) / max(_norm(new), _TINY)
         logger.debug("newton iter %d: rel update %.3e", len(records) + 1, rel)
         record = {"update": rel, "residual": math.nan, "step": 1.0, "single": lu.single,
                   "passes": lu.passes, "fallback": lu.fallback, "factored": factored,
@@ -327,9 +344,8 @@ def newton_solve(problem, config=None, initial=None):
             # the next update would be zero
             return (x, p), report()
         if lam == 1.0:  # the chord step from the same LU, and its contraction
-            chord = lu.refine(np.zeros_like(x), ru1, 1)
-            record["theta"] = float(np.linalg.norm(chord)) / max(
-                float(np.linalg.norm(dx)), _TINY)
+            chord = lu.refine(ru1)
+            record["theta"] = _norm(chord) / max(_norm(dx), _TINY)
         if not record["theta"] <= _THETA_MAX:  # also when damped: theta is NaN
             lu = None
 

@@ -12,6 +12,7 @@ from egns.mesh import (
     TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, TAG_TOP, Mesh2D, build_rect_uniform,
 )
 from egns.quadrature import gauss_1d, quadrature_rule
+from egns.reconstruction import rt_basis
 from egns.eg_space import dof_count, energy_norm, energy_operators, interpolate, vertex_values
 from egns.assembly import (
     _viscous_unit,
@@ -295,6 +296,25 @@ class TestLoad:
                 L = mesh.edge_lengths[e]
                 want[e] += fconst @ (sig * L * (centroid - mesh.vertices[mesh.triangles[t, k]]) / 2)
         assert np.abs(vec[2 * nv :] - want).max() < 1e-14
+
+    def test_matches_rt_basis_quadrature(self, shuffled_mesh):
+        # the oracle is the basis quadrature the element moments replace:
+        # the degree-5 rule on every (NT, 7, 3, 2) basis value
+        mesh = shuffled_mesh()
+
+        def f(xy):
+            x, y = xy[..., 0], xy[..., 1]
+            return np.stack([np.exp(x) * np.sin(3 * y), np.cos(2 * x * y) / (1 + y)],
+                            axis=-1)
+
+        rule = quadrature_rule(5)
+        X = rule.physical_points(mesh)
+        phi = rt_basis(mesh, X)
+        vals = mesh.areas[:, None] * (rule.weights @ (phi @ f(X)[..., None])[..., 0])
+        want = np.zeros(dof_count(mesh))
+        np.add.at(want, egns.assembly.element_ops(mesh)["l2g"][:, 6:], vals)
+        got = assemble_load(mesh, f)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_gradient_force_annihilated_on_divergence_free_fields(self):
         # f = grad(x^3 + y^3); its load functional vanishes on the kernel of

@@ -10,6 +10,7 @@ import pytest
 
 import egns.assembly
 import egns.cli
+import egns.solver
 from egns.cli import ConfigError, RunConfig, load_config, main, worker_count, write_vtk
 from egns.eg_space import element_divergence, element_ops, interpolate, vertex_values
 from egns.mesh import build_rect_uniform, export_mesh
@@ -599,6 +600,33 @@ class TestCavityCommand:
         assert main(["cavity", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: forcing_scale: body force is not finite")
+        assert not list(tmp_path.glob("*.vtk"))
+
+
+class TestDataBeyondRange:
+    """Data beyond float64 range, whose norms in the solver would overflow,
+    is a config error naming its key or tag, refused before the first
+    factorization; no overflow warning escapes (warnings are errors here)."""
+
+    @pytest.mark.parametrize("command, text, cause", [
+        ("noflow", "[physics]\nra = 1e300\n", "ra: body force"),
+        ("cavity", "[physics]\nforcing_scale = 1e150\n", "forcing_scale: body force"),
+        ("run", "[physics]\nnu = 1\n\n[boundary]\n1 = noslip\n2 = noslip\n"
+         "3 = velocity 1e200 0\n4 = noslip\n", "boundary recipes: Dirichlet data on tags (3,)"),
+        ("run", "[physics]\nnu = 1\n\n[boundary]\n1 = noslip\n2 = outflow\n"
+         "3 = noslip\n4 = parabolic 1e100 0 1\n",
+         "boundary recipes: Dirichlet data on tags (4,)"),
+    ], ids=["ra", "forcing_scale", "velocity", "parabolic"])
+    def test_refused_before_factoring(self, tmp_path, capsys, monkeypatch, command, text,
+                                      cause):
+        def splu(*args, **kwargs):
+            raise AssertionError("factored data beyond float64 range")
+
+        monkeypatch.setattr(egns.solver.spla, "splu", splu)
+        path = _cfg(tmp_path, "[mesh]\nresolution = 4\n\n" + text)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cause} is beyond float64 range")
         assert not list(tmp_path.glob("*.vtk"))
 
 

@@ -492,7 +492,7 @@ class TestSinglePrecision:
             at x, the chord step after it and the converged solution."""
             dx, _, lu = solve_saddle(prob, system)
             ru1 = egns.solver._nonlinear_residual(prob, x + dx)[1]
-            chord = lu.refine(np.zeros_like(x), ru1, 1)
+            chord = lu.refine(ru1)
             (u, p), report = newton_solve(prob)
             return {lu.single} | {r["single"] for r in report.records}, [dx, chord, u, p]
 
@@ -509,6 +509,47 @@ class TestSinglePrecision:
             single, double, tols = single[3:], double[3:], tols[3:]
         for a, b, tol in zip(single, double, tols):
             assert np.linalg.norm(a - b) <= tol * np.linalg.norm(b)
+
+
+class TestChordStep:
+    """A chord step, which the next Newton iteration corrects, takes one
+    float64 solve or two float32 passes, not a saddle solve's refinement."""
+
+    # (factorizations, iterations) from rest, as with chord steps refined
+    # to float64 level
+    COUNTS = {"vortex16": (1, 3), "vortex": (1, 6), "step": (4, 8), "cavity_f1": (2, 12),
+              "cavity_f2": (2, 3), "noflow": (1, 1), "channel": (3, 13), "hole": (2, 7)}
+
+    @pytest.mark.parametrize("name", ["vortex16"] + LAYOUTS)
+    def test_float32_chords_take_two_passes(self, name):
+        prob = (case_vortex_2d(1.0).problem(build_rect_uniform(16, 16))
+                if name == "vortex16" else _layout(name, 1e-2))
+        _, report = newton_solve(prob)
+        assert all(r["single"] for r in report.records)
+        assert all(r["passes"] <= 2 for r in report.records if not r["factored"])
+        assert (report.factorizations, report.iterations) == self.COUNTS[name]
+
+    @pytest.mark.parametrize("single", [True, False])
+    def test_first_pass_applies_no_jacobian(self, monkeypatch, single):
+        # the chord starts from zero: its first residual is Z^T ru
+        prob = _layout("vortex", 1e-2)
+        x = _first_iterate(prob)[0]
+        K, A, ru, rp = prob.newton_system(x)
+        applied = []
+
+        def spy(y):
+            applied.append(bool(np.any(y)))
+            return A(y)
+
+        if not single:
+            _route_symmetric_lu(monkeypatch, _symmetric_lu)
+        dx, _, lu = solve_saddle(prob, (K, spy, ru, rp))
+        ru1 = egns.solver._nonlinear_residual(prob, x + dx)[1]
+        applied.clear()
+        lu.refine(ru1)
+        assert lu.single == single
+        assert lu.passes == (2 if single else 1)
+        assert applied == [True] * (lu.passes - 1)
 
 
 class TestNullSpaceSolve:
