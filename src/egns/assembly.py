@@ -345,41 +345,46 @@ class SteadyProblem:
                 + _neumann_value(self.mesh, self.neumann_tags, y)[1])
 
     def _momentum_mass(self, x):
-        # nu V x + (r + vec_N)(x) - load and B x; rest (None): x = v, no values
+        # nu V x + (r + vec_N)(x) - load, B x and those values; rest (None): x = v, no values
         values, x = (0.0, self.dof_map.values) if x is None else (self._values(x), x)
         ru = self.nu * (_viscous_unit(self.mesh) @ x) + values - self.load_vector
-        return ru, assemble_divergence(self.mesh) @ x
+        return ru, assemble_divergence(self.mesh) @ x, values
 
     def residual(self, x, pressure=None):
         """Nonlinear residuals at (x, pressure), no matrix assembled.
 
-        Returns (pressure, ru, rp, rhs_u, rhs_p): the momentum residual
-        nu V x + (r + vec_N)(x) - load - B^T pressure on all rows, with r
-        and vec_N the convection and outflow values, and the mass residual
-        B x.  rhs_u and rhs_p scale them: the data of the Newton equations
-        at x for the whole velocity, with the Dirichlet values v moved to
-        the right.  r and vec_N are quadratic, C and D their derivatives, so
-            rhs_u = load - nu V v + (r + vec_N)(x - v) - (r + vec_N)(v).
+        Returns (pressure, ru, rp, rhs_u, rhs_p, at_x): the momentum
+        residual nu V x + (r + vec_N)(x) - load - B^T pressure on all rows,
+        with r and vec_N the convection and outflow values, and the mass
+        residual B x.  rhs_u and rhs_p scale them: the data of the Newton
+        equations at x for the whole velocity, with the Dirichlet values v
+        moved to the right.  r and vec_N are quadratic, C and D their
+        derivatives, so
+            rhs_u = load - nu V v + (r + vec_N)(x - v) - (r + vec_N)(v),
+        where v = 0 reuses the values at x.  at_x is what newton_system(x,
+        at_x) takes: the momentum residual before the pressure, and rp.
         pressure None zeroes the momentum residual on the null space's tree
         edges.  At x None, rest, x is v and the value terms vanish.
         """
-        ru, rp = self._momentum_mass(x)
+        ru, rp, values = self._momentum_mass(x)
         rhs_u, values_v, rhs_p = self._at_v
         if x is not None:
-            rhs_u = rhs_u + self._values(x - self.dof_map.values) - values_v
+            v = self.dof_map.values
+            rhs_u = rhs_u + (self._values(x - v) if v.any() else values) - values_v
         if pressure is None:
             pressure = self.null_space.pressure(ru)
         B = assemble_divergence(self.mesh)
-        return pressure, ru - B.T @ pressure, rp, rhs_u, rhs_p
+        return pressure, ru - B.T @ pressure, rp, rhs_u, rhs_p, (ru, rp)
 
-    def newton_system(self, x):
+    def newton_system(self, x, at_x=None):
         """K = Z^T A Z, A and the residual (ru, rp) at the full dof vector x.
 
         A = nu V + C(x), plus D(x) with an outflow, is the function y -> A y
         from V and the edge-row blocks of C and D; K is nu Z^T V Z plus
         their reduced blocks, on the null space's pattern.  ru and rp are
-        those of residual(x, 0), so ru holds no pressure term.  At None,
-        zero velocity, C and D vanish and are skipped.
+        those of residual(x, 0), so ru holds no pressure term; at_x, the
+        last item of residual(x), gives them without evaluating them
+        again.  At None, zero velocity, C and D vanish and are skipped.
         """
         ns, V = self.null_space, _viscous_unit(self.mesh)
         l2g = element_ops(self.mesh)["l2g"]
@@ -399,4 +404,4 @@ class SteadyProblem:
             return Ay
 
         K = sp.csc_matrix((data, ns.indices, ns.indptr), shape=(ns.Z.shape[1],) * 2)
-        return (K, jacobian, *self._momentum_mass(x))
+        return (K, jacobian, *(at_x or self._momentum_mass(x)[:2]))

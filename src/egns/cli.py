@@ -366,7 +366,7 @@ def cmd_converge(cfg: RunConfig) -> int:
         errs = error_norms(
             mesh, sol, case.velocity, case.pressure, case.velocity_gradient
         )
-        return errs, sum(r.iterations for r in reports)
+        return errs, sum(r.iterations for r in reports), sum(r.factorizations for r in reports)
 
     with ThreadPoolExecutor(max_workers=worker_count(len(levels))) as pool:
         # largest first, so that smaller levels, not the next largest,
@@ -387,16 +387,18 @@ def cmd_converge(cfg: RunConfig) -> int:
     if failure is not None and not isinstance(failure[1], SolverError):
         raise failure[1]
 
-    for n, (errs, iters) in zip(levels, done):
+    for n, (errs, iters, factored) in zip(levels, done):
         logger.info(
-            "level n=%d: e_l2=%.4e  e_h1=%.4e  e_p=%.4e  (%d Newton iterations)",
+            "level n=%d: e_l2=%.4e  e_h1=%.4e  e_p=%.4e  "
+            "(%d Newton iterations, %d factorizations)",
             n,
             *errs,
             iters,
+            factored,
         )
 
     hs = [1.0 / n for n in levels[: len(done)]]
-    table = convergence_table(hs, [errs for errs, _ in done])
+    table = convergence_table(hs, [errs for errs, *_ in done])
     print(table.to_log())
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

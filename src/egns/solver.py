@@ -50,13 +50,16 @@ that newton_solve takes and returns.
 
 nu_continuation is how every egns command reaches its viscosity: step
 control on log(nu) (Allgower and Georg, *Numerical Continuation
-Methods*).  It solves from rest at max(nu, 1e-3), tenfold higher while
-that fails, up to nu = 1, so a target at or above 1e-3 that converges
-from rest is one plain Newton solve.  Each later trial first goes the
-whole remaining way.  A failed trial is retried from the last converged
-state with the smaller of half its step and the last accepted step,
-doubled if that stage took at most 2 factorizations.  Every stage runs
-up to the configured max_iter.
+Methods*).  It solves from rest at max(nu, 1e-2), tenfold higher while
+that fails, up to nu = 1, so a target at or above 1e-2 that converges
+from rest is one plain Newton solve.  From rest at 1e-2 the Stokes LU
+still contracts Newton's steps (theta 0.009 on the vortex), so one
+factorization serves the start; at 1e-3 the first chord step fails the
+decrease test, and on the lid cavity the whole start can fail.  Each
+later trial first goes the whole remaining way.  A failed trial is
+retried from the last converged state with the smaller of half its step
+and the last accepted step, doubled if that stage took at most 2
+factorizations.  Every stage runs up to the configured max_iter.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ _RUNGS = ((np.float32, _SYMMETRIC_MODE), (np.float64, _SYMMETRIC_MODE), (np.floa
 # damping; the largest contraction theta at which the last LU is reused
 _DECREASE, _MIN_LAMBDA, _THETA_MAX = 1e-4, 1.0 / 64, 0.25
 # continuation: first nu from rest, least step in log(nu)
-_NU_START, _MIN_LOG_STEP = 1e-3, 1e-3
+_NU_START, _MIN_LOG_STEP = 1e-2, 1e-3
 
 
 class SolverError(Exception):
@@ -164,7 +167,7 @@ class SolveReport:
             for i, r in enumerate(self.records, 1)
         ]
         lines.append(f"converged={self.converged} iterations={self.iterations} "
-                     f"wall_time={self.wall_time:.3f}s")
+                     f"factorizations={self.factorizations} wall_time={self.wall_time:.3f}s")
         return "\n".join(lines)
 
 
@@ -261,22 +264,23 @@ def _norms(free, ru, rp, rhs_u, rhs_p):
 
 
 def _nonlinear_residual(problem, x, pressure=None):
-    """(pressure, momentum residual, relative residual) at (x, pressure).
+    """(pressure, momentum residual, relative residual, at_x) at (x, pressure).
 
     The relative residual is the larger norm of problem.residual's
     momentum (free rows) and mass residuals over the data scale of its
     rhs_u and rhs_p.  It tests the iterate; solve_saddle's check, scaled
-    by the Newton residual, tests one correction.
+    by the Newton residual, tests one correction.  at_x is what
+    newton_system(x, at_x) takes, so a state is evaluated once.
     """
-    pressure, ru, rp, rhs_u, rhs_p = problem.residual(x, pressure)
+    pressure, ru, rp, rhs_u, rhs_p, at_x = problem.residual(x, pressure)
     nru, nrp, scale = _norms(problem.dof_map.free_indices(), ru, rp, rhs_u, rhs_p)
-    return pressure, ru, max(nru, nrp) / scale
+    return pressure, ru, max(nru, nrp) / scale, at_x
 
 
 def newton_solve(problem, config=None, initial=None):
     """Run the damped Newton loop on a steady problem from rest or a warm start.
 
-    problem needs newton_system(x), the Newton system at the velocity
+    problem needs newton_system(x, at_x), the Newton system at the velocity
     dof vector x (None = zero velocity), residual(x, pressure),
     mesh, dof_map and null_space; every iterate is x + lambda dx, dx from
     solve_saddle or the last LU.  initial, whose constrained entries give
@@ -292,8 +296,10 @@ def newton_solve(problem, config=None, initial=None):
     # a warm start takes the problem's Dirichlet values: every dx is zero there
     x, p = ((None, np.zeros(problem.mesh.num_triangles)) if initial is None
             else (np.where(dm.constrained, dm.values, initial[0]), initial[1]))
-    res = _nonlinear_residual(problem, x, p)[2]
-    x = dm.values if x is None else x  # rest: the Dirichlet data, zero elsewhere
+    res, at = _nonlinear_residual(problem, x, p)[2:]
+    if x is None:  # rest: the Dirichlet data, zero elsewhere.  Its residual has no
+        # convection values, so newton_system forms it again: none is held through the first LU
+        x, at = dm.values, None
     prev, records, lu = np.concatenate([x[free], p]), [], None
 
     def report(converged=True):
@@ -303,10 +309,10 @@ def newton_solve(problem, config=None, initial=None):
         factored = lu is None
         if factored:  # the last LU is gone before the next assembly
             rest = initial is None and not records  # linearized at zero velocity
-            dx, p1, lu = solve_saddle(problem, problem.newton_system(None if rest else x))
+            dx, p1, lu = solve_saddle(problem, problem.newton_system(None if rest else x, at))
         else:  # simplified Newton: the chord step found with the last LU
             dx = chord
-            p1, ru1, res1 = _nonlinear_residual(problem, x + dx)
+            p1, ru1, res1, at1 = _nonlinear_residual(problem, x + dx)
         x1 = x + dx
         new = np.concatenate([x1[free], p1])
         rel = _norm(new - prev) / max(_norm(new), _TINY)
@@ -320,7 +326,7 @@ def newton_solve(problem, config=None, initial=None):
 
         lam, xt, pt = 1.0, x1, p1
         while factored:
-            ru1, res1 = _nonlinear_residual(problem, xt, pt)[1:]
+            ru1, res1, at1 = _nonlinear_residual(problem, xt, pt)[1:]
             if res1 <= (1.0 - _DECREASE * lam) * res:  # False for NaN
                 break
             lam /= 2.0
@@ -335,7 +341,7 @@ def newton_solve(problem, config=None, initial=None):
             lu = None  # the chord step does not lower the residual: factor at x
             continue
 
-        x, p, res = xt, pt, res1
+        x, p, res, at = xt, pt, res1, at1
         prev = np.concatenate([x[free], p])
         record.update(residual=res, step=lam)
         records.append(record)
@@ -360,8 +366,9 @@ def nu_continuation(factory, nu, config=None):
 
     factory maps a viscosity to a problem: a problem's with_nu, or a
     callable that also rebuilds nu-dependent forcing.  With nu at or
-    above 1e-3 the first trial is newton_solve(factory(nu)) from rest,
-    and the whole solve when it converges.  Returns ((velocity,
+    above 1e-2 the first trial is newton_solve(factory(nu)) from rest,
+    and the whole solve when it converges; below it, the first trial is
+    from rest at 1e-2 and the next one tries nu.  Returns ((velocity,
     pressure), reports), one report per trial stage, rejected ones
     included.  Raises NonConvergenceError naming the stage when no start
     from rest converges or the step in log(nu) falls below 1e-3.

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from egns.assembly import (
     _sparse,
@@ -269,8 +270,16 @@ def test_step_recirculation_smoke():
     assert wall <= 180.0, f"step run took {wall:.0f}s"
 
 
-def test_lid_cavity_re2000_continuation_from_rest(tmp_path, caplog):
-    """egns run reaches Re = 2000 on n = 64 from rest, with no schedule given."""
+def test_lid_cavity_re2000_continuation_from_rest(tmp_path, caplog, monkeypatch):
+    """egns run reaches Re = 2000 on n = 64 from rest, with no schedule
+    given, in at most 20 factorizations (16 from rest at nu = 1e-2)."""
+    factored, splu = [], scipy.sparse.linalg.splu
+
+    def counted(*args, **kwargs):
+        factored.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
     cfg = tmp_path / "re2000.ini"
     cfg.write_text(
         "[mesh]\ngenerator = unit_square\nresolution = 64\n\n"
@@ -284,6 +293,7 @@ def test_lid_cavity_re2000_continuation_from_rest(tmp_path, caplog):
     assert rc == 0
     stages = [r.message for r in caplog.records if "continuation stage" in r.message]
     assert "nu=0.0005 accepted" in stages[-1]
+    assert len(factored) <= 20, f"{len(factored)} factorizations"
     assert (tmp_path / "run.vtk").is_file()
     assert wall <= 300.0, f"Re = 2000 cavity took {wall:.0f}s"
 

@@ -505,10 +505,27 @@ class TestConvergeCommand:
             rc = main(["converge", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
         stages = [r.message for r in caplog.records if "continuation stage" in r.message]
-        assert stages[0].startswith("continuation stage 0: nu=0.001 accepted")
+        start = egns.solver._NU_START
+        assert stages[0].startswith(f"continuation stage 0: nu={start:.6g} accepted")
         assert "nu=1e-05 accepted" in stages[-1]
         csv = (tmp_path / "convergence.csv").read_text().splitlines()
         assert len(csv) == 2 and csv[1].startswith("0.125,")
+
+    def test_level_line_counts_factorizations(self, tmp_path, monkeypatch, caplog, capsys):
+        # stderr tells the factorizations of every stage; stdout stays the table
+        factored, splu = [], egns.solver.spla.splu
+        monkeypatch.setattr(egns.solver.spla, "splu",
+                            lambda *a, **k: factored.append(1) or splu(*a, **k))
+        path = _cfg(tmp_path, "[mesh]\nlevels = 8\n\n[physics]\nnu = 1e-5\n")
+        with caplog.at_level(logging.INFO):
+            assert main(["converge", "--config", path, "--out", str(tmp_path)]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        level = [m for m in messages if m.startswith("level n=8:")]
+        assert len(level) == 1
+        assert re.search(rf"\(\d+ Newton iterations, {len(factored)} factorizations\)$", level[0])
+        summary = [m.splitlines()[-1] for m in messages if "wall_time=" in m]
+        assert len(summary) == 1 and " factorizations=" in summary[0]
+        assert "factorizations" not in capsys.readouterr().out
 
     def test_failed_level_cancels_queued_levels(self, tmp_path, monkeypatch, capsys):
         started = []

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -826,6 +827,29 @@ class TestReducedMatrix:
 class TestMatrixFreeResidual:
     """problem.residual against residuals from the assembled Jacobian."""
 
+    # convection and outflow values per evaluated state: at x, and at x - v
+    # unless the Dirichlet values v are all zero
+    @pytest.mark.parametrize("name, per_state", [("vortex", 1), ("cavity_f1", 2), ("step", 2)])
+    def test_newton_evaluates_each_state_once(self, name, per_state, monkeypatch):
+        counts = {"values": 0, "states": 0}
+        values, residual = SteadyProblem._values, SteadyProblem.residual
+
+        def spy_values(self, y):
+            counts["values"] += 1
+            return values(self, y)
+
+        def spy_residual(self, x, pressure=None):
+            counts["states"] += x is not None
+            return residual(self, x, pressure)
+
+        monkeypatch.setattr(SteadyProblem, "_values", spy_values)
+        monkeypatch.setattr(SteadyProblem, "residual", spy_residual)
+        _, report = newton_solve(_layout(name, 1e-2))
+        assert report.factorizations >= 1 and counts["states"] >= 2
+        # newton_system takes the loop's residuals; the one more is the
+        # cached values at v
+        assert counts["values"] == per_state * counts["states"] + 1
+
     @pytest.mark.parametrize("name", ["vortex", "cavity_f1", "step", "hole"])
     def test_matches_assembled_system(self, name):
         prob = _layout(name, 1e-2)
@@ -839,8 +863,11 @@ class TestMatrixFreeResidual:
             momentum, mass, rhs_u, rhs_p = _assembled(prob, x)
             ru, rp, scale = egns.solver._norms(
                 free, momentum - B.T @ p, mass, rhs_u, rhs_p)
-            pressure, *vectors = prob.residual(x, p)
+            pressure, *vectors, at_x = prob.residual(x, p)
             got_ru, got_rp, got_scale = egns.solver._norms(free, *vectors)
+            # the residuals newton_system takes from residual are its own
+            for got, own in zip(prob.newton_system(x, at_x)[2:], prob.newton_system(x)[2:]):
+                assert np.array_equal(got, own)
             assert pressure is p
             assert got_scale == pytest.approx(scale, rel=1e-12, abs=0)
             assert got_ru == pytest.approx(ru, rel=1e-12, abs=0)
@@ -975,10 +1002,10 @@ class TestNewtonSolve:
         prob = _cavity_problem(8, 0.005)
         real = prob.newton_system
 
-        def newton_system(x):
+        def newton_system(x, *at_x):
             assert all(ref() is None for ref in lus)
             assembled.append(1)
-            return real(x)
+            return real(x, *at_x)
 
         monkeypatch.setattr(spla, "splu", splu)
         monkeypatch.setattr(prob, "newton_system", newton_system)
@@ -1063,6 +1090,9 @@ class TestNewtonSolve:
         assert all(" fallback False factored " in line for line in lines[:-1])
         assert lines[0].endswith(f"factored True theta {report.records[0]['theta']:.3e}")
         assert lines[-2].endswith("theta nan")
+        assert f" iterations={report.iterations} factorizations={report.factorizations} " \
+            in lines[-1]
+        assert 1 <= report.factorizations < report.iterations
 
     def test_per_iteration_records_match_history(self):
         _, report = newton_solve(_cavity_problem(6, 0.1))
@@ -1124,8 +1154,8 @@ class TestContinuation:
         "make",
         [
             lambda: _cavity_problem(6, 0.1),
-            # 16 Newton iterations from rest: a stage runs up to max_iter
-            lambda: case_step(200.0).problem(build_step_domain(0.25)),
+            # 12 Newton iterations from rest: a stage runs up to max_iter
+            lambda: case_step(1.0 / egns.solver._NU_START).problem(build_step_domain(0.25)),
         ],
         ids=["cavity", "step"],
     )
@@ -1148,8 +1178,10 @@ class TestContinuation:
             return real(problem, config, initial)
 
         monkeypatch.setattr(egns.solver, "newton_solve", spy)
-        (field, _), reports = nu_continuation(lambda nu: _cavity_problem(6, nu), 5e-4)
-        assert [r.nu for r in reports] == [1e-3, 5e-4]
+        # a target the first warm trial reaches
+        start = egns.solver._NU_START
+        (field, _), reports = nu_continuation(lambda nu: _cavity_problem(6, nu), start / 10)
+        assert [r.nu for r in reports] == [start, start / 10]
         assert starts[0] is None
         assert starts[1] is not None
         assert np.abs(vertex_values(build_rect_uniform(6, 6), field)).max() > 0.1
@@ -1191,11 +1223,11 @@ class TestContinuation:
         (field, _), reports = nu_continuation(
             lambda nu: _cavity_problem(4, nu), target
         )
-        nus = [nu for nu, _ in calls]
+        nus, start = [nu for nu, _ in calls], egns.solver._NU_START
         assert [r.nu for r in reports] == nus
-        assert nus[:2] == [1e-3, target]
+        assert nus[:2] == [start, target]
         assert not reports[1].converged
-        assert nus[2] == pytest.approx(math.sqrt(1e-3 * target), rel=1e-12)
+        assert nus[2] == pytest.approx(math.sqrt(start * target), rel=1e-12)
         # the retry starts from the last converged state, stage 0's
         assert calls[2][1] is calls[1][1]
         assert nus[-1] == target and reports[-1].converged
@@ -1218,14 +1250,44 @@ class TestStepControl:
         return seen, reports
 
     def test_target_at_or_above_start(self):
-        for target in (1e-3, 0.05):
+        for target in (egns.solver._NU_START, 0.05):
             seen, _ = self._seen(target)
             assert seen == [target]
 
     def test_nus_strictly_decreasing(self):
-        seen, _ = self._seen(5e-4)
+        # a target the direct jump from the start reaches; the retried
+        # path is test_ends_exactly_on_target's
+        seen, _ = self._seen(egns.solver._NU_START / 10)
         assert len(seen) >= 2
         assert all(a > b for a, b in zip(seen, seen[1:]))
+
+    def test_vortex_reaches_target_in_one_stage(self, monkeypatch):
+        # from rest at 1e-2 one Stokes LU serves the whole first stage;
+        # from 1e-3 the first chord step fails and factors again
+        factored = []
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: factored.append(1) or _SPLU(*a, **k))
+        mesh = build_rect_uniform(32, 32)
+        _, reports = nu_continuation(lambda nu: case_vortex_2d(nu).problem(mesh), 1e-5)
+        assert [r.nu for r in reports] == [1e-2, 1e-5]
+        assert all(r.converged for r in reports)
+        assert len(factored) == sum(r.factorizations for r in reports) == 2
+
+    def test_readme_states_the_continuation_constants(self, monkeypatch):
+        def sci(v):  # 0.01 as the README writes it, 1e-2
+            mantissa, exponent = f"{v:.0e}".split("e")
+            return f"{mantissa}e{int(exponent)}"
+
+        text = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+        start, floor = egns.solver._NU_START, egns.solver._MIN_LOG_STEP
+        assert f"It first solves from rest at `max(nu, {sci(start)})`." in text
+        assert f"A target at or above {sci(start)} that converges from rest" in text
+        assert f"On the n = 64 vortex this goes from {sci(start)} to 1e-5 in one stage" in text
+        assert f"Below {sci(floor)} in log(nu) the continuation raises" in text
+        # the retreat upward: a failed start from rest is tried at ten times nu
+        assert "solving from rest at ten times the viscosity" in text
+        calls = _fail_first_solve_at(monkeypatch, start)
+        nu_continuation(lambda nu: _cavity_problem(4, nu), start)
+        assert [(nu, initial) for nu, initial in calls[:2]] == [(start, None), (10 * start, None)]
 
     def test_ends_exactly_on_target(self):
         # the direct jump to 2.5e-4 fails on this mesh and is retried
