@@ -37,7 +37,7 @@ from .eg_space import (DofMap, dof_count, edge_trace, edge_values, element_ops,
 from .mesh import per_mesh
 from .nullspace import null_space
 from .quadrature import quadrature_rule
-from .reconstruction import rt_basis, rt_scale
+from .reconstruction import rt_scale
 
 logger = logging.getLogger(__name__)
 
@@ -94,17 +94,15 @@ def assemble_divergence(mesh):
 
 @per_mesh
 def _convection_geometry(mesh):
-    # element tensors M[t,k,l] = |T| sum_q w_q cross2(phi_k, phi_l).  The
-    # integrand is linear: phi_k is a multiple of x - p_k, and
-    # cross(x - p_k, x - p_l) = cross(x, p_k - p_l) + cross(p_k, p_l).  The
-    # degree-2 rule is kept because a lower one would round differently
-    rule = quadrature_rule(2)
-    phi = rt_basis(mesh, rule.physical_points(mesh))
-    cross = (
-        phi[..., :, None, 0] * phi[..., None, :, 1]
-        - phi[..., :, None, 1] * phi[..., None, :, 0]
-    )
-    return mesh.areas[:, None, None] * np.einsum("q,tqkl->tkl", rule.weights, cross)
+    # element tensors M[t,k,l] = int_T cross2(phi_k, phi_l), phi_k = s_k (x - p_k).
+    # cross(x - p_k, x - p_l) is linear in x, so its mean is its value at the
+    # centroid c, taken centred: expanded to cross(c, p_k - p_l) + cross(p_k,
+    # p_l) it loses digits to cancellation
+    P = mesh.vertices[mesh.triangles]
+    d = P.mean(axis=1)[:, None, :] - P  # c - p_k
+    cross = d[:, :, None, 0] * d[:, None, :, 1] - d[:, :, None, 1] * d[:, None, :, 0]
+    s = rt_scale(mesh)
+    return mesh.areas[:, None, None] * s[:, :, None] * s[:, None, :] * cross
 
 
 def assemble_convection_newton(mesh, x):

@@ -292,22 +292,14 @@ def write_vtk(mesh, solution, path) -> None:
 _GENERATOR_KEY = {"unit_square": "resolution", "step": "h", "import": "path"}
 
 
-def _generated(key, build):
-    """build(), a mesh generated from [mesh] key.  Past the key's _RANGES
-    rule the generator refuses only a grid too large to index, a config
-    error naming the key."""
-    try:
-        return build()
-    except MeshError as exc:
-        raise ConfigError(f"[mesh] {key}: {exc}") from None
-
-
-def _problem_data(what, read):
-    """read(): problem data cached for the solves, refused before any
-    factorization; its ValueError is a config error naming what."""
+def _checked(what, read):
+    """read(): a mesh or problem data built from the config, refused
+    before any factorization.  Past the keys' _RANGES rules the mesh
+    generators refuse only a grid too large to index; either refusal is a
+    config error naming what."""
     try:
         return read()
-    except ValueError as exc:
+    except (MeshError, ValueError) as exc:
         raise ConfigError(f"{what}: {exc}") from None
 
 
@@ -320,9 +312,9 @@ def _build_mesh(cfg: RunConfig, default_generator: str):
             raise ConfigError(f"[mesh] {key} is not read by the {generator} generator")
     if generator == "unit_square":
         n = cfg.resolution or 32
-        mesh = _generated("resolution", lambda: build_rect_uniform(n, n))
+        mesh = _checked("[mesh] resolution", lambda: build_rect_uniform(n, n))
     elif generator == "step":
-        mesh = _generated("h", lambda: build_step_domain(cfg.h or 0.25))
+        mesh = _checked("[mesh] h", lambda: build_step_domain(cfg.h or 0.25))
     else:
         if not cfg.path:
             raise ConfigError("[mesh] path is required for generator = import")
@@ -359,7 +351,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     case = case_vortex_2d(nu)
 
     def run_level(n):
-        mesh = _generated("levels", lambda: build_rect_uniform(n, n))
+        mesh = _checked("[mesh] levels", lambda: build_rect_uniform(n, n))
         sol, reports = _solve(
             cfg, lambda v: case_vortex_2d(v).problem(mesh), nu
         )
@@ -415,7 +407,7 @@ def cmd_converge(cfg: RunConfig) -> int:
 def cmd_noflow(cfg: RunConfig) -> int:
     mesh = _build_mesh(cfg, "unit_square")
     problem = case_noflow(cfg.ra).problem(mesh)
-    _problem_data("ra", lambda: problem.load_vector)
+    _checked("ra", lambda: problem.load_vector)
     (u, _), _ = _solve(cfg, problem.with_nu, _resolve_nu(cfg, 1.0))
     mx, my = np.abs(vertex_values(mesh, u)).max(axis=0).tolist()
     mb = float(np.abs(edge_values(mesh, u)).max())
@@ -438,7 +430,7 @@ def cmd_cavity(cfg: RunConfig) -> int:
         return cfg.forcing_scale * forced.body_force(xy)
 
     problem = forced.problem(mesh, body_force=body)
-    _problem_data("forcing_scale", lambda: problem.load_vector)
+    _checked("forcing_scale", lambda: problem.load_vector)
     sol1, _ = _solve(cfg, case_cavity("f1").problem(mesh).with_nu, nu)
     sol2, _ = _solve(cfg, problem.with_nu, nu)
 
@@ -456,10 +448,7 @@ def cmd_cavity(cfg: RunConfig) -> int:
 
 
 def cmd_step(cfg: RunConfig) -> int:
-    try:
-        case = case_step(inlet=cfg.inlet)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    case = _checked("[physics] inlet", lambda: case_step(inlet=cfg.inlet))
     mesh = _build_mesh(cfg, "step")
     sol, reports = _solve(cfg, case.problem(mesh).with_nu, _resolve_nu(cfg, 0.01))
     print(f"Newton iterations: {sum(r.iterations for r in reports)}")
@@ -524,7 +513,7 @@ def cmd_run(cfg: RunConfig) -> int:
     problem = SteadyProblem(
         mesh, nu=_resolve_nu(cfg), dirichlet=dirichlet, neumann_tags=neumann
     )
-    _problem_data("boundary recipes", lambda: problem.dof_map)
+    _checked("boundary recipes", lambda: problem.dof_map)
     sol, _ = _solve(cfg, problem.with_nu, problem.nu)
     _write_vtk_files(cfg, mesh, {"run.vtk": sol})
     return 0

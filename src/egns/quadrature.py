@@ -1,9 +1,10 @@
 """Symmetric Gauss quadrature on triangles and Gauss-Legendre rules on edges.
 
 Triangle rules are stored in barycentric coordinates with weights summing to
-one; integrals scale by the physical element area at use.  Only the three
-classical symmetric rules that egns uses are tabulated, exact to degrees 2,
-5 and 8, all with positive weights.
+one; integrals scale by the physical element area at use.  Two classical
+symmetric rules with positive weights are tabulated, both for data: degree 5
+for the load's body force, degree 8 for the exact fields of the error norms.
+Integrands of the discrete fields alone are integrated in closed form.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ def _rule(chunks):
 
 
 _RULES = {
-    # convection geometry and |u0|^2 integrals: quadratic integrands
-    2: _rule([(_orbit3(1.0 / 6.0), 1.0 / 3.0)]),
     # the load against the RT0 reconstruction
     5: _rule(
         [
@@ -77,7 +76,7 @@ _RULES = {
 
 
 def quadrature_rule(degree):
-    """The tabulated symmetric rule exact up to degree: 2, 5 or 8."""
+    """The tabulated symmetric rule exact up to degree: 5 or 8."""
     try:
         return _RULES[degree]
     except KeyError:

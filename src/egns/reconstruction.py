@@ -18,18 +18,12 @@ import numpy as np
 
 from .eg_space import edge_values, element_ops
 
-__all__ = ["rt_scale", "rt_basis", "reconstruct", "rt_at_centroids"]
+__all__ = ["rt_scale", "reconstruct", "rt_at_centroids"]
 
 
 def rt_scale(mesh):
     """Basis scales s_k = sigma_k |e_k| / (2 |T|), (NT, 3)."""
     return element_ops(mesh)["div"] / (2.0 * mesh.areas[:, None])
-
-
-def rt_basis(mesh, points):
-    """Basis values on per-element point sets, points (NT, nq, 2) -> (NT, nq, 3, 2)."""
-    P = mesh.vertices[mesh.triangles]  # vertex k is opposite local edge k
-    return rt_scale(mesh)[:, None, :, None] * (points[:, :, None, :] - P[:, None, :, :])
 
 
 def reconstruct(mesh, u, points):

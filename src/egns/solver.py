@@ -59,7 +59,8 @@ decrease test, and on the lid cavity the whole start can fail.  Each
 later trial first goes the whole remaining way.  A failed trial is
 retried from the last converged state with the smaller of half its step
 and the last accepted step, doubled if that stage took at most 2
-factorizations.  Every stage runs up to the configured max_iter.
+factorizations (splu calls, a rung's handover included).  Every stage runs
+up to the configured max_iter.
 """
 
 from __future__ import annotations
@@ -141,9 +142,9 @@ class SolveReport:
     residual (at the kept iterate, NaN if the update test ended the solve),
     step (lambda, 0 if the line search failed), single and fallback (the LU
     it used is float32, the pivoting one), passes (of its refined solve:
-    at most 2 for a chord step, 1 in float64), factored (False for a
-    chord step with the last LU) and theta
-    (contraction estimate of its step, NaN where not computed).
+    at most 2 for a chord step, 1 in float64), factored (its splu calls:
+    0 for a chord step with the last LU, one per rung solve_saddle tried)
+    and theta (contraction estimate of its step, NaN where not computed).
     """
 
     records: list
@@ -226,11 +227,12 @@ def solve_saddle(problem, system):
     non-finite data.  One factor is alive at a time: a rejected rung's LU
     is freed before the next rung factors, and the float32 copy of K
     shares K's index arrays.  lu is that factor, with single, fallback
-    (whether it is the partial-pivoting one) and passes.
+    (whether it is the partial-pivoting one), passes and factorizations
+    (the splu calls made for it: its rung's number).
     """
     (K, A, ru, rp), ns = system, problem.null_space
     B, free = assemble_divergence(problem.mesh), problem.dof_map.free_indices()
-    for dtype, options in _RUNGS:
+    for calls, (dtype, options) in enumerate(_RUNGS, 1):
         try:
             lu = _Factor(K, A, ns.Z, dtype, options)
         except RuntimeError as exc:
@@ -244,6 +246,7 @@ def solve_saddle(problem, system):
         nru, nrp, scale = _norms(free, mom - B.T @ pressure, B @ dx + rp, ru, rp)
         # written so that NaN residuals or data fail the check
         if nru <= 1e-10 * scale and nrp <= 1e-10 * scale:
+            lu.factorizations = calls
             return dx, pressure, lu
         message = (f"saddle solve residuals too large: momentum {nru:.3e}, "
                    f"mass {nrp:.3e}, data scale {scale:.3e}")
@@ -318,8 +321,8 @@ def newton_solve(problem, config=None, initial=None):
         rel = _norm(new - prev) / max(_norm(new), _TINY)
         logger.debug("newton iter %d: rel update %.3e", len(records) + 1, rel)
         record = {"update": rel, "residual": math.nan, "step": 1.0, "single": lu.single,
-                  "passes": lu.passes, "fallback": lu.fallback, "factored": factored,
-                  "theta": math.nan}
+                  "passes": lu.passes, "fallback": lu.fallback,
+                  "factored": lu.factorizations if factored else 0, "theta": math.nan}
         if rel < config.rel_tol:
             records.append(record)
             return (x1, p1), report()

@@ -1,9 +1,10 @@
-"""Shared test meshes."""
+"""Shared test meshes, and the RT0 basis as an oracle."""
 
 import numpy as np
 import pytest
 
 from egns.mesh import Mesh2D, build_rect_uniform
+from egns.reconstruction import rt_scale
 
 
 @pytest.fixture
@@ -30,3 +31,18 @@ def shuffled_mesh():
         return Mesh2D.from_arrays(verts[perm], tris)
 
     return make
+
+
+@pytest.fixture
+def rt_basis():
+    """The RT0 basis evaluated on per-element point sets, (NT, nq, 2) ->
+    (NT, nq, 3, 2): on element T, s_k (x - p_k) for local edge k, p_k the
+    vertex opposite it.  The library integrates against it in closed form;
+    the tests check those forms against its quadrature.
+    """
+
+    def basis(mesh, points):
+        P = mesh.vertices[mesh.triangles]
+        return rt_scale(mesh)[:, None, :, None] * (points[:, :, None, :] - P[:, None, :, :])
+
+    return basis

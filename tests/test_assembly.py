@@ -12,7 +12,6 @@ from egns.mesh import (
     TAG_BOTTOM, TAG_LEFT, TAG_RIGHT, TAG_TOP, Mesh2D, build_rect_uniform,
 )
 from egns.quadrature import gauss_1d, quadrature_rule
-from egns.reconstruction import rt_basis
 from egns.eg_space import dof_count, energy_norm, energy_operators, interpolate, vertex_values
 from egns.assembly import (
     _viscous_unit,
@@ -92,7 +91,7 @@ def _rt_eval(mesh, edge_vals, t, x):
 
 def _trilinear_oracle(mesh, v, w, z):
     # independent quadrature-loop evaluation of the convective trilinear form
-    rule = quadrature_rule(2)
+    rule = quadrature_rule(5)
     total = 0.0
     for t in range(mesh.num_triangles):
         pts = rule.points @ mesh.vertices[mesh.triangles[t]]
@@ -197,6 +196,19 @@ class TestDivergence:
 
 
 class TestConvection:
+    @pytest.mark.parametrize("seed", [8, 9, 10])
+    def test_geometry_matches_rt_basis_quadrature(self, shuffled_mesh, rt_basis, seed):
+        # M[t,k,l] = int_T cross2(phi_k, phi_l): the integrand is linear, the
+        # library takes its centroid value, the oracle the degree-5 rule
+        mesh = shuffled_mesh(seed)
+        rule = quadrature_rule(5)
+        phi = rt_basis(mesh, rule.physical_points(mesh))
+        cross = (phi[..., :, None, 0] * phi[..., None, :, 1]
+                 - phi[..., :, None, 1] * phi[..., None, :, 0])
+        want = mesh.areas[:, None, None] * np.einsum("q,tqkl->tkl", rule.weights, cross)
+        got = egns.assembly._convection_geometry(mesh)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_against_brute_force_oracle(self):
         mesh = build_rect_uniform(2, 2)
         rng = np.random.default_rng(10)
@@ -297,7 +309,7 @@ class TestLoad:
                 want[e] += fconst @ (sig * L * (centroid - mesh.vertices[mesh.triangles[t, k]]) / 2)
         assert np.abs(vec[2 * nv :] - want).max() < 1e-14
 
-    def test_matches_rt_basis_quadrature(self, shuffled_mesh):
+    def test_matches_rt_basis_quadrature(self, shuffled_mesh, rt_basis):
         # the oracle is the basis quadrature the element moments replace:
         # the degree-5 rule on every (NT, 7, 3, 2) basis value
         mesh = shuffled_mesh()

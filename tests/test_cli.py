@@ -657,9 +657,11 @@ class TestStepCommand:
         assert "reattachment" in out
         assert (tmp_path / "step.vtk").is_file()
 
-    def test_bad_inlet_profile(self, tmp_path):
+    def test_bad_inlet_profile(self, tmp_path, capsys):
         path = _cfg(tmp_path, "[physics]\ninlet = swirl\n")
         assert main(["step", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: [physics] inlet: unknown inlet profile 'swirl'\n"
 
 
 class TestRunCommand:

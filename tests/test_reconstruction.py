@@ -7,7 +7,7 @@ import pytest
 
 from egns.mesh import Mesh2D, build_rect_uniform
 from egns.eg_space import element_divergence, interpolate
-from egns.reconstruction import reconstruct, rt_at_centroids, rt_basis
+from egns.reconstruction import reconstruct, rt_at_centroids
 
 
 def _rt_evaluate(mesh, edge_values, t, point):
@@ -81,7 +81,7 @@ def _random_field(mesh, seed):
 
 
 class TestReconstruct:
-    def test_coefficients_copy_edge_values(self):
+    def test_coefficients_copy_edge_values(self, rt_basis):
         # the basis coefficients are the edge values, and the field is
         # left untouched
         mesh = build_rect_uniform(3, 3)

@@ -470,6 +470,17 @@ class TestFallback:
         lu = solve_saddle(prob, system)[2]
         assert not lu.single and factors[-1]() is lu
 
+    @pytest.mark.parametrize("single", [_raise_runtime, _factor_of_doubled])
+    def test_factorizations_count_every_splu_call(self, monkeypatch, single):
+        # the float32 rung fails, by raising or by its check, and the float64
+        # one factors again: each factored record counts both splu calls
+        _route_symmetric_lu(monkeypatch, _symmetric_lu, single=single)
+        calls, routed = [], spla.splu
+        monkeypatch.setattr(spla, "splu", lambda K, **kw: calls.append(1) or routed(K, **kw))
+        _, report = newton_solve(case_vortex_2d(1.0).problem(build_rect_uniform(16, 16)))
+        assert {r["factored"] for r in report.records} <= {0, 2}
+        assert report.factorizations == len(calls) > 0
+
     def test_records_fallback_per_iteration(self, monkeypatch):
         prob = case_vortex_2d(1.0).problem(build_rect_uniform(16, 16))
         _, report = newton_solve(prob)
@@ -1088,7 +1099,7 @@ class TestNewtonSolve:
         assert len(lines) == report.iterations + 1
         assert "1" in lines[0]
         assert all(" fallback False factored " in line for line in lines[:-1])
-        assert lines[0].endswith(f"factored True theta {report.records[0]['theta']:.3e}")
+        assert lines[0].endswith(f"factored 1 theta {report.records[0]['theta']:.3e}")
         assert lines[-2].endswith("theta nan")
         assert f" iterations={report.iterations} factorizations={report.factorizations} " \
             in lines[-1]

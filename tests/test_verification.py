@@ -17,6 +17,7 @@ from egns.quadrature import quadrature_rule, refined_rule
 from egns.solver import solve_saddle
 from egns.verification import (
     _NORM_BLOCK,
+    _mean_sq,
     FlowCase,
     VerificationError,
     case_cavity,
@@ -410,6 +411,17 @@ class TestErrorNorms:
 
 
 class TestVelocityNormHelpers:
+    @pytest.mark.parametrize("seed", [8, 9, 10])
+    def test_element_means_match_degree_five_rule(self, shuffled_mesh, seed):
+        # the closed form of the means of |u0|^2 against a rule exact for quadratics
+        mesh = shuffled_mesh(seed)
+        rng = np.random.default_rng(seed)
+        field = _vertex_field(mesh, rng.standard_normal((mesh.num_vertices, 2)))
+        rule = quadrature_rule(5)
+        u0 = rule.points @ vertex_values(mesh, field)[mesh.triangles]
+        want = np.einsum("q,tqd,tqd->t", rule.weights, u0, u0)
+        assert np.abs(_mean_sq(mesh, field) - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_norm_of_constant_field(self):
         mesh = build_rect_uniform(3, 3)
         field = _zero_field(mesh)
