@@ -29,13 +29,15 @@ tags to one of::
 Exit codes: 0 success, 1 solver or check failure, 2 config/mesh error.
 The environment variable EGNS_THREADS caps the worker count used by the
 converge subcommand, which starts its levels largest first;
-EGNS_THREADS=1 runs them one after another.
+EGNS_THREADS=1 runs them one after another. Each level returns the heap
+it freed to the system when it ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import logging
 import os
 import sys
@@ -228,6 +230,13 @@ def worker_count(jobs: int) -> int:
     return max(1, min(jobs, cap))
 
 
+try:  # glibc's
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # another C library: freed heap stays
+    _malloc_trim = None
+
+
 _F = "%.15e"
 _XY0 = f"{_F} {_F} {_F % 0.0}"  # a 2D vector with z = 0
 
@@ -350,7 +359,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     nu = _resolve_nu(cfg, 1.0)
     case = case_vortex_2d(nu)
 
-    def run_level(n):
+    def solve_level(n):
         mesh = _checked("[mesh] levels", lambda: build_rect_uniform(n, n))
         sol, reports = _solve(
             cfg, lambda v: case_vortex_2d(v).problem(mesh), nu
@@ -359,6 +368,15 @@ def cmd_converge(cfg: RunConfig) -> int:
             mesh, sol, case.velocity, case.pressure, case.velocity_gradient
         )
         return errs, sum(r.iterations for r in reports), sum(r.factorizations for r in reports)
+
+    def run_level(n):
+        result = solve_level(n)
+        # solve_level's mesh, LU and operators are freed now. glibc would
+        # keep their pages in this thread's arena, resident beside the
+        # level the other worker is solving: hand them back
+        if _malloc_trim is not None:
+            _malloc_trim(0)
+        return result
 
     with ThreadPoolExecutor(max_workers=worker_count(len(levels))) as pool:
         # largest first, so that smaller levels, not the next largest,

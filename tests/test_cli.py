@@ -1,9 +1,12 @@
 """Command line interface: config parsing, VTK export, subcommand contracts."""
 
+import gc
 import logging
 import os
 import re
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -552,6 +555,48 @@ class TestConvergeCommand:
                 assert rc == 1
                 assert "level n=10 failed: fails at once" in capsys.readouterr().err
                 assert 1 <= len(started) <= most, (list(levels), threads)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_finished_level_freed_before_heap_release(self, tmp_path, monkeypatch, threads):
+        # each worker hands its level's pages back once the level, its LU
+        # and operators are freed: at every release the level the calling
+        # thread just ran is gone. gc stays off, so a reference cycle that
+        # kept a level alive would show here too
+        last, released, build = {}, [], egns.cli.build_rect_uniform
+
+        def tracked_mesh(nx, ny):
+            mesh = build(nx, ny)
+            last[threading.get_ident()] = (nx, weakref.ref(mesh))
+            return mesh
+
+        def spied_trim(pad):
+            n, ref = last[threading.get_ident()]
+            released.append((n, ref() is None))
+            return 0
+
+        monkeypatch.setenv("EGNS_THREADS", threads)
+        monkeypatch.setattr(egns.cli, "build_rect_uniform", tracked_mesh)
+        monkeypatch.setattr(egns.cli, "_malloc_trim", spied_trim)
+        path = _cfg(tmp_path, "[mesh]\nlevels = 4 12 8 6\n")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert main(["converge", "--config", path, "--out", str(tmp_path)]) == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert sorted(released) == [(4, True), (6, True), (8, True), (12, True)]
+
+    def test_table_without_heap_release(self, tmp_path, monkeypatch):
+        # where the C library has no malloc_trim, converge writes the same table
+        path = _cfg(tmp_path, "[mesh]\nlevels = 4 8\n")
+        written = []
+        for trim in (egns.cli._malloc_trim, None):
+            monkeypatch.setattr(egns.cli, "_malloc_trim", trim)
+            out = tmp_path / str(trim is None)
+            assert main(["converge", "--config", path, "--out", str(out)]) == 0
+            written.append((out / "convergence.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_continuation_through_cli(self, tmp_path):
         # the obsolete switch changes nothing

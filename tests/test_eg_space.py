@@ -370,8 +370,12 @@ class TestDofMap:
      ("quadrature.py", "assembly.py:assemble_load", "verification.py:error_norms")),
     # the RT0 basis is integrated against by element moments, never evaluated
     (("rt_basis(",), ()),
+    # the environment sets one thing: the worker cap of egns converge
+    (("os.environ", "getenv("), ("cli.py:worker_count",)),
+    # threads only serve egns converge's levels
+    (("ThreadPoolExecutor(",), ("cli.py:cmd_converge",)),
 ], ids=["dof-layout", "per-mesh-cache", "edge-sign", "energy-blocks", "data-quadrature",
-        "rt-moments"])
+        "rt-moments", "environment", "one-pool"])
 def test_each_rule_has_one_owner(spellings, owners):
     # an owner is a module, or "module:name" for one top-level definition in it
     src = Path(__file__).resolve().parents[1] / "src" / "egns"
