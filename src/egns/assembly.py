@@ -261,11 +261,12 @@ class SteadyProblem:
     """A steady flow problem: geometry, viscosity, forcing, boundary data.
 
     dirichlet is an ordered list of (tags, u_D) segments; neumann_tags
-    name the traction-free outflow sides.  The load vector, the Dirichlet
-    dof map and the divergence-free basis are computed once per problem
-    instance and reused across Newton iterations; with_nu returns a new
-    instance that shares all three, since none depends on nu.  Problems
-    on one mesh with the same constrained dofs share one basis.
+    name the traction-free outflow sides.  The load is L0 + nu L1, L0 from
+    body_force and L1 from force_per_nu.  L0, L1, the Dirichlet dof map and
+    the divergence-free basis are computed once per problem instance and
+    reused; with_nu returns a new instance that shares all four, since none
+    depends on nu.  Problems on one mesh with the same constrained dofs
+    share one basis.
     """
 
     mesh: object
@@ -273,6 +274,7 @@ class SteadyProblem:
     body_force: object = None
     dirichlet: list = field(default_factory=list)
     neumann_tags: tuple = ()
+    force_per_nu: object = None
 
     def __post_init__(self):
         if not 0 < self.nu < np.inf:  # also NaN
@@ -280,16 +282,22 @@ class SteadyProblem:
 
     def with_nu(self, nu):
         new = dataclasses.replace(self, nu=nu)
-        new.load_vector, new.dof_map = self.load_vector, self.dof_map
-        new.null_space = self.null_space
+        new._loads, new.dof_map, new.null_space = self._loads, self.dof_map, self.null_space
         return new
 
     @cached_property
+    def _loads(self):  # L0 and L1, None for a force not given
+        with np.errstate(over="ignore", invalid="ignore"):  # load_vector names it
+            return [None if f is None else assemble_load(self.mesh, f)
+                    for f in (self.body_force, self.force_per_nu)]
+
+    @cached_property
     def load_vector(self):
-        if self.body_force is None:
-            return np.zeros(dof_count(self.mesh))
+        L0, L1 = self._loads
+        load = np.zeros(dof_count(self.mesh)) if L0 is None else L0
         with np.errstate(over="ignore", invalid="ignore"):  # named just below
-            load = assemble_load(self.mesh, self.body_force)
+            if L1 is not None:
+                load = load + self.nu * L1
             norm = np.linalg.norm(load)
         bad = ~np.isfinite(load)
         if bad.any():

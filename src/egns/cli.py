@@ -333,15 +333,14 @@ def _build_mesh(cfg: RunConfig, default_generator: str):
     return mesh
 
 
-def _solve(cfg: RunConfig, factory, nu: float):
-    """Solve at viscosity nu through viscosity continuation.
+def _solve(cfg: RunConfig, problem: SteadyProblem):
+    """Solve a problem at its viscosity through viscosity continuation.
 
-    factory maps a viscosity to a SteadyProblem. Logs the last Newton
-    report and returns the solution and the reports, one per continuation
-    trial, rejected ones included.
+    Logs the last Newton report and returns the solution and the reports,
+    one per continuation trial, rejected ones included.
     """
     ncfg = NewtonConfig(rel_tol=cfg.rel_tol, max_iter=cfg.max_iter)
-    sol, reports = nu_continuation(factory, nu, ncfg)
+    sol, reports = nu_continuation(problem, ncfg)
     logger.info("%s", reports[-1].to_log())
     return sol, reports
 
@@ -356,14 +355,13 @@ def _write_vtk_files(cfg: RunConfig, mesh, solutions: dict) -> None:
 
 def cmd_converge(cfg: RunConfig) -> int:
     levels = cfg.levels or [16, 32, 64, 128]
-    nu = _resolve_nu(cfg, 1.0)
-    case = case_vortex_2d(nu)
+    case = case_vortex_2d(_resolve_nu(cfg, 1.0))
 
     def solve_level(n):
         mesh = _checked("[mesh] levels", lambda: build_rect_uniform(n, n))
-        sol, reports = _solve(
-            cfg, lambda v: case_vortex_2d(v).problem(mesh), nu
-        )
+        problem = case.problem(mesh)
+        _checked("[physics] nu", lambda: problem.load_vector)
+        sol, reports = _solve(cfg, problem)
         errs = error_norms(
             mesh, sol, case.velocity, case.pressure, case.velocity_gradient
         )
@@ -424,9 +422,9 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 def cmd_noflow(cfg: RunConfig) -> int:
     mesh = _build_mesh(cfg, "unit_square")
-    problem = case_noflow(cfg.ra).problem(mesh)
+    problem = case_noflow(cfg.ra).problem(mesh, nu=_resolve_nu(cfg, 1.0))
     _checked("ra", lambda: problem.load_vector)
-    (u, _), _ = _solve(cfg, problem.with_nu, _resolve_nu(cfg, 1.0))
+    (u, _), _ = _solve(cfg, problem)
     mx, my = np.abs(vertex_values(mesh, u)).max(axis=0).tolist()
     mb = float(np.abs(edge_values(mesh, u)).max())
     threshold = cfg.threshold if cfg.threshold is not None else 1e-9 * cfg.ra
@@ -441,16 +439,15 @@ def cmd_noflow(cfg: RunConfig) -> int:
 
 def cmd_cavity(cfg: RunConfig) -> int:
     mesh = _build_mesh(cfg, "unit_square")
-    nu = _resolve_nu(cfg, 1.0)
-    forced = case_cavity("f2")
+    forced = case_cavity("f2", _resolve_nu(cfg, 1.0))
 
     def body(xy):
         return cfg.forcing_scale * forced.body_force(xy)
 
     problem = forced.problem(mesh, body_force=body)
     _checked("forcing_scale", lambda: problem.load_vector)
-    sol1, _ = _solve(cfg, case_cavity("f1").problem(mesh).with_nu, nu)
-    sol2, _ = _solve(cfg, problem.with_nu, nu)
+    sol1, _ = _solve(cfg, case_cavity("f1", forced.nu).problem(mesh))
+    sol2, _ = _solve(cfg, problem)
 
     denom = velocity_l2_norm(mesh, sol1[0])
     diff = velocity_l2_difference(mesh, sol1[0], sol2[0])
@@ -468,7 +465,7 @@ def cmd_cavity(cfg: RunConfig) -> int:
 def cmd_step(cfg: RunConfig) -> int:
     case = _checked("[physics] inlet", lambda: case_step(inlet=cfg.inlet))
     mesh = _build_mesh(cfg, "step")
-    sol, reports = _solve(cfg, case.problem(mesh).with_nu, _resolve_nu(cfg, 0.01))
+    sol, reports = _solve(cfg, case.problem(mesh, nu=_resolve_nu(cfg, 0.01)))
     print(f"Newton iterations: {sum(r.iterations for r in reports)}")
 
     hit, mn, reversed_flow = recirculation_detect(
@@ -532,7 +529,7 @@ def cmd_run(cfg: RunConfig) -> int:
         mesh, nu=_resolve_nu(cfg), dirichlet=dirichlet, neumann_tags=neumann
     )
     _checked("boundary recipes", lambda: problem.dof_map)
-    sol, _ = _solve(cfg, problem.with_nu, problem.nu)
+    sol, _ = _solve(cfg, problem)
     _write_vtk_files(cfg, mesh, {"run.vtk": sol})
     return 0
 

@@ -60,7 +60,7 @@ later trial first goes the whole remaining way.  A failed trial is
 retried from the last converged state with the smaller of half its step
 and the last accepted step, doubled if that stage took at most 2
 factorizations (splu calls, a rung's handover included).  Every stage runs
-up to the configured max_iter.
+up to the configured max_iter, on problem.with_nu: nu-free data shared.
 """
 
 from __future__ import annotations
@@ -364,27 +364,24 @@ def newton_solve(problem, config=None, initial=None):
         best=(x, p), report=report(converged=False))
 
 
-def nu_continuation(factory, nu, config=None):
-    """Solve at viscosity nu by step-controlled continuation (see above).
+def nu_continuation(problem, config=None):
+    """Solve problem at its viscosity by step-controlled continuation (see above).
 
-    factory maps a viscosity to a problem: a problem's with_nu, or a
-    callable that also rebuilds nu-dependent forcing.  With nu at or
-    above 1e-2 the first trial is newton_solve(factory(nu)) from rest,
-    and the whole solve when it converges; below it, the first trial is
-    from rest at 1e-2 and the next one tries nu.  Returns ((velocity,
+    Each stage solves problem.with_nu(stage nu).  With problem.nu at or
+    above 1e-2 the first trial is newton_solve(problem) from rest, and the
+    whole solve when it converges; below it, the first trial is from rest
+    at 1e-2 and the next one tries problem.nu.  Returns ((velocity,
     pressure), reports), one report per trial stage, rejected ones
     included.  Raises NonConvergenceError naming the stage when no start
     from rest converges or the step in log(nu) falls below 1e-3.
     """
-    if not (math.isfinite(nu) and nu > 0):
-        raise ValueError(f"target viscosity must be positive and finite, got {nu}")
-    config = config or NewtonConfig()
+    nu, config = problem.nu, config or NewtonConfig()
     reports = []
 
     def trial(trial_nu, initial):
         """One stage: its solution, or None, and its failure, or None."""
         try:
-            state, report = newton_solve(factory(trial_nu), config, initial)
+            state, report = newton_solve(problem.with_nu(trial_nu), config, initial)
             failure = None
         except NonConvergenceError as exc:
             state, report, failure = None, exc.report, exc

@@ -112,7 +112,8 @@ def _check_manufactured(case: "FlowCase") -> None:
             )
 
     # momentum residual in rotational form:
-    #   -nu*lap(u) + curl(u) x u + grad(p) = f
+    #   -nu*lap(u) + curl(u) x u + grad(p) = f = body_force + nu*force_per_nu,
+    # each part (what, force, finite differences, viscous term) on its own scale
     h2 = 1e-4
     ex = np.array([h2, 0.0])
     ey = np.array([0.0, h2])
@@ -125,33 +126,32 @@ def _check_manufactured(case: "FlowCase") -> None:
     ) / h2**2
     gradp = _fd_jacobian(case.pressure, pts, h1)
     omega = J[:, 1, 0] - J[:, 0, 1]
-    f_fd = (
-        -case.nu * lap
-        + omega[:, None] * np.stack([-u[:, 1], u[:, 0]], axis=-1)
-        + gradp
-    )
-    f = case.body_force(pts) if case.body_force is not None else 0.0 * u
-    fscale = max(
-        float(np.abs(f).max()), case.nu * float(np.abs(lap).max()), 1.0
-    )
-    dev = float(np.abs(f - f_fd).max())
-    if dev > 1e-6 * fscale:
-        raise VerificationError(
-            f"case {case.name!r}: body force deviates from the momentum "
-            f"equation by {dev:.3e} (scale {fscale:.3e})"
-        )
+    rest = omega[:, None] * np.stack([-u[:, 1], u[:, 0]], axis=-1) + gradp
+    parts = [("body force", case.body_force, rest - case.nu * lap, case.nu * lap)]
+    if case.force_per_nu is not None:
+        parts = [("body force", case.body_force, rest, 0.0),
+                 ("force per unit nu", case.force_per_nu, -lap, lap)]
+    for what, force, f_fd, viscous in parts:
+        f = force(pts) if force is not None else 0.0 * u
+        fscale = max(float(np.abs(f).max()), float(np.abs(viscous).max()), 1.0)
+        dev = float(np.abs(f - f_fd).max())
+        if dev > 1e-6 * fscale:
+            raise VerificationError(
+                f"case {case.name!r}: {what} deviates from the momentum "
+                f"equation by {dev:.3e} (scale {fscale:.3e})"
+            )
 
 
 @dataclass
 class FlowCase:
     """Boundary data and forcing of one flow, with its exact solution if known.
 
-    All field callables take points with shape (..., 2); velocity and
-    body_force return (..., 2), pressure returns (...,), and
-    velocity_gradient returns (..., 2, 2) with [i, j] = du_i/dx_j. Given
-    an exact velocity and pressure, construction cross-checks them against
-    each other and the body force inside the unit square and raises
-    VerificationError on any mismatch.
+    All field callables take points with shape (..., 2); velocity and the
+    forces return (..., 2), pressure returns (...,), and velocity_gradient
+    returns (..., 2, 2) with [i, j] = du_i/dx_j. The force is body_force +
+    nu force_per_nu, as in SteadyProblem. Given an exact velocity and
+    pressure, construction cross-checks them against each other and the
+    force inside the unit square and raises VerificationError on any mismatch.
     """
 
     name: str
@@ -162,6 +162,7 @@ class FlowCase:
     velocity: Optional[VectorFn] = None
     velocity_gradient: Optional[VectorFn] = None
     pressure: Optional[ScalarFn] = None
+    force_per_nu: Optional[VectorFn] = None
 
     def __post_init__(self):
         if not 0 < self.nu < np.inf:  # also NaN
@@ -179,6 +180,7 @@ class FlowCase:
             body_force=self.body_force,
             dirichlet=list(self.dirichlet),
             neumann_tags=self.neumann_tags,
+            force_per_nu=self.force_per_nu,
         )
         kw.update(overrides)
         return SteadyProblem(mesh, **kw)
@@ -208,9 +210,9 @@ def case_vortex_2d(nu: float = 1.0) -> FlowCase:
     """Polynomial vortex on the unit square with a bilinear pressure.
 
     The stream function is 5*a(x)*a(y) with a(s) = s^2 (s-1)^2, so the
-    velocity vanishes on the whole boundary and at the center. The body
-    force is assembled for the rotational form, where the pressure plays
-    the role of total (Bernoulli) pressure.
+    velocity vanishes on the whole boundary and at the center. The force
+    is omega (-u2, u1) + grad p + nu (-lap u), the rotational form, where
+    the pressure plays the role of total (Bernoulli) pressure.
     """
 
     def a(s, n):
@@ -243,14 +245,18 @@ def case_vortex_2d(nu: float = 1.0) -> FlowCase:
         return 10.0 * (2.0 * xy[..., 0] - 1.0) * (2.0 * xy[..., 1] - 1.0)
 
     def body_force(xy):
-        # f = -nu lap u + omega (-u2, u1) + grad p, and w = -omega
-        ax, ay = a(xy[..., 0], 4), a(xy[..., 1], 4)
+        # omega (-u2, u1) + grad p, and w = -omega
+        ax, ay = a(xy[..., 0], 3), a(xy[..., 1], 3)
         w = 5.0 * (ax[2] * ay[0] + ax[0] * ay[2])
         out = np.empty(xy.shape)
-        out[..., 0] = -5.0 * (nu * (ax[2] * ay[1] + ax[0] * ay[3]) + w * ax[1] * ay[0])
-        out[..., 1] = 5.0 * (nu * (ax[3] * ay[0] + ax[1] * ay[2]) - w * ax[0] * ay[1])
+        out[..., 0], out[..., 1] = -5.0 * w * ax[1] * ay[0], -5.0 * w * ax[0] * ay[1]
         out += 20.0 * (2.0 * xy[..., ::-1] - 1.0)
         return out
+
+    def force_per_nu(xy):  # -lap u
+        ax, ay = a(xy[..., 0], 4), a(xy[..., 1], 4)
+        return 5.0 * np.stack([-ax[2] * ay[1] - ax[0] * ay[3], ax[3] * ay[0] + ax[1] * ay[2]],
+                              axis=-1)
 
     sides = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)
     return FlowCase(
@@ -260,6 +266,7 @@ def case_vortex_2d(nu: float = 1.0) -> FlowCase:
         velocity_gradient=velocity_gradient,
         pressure=pressure,
         body_force=body_force,
+        force_per_nu=force_per_nu,
         dirichlet=[(sides, velocity)],
     )
 

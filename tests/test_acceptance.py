@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import egns.assembly
 from egns.assembly import (
     _sparse,
     _viscous_unit,
@@ -112,9 +113,7 @@ def vortex_nu1e5(vortex_nu1):
     t0 = time.perf_counter()
     errors = []
     for mesh, _ in vortex_nu1["runs"]:
-        sol, _ = nu_continuation(
-            lambda v, m=mesh: case_vortex_2d(v).problem(m), 1e-5
-        )
+        sol, _ = nu_continuation(case.problem(mesh))
         errors.append(
             error_norms(mesh, sol, case.velocity, case.pressure,
                         case.velocity_gradient)
@@ -144,6 +143,29 @@ def test_vortex_pressure_robustness_nu1e5(vortex_nu1, vortex_nu1e5):
         f"small-viscosity errors degrade beyond 1.3x:\n{ratio}"
     )
     assert vortex_nu1e5["wall"] <= 900.0, f"study took {vortex_nu1e5['wall']:.0f}s"
+
+
+def test_classical_twin_is_not_pressure_robust(monkeypatch, classical_load):
+    """The paper's contrast: from nu = 1 to 1e-2 the L2 velocity error of
+    a classical twin, its load tested against the P1 hats, grows like
+    1/nu; egns's, with the load tested against the RT0 reconstruction,
+    does not.  Same mesh, solver and continuation."""
+    mesh = build_rect_uniform(16, 16)
+
+    def l2_errors():
+        errors = []
+        for nu in (1.0, 1e-2):
+            case = case_vortex_2d(nu)
+            sol, _ = nu_continuation(case.problem(mesh))
+            errors.append(error_norms(mesh, sol, case.velocity, case.pressure,
+                                      case.velocity_gradient)[0])
+        return errors
+
+    egns_errors = l2_errors()
+    monkeypatch.setattr(egns.assembly, "assemble_load", classical_load)
+    twin_errors = l2_errors()
+    assert max(egns_errors) <= 1.1 * min(egns_errors), egns_errors
+    assert twin_errors[1] >= 50.0 * twin_errors[0], twin_errors
 
 
 def test_noflow_velocity_machine_zero():
@@ -249,7 +271,8 @@ def test_discrete_structure_property_suite(vortex_nu1):
     assert eigs.min() > 0, f"free stiffness block not PD, min eig {eigs.min():.3e}"
 
     # discrete energy stability of the converged vortex solutions at nu = 1
-    force = case_vortex_2d(1.0).body_force
+    case = case_vortex_2d(1.0)
+    force = lambda xy: case.body_force(xy) + case.nu * case.force_per_nu(xy)
     for mesh_l, (u_l, _) in vortex_nu1["runs"]:
         bound = 1.01 * _force_l2_norm(mesh_l, force) / 1.0
         assert energy_norm(mesh_l, u_l) <= bound, "energy stability violated"

@@ -1,5 +1,6 @@
 """Form assembly: diffusion, divergence, convection, loads, boundary data."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -572,6 +573,7 @@ class TestSteadyProblem:
 
             return wrapper
 
+        load = egns.assembly.assemble_load
         for name in ("assemble_load", "dirichlet_dof_map", "null_space"):
             monkeypatch.setattr(egns.assembly, name, counted(name))
         mesh = build_rect_uniform(2, 2)
@@ -589,6 +591,18 @@ class TestSteadyProblem:
             assert p.load_vector is prob.load_vector
             assert p.dof_map is prob.dof_map
         assert sorted(calls) == ["assemble_load", "dirichlet_dof_map", "null_space"]
+
+        # a force per unit nu: the load at nu is L0 + nu L1, from two
+        # assemblies shared by every copy; the dof map and basis are shared too
+        calls.clear()
+        per_nu = lambda xy: np.stack([xy[..., 1], -xy[..., 0]], axis=-1)
+        viscous = dataclasses.replace(prob, nu=2.0, force_per_nu=per_nu)
+        L0, L1 = load(mesh, prob.body_force), load(mesh, per_nu)
+        for p in [viscous, *(viscous.with_nu(nu) for nu in (0.5, 1e-3))]:
+            p.newton_system(None)
+            assert np.array_equal(p.load_vector, L0 + p.nu * L1)
+            assert p.null_space is viscous.null_space and p.dof_map is viscous.dof_map
+        assert sorted(calls) == ["assemble_load", "assemble_load", "dirichlet_dof_map"]
 
 
 def test_viscous_matches_dense_element_oracle(shuffled_mesh):

@@ -598,6 +598,35 @@ class TestConvergeCommand:
             written.append((out / "convergence.csv").read_bytes())
         assert written[0] == written[1]
 
+    def test_continuation_assembles_the_load_once(self, tmp_path, monkeypatch,
+                                                   fail_first_solve_at):
+        # the vortex load is L0 + nu L1: its two parts are assembled once,
+        # not once per stage; the failed first trial at the target makes
+        # the stages outnumber two
+        loads, real = [], egns.assembly.assemble_load
+        monkeypatch.setattr(egns.assembly, "assemble_load",
+                            lambda *a: loads.append(1) or real(*a))
+        calls = fail_first_solve_at(1e-5)
+        path = _cfg(tmp_path, "[mesh]\nlevels = 8\n\n[physics]\nnu = 1e-5\n")
+        assert main(["converge", "--config", path, "--out", str(tmp_path)]) == 0
+        assert len(calls) >= 3
+        assert len(loads) == 2
+
+    @pytest.mark.parametrize("nu", ["1e200", "1e300"])
+    def test_viscosity_beyond_load_range_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         nu):
+        # nu times the viscous load overflows: refused, named, before any factorization
+        def splu(*args, **kwargs):
+            raise AssertionError("factored a load beyond float64 range")
+
+        monkeypatch.setattr(egns.solver.spla, "splu", splu)
+        path = _cfg(tmp_path, f"[mesh]\nlevels = 4 8\n\n[physics]\nnu = {nu}\n")
+        assert main(["converge", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [physics] nu: body force is beyond float64 range")
+        assert "Traceback" not in err
+        assert not (tmp_path / "convergence.csv").exists()
+
     def test_continuation_through_cli(self, tmp_path):
         # the obsolete switch changes nothing
         physics = "[mesh]\nlevels = 8\n\n[physics]\nnu = 2.5e-4\n"

@@ -374,8 +374,10 @@ class TestDofMap:
     (("os.environ", "getenv("), ("cli.py:worker_count",)),
     # threads only serve egns converge's levels
     (("ThreadPoolExecutor(",), ("cli.py:cmd_converge",)),
+    # a problem owns its viscosity: only the continuation moves it
+    (("with_nu(",), ("assembly.py", "solver.py:nu_continuation")),
 ], ids=["dof-layout", "per-mesh-cache", "edge-sign", "energy-blocks", "data-quadrature",
-        "rt-moments", "environment", "one-pool"])
+        "rt-moments", "environment", "one-pool", "viscosity"])
 def test_each_rule_has_one_owner(spellings, owners):
     # an owner is a module, or "module:name" for one top-level definition in it
     src = Path(__file__).resolve().parents[1] / "src" / "egns"

@@ -640,12 +640,12 @@ class TestNullSpaceSolve:
         assert np.array_equal(order, np.argsort(complete[0]))
 
     def test_vertex_order_built_once_per_mesh(self, monkeypatch):
-        # every continuation stage builds a fresh problem on the one mesh
+        # every continuation stage and every problem on the one mesh share it
         orders = []
         monkeypatch.setattr(spla, "spilu", lambda *a, **k: orders.append(1)
                             or _SPILU(*a, **k))
         mesh = build_rect_uniform(8, 8)
-        _, reports = nu_continuation(lambda nu: case_vortex_2d(nu).problem(mesh), 1e-5)
+        _, reports = nu_continuation(case_vortex_2d(1e-5).problem(mesh))
         assert len(reports) == 2
         assert orders == [1]
 
@@ -817,14 +817,14 @@ class TestReducedMatrix:
         assert (einsum_nnz, einsum_fill) == (nnz, fill)
 
     def test_null_space_built_once_per_mesh_and_constraint_set(self, monkeypatch):
-        # every continuation stage builds a fresh problem on the one mesh,
-        # and the cavity's f1 and f2 constrain the same dofs as the vortex
+        # every continuation stage shares the problem's, and the cavity's
+        # f1 and f2 constrain the same dofs as the vortex
         built = []
         real = egns.assembly.null_space
         monkeypatch.setattr(egns.assembly, "null_space",
                             lambda *a: built.append(1) or real(*a))
         mesh = build_rect_uniform(8, 8)
-        _, reports = nu_continuation(lambda nu: case_vortex_2d(nu).problem(mesh), 1e-5)
+        _, reports = nu_continuation(case_vortex_2d(1e-5).problem(mesh))
         assert len(reports) == 2
         f1, f2 = (case_cavity(f, 1.0).problem(mesh) for f in ("f1", "f2"))
         assert f1.null_space is f2.null_space
@@ -1048,7 +1048,7 @@ class TestNewtonSolve:
         dm = prob.dof_map
         rest = (dm.values, np.zeros(prob.mesh.num_triangles))
         velocities = [newton_solve(prob)[0][0], newton_solve(prob, initial=rest)[0][0],
-                      nu_continuation(prob.with_nu, prob.nu)[0][0]]
+                      nu_continuation(prob)[0][0]]
         with pytest.raises(NonConvergenceError) as ei:
             newton_solve(prob, NewtonConfig(max_iter=1))
         velocities.append(ei.value.best[0])
@@ -1144,22 +1144,6 @@ class TestDamping:
         assert np.abs(pressure).max() == 0.0
 
 
-def _fail_first_solve_at(monkeypatch, target):
-    """Force a stage failure: the first solve at target gets one Newton
-    iteration, which cannot converge.  Returns the (nu, initial) calls."""
-    calls = []
-    real = egns.solver.newton_solve
-
-    def spy(problem, config=None, initial=None):
-        if problem.nu == target and all(nu != target for nu, _ in calls):
-            config = NewtonConfig(max_iter=1)
-        calls.append((problem.nu, initial))
-        return real(problem, config, initial)
-
-    monkeypatch.setattr(egns.solver, "newton_solve", spy)
-    return calls
-
-
 class TestContinuation:
     @pytest.mark.parametrize(
         "make",
@@ -1173,7 +1157,7 @@ class TestContinuation:
     def test_single_entry_matches_plain_solve(self, make):
         # a target at or above the start is one trial: newton_solve itself
         prob = make()
-        (fa, pa), reports = nu_continuation(prob.with_nu, prob.nu)
+        (fa, pa), reports = nu_continuation(prob)
         (fb, pb), report = newton_solve(prob)
         assert len(reports) == 1 and reports[0].converged
         assert reports[0].iterations == report.iterations
@@ -1185,55 +1169,49 @@ class TestContinuation:
         real = egns.solver.newton_solve
 
         def spy(problem, config=None, initial=None):
-            starts.append(initial)
+            starts.append((problem.nu, initial))
             return real(problem, config, initial)
 
         monkeypatch.setattr(egns.solver, "newton_solve", spy)
         # a target the first warm trial reaches
         start = egns.solver._NU_START
-        (field, _), reports = nu_continuation(lambda nu: _cavity_problem(6, nu), start / 10)
-        assert [r.nu for r in reports] == [start, start / 10]
-        assert starts[0] is None
-        assert starts[1] is not None
+        (field, _), reports = nu_continuation(_cavity_problem(6, start / 10))
+        assert [r.nu for r in reports] == [nu for nu, _ in starts] == [start, start / 10]
+        assert starts[0][1] is None
+        assert starts[1][1] is not None
         assert np.abs(vertex_values(build_rect_uniform(6, 6), field)).max() > 0.1
 
     def test_rejects_bad_schedule(self):
-        # the controller picks the schedule; only its end, the target
-        # viscosity, comes from the caller
+        # the controller picks the schedule; only its end, the problem's
+        # viscosity, comes from the caller, and no problem holds a bad one
         prob = _cavity_problem(4, 0.1)
         for target in (0.0, -1e-3, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="target viscosity"):
-                nu_continuation(prob.with_nu, target)
+            with pytest.raises(ValueError, match="viscosity must be positive and finite"):
+                nu_continuation(prob.with_nu(target))
 
     def test_stage_failure_is_attributed(self):
         # one iteration never converges, so the starts from rest at 0.1
         # (stage 0) and at 1 (stage 1) both fail; stage 1 is the last try
         with pytest.raises(NonConvergenceError) as ei:
-            nu_continuation(
-                lambda nu: _cavity_problem(6, nu),
-                0.1,
-                NewtonConfig(max_iter=1),
-            )
+            nu_continuation(_cavity_problem(6, 0.1), NewtonConfig(max_iter=1))
         assert ei.value.stage == 1
         assert "stage 1 (nu=1)" in str(ei.value)
         assert ei.value.report.nu == 1.0
 
-    def test_step_floor_is_attributed(self, monkeypatch):
+    def test_step_floor_is_attributed(self, monkeypatch, fail_first_solve_at):
         # with a floor above every step, the first failed trial ends the
         # continuation, named by its stage and viscosity
         monkeypatch.setattr(egns.solver, "_MIN_LOG_STEP", 10.0)
-        _fail_first_solve_at(monkeypatch, 1e-4)
+        fail_first_solve_at(1e-4)
         with pytest.raises(NonConvergenceError, match="step in log") as ei:
-            nu_continuation(lambda nu: _cavity_problem(4, nu), 1e-4)
+            nu_continuation(_cavity_problem(4, 1e-4))
         assert ei.value.stage == 1
         assert "stage 1 (nu=0.0001)" in str(ei.value)
 
-    def test_failed_trial_halves_step_and_retries(self, monkeypatch):
+    def test_failed_trial_halves_step_and_retries(self, fail_first_solve_at):
         target = 1e-4
-        calls = _fail_first_solve_at(monkeypatch, target)
-        (field, _), reports = nu_continuation(
-            lambda nu: _cavity_problem(4, nu), target
-        )
+        calls = fail_first_solve_at(target)
+        (field, _), reports = nu_continuation(_cavity_problem(4, target))
         nus, start = [nu for nu, _ in calls], egns.solver._NU_START
         assert [r.nu for r in reports] == nus
         assert nus[:2] == [start, target]
@@ -1246,29 +1224,30 @@ class TestContinuation:
 
 
 class TestStepControl:
-    """The viscosities the continuation asks its factory for."""
+    """The viscosities the continuation solves at."""
 
     @staticmethod
-    def _seen(target, n=6):
-        seen = []
+    def _seen(monkeypatch, target, n=6):
+        seen, real = [], egns.solver.newton_solve
 
-        def factory(nu):
-            seen.append(nu)
-            return _cavity_problem(n, nu)
+        def spy(problem, config=None, initial=None):
+            seen.append(problem.nu)
+            return real(problem, config, initial)
 
-        _, reports = nu_continuation(factory, target)
+        monkeypatch.setattr(egns.solver, "newton_solve", spy)
+        _, reports = nu_continuation(_cavity_problem(n, target))
         assert [r.nu for r in reports] == seen
         return seen, reports
 
-    def test_target_at_or_above_start(self):
+    def test_target_at_or_above_start(self, monkeypatch):
         for target in (egns.solver._NU_START, 0.05):
-            seen, _ = self._seen(target)
+            seen, _ = self._seen(monkeypatch, target)
             assert seen == [target]
 
-    def test_nus_strictly_decreasing(self):
+    def test_nus_strictly_decreasing(self, monkeypatch):
         # a target the direct jump from the start reaches; the retried
         # path is test_ends_exactly_on_target's
-        seen, _ = self._seen(egns.solver._NU_START / 10)
+        seen, _ = self._seen(monkeypatch, egns.solver._NU_START / 10)
         assert len(seen) >= 2
         assert all(a > b for a, b in zip(seen, seen[1:]))
 
@@ -1278,12 +1257,12 @@ class TestStepControl:
         factored = []
         monkeypatch.setattr(spla, "splu", lambda *a, **k: factored.append(1) or _SPLU(*a, **k))
         mesh = build_rect_uniform(32, 32)
-        _, reports = nu_continuation(lambda nu: case_vortex_2d(nu).problem(mesh), 1e-5)
+        _, reports = nu_continuation(case_vortex_2d(1e-5).problem(mesh))
         assert [r.nu for r in reports] == [1e-2, 1e-5]
         assert all(r.converged for r in reports)
         assert len(factored) == sum(r.factorizations for r in reports) == 2
 
-    def test_readme_states_the_continuation_constants(self, monkeypatch):
+    def test_readme_states_the_continuation_constants(self, fail_first_solve_at):
         def sci(v):  # 0.01 as the README writes it, 1e-2
             mantissa, exponent = f"{v:.0e}".split("e")
             return f"{mantissa}e{int(exponent)}"
@@ -1296,15 +1275,46 @@ class TestStepControl:
         assert f"Below {sci(floor)} in log(nu) the continuation raises" in text
         # the retreat upward: a failed start from rest is tried at ten times nu
         assert "solving from rest at ten times the viscosity" in text
-        calls = _fail_first_solve_at(monkeypatch, start)
-        nu_continuation(lambda nu: _cavity_problem(4, nu), start)
+        calls = fail_first_solve_at(start)
+        nu_continuation(_cavity_problem(4, start))
         assert [(nu, initial) for nu, initial in calls[:2]] == [(start, None), (10 * start, None)]
 
-    def test_ends_exactly_on_target(self):
+    def test_ends_exactly_on_target(self, monkeypatch):
         # the direct jump to 2.5e-4 fails on this mesh and is retried
-        seen, reports = self._seen(2.5e-4)
+        seen, reports = self._seen(monkeypatch, 2.5e-4)
         accepted = [r.nu for r in reports if r.converged]
         assert any(not r.converged for r in reports)
         assert all(a > b for a, b in zip(accepted, accepted[1:]))
         assert accepted[-1] == 2.5e-4
         assert accepted.count(2.5e-4) == 1
+
+
+# the hard flows' cost from rest, pinned exactly: splu calls, Newton
+# iterations, trial stages and rejected ones.  A change that moves a row
+# repins it and lists old -> new in CHANGES.md
+LEDGER = {
+    "step h=0.25 Re=400": ((lambda: build_step_domain(0.25), case_step(400.0)), (69, 97, 8, 3)),
+    "step h=0.125 Re=400": ((lambda: build_step_domain(0.125), case_step(400.0)), (28, 37, 2, 0)),
+    "cavity f1 8x8 Re=4000": ((lambda: build_rect_uniform(8, 8), case_cavity("f1", 1 / 4000)),
+                              (27, 53, 6, 2)),
+    "cavity f1 32x32 Re=400": ((lambda: build_rect_uniform(32, 32), case_cavity("f1", 1 / 400)),
+                               (6, 13, 2, 0)),
+    "cavity f1 64x64 Re=4000": ((lambda: build_rect_uniform(64, 64),
+                                 case_cavity("f1", 1 / 4000)), (35, 50, 6, 2)),
+}
+
+
+@pytest.mark.slow
+def test_hard_flow_ledger(monkeypatch):
+    factored = []
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: factored.append(1) or _SPLU(*a, **k))
+    rows = {}
+    for name, ((mesh, case), _) in LEDGER.items():
+        factored.clear()
+        _, reports = nu_continuation(case.problem(mesh()))
+        rows[name] = (len(factored), sum(r.iterations for r in reports), len(reports),
+                      sum(not r.converged for r in reports))
+    print("\n| flow | `splu` | Newton its | trials | rejected |\n|---|---|---|---|---|")
+    for name, row in rows.items():
+        print(f"| {name} | " + " | ".join(map(str, row)) + " |")
+    assert rows == {name: counts for name, (_, counts) in LEDGER.items()}

@@ -184,14 +184,15 @@ class TestVortexCase:
             + omega[:, None] * np.stack([-u[:, 1], u[:, 0]], axis=-1)
             + gradp
         )
-        f = case.body_force(pts)
+        f = case.body_force(pts) + nu * case.force_per_nu(pts)
         assert np.abs(f - f_fd).max() < 1e-6 * np.abs(f).max()
 
     @pytest.mark.parametrize("nu", [1.0, 1e-5])
     def test_closed_forms_match_pointwise_oracle(self, shuffled_mesh, nu):
         case = case_vortex_2d(nu)
         pts = quadrature_rule(5).physical_points(shuffled_mesh())  # (NT, 7, 2)
-        got = [case.velocity(pts), case.velocity_gradient(pts), case.body_force(pts)]
+        got = [case.velocity(pts), case.velocity_gradient(pts),
+               case.body_force(pts) + nu * case.force_per_nu(pts)]
         want = [np.empty_like(g) for g in got]
         for idx in np.ndindex(pts.shape[:-1]):
             for w, v in zip(want, _vortex_at(*pts[idx], nu)):
@@ -237,6 +238,19 @@ class TestInconsistentCaseRejected:
                 body_force=noflow.body_force,
                 dirichlet=noflow.dirichlet,
             )
+
+    @pytest.mark.parametrize("part, named", [("body_force", "body force"),
+                                             ("force_per_nu", "force per unit nu")])
+    def test_each_force_part_checked_on_its_own_scale(self, part, named):
+        # a 1e-4 slip in the viscous part is 1e-9 of the force at nu =
+        # 1e-5, below a check of the sum; each part is checked alone
+        vortex = case_vortex_2d(1e-5)
+        fields = {f: getattr(vortex, f) for f in ("velocity", "velocity_gradient",
+                                                  "pressure", "body_force", "force_per_nu")}
+        right = fields[part]
+        fields[part] = lambda xy: (1.0 + 1e-4) * right(xy)
+        with pytest.raises(VerificationError, match=f"{named} deviates"):
+            FlowCase(name="broken", nu=1e-5, dirichlet=vortex.dirichlet, **fields)
 
     def test_velocity_without_pressure(self):
         noflow = case_noflow()
