@@ -178,6 +178,8 @@ def load_config(path, command=None) -> RunConfig:
                     raise ConfigError(
                         f"[boundary] keys are integer edge tags, got {key!r}"
                     ) from None
+                if tag in cfg.boundary:  # 3 and 03 name one tag
+                    raise ConfigError(f"[boundary] tag {tag} is given twice")
                 cfg.boundary[tag] = raw.strip()
             continue
         if section not in _SCHEMA:
@@ -362,9 +364,7 @@ def cmd_converge(cfg: RunConfig) -> int:
         problem = case.problem(mesh)
         _checked("[physics] nu", lambda: problem.load_vector)
         sol, reports = _solve(cfg, problem)
-        errs = error_norms(
-            mesh, sol, case.velocity, case.pressure, case.velocity_gradient
-        )
+        errs = error_norms(mesh, sol, case.exact)
         return errs, sum(r.iterations for r in reports), sum(r.factorizations for r in reports)
 
     def run_level(n):

@@ -1,10 +1,10 @@
 """Benchmark case definitions, error norms, and flow diagnostics.
 
 A :class:`FlowCase` carries the data of one flow: viscosity, boundary
-data and forcing. A manufactured case also carries closed-form velocity
-and pressure, and is validated at construction time: the stored force is
-compared against a finite-difference evaluation of the rotational-form
-momentum equation, and the velocity is checked to be divergence free.
+data and forcing. A manufactured case also carries its exact solution,
+one evaluator of velocity, gradient and pressure, checked at construction
+against finite differences: the velocity's divergence, the gradient, and
+the force against the rotational-form momentum equation, in that order.
 Typos in hand-derived forcing terms surface immediately instead of as
 mysterious convergence-rate losses.
 
@@ -54,7 +54,8 @@ __all__ = [
 ]
 
 VectorFn = Callable[[np.ndarray], np.ndarray]
-ScalarFn = Callable[[np.ndarray], np.ndarray]
+# points (..., 2) -> (u (..., 2), grad u (..., 2, 2), p (...,))
+ExactFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 # region of the backward-facing-step channel scanned for reversed flow
 STEP_RECIRCULATION_BOX = (0.0, 4.0, 0.0, 1.0)
@@ -77,7 +78,10 @@ def _check_manufactured(case: "FlowCase") -> None:
     rng = np.random.default_rng(7)
     pts = 0.05 + 0.9 * rng.random((24, 2))
 
-    u = case.velocity(pts)
+    def velocity(X):
+        return case.exact(X)[0]
+
+    u, grad, _ = case.exact(pts)
     uscale = max(1.0, float(np.abs(u).max()))
 
     # divergence via fourth-order differences, exact for quintics
@@ -87,10 +91,10 @@ def _check_manufactured(case: "FlowCase") -> None:
         e = np.zeros(2)
         e[axis] = hd
         return (
-            -case.velocity(pts + 2 * e)[:, comp]
-            + 8.0 * case.velocity(pts + e)[:, comp]
-            - 8.0 * case.velocity(pts - e)[:, comp]
-            + case.velocity(pts - 2 * e)[:, comp]
+            -velocity(pts + 2 * e)[:, comp]
+            + 8.0 * velocity(pts + e)[:, comp]
+            - 8.0 * velocity(pts - e)[:, comp]
+            + velocity(pts - 2 * e)[:, comp]
         ) / (12.0 * hd)
 
     div = d1(0, 0) + d1(1, 1)
@@ -102,14 +106,13 @@ def _check_manufactured(case: "FlowCase") -> None:
         )
 
     h1 = 1e-5
-    J = _fd_jacobian(case.velocity, pts, h1)
-    if case.velocity_gradient is not None:
-        dev = float(np.abs(case.velocity_gradient(pts) - J).max())
-        if dev > 1e-5 * max(1.0, float(np.abs(J).max())):
-            raise VerificationError(
-                f"case {case.name!r}: velocity gradient deviates from finite "
-                f"differences by {dev:.3e}"
-            )
+    J = _fd_jacobian(velocity, pts, h1)
+    dev = float(np.abs(grad - J).max())
+    if dev > 1e-5 * max(1.0, float(np.abs(J).max())):
+        raise VerificationError(
+            f"case {case.name!r}: velocity gradient deviates from finite "
+            f"differences by {dev:.3e}"
+        )
 
     # momentum residual in rotational form:
     #   -nu*lap(u) + curl(u) x u + grad(p) = f = body_force + nu*force_per_nu,
@@ -118,13 +121,13 @@ def _check_manufactured(case: "FlowCase") -> None:
     ex = np.array([h2, 0.0])
     ey = np.array([0.0, h2])
     lap = (
-        case.velocity(pts + ex)
-        + case.velocity(pts - ex)
-        + case.velocity(pts + ey)
-        + case.velocity(pts - ey)
+        velocity(pts + ex)
+        + velocity(pts - ex)
+        + velocity(pts + ey)
+        + velocity(pts - ey)
         - 4.0 * u
     ) / h2**2
-    gradp = _fd_jacobian(case.pressure, pts, h1)
+    gradp = _fd_jacobian(lambda X: case.exact(X)[2], pts, h1)
     omega = J[:, 1, 0] - J[:, 0, 1]
     rest = omega[:, None] * np.stack([-u[:, 1], u[:, 0]], axis=-1) + gradp
     parts = [("body force", case.body_force, rest - case.nu * lap, case.nu * lap)]
@@ -146,12 +149,13 @@ def _check_manufactured(case: "FlowCase") -> None:
 class FlowCase:
     """Boundary data and forcing of one flow, with its exact solution if known.
 
-    All field callables take points with shape (..., 2); velocity and the
-    forces return (..., 2), pressure returns (...,), and velocity_gradient
-    returns (..., 2, 2) with [i, j] = du_i/dx_j. The force is body_force +
-    nu force_per_nu, as in SteadyProblem. Given an exact velocity and
-    pressure, construction cross-checks them against each other and the
-    force inside the unit square and raises VerificationError on any mismatch.
+    All field callables take points with shape (..., 2); the forces return
+    (..., 2). exact returns the tuple (u (..., 2), grad u (..., 2, 2) with
+    [i, j] = du_i/dx_j, p (...,)) of fresh arrays, which the caller may
+    overwrite. The force is body_force + nu force_per_nu, as in
+    SteadyProblem. Given an exact solution, construction cross-checks its
+    fields against each other and the force inside the unit square and
+    raises VerificationError on any mismatch.
     """
 
     name: str
@@ -159,19 +163,13 @@ class FlowCase:
     dirichlet: list
     body_force: Optional[VectorFn] = None
     neumann_tags: tuple = ()
-    velocity: Optional[VectorFn] = None
-    velocity_gradient: Optional[VectorFn] = None
-    pressure: Optional[ScalarFn] = None
+    exact: Optional[ExactFn] = None
     force_per_nu: Optional[VectorFn] = None
 
     def __post_init__(self):
         if not 0 < self.nu < np.inf:  # also NaN
             raise VerificationError("viscosity must be positive and finite")
-        if (self.velocity is None) != (self.pressure is None):
-            raise VerificationError(
-                f"case {self.name!r}: exact velocity and pressure come together"
-            )
-        if self.velocity is not None:
+        if self.exact is not None:
             _check_manufactured(self)
 
     def problem(self, mesh: Mesh2D, **overrides) -> SteadyProblem:
@@ -226,23 +224,16 @@ def case_vortex_2d(nu: float = 1.0) -> FlowCase:
             out[3] = 24.0 * s - 12.0
         return out
 
-    def velocity(xy):
-        ax, ay = a(xy[..., 0], 2), a(xy[..., 1], 2)
-        out = np.empty(xy.shape)
-        out[..., 0], out[..., 1] = 5.0 * ax[0] * ay[1], -5.0 * ax[1] * ay[0]
-        return out
-
-    def velocity_gradient(xy):
+    def exact(xy):
         ax, ay = a(xy[..., 0], 3), a(xy[..., 1], 3)
-        out = np.empty(xy.shape + (2,))
-        out[..., 0, 0] = 5.0 * ax[1] * ay[1]
-        out[..., 0, 1] = 5.0 * ax[0] * ay[2]
-        out[..., 1, 0] = -5.0 * ax[2] * ay[0]
-        out[..., 1, 1] = -out[..., 0, 0]
-        return out
-
-    def pressure(xy):
-        return 10.0 * (2.0 * xy[..., 0] - 1.0) * (2.0 * xy[..., 1] - 1.0)
+        u = np.empty(xy.shape)
+        u[..., 0], u[..., 1] = 5.0 * ax[0] * ay[1], -5.0 * ax[1] * ay[0]
+        g = np.empty(xy.shape + (2,))
+        g[..., 0, 0] = 5.0 * ax[1] * ay[1]
+        g[..., 0, 1] = 5.0 * ax[0] * ay[2]
+        g[..., 1, 0] = -5.0 * ax[2] * ay[0]
+        g[..., 1, 1] = -g[..., 0, 0]
+        return u, g, 10.0 * (2.0 * xy[..., 0] - 1.0) * (2.0 * xy[..., 1] - 1.0)
 
     def body_force(xy):
         # omega (-u2, u1) + grad p, and w = -omega
@@ -262,12 +253,10 @@ def case_vortex_2d(nu: float = 1.0) -> FlowCase:
     return FlowCase(
         name=f"vortex_nu{nu:g}",
         nu=nu,
-        velocity=velocity,
-        velocity_gradient=velocity_gradient,
-        pressure=pressure,
+        exact=exact,
         body_force=body_force,
         force_per_nu=force_per_nu,
-        dirichlet=[(sides, velocity)],
+        dirichlet=[(sides, lambda xy: exact(xy)[0])],
     )
 
 
@@ -278,14 +267,10 @@ def case_noflow(ra: float = 1000.0) -> FlowCase:
     velocity the discrete solver produces is a pressure-robustness defect.
     """
 
-    velocity = constant_velocity(0.0, 0.0)
-
-    def velocity_gradient(xy):
-        return np.zeros(xy.shape[:-1] + (2, 2))
-
-    def pressure(xy):
+    def exact(xy):
         y = xy[..., 1]
-        return -0.5 * ra * y * y + ra * y - ra / 3.0
+        return (np.zeros(xy.shape), np.zeros(xy.shape + (2,)),
+                -0.5 * ra * y * y + ra * y - ra / 3.0)
 
     def body_force(xy):
         y = xy[..., 1]
@@ -295,11 +280,9 @@ def case_noflow(ra: float = 1000.0) -> FlowCase:
     return FlowCase(
         name="noflow",
         nu=1.0,
-        velocity=velocity,
-        velocity_gradient=velocity_gradient,
-        pressure=pressure,
+        exact=exact,
         body_force=body_force,
-        dirichlet=[(sides, velocity)],
+        dirichlet=[(sides, lambda xy: exact(xy)[0])],
     )
 
 
@@ -362,19 +345,14 @@ def case_step(re: float = 100.0, inlet: str = "parabolic") -> FlowCase:
 _NORM_BLOCK = 1024
 
 
-def error_norms(
-    mesh: Mesh2D,
-    solution,
-    velocity: VectorFn,
-    pressure: ScalarFn,
-    velocity_gradient: VectorFn,
-):
+def error_norms(mesh: Mesh2D, solution, exact: ExactFn):
     """L2 and broken H1 errors of the continuous velocity part and the
     L2 pressure error, as a (e_l2, e_h1, e_p) tuple.
 
-    ``solution`` is a (dof vector, element pressures) pair. The exact fields,
-    the velocity gradient in closed form among them, are sampled on the
-    degree-8 rule refined once, _NORM_BLOCK triangles at a time.
+    ``solution`` is a (dof vector, element pressures) pair and ``exact`` a
+    FlowCase's exact solution. It is called once per block of _NORM_BLOCK
+    triangles, on the degree-8 rule refined once, and the discrete fields
+    are subtracted in place from the arrays it returns.
     """
     u, p_h = solution
     rule = refined_rule(quadrature_rule(8))
@@ -388,10 +366,10 @@ def error_norms(
         tri = mesh.triangles[blk]
         X = rule.points @ mesh.vertices[tri]  # (nb, nq, 2)
         V = vertex_values(mesh, u)[tri]  # (nb, 3, 2)
-        du = velocity(X) - rule.points @ V
-        g0 = V.transpose(0, 2, 1) @ gradl[blk]  # constant per element
-        dg = velocity_gradient(X) - g0[:, None, :, :]
-        dp = pressure(X) - p_h[blk, None]
+        du, dg, dp = exact(X)
+        du -= rule.points @ V
+        dg -= (V.transpose(0, 2, 1) @ gradl[blk])[:, None]  # constant per element
+        dp -= p_h[blk, None]
         areas = mesh.areas[blk]
         sums += (
             areas @ np.einsum("q,tqd,tqd->t", w, du, du),

@@ -97,10 +97,7 @@ def vortex_nu1():
     for n in LEVELS:
         mesh = build_rect_uniform(n, n)
         sol, _ = newton_solve(case.problem(mesh))
-        errors.append(
-            error_norms(mesh, sol, case.velocity, case.pressure,
-                        case.velocity_gradient)
-        )
+        errors.append(error_norms(mesh, sol, case.exact))
         runs.append((mesh, sol))
     wall = time.perf_counter() - t0
     return {"runs": runs, "errors": np.array(errors), "wall": wall}
@@ -114,10 +111,7 @@ def vortex_nu1e5(vortex_nu1):
     errors = []
     for mesh, _ in vortex_nu1["runs"]:
         sol, _ = nu_continuation(case.problem(mesh))
-        errors.append(
-            error_norms(mesh, sol, case.velocity, case.pressure,
-                        case.velocity_gradient)
-        )
+        errors.append(error_norms(mesh, sol, case.exact))
     wall = time.perf_counter() - t0
     return {"errors": np.array(errors), "wall": wall}
 
@@ -157,8 +151,7 @@ def test_classical_twin_is_not_pressure_robust(monkeypatch, classical_load):
         for nu in (1.0, 1e-2):
             case = case_vortex_2d(nu)
             sol, _ = nu_continuation(case.problem(mesh))
-            errors.append(error_norms(mesh, sol, case.velocity, case.pressure,
-                                      case.velocity_gradient)[0])
+            errors.append(error_norms(mesh, sol, case.exact)[0])
         return errors
 
     egns_errors = l2_errors()

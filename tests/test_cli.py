@@ -889,6 +889,21 @@ class TestRunCommand:
         assert err.startswith("config error: boundary recipes: no Dirichlet segment")
         assert not (tmp_path / "run.vtk").exists()
 
+    @pytest.mark.parametrize("spelling", ["03", "+3"])
+    def test_tag_given_twice_is_config_error(self, tmp_path, capsys, spelling):
+        # the later spelling of tag 3 would silently replace the lid
+        path = _cfg(
+            tmp_path,
+            "[mesh]\nresolution = 4\n\n[physics]\nnu = 1.0\n\n"
+            f"[boundary]\n1 = noslip\n2 = noslip\n3 = velocity 1 0\n4 = noslip\n"
+            f"{spelling} = noslip\n",
+        )
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: [boundary] tag 3 is given twice\n"
+        assert "Traceback" not in err
+        assert not (tmp_path / "run.vtk").exists()
+
     def test_missing_boundary_section(self, tmp_path):
         path = _cfg(
             tmp_path, "[mesh]\nresolution = 8\n\n[physics]\nnu = 1.0\n"

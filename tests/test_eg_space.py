@@ -376,8 +376,10 @@ class TestDofMap:
     (("ThreadPoolExecutor(",), ("cli.py:cmd_converge",)),
     # a problem owns its viscosity: only the continuation moves it
     (("with_nu(",), ("assembly.py", "solver.py:nu_continuation")),
+    # a case's exact solution is evaluated by its checks and error_norms only
+    ((".exact(",), ("verification.py",)),
 ], ids=["dof-layout", "per-mesh-cache", "edge-sign", "energy-blocks", "data-quadrature",
-        "rt-moments", "environment", "one-pool", "viscosity"])
+        "rt-moments", "environment", "one-pool", "viscosity", "exact-fields"])
 def test_each_rule_has_one_owner(spellings, owners):
     # an owner is a module, or "module:name" for one top-level definition in it
     src = Path(__file__).resolve().parents[1] / "src" / "egns"

@@ -1,5 +1,8 @@
 """Manufactured cases, error norms, convergence tables, flow diagnostics."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -113,6 +116,10 @@ def _fd_divergence4(u, pts, h=1e-3):
     return d(0, 0) + d(1, 1)
 
 
+def _velocity(case):
+    return lambda xy: case.exact(xy)[0]
+
+
 def _vortex_at(x, y, nu):
     """Velocity, its gradient and the body force of case_vortex_2d at one
     point, in closed form."""
@@ -143,30 +150,30 @@ class TestVortexCase:
             ],
             axis=-1,
         )
-        assert np.abs(case.velocity(pts) - want).max() < 1e-13
+        assert np.abs(case.exact(pts)[0] - want).max() < 1e-13
 
     def test_center_is_stagnation_point(self):
         case = case_vortex_2d(1.0)
-        assert np.abs(case.velocity(np.array([[0.5, 0.5]]))).max() == 0.0
+        assert np.abs(case.exact(np.array([[0.5, 0.5]]))[0]).max() == 0.0
 
     def test_pressure_formula(self):
         case = case_vortex_2d(1.0)
         pts = np.array([[0.25, 0.75], [1.0, 1.0], [0.0, 0.0]])
         want = 10 * (2 * pts[:, 0] - 1) * (2 * pts[:, 1] - 1)
-        assert np.abs(case.pressure(pts) - want).max() < 1e-13
+        assert np.abs(case.exact(pts)[2] - want).max() < 1e-13
 
     def test_divergence_free(self):
         case = case_vortex_2d(1.0)
         rng = np.random.default_rng(22)
         pts = 0.1 + 0.8 * rng.random((100, 2))
-        assert np.abs(_fd_divergence4(case.velocity, pts)).max() < 1e-12
+        assert np.abs(_fd_divergence4(_velocity(case), pts)).max() < 1e-12
 
     def test_gradient_matches_finite_differences(self):
         case = case_vortex_2d(1.0)
         rng = np.random.default_rng(23)
         pts = 0.05 + 0.9 * rng.random((30, 2))
-        J = _fd_jacobian(case.velocity, pts)
-        got = case.velocity_gradient(pts)
+        J = _fd_jacobian(_velocity(case), pts)
+        got = case.exact(pts)[1]
         assert np.abs(got - J).max() < 1e-7 * max(1.0, np.abs(J).max())
 
     @pytest.mark.parametrize("nu", [1.0, 1e-2, 1e-5])
@@ -174,11 +181,11 @@ class TestVortexCase:
         case = case_vortex_2d(nu)
         rng = np.random.default_rng(24)
         pts = 0.05 + 0.9 * rng.random((20, 2))
-        u = case.velocity(pts)
-        J = _fd_jacobian(case.velocity, pts)
+        u = case.exact(pts)[0]
+        J = _fd_jacobian(_velocity(case), pts)
         omega = J[:, 1, 0] - J[:, 0, 1]
-        lap = _fd_laplacian(case.velocity, pts)
-        gradp = _fd_scalar_grad(case.pressure, pts)
+        lap = _fd_laplacian(_velocity(case), pts)
+        gradp = _fd_scalar_grad(lambda xy: case.exact(xy)[2], pts)
         f_fd = (
             -nu * lap
             + omega[:, None] * np.stack([-u[:, 1], u[:, 0]], axis=-1)
@@ -191,8 +198,7 @@ class TestVortexCase:
     def test_closed_forms_match_pointwise_oracle(self, shuffled_mesh, nu):
         case = case_vortex_2d(nu)
         pts = quadrature_rule(5).physical_points(shuffled_mesh())  # (NT, 7, 2)
-        got = [case.velocity(pts), case.velocity_gradient(pts),
-               case.body_force(pts) + nu * case.force_per_nu(pts)]
+        got = [*case.exact(pts)[:2], case.body_force(pts) + nu * case.force_per_nu(pts)]
         want = [np.empty_like(g) for g in got]
         for idx in np.ndindex(pts.shape[:-1]):
             for w, v in zip(want, _vortex_at(*pts[idx], nu)):
@@ -217,9 +223,7 @@ class TestInconsistentCaseRejected:
             FlowCase(
                 name="broken",
                 nu=1.0,
-                velocity=noflow.velocity,
-                velocity_gradient=noflow.velocity_gradient,
-                pressure=noflow.pressure,
+                exact=noflow.exact,
                 body_force=lambda xy: np.zeros_like(xy),
                 dirichlet=noflow.dirichlet,
             )
@@ -230,11 +234,12 @@ class TestInconsistentCaseRejected:
             FlowCase(
                 name="broken",
                 nu=1.0,
-                velocity=lambda xy: np.stack(
-                    [xy[..., 0], np.zeros_like(xy[..., 1])], axis=-1
+                # u = (x, 0) with its true gradient: only the divergence is wrong
+                exact=lambda xy: (
+                    np.stack([xy[..., 0], np.zeros_like(xy[..., 1])], axis=-1),
+                    np.broadcast_to([[1.0, 0.0], [0.0, 0.0]], xy.shape + (2,)).copy(),
+                    noflow.exact(xy)[2],
                 ),
-                velocity_gradient=None,
-                pressure=noflow.pressure,
                 body_force=noflow.body_force,
                 dirichlet=noflow.dirichlet,
             )
@@ -245,28 +250,18 @@ class TestInconsistentCaseRejected:
         # a 1e-4 slip in the viscous part is 1e-9 of the force at nu =
         # 1e-5, below a check of the sum; each part is checked alone
         vortex = case_vortex_2d(1e-5)
-        fields = {f: getattr(vortex, f) for f in ("velocity", "velocity_gradient",
-                                                  "pressure", "body_force", "force_per_nu")}
+        fields = {f: getattr(vortex, f) for f in ("exact", "body_force", "force_per_nu")}
         right = fields[part]
         fields[part] = lambda xy: (1.0 + 1e-4) * right(xy)
         with pytest.raises(VerificationError, match=f"{named} deviates"):
             FlowCase(name="broken", nu=1e-5, dirichlet=vortex.dirichlet, **fields)
 
-    def test_velocity_without_pressure(self):
-        noflow = case_noflow()
-        with pytest.raises(VerificationError, match="together"):
-            FlowCase(
-                name="broken", nu=1.0, dirichlet=noflow.dirichlet,
-                velocity=noflow.velocity,
-            )
-
     def test_missing_body_force_is_zero(self):
         noflow = case_noflow()
-        rest = dict(name="rest", nu=1.0, dirichlet=noflow.dirichlet,
-                    velocity=noflow.velocity)
-        FlowCase(**rest, pressure=lambda xy: np.full(xy.shape[:-1], 2.0))
+        rest = dict(name="rest", nu=1.0, dirichlet=noflow.dirichlet)
+        FlowCase(**rest, exact=lambda xy: (*noflow.exact(xy)[:2], np.full(xy.shape[:-1], 2.0)))
         with pytest.raises(VerificationError, match="force"):
-            FlowCase(**rest, pressure=noflow.pressure)
+            FlowCase(**rest, exact=noflow.exact)
 
 
 class TestNoflowCase:
@@ -284,13 +279,14 @@ class TestNoflowCase:
         ys = 0.5 * (ys + 1.0)
         w = 0.5 * w
         pts = np.column_stack([np.full(4, 0.5), ys])
-        assert abs(w @ case.pressure(pts)) < 1e-12 * 1000.0
+        assert abs(w @ case.exact(pts)[2]) < 1e-12 * 1000.0
 
     def test_velocity_identically_zero(self):
         case = case_noflow()
         rng = np.random.default_rng(25)
         pts = rng.random((40, 2))
-        assert np.abs(case.velocity(pts)).max() == 0.0
+        u, grad, _ = case.exact(pts)
+        assert np.abs(u).max() == 0.0 and np.abs(grad).max() == 0.0
         assert case.nu == 1.0
 
 
@@ -369,14 +365,13 @@ class TestErrorNorms:
             x, y = xy[..., 0], xy[..., 1]
             return np.stack([1 + 2 * x - y, -0.5 + 3 * x + 4 * y], axis=-1)
 
-        grad = lambda xy: np.broadcast_to(
-            np.array([[2.0, -1.0], [3.0, 4.0]]), xy.shape[:-1] + (2, 2)
-        )
+        def exact(xy):
+            grad = np.broadcast_to([[2.0, -1.0], [3.0, 4.0]], xy.shape[:-1] + (2, 2))
+            return u(xy), grad.copy(), np.zeros(xy.shape[:-1])
+
         field = interpolate(mesh, u)
         pressure = np.zeros(mesh.num_triangles)
-        e2, e1, ep = error_norms(
-            mesh, (field, pressure), u, lambda xy: np.zeros(xy.shape[:-1]), grad
-        )
+        e2, e1, ep = error_norms(mesh, (field, pressure), exact)
         assert e2 < 1e-13
         assert e1 < 1e-13
         assert ep < 1e-15
@@ -387,10 +382,9 @@ class TestErrorNorms:
         vertex_values(mesh, field)[:, 0] = 3.0
         vertex_values(mesh, field)[:, 1] = 4.0
         pressure = np.full(mesh.num_triangles, 2.0)
-        zero_v = lambda xy: np.zeros_like(xy)
-        zero_g = lambda xy: np.zeros(xy.shape[:-1] + (2, 2))
-        zero_p = lambda xy: np.zeros(xy.shape[:-1])
-        e2, e1, ep = error_norms(mesh, (field, pressure), zero_v, zero_p, zero_g)
+        zero = lambda xy: (np.zeros_like(xy), np.zeros(xy.shape + (2,)),
+                           np.zeros(xy.shape[:-1]))
+        e2, e1, ep = error_norms(mesh, (field, pressure), zero)
         assert e2 == pytest.approx(5.0, rel=1e-13)  # sqrt(3^2+4^2) on unit area
         assert e1 < 1e-13
         assert ep == pytest.approx(2.0, rel=1e-13)
@@ -402,26 +396,56 @@ class TestErrorNorms:
         assert _NORM_BLOCK < mesh.num_triangles < 2 * _NORM_BLOCK
         case = case_vortex_2d(1.0)
         rng = np.random.default_rng(7)
-        field = interpolate(mesh, case.velocity)
+        field = interpolate(mesh, _velocity(case))
         vertex_values(mesh, field)[:] += 1e-3 * rng.standard_normal((mesh.num_vertices, 2))
         pressure = rng.standard_normal(mesh.num_triangles)
-        exact = (case.velocity, case.pressure, case.velocity_gradient)
 
         # the unblocked sums over every triangle at once
         rule = refined_rule(quadrature_rule(8))
         X, w = rule.physical_points(mesh), rule.weights
         V = vertex_values(mesh, field)[mesh.triangles]
-        du = case.velocity(X) - np.einsum("qk,tkd->tqd", rule.points, V)
+        u, grad, p = case.exact(X)
+        du = u - np.einsum("qk,tkd->tqd", rule.points, V)
         g0 = np.einsum("tkd,tke->tde", V, element_ops(mesh)["gradl"])
-        dg = case.velocity_gradient(X) - g0[:, None]
-        dp = case.pressure(X) - pressure[:, None]
+        dg = grad - g0[:, None]
+        dp = p - pressure[:, None]
         oracle = [
             np.sqrt(mesh.areas @ np.einsum(spec, w, d, d))
             for spec, d in (("q,tqd,tqd->t", du), ("q,tqde,tqde->t", dg),
                             ("q,tq,tq->t", dp))
         ]
-        got = error_norms(mesh, (field, pressure), *exact)
+        got = error_norms(mesh, (field, pressure), case.exact)
         assert got == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+    def test_exact_evaluated_once_per_block(self):
+        mesh = build_rect_uniform(48, 48)
+        assert mesh.num_triangles == 4608  # four full blocks and a partial one
+        case = case_vortex_2d(1.0)
+        calls = []
+
+        def spy(X):
+            calls.append(X.shape)
+            return case.exact(X)
+
+        field = interpolate(mesh, _velocity(case))
+        error_norms(mesh, (field, np.zeros(mesh.num_triangles)), spy)
+        assert len(calls) == -(-mesh.num_triangles // _NORM_BLOCK) == 5
+        assert [c[0] for c in calls] == [_NORM_BLOCK] * 4 + [512]
+
+
+def test_readme_quick_start_runs(capsys):
+    # the python blocks of the README's "Library quick start", in order
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 2
+    scope = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), scope)
+    assert capsys.readouterr().out.split() == [
+        str(scope["report"].iterations), *map(str, (scope["e_l2"], scope["e_h1"], scope["e_p"]))]
+    assert 0 < scope["e_l2"] < scope["e_h1"] < scope["e_p"] < 1.0
+    assert scope["reports"][-1].converged and scope["reports"][-1].nu == 1e-5
 
 
 class TestVelocityNormHelpers:
