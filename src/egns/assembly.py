@@ -32,8 +32,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .eg_space import (DofMap, dof_count, edge_trace, edge_values, element_ops,
-                       energy_operators, vertex_values)
+from .eg_space import (DofMap, dof_count, edge_trace, edge_values, element_curl,
+                       element_ops, energy_operators, vertex_values)
 from .mesh import per_mesh
 from .nullspace import null_space
 from .quadrature import quadrature_rule
@@ -123,11 +123,10 @@ def assemble_convection_newton(mesh, x):
 
 def _convection_value(mesh, x):
     """The elementwise curl omega and M^T u_b at x, and the value terms r."""
-    ops = element_ops(mesh)
-    dofs = x[ops["l2g"]]
-    omega = np.einsum("tj,tj->t", ops["curl"], dofs[:, :6])
-    mtu = np.einsum("tkl,tk->tl", _convection_geometry(mesh), dofs[:, 6:])
-    r = _scatter(ops["l2g"][:, 6:], omega[:, None] * mtu, dof_count(mesh))
+    edges = element_ops(mesh)["l2g"][:, 6:]
+    omega = element_curl(mesh, x)
+    mtu = np.einsum("tkl,tk->tl", _convection_geometry(mesh), x[edges])
+    r = _scatter(edges, omega[:, None] * mtu, dof_count(mesh))
     return omega, mtu, r
 
 

@@ -2,9 +2,10 @@
 
 Every subcommand takes its viscosity, mesh, solve and VTK output through
 the same helpers and differs only in its data and its report; `egns
---help` lists them. Every subcommand reaches its viscosity through
-nu_continuation and writes into the directory given by --out. Configuration
-is an INI file with sections [mesh], [physics], [newton] and [boundary].
+--help` lists them. Every subcommand resolves its viscosity once, gives
+it to problem(mesh, nu), reaches it through nu_continuation and writes
+into the directory given by --out. Configuration is an INI file with
+sections [mesh], [physics], [newton] and [boundary].
 Each RunConfig field declares the key it is read from. Unknown sections or
 keys are rejected, and so is a key the chosen subcommand does not read:
 
@@ -42,19 +43,20 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .assembly import SteadyProblem
-from .eg_space import edge_values, element_divergence, element_ops, vertex_values
+from .eg_space import edge_values, element_curl, element_divergence, vertex_values
 from .mesh import MeshError, build_rect_uniform, build_step_domain, import_mesh
 from .reconstruction import rt_at_centroids
 from .solver import NewtonConfig, SolverError, nu_continuation
 from .verification import (
     STEP_RECIRCULATION_BOX,
+    FlowCase,
     case_cavity,
     case_noflow,
     case_step,
@@ -254,12 +256,11 @@ def write_vtk(mesh, solution, path) -> None:
     """
     u, pressure = solution
     pressure = np.asarray(pressure, dtype=float)
-    ops = element_ops(mesh)
     cell_scalars = [
         ("pressure", pressure),
         ("kinematic_pressure", kinematic_pressure(mesh, u, pressure)),
         ("divergence", element_divergence(mesh, u)),
-        ("vorticity", np.einsum("tk,tk->t", ops["curl"], u[ops["l2g"][:, :6]])),
+        ("vorticity", element_curl(mesh, u)),
     ]
     recon = rt_at_centroids(mesh, u)
 
@@ -357,11 +358,11 @@ def _write_vtk_files(cfg: RunConfig, mesh, solutions: dict) -> None:
 
 def cmd_converge(cfg: RunConfig) -> int:
     levels = cfg.levels or [16, 32, 64, 128]
-    case = case_vortex_2d(_resolve_nu(cfg, 1.0))
+    nu, case = _resolve_nu(cfg, 1.0), case_vortex_2d()
 
     def solve_level(n):
         mesh = _checked("[mesh] levels", lambda: build_rect_uniform(n, n))
-        problem = case.problem(mesh)
+        problem = case.problem(mesh, nu)
         _checked("[physics] nu", lambda: problem.load_vector)
         sol, reports = _solve(cfg, problem)
         errs = error_norms(mesh, sol, case.exact)
@@ -422,7 +423,7 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 def cmd_noflow(cfg: RunConfig) -> int:
     mesh = _build_mesh(cfg, "unit_square")
-    problem = case_noflow(cfg.ra).problem(mesh, nu=_resolve_nu(cfg, 1.0))
+    problem = case_noflow(cfg.ra).problem(mesh, _resolve_nu(cfg, 1.0))
     _checked("ra", lambda: problem.load_vector)
     (u, _), _ = _solve(cfg, problem)
     mx, my = np.abs(vertex_values(mesh, u)).max(axis=0).tolist()
@@ -439,14 +440,14 @@ def cmd_noflow(cfg: RunConfig) -> int:
 
 def cmd_cavity(cfg: RunConfig) -> int:
     mesh = _build_mesh(cfg, "unit_square")
-    forced = case_cavity("f2", _resolve_nu(cfg, 1.0))
+    nu, forced = _resolve_nu(cfg, 1.0), case_cavity("f2")
 
     def body(xy):
         return cfg.forcing_scale * forced.body_force(xy)
 
-    problem = forced.problem(mesh, body_force=body)
+    problem = replace(forced, body_force=body).problem(mesh, nu)
     _checked("forcing_scale", lambda: problem.load_vector)
-    sol1, _ = _solve(cfg, case_cavity("f1", forced.nu).problem(mesh))
+    sol1, _ = _solve(cfg, case_cavity("f1").problem(mesh, nu))
     sol2, _ = _solve(cfg, problem)
 
     denom = velocity_l2_norm(mesh, sol1[0])
@@ -465,7 +466,7 @@ def cmd_cavity(cfg: RunConfig) -> int:
 def cmd_step(cfg: RunConfig) -> int:
     case = _checked("[physics] inlet", lambda: case_step(inlet=cfg.inlet))
     mesh = _build_mesh(cfg, "step")
-    sol, reports = _solve(cfg, case.problem(mesh, nu=_resolve_nu(cfg, 0.01)))
+    sol, reports = _solve(cfg, case.problem(mesh, _resolve_nu(cfg, 0.01)))
     print(f"Newton iterations: {sum(r.iterations for r in reports)}")
 
     hit, mn, reversed_flow = recirculation_detect(
@@ -483,7 +484,7 @@ def cmd_step(cfg: RunConfig) -> int:
 _RECIPE_ARITY = {"noslip": 0, "velocity": 2, "parabolic": 3, "outflow": 0}
 
 
-def _boundary_setup(cfg: RunConfig, mesh):
+def _boundary_case(cfg: RunConfig, mesh):
     if not cfg.boundary:
         raise ConfigError("the run subcommand needs a [boundary] section")
     present = {int(t) for t in mesh.boundary_tags[mesh.boundary_edge_indices]}
@@ -519,15 +520,12 @@ def _boundary_setup(cfg: RunConfig, mesh):
             neumann.append(tag)
     # later segments win at shared corners, so walls go first and the lid
     # or inflow keeps its corners, as in case_cavity
-    return noslip + dirichlet, tuple(neumann)
+    return FlowCase(name="run", dirichlet=noslip + dirichlet, neumann_tags=tuple(neumann))
 
 
 def cmd_run(cfg: RunConfig) -> int:
     mesh = _build_mesh(cfg, "unit_square")
-    dirichlet, neumann = _boundary_setup(cfg, mesh)
-    problem = SteadyProblem(
-        mesh, nu=_resolve_nu(cfg), dirichlet=dirichlet, neumann_tags=neumann
-    )
+    problem = _boundary_case(cfg, mesh).problem(mesh, _resolve_nu(cfg))
     _checked("boundary recipes", lambda: problem.dof_map)
     sol, _ = _solve(cfg, problem)
     _write_vtk_files(cfg, mesh, {"run.vtk": sol})

@@ -34,6 +34,7 @@ __all__ = [
     "interpolate",
     "edge_trace",
     "element_divergence",
+    "element_curl",
     "energy_operators",
     "energy_norm",
 ]
@@ -168,6 +169,12 @@ def element_divergence(mesh, x):
     """Broken divergence per element of the dof vector x, (NT,)."""
     vb = edge_values(mesh, x)[mesh.triangle_edges]
     return (element_ops(mesh)["div"] * vb).sum(axis=1) / mesh.areas
+
+
+def element_curl(mesh, x):
+    """Scalar curl per element of the continuous part of the dof vector x, (NT,)."""
+    ops = element_ops(mesh)
+    return np.einsum("tj,tj->t", ops["curl"], x[ops["l2g"][:, :6]])
 
 
 def energy_norm(mesh, x):

@@ -1,7 +1,7 @@
 """Benchmark case definitions, error norms, and flow diagnostics.
 
-A :class:`FlowCase` carries the data of one flow: viscosity, boundary
-data and forcing. A manufactured case also carries its exact solution,
+A :class:`FlowCase` carries the nu-free data of one flow: boundary data
+and forcing. A manufactured case also carries its exact solution,
 one evaluator of velocity, gradient and pressure, checked at construction
 against finite differences: the velocity's divergence, the gradient, and
 the force against the rotational-form momentum equation, in that order.
@@ -59,6 +59,8 @@ ExactFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 # region of the backward-facing-step channel scanned for reversed flow
 STEP_RECIRCULATION_BOX = (0.0, 4.0, 0.0, 1.0)
+_SQUARE_SIDES = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)  # a manufactured case's walls
+_REVERSED_UX = -1e-3  # the u_x of reversed flow, see recirculation_detect
 
 
 class VerificationError(ValueError):
@@ -114,7 +116,7 @@ def _check_manufactured(case: "FlowCase") -> None:
             f"differences by {dev:.3e}"
         )
 
-    # momentum residual in rotational form:
+    # momentum residual in rotational form, at every nu:
     #   -nu*lap(u) + curl(u) x u + grad(p) = f = body_force + nu*force_per_nu,
     # each part (what, force, finite differences, viscous term) on its own scale
     h2 = 1e-4
@@ -130,11 +132,8 @@ def _check_manufactured(case: "FlowCase") -> None:
     gradp = _fd_jacobian(lambda X: case.exact(X)[2], pts, h1)
     omega = J[:, 1, 0] - J[:, 0, 1]
     rest = omega[:, None] * np.stack([-u[:, 1], u[:, 0]], axis=-1) + gradp
-    parts = [("body force", case.body_force, rest - case.nu * lap, case.nu * lap)]
-    if case.force_per_nu is not None:
-        parts = [("body force", case.body_force, rest, 0.0),
-                 ("force per unit nu", case.force_per_nu, -lap, lap)]
-    for what, force, f_fd, viscous in parts:
+    for what, force, f_fd, viscous in [("force per unit nu", case.force_per_nu, -lap, lap),
+                                       ("body force", case.body_force, rest, 0.0)]:
         f = force(pts) if force is not None else 0.0 * u
         fscale = max(float(np.abs(f).max()), float(np.abs(viscous).max()), 1.0)
         dev = float(np.abs(f - f_fd).max())
@@ -152,14 +151,13 @@ class FlowCase:
     All field callables take points with shape (..., 2); the forces return
     (..., 2). exact returns the tuple (u (..., 2), grad u (..., 2, 2) with
     [i, j] = du_i/dx_j, p (...,)) of fresh arrays, which the caller may
-    overwrite. The force is body_force + nu force_per_nu, as in
-    SteadyProblem. Given an exact solution, construction cross-checks its
-    fields against each other and the force inside the unit square and
-    raises VerificationError on any mismatch.
+    overwrite. The force is body_force + nu force_per_nu at the nu that
+    problem(mesh, nu) is given. Given an exact solution, construction
+    cross-checks its fields against each other and each force part inside
+    the unit square and raises VerificationError on any mismatch.
     """
 
     name: str
-    nu: float
     dirichlet: list
     body_force: Optional[VectorFn] = None
     neumann_tags: tuple = ()
@@ -167,21 +165,18 @@ class FlowCase:
     force_per_nu: Optional[VectorFn] = None
 
     def __post_init__(self):
-        if not 0 < self.nu < np.inf:  # also NaN
-            raise VerificationError("viscosity must be positive and finite")
         if self.exact is not None:
             _check_manufactured(self)
 
-    def problem(self, mesh: Mesh2D, **overrides) -> SteadyProblem:
-        kw = dict(
-            nu=self.nu,
+    def problem(self, mesh: Mesh2D, nu: float) -> SteadyProblem:
+        return SteadyProblem(
+            mesh,
+            nu,
             body_force=self.body_force,
             dirichlet=list(self.dirichlet),
             neumann_tags=self.neumann_tags,
             force_per_nu=self.force_per_nu,
         )
-        kw.update(overrides)
-        return SteadyProblem(mesh, **kw)
 
 
 def constant_velocity(ux: float, uy: float) -> VectorFn:
@@ -204,7 +199,7 @@ def parabolic_velocity(scale: float, y0: float, y1: float) -> VectorFn:
     return fn
 
 
-def case_vortex_2d(nu: float = 1.0) -> FlowCase:
+def case_vortex_2d() -> FlowCase:
     """Polynomial vortex on the unit square with a bilinear pressure.
 
     The stream function is 5*a(x)*a(y) with a(s) = s^2 (s-1)^2, so the
@@ -249,14 +244,12 @@ def case_vortex_2d(nu: float = 1.0) -> FlowCase:
         return 5.0 * np.stack([-ax[2] * ay[1] - ax[0] * ay[3], ax[3] * ay[0] + ax[1] * ay[2]],
                               axis=-1)
 
-    sides = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)
     return FlowCase(
-        name=f"vortex_nu{nu:g}",
-        nu=nu,
+        name="vortex",
         exact=exact,
         body_force=body_force,
         force_per_nu=force_per_nu,
-        dirichlet=[(sides, lambda xy: exact(xy)[0])],
+        dirichlet=[(_SQUARE_SIDES, lambda xy: exact(xy)[0])],
     )
 
 
@@ -276,17 +269,15 @@ def case_noflow(ra: float = 1000.0) -> FlowCase:
         y = xy[..., 1]
         return np.stack([np.zeros_like(y), ra * (1.0 - y)], axis=-1)
 
-    sides = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)
     return FlowCase(
         name="noflow",
-        nu=1.0,
         exact=exact,
         body_force=body_force,
-        dirichlet=[(sides, lambda xy: exact(xy)[0])],
+        dirichlet=[(_SQUARE_SIDES, lambda xy: exact(xy)[0])],
     )
 
 
-def case_cavity(forcing: str = "f1", nu: float = 1.0) -> FlowCase:
+def case_cavity(forcing: str = "f1") -> FlowCase:
     """Lid-driven cavity, optionally with a large gradient body force.
 
     forcing "f1" is unforced; "f2" adds the gradient field
@@ -305,7 +296,6 @@ def case_cavity(forcing: str = "f1", nu: float = 1.0) -> FlowCase:
 
     return FlowCase(
         name=f"cavity_{forcing}",
-        nu=nu,
         dirichlet=[
             ((TAG_BOTTOM, TAG_LEFT, TAG_RIGHT), constant_velocity(0.0, 0.0)),
             ((TAG_TOP,), constant_velocity(1.0, 0.0)),
@@ -314,17 +304,14 @@ def case_cavity(forcing: str = "f1", nu: float = 1.0) -> FlowCase:
     )
 
 
-def case_step(re: float = 100.0, inlet: str = "parabolic") -> FlowCase:
-    """Backward-facing step channel at Reynolds number ``re``.
+def case_step(inlet: str = "parabolic") -> FlowCase:
+    """Backward-facing step channel.
 
     The inlet occupies x = -4, 1 <= y <= 2. The parabolic profile
-    (6 (y-1) (2-y), 0) has unit mean speed, so Re = 1/nu directly; the
-    "constant" variant imposes a plug profile (1, 0). The outlet at x = 20
-    is traction free.
+    (6 (y-1) (2-y), 0) has unit mean speed, so the Reynolds number is
+    1/nu directly; the "constant" variant imposes a plug profile (1, 0).
+    The outlet at x = 20 is traction free.
     """
-    if not re > 0:  # also NaN
-        raise VerificationError("Reynolds number must be positive")
-
     if inlet == "parabolic":
         inflow = parabolic_velocity(6.0, 1.0, 2.0)
     elif inlet == "constant":
@@ -333,8 +320,7 @@ def case_step(re: float = 100.0, inlet: str = "parabolic") -> FlowCase:
         raise ValueError(f"unknown inlet profile {inlet!r}")
 
     return FlowCase(
-        name=f"step_re{re:g}_{inlet}",
-        nu=1.0 / re,
+        name=f"step_{inlet}",
         dirichlet=[((TAG_WALL,), constant_velocity(0.0, 0.0)), ((TAG_INLET,), inflow)],
         neumann_tags=(TAG_OUTLET,),
     )
@@ -404,12 +390,12 @@ def kinematic_pressure(mesh: Mesh2D, u: np.ndarray, pressure) -> np.ndarray:
     return np.asarray(pressure, float) - 0.5 * _mean_sq(mesh, u)
 
 
-def recirculation_detect(mesh: Mesh2D, u: np.ndarray, region, threshold=-1e-3):
+def recirculation_detect(mesh: Mesh2D, u: np.ndarray, region):
     """Scan vertex velocities in an axis-aligned box for reversed flow.
 
     region is (xmin, xmax, ymin, ymax). Returns (detected, min u_x,
-    reversed), where reversed masks the box vertices with u_x below the
-    threshold; the flow counts as recirculating when that mask is not
+    reversed), where reversed masks the box vertices with u_x below
+    _REVERSED_UX; the flow counts as recirculating when that mask is not
     empty. The threshold filters solver-level noise around zero.
     """
     xmin, xmax, ymin, ymax = region
@@ -419,7 +405,7 @@ def recirculation_detect(mesh: Mesh2D, u: np.ndarray, region, threshold=-1e-3):
         raise VerificationError("recirculation region contains no mesh vertices")
     ux = vertex_values(mesh, u)[:, 0]
     mn = float(ux[inside].min())
-    return mn < threshold, mn, inside & (ux < threshold)
+    return mn < _REVERSED_UX, mn, inside & (ux < _REVERSED_UX)
 
 
 @dataclass

@@ -90,13 +90,13 @@ def _force_l2_norm(mesh, f):
 @pytest.fixture(scope="module")
 def vortex_nu1():
     """Vortex benchmark at nu = 1 on the four study meshes."""
-    case = case_vortex_2d(1.0)
+    case = case_vortex_2d()
     t0 = time.perf_counter()
     runs = []
     errors = []
     for n in LEVELS:
         mesh = build_rect_uniform(n, n)
-        sol, _ = newton_solve(case.problem(mesh))
+        sol, _ = newton_solve(case.problem(mesh, 1.0))
         errors.append(error_norms(mesh, sol, case.exact))
         runs.append((mesh, sol))
     wall = time.perf_counter() - t0
@@ -106,11 +106,11 @@ def vortex_nu1():
 @pytest.fixture(scope="module")
 def vortex_nu1e5(vortex_nu1):
     """Same study at nu = 1e-5, solved through viscosity continuation."""
-    case = case_vortex_2d(1e-5)
+    case = case_vortex_2d()
     t0 = time.perf_counter()
     errors = []
     for mesh, _ in vortex_nu1["runs"]:
-        sol, _ = nu_continuation(case.problem(mesh))
+        sol, _ = nu_continuation(case.problem(mesh, 1e-5))
         errors.append(error_norms(mesh, sol, case.exact))
     wall = time.perf_counter() - t0
     return {"errors": np.array(errors), "wall": wall}
@@ -148,9 +148,9 @@ def test_classical_twin_is_not_pressure_robust(monkeypatch, classical_load):
 
     def l2_errors():
         errors = []
+        case = case_vortex_2d()
         for nu in (1.0, 1e-2):
-            case = case_vortex_2d(nu)
-            sol, _ = nu_continuation(case.problem(mesh))
+            sol, _ = nu_continuation(case.problem(mesh, nu))
             errors.append(error_norms(mesh, sol, case.exact)[0])
         return errors
 
@@ -164,7 +164,7 @@ def test_classical_twin_is_not_pressure_robust(monkeypatch, classical_load):
 def test_noflow_velocity_machine_zero():
     t0 = time.perf_counter()
     mesh = build_rect_uniform(32, 32)
-    (u, _), _ = newton_solve(case_noflow(1000.0).problem(mesh, nu=1.0))
+    (u, _), _ = newton_solve(case_noflow(1000.0).problem(mesh, 1.0))
     wall = time.perf_counter() - t0
     assert np.abs(vertex_values(mesh, u)).max() <= 1e-6
     assert wall <= 60.0, f"no-flow run took {wall:.0f}s"
@@ -173,8 +173,8 @@ def test_noflow_velocity_machine_zero():
 def test_gradient_forcing_leaves_velocity_invariant():
     t0 = time.perf_counter()
     mesh = build_rect_uniform(32, 32)
-    (base, _), _ = newton_solve(case_cavity("f1").problem(mesh))
-    (forced, _), _ = newton_solve(case_cavity("f2").problem(mesh))
+    (base, _), _ = newton_solve(case_cavity("f1").problem(mesh, 1.0))
+    (forced, _), _ = newton_solve(case_cavity("f2").problem(mesh, 1.0))
     wall = time.perf_counter() - t0
     rel = velocity_l2_difference(mesh, base, forced) / velocity_l2_norm(mesh, base)
     assert rel <= 1e-6, f"gradient forcing moved the velocity by {rel:.3e}"
@@ -264,10 +264,10 @@ def test_discrete_structure_property_suite(vortex_nu1):
     assert eigs.min() > 0, f"free stiffness block not PD, min eig {eigs.min():.3e}"
 
     # discrete energy stability of the converged vortex solutions at nu = 1
-    case = case_vortex_2d(1.0)
-    force = lambda xy: case.body_force(xy) + case.nu * case.force_per_nu(xy)
+    case, nu = case_vortex_2d(), 1.0
+    force = lambda xy: case.body_force(xy) + nu * case.force_per_nu(xy)
     for mesh_l, (u_l, _) in vortex_nu1["runs"]:
-        bound = 1.01 * _force_l2_norm(mesh_l, force) / 1.0
+        bound = 1.01 * _force_l2_norm(mesh_l, force) / nu
         assert energy_norm(mesh_l, u_l) <= bound, "energy stability violated"
 
     wall = time.perf_counter() - t0
@@ -277,8 +277,8 @@ def test_discrete_structure_property_suite(vortex_nu1):
 def test_step_recirculation_smoke():
     t0 = time.perf_counter()
     mesh = build_step_domain(0.25)
-    case = case_step(re=100.0, inlet="parabolic")
-    (u, _), report = newton_solve(case.problem(mesh))
+    case = case_step(inlet="parabolic")
+    (u, _), report = newton_solve(case.problem(mesh, 1 / 100))
     wall = time.perf_counter() - t0
     assert report.iterations <= 1000
     hit, min_ux, _ = recirculation_detect(mesh, u, STEP_RECIRCULATION_BOX)

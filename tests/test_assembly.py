@@ -501,7 +501,7 @@ class TestDirichlet:
         # an imported mesh without tags has every boundary edge at tag 0
         base = build_rect_uniform(2, 2)
         mesh = Mesh2D.from_arrays(base.vertices, base.triangles)
-        prob = case_vortex_2d(1.0).problem(mesh)
+        prob = case_vortex_2d().problem(mesh, 1.0)
         with pytest.raises(ValueError, match=r"tags \(1, 2, 3, 4\) select no bound"):
             prob.dof_map
 

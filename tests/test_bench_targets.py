@@ -108,7 +108,7 @@ def test_one_factorization_per_linear_solve(monkeypatch):
     monkeypatch.setattr(
         egns.solver, "solve_saddle", counted("solve_saddle", egns.solver.solve_saddle)
     )
-    problem = case_cavity("f1", 0.05).problem(build_rect_uniform(6, 6))
+    problem = case_cavity("f1").problem(build_rect_uniform(6, 6), 0.05)
     _, report = egns.solver.newton_solve(problem)
     assert report.iterations >= 2
     # chord steps reuse the last LU: only factored records factor
@@ -126,7 +126,7 @@ def test_symmetric_mode_cuts_the_fill(monkeypatch):
         factors.append((K, real(K, **kwargs)))
         return factors[-1][1]
 
-    problem = case_vortex_2d(1e-3).problem(build_rect_uniform(32, 32))
+    problem = case_vortex_2d().problem(build_rect_uniform(32, 32), 1e-3)
     dx = egns.solver.solve_saddle(problem, problem.newton_system(None))[0]
     system = problem.newton_system(problem.dof_map.values + dx)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", capture)
@@ -158,7 +158,7 @@ def test_traced_factor_is_the_float32_one(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", capture)
     monkeypatch.setattr(egns.solver, "solve_saddle", saddle)
-    problem = case_cavity("f1", 0.005).problem(build_rect_uniform(8, 8))
+    problem = case_cavity("f1").problem(build_rect_uniform(8, 8), 0.005)
     _, report = egns.solver.newton_solve(problem)
     assert report.factorizations == len(saddles) >= 2
     assert all(r["single"] for r in report.records)

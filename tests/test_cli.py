@@ -722,6 +722,21 @@ class TestDataBeyondRange:
 
 
 class TestStepCommand:
+    @pytest.mark.parametrize("physics, nu", [("reynolds = 400", 1 / 400), ("nu = 0.5", 0.5),
+                                             ("", 0.01)])
+    def test_viscosity_reaches_the_problem(self, tmp_path, monkeypatch, physics, nu):
+        # the parabolic inlet has unit mean speed, so Re = 1/nu; the default is Re = 100
+        seen = []
+
+        def record(problem, config):
+            seen.append(problem.nu)
+            raise egns.solver.SolverError("recorded")
+
+        monkeypatch.setattr(egns.cli, "nu_continuation", record)
+        path = _cfg(tmp_path, f"[mesh]\nh = 1.0\n\n[physics]\n{physics}\n")
+        assert main(["step", "--config", path, "--out", str(tmp_path)]) == 1
+        assert seen == [nu]
+
     def test_recirculation_behind_step(self, tmp_path, capsys):
         path = _cfg(tmp_path, "[mesh]\nh = 0.5\n\n[physics]\nreynolds = 100\n")
         rc = main(["step", "--config", path, "--out", str(tmp_path)])

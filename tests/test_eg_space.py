@@ -13,6 +13,7 @@ from egns.eg_space import (
     DofMap,
     dof_count,
     edge_values,
+    element_curl,
     element_divergence,
     element_ops,
     energy_norm,
@@ -203,6 +204,18 @@ class TestModifiedDivergence:
         assert np.abs(element_divergence(mesh, field)).max() < 1e-11
 
 
+class TestElementCurl:
+    def test_exact_on_linear_fields_and_blind_to_edge_scalars(self):
+        # u = (x + 2y, 5x - y) has curl 5 - 2 = 3; the edge scalars do not enter
+        mesh = build_rect_uniform(4, 3)
+        field = interpolate(mesh, lambda xy: xy @ np.array([[1.0, 5.0], [2.0, -1.0]]))
+        rng = np.random.default_rng(4)
+        edge_values(mesh, field)[:] = rng.standard_normal(mesh.num_edges)
+        curl = element_curl(mesh, field)
+        assert curl.shape == (mesh.num_triangles,)
+        assert np.abs(curl - 3.0).max() < 1e-12
+
+
 class TestStabilization:
     def test_positive_semidefinite(self):
         mesh = build_rect_uniform(2, 2)
@@ -378,8 +391,11 @@ class TestDofMap:
     (("with_nu(",), ("assembly.py", "solver.py:nu_continuation")),
     # a case's exact solution is evaluated by its checks and error_norms only
     ((".exact(",), ("verification.py",)),
+    # the paper's curl acts on the continuous part: element_curl, and the
+    # convection Jacobian's block of its coefficients
+    (('"curl"]',), ("eg_space.py", "assembly.py:assemble_convection_newton")),
 ], ids=["dof-layout", "per-mesh-cache", "edge-sign", "energy-blocks", "data-quadrature",
-        "rt-moments", "environment", "one-pool", "viscosity", "exact-fields"])
+        "rt-moments", "environment", "one-pool", "viscosity", "exact-fields", "curl"])
 def test_each_rule_has_one_owner(spellings, owners):
     # an owner is a module, or "module:name" for one top-level definition in it
     src = Path(__file__).resolve().parents[1] / "src" / "egns"

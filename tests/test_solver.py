@@ -157,13 +157,13 @@ def _layout(name, nu):
     """A small problem of each boundary layout the null-space solve meets."""
     square = build_rect_uniform(8, 8)
     if name == "vortex":
-        return case_vortex_2d(nu).problem(square)
+        return case_vortex_2d().problem(square, nu)
     if name == "step":
-        return case_step(1.0 / nu).problem(build_step_domain(0.5))
+        return case_step().problem(build_step_domain(0.5), nu)
     if name in ("cavity_f1", "cavity_f2"):
-        return case_cavity(name[-2:], nu).problem(square)
+        return case_cavity(name[-2:]).problem(square, nu)
     if name == "noflow":
-        return case_noflow().problem(square, nu=nu)
+        return case_noflow().problem(square, nu)
     if name == "channel":
         # walls split by an outflow at each end: two wall chains
         def force(xy):  # unit-speed Poiseuille drive plus a swirl
@@ -247,9 +247,12 @@ class TestNewtonConfig:
     [
         (lambda: NewtonConfig(rel_tol=math.nan), "rel_tol"),
         (lambda: NewtonConfig(rel_tol=math.inf), "rel_tol"),
-        (lambda: case_cavity("f1", math.nan), "viscosity"),
-        (lambda: case_cavity("f1", math.inf), "viscosity must be positive and finite"),
-        (lambda: case_step(re=math.nan), "Reynolds"),
+        (lambda: case_cavity("f1").problem(build_rect_uniform(2, 2), math.nan),
+         "viscosity must be positive and finite"),
+        (lambda: case_cavity("f1").problem(build_rect_uniform(2, 2), math.inf),
+         "viscosity must be positive and finite"),
+        (lambda: case_step().problem(build_step_domain(0.5), math.nan),
+         "viscosity must be positive and finite"),
         (lambda: _homogeneous_problem(2, 1.0).with_nu(math.nan), "viscosity"),
         (lambda: _homogeneous_problem(2, 1.0).with_nu(math.inf),
          "viscosity must be positive and finite"),
@@ -477,12 +480,12 @@ class TestFallback:
         _route_symmetric_lu(monkeypatch, _symmetric_lu, single=single)
         calls, routed = [], spla.splu
         monkeypatch.setattr(spla, "splu", lambda K, **kw: calls.append(1) or routed(K, **kw))
-        _, report = newton_solve(case_vortex_2d(1.0).problem(build_rect_uniform(16, 16)))
+        _, report = newton_solve(case_vortex_2d().problem(build_rect_uniform(16, 16), 1.0))
         assert {r["factored"] for r in report.records} <= {0, 2}
         assert report.factorizations == len(calls) > 0
 
     def test_records_fallback_per_iteration(self, monkeypatch):
-        prob = case_vortex_2d(1.0).problem(build_rect_uniform(16, 16))
+        prob = case_vortex_2d().problem(build_rect_uniform(16, 16), 1.0)
         _, report = newton_solve(prob)
         assert [r["fallback"] for r in report.records] == [False] * report.iterations
         _route_symmetric_lu(monkeypatch, _raise_runtime)
@@ -534,7 +537,7 @@ class TestChordStep:
 
     @pytest.mark.parametrize("name", ["vortex16"] + LAYOUTS)
     def test_float32_chords_take_two_passes(self, name):
-        prob = (case_vortex_2d(1.0).problem(build_rect_uniform(16, 16))
+        prob = (case_vortex_2d().problem(build_rect_uniform(16, 16), 1.0)
                 if name == "vortex16" else _layout(name, 1e-2))
         _, report = newton_solve(prob)
         assert all(r["single"] for r in report.records)
@@ -645,7 +648,7 @@ class TestNullSpaceSolve:
         monkeypatch.setattr(spla, "spilu", lambda *a, **k: orders.append(1)
                             or _SPILU(*a, **k))
         mesh = build_rect_uniform(8, 8)
-        _, reports = nu_continuation(case_vortex_2d(1e-5).problem(mesh))
+        _, reports = nu_continuation(case_vortex_2d().problem(mesh, 1e-5))
         assert len(reports) == 2
         assert orders == [1]
 
@@ -655,7 +658,7 @@ class TestNullSpaceSolve:
         # product with the assembled Jacobian cancels exactly; those
         # entries, and any that K holds at exactly zero, put back at 1e-30
         # leave the LU fill in place
-        prob = case_vortex_2d(1e-5).problem(build_rect_uniform(8, 8))
+        prob = case_vortex_2d().problem(build_rect_uniform(8, 8), 1e-5)
         mesh, Z = prob.mesh, prob.null_space.Z.tocsc()
         x = None if state == "rest" else _first_iterate(prob)[0]
         K = prob.newton_system(x)[0]
@@ -797,7 +800,7 @@ class TestReducedMatrix:
         # the element blocks summed by einsum round differently; nnz(K) and
         # the LU fill stay the same
         def factored():
-            prob = case_vortex_2d(1e-3).problem(build_rect_uniform(16, 16))
+            prob = case_vortex_2d().problem(build_rect_uniform(16, 16), 1e-3)
             K = prob.newton_system(None)[0]
             lu = _SPLU(K, **egns.solver._SYMMETRIC_MODE)
             return K.nnz, lu.L.nnz + lu.U.nnz, egns.assembly._viscous_unit(prob.mesh)
@@ -824,9 +827,9 @@ class TestReducedMatrix:
         monkeypatch.setattr(egns.assembly, "null_space",
                             lambda *a: built.append(1) or real(*a))
         mesh = build_rect_uniform(8, 8)
-        _, reports = nu_continuation(case_vortex_2d(1e-5).problem(mesh))
+        _, reports = nu_continuation(case_vortex_2d().problem(mesh, 1e-5))
         assert len(reports) == 2
-        f1, f2 = (case_cavity(f, 1.0).problem(mesh) for f in ("f1", "f2"))
+        f1, f2 = (case_cavity(f).problem(mesh, 1.0) for f in ("f1", "f2"))
         assert f1.null_space is f2.null_space
         assert built == [1]
         channel = SteadyProblem(mesh=mesh, nu=1.0, dirichlet=[((TAG_BOTTOM, TAG_TOP), _zero_bc)],
@@ -992,7 +995,7 @@ class TestNewtonSolve:
             assert b < a**1.5
 
     def test_chord_end_state_solves_the_assembled_equations(self):
-        prob = case_vortex_2d(1.0).problem(build_rect_uniform(16, 16))
+        prob = case_vortex_2d().problem(build_rect_uniform(16, 16), 1.0)
         config = NewtonConfig()
         (field, pressure), report = newton_solve(prob, config)
         assert not report.records[-1]["factored"]
@@ -1081,8 +1084,8 @@ class TestNewtonSolve:
     )
     def test_gradient_forcing_does_not_loosen_velocity_convergence(self):
         mesh = build_rect_uniform(8, 8)
-        (u_a, _), _ = newton_solve(case_cavity("f1", 1e-2).problem(mesh))
-        (u_b, _), _ = newton_solve(case_cavity("f2", 1e-2).problem(mesh))
+        (u_a, _), _ = newton_solve(case_cavity("f1").problem(mesh, 1e-2))
+        (u_b, _), _ = newton_solve(case_cavity("f2").problem(mesh, 1e-2))
         rel = velocity_l2_difference(mesh, u_a, u_b) / velocity_l2_norm(mesh, u_a)
         assert rel <= 1e-8
 
@@ -1150,7 +1153,7 @@ class TestContinuation:
         [
             lambda: _cavity_problem(6, 0.1),
             # 12 Newton iterations from rest: a stage runs up to max_iter
-            lambda: case_step(1.0 / egns.solver._NU_START).problem(build_step_domain(0.25)),
+            lambda: case_step().problem(build_step_domain(0.25), egns.solver._NU_START),
         ],
         ids=["cavity", "step"],
     )
@@ -1257,7 +1260,7 @@ class TestStepControl:
         factored = []
         monkeypatch.setattr(spla, "splu", lambda *a, **k: factored.append(1) or _SPLU(*a, **k))
         mesh = build_rect_uniform(32, 32)
-        _, reports = nu_continuation(case_vortex_2d(1e-5).problem(mesh))
+        _, reports = nu_continuation(case_vortex_2d().problem(mesh, 1e-5))
         assert [r.nu for r in reports] == [1e-2, 1e-5]
         assert all(r.converged for r in reports)
         assert len(factored) == sum(r.factorizations for r in reports) == 2
@@ -1293,14 +1296,16 @@ class TestStepControl:
 # iterations, trial stages and rejected ones.  A change that moves a row
 # repins it and lists old -> new in CHANGES.md
 LEDGER = {
-    "step h=0.25 Re=400": ((lambda: build_step_domain(0.25), case_step(400.0)), (69, 97, 8, 3)),
-    "step h=0.125 Re=400": ((lambda: build_step_domain(0.125), case_step(400.0)), (28, 37, 2, 0)),
-    "cavity f1 8x8 Re=4000": ((lambda: build_rect_uniform(8, 8), case_cavity("f1", 1 / 4000)),
+    "step h=0.25 Re=400": ((lambda: build_step_domain(0.25), case_step(), 1 / 400),
+                           (69, 97, 8, 3)),
+    "step h=0.125 Re=400": ((lambda: build_step_domain(0.125), case_step(), 1 / 400),
+                            (28, 37, 2, 0)),
+    "cavity f1 8x8 Re=4000": ((lambda: build_rect_uniform(8, 8), case_cavity("f1"), 1 / 4000),
                               (27, 53, 6, 2)),
-    "cavity f1 32x32 Re=400": ((lambda: build_rect_uniform(32, 32), case_cavity("f1", 1 / 400)),
+    "cavity f1 32x32 Re=400": ((lambda: build_rect_uniform(32, 32), case_cavity("f1"), 1 / 400),
                                (6, 13, 2, 0)),
-    "cavity f1 64x64 Re=4000": ((lambda: build_rect_uniform(64, 64),
-                                 case_cavity("f1", 1 / 4000)), (35, 50, 6, 2)),
+    "cavity f1 64x64 Re=4000": ((lambda: build_rect_uniform(64, 64), case_cavity("f1"),
+                                 1 / 4000), (35, 50, 6, 2)),
 }
 
 
@@ -1309,9 +1314,9 @@ def test_hard_flow_ledger(monkeypatch):
     factored = []
     monkeypatch.setattr(spla, "splu", lambda *a, **k: factored.append(1) or _SPLU(*a, **k))
     rows = {}
-    for name, ((mesh, case), _) in LEDGER.items():
+    for name, ((mesh, case, nu), _) in LEDGER.items():
         factored.clear()
-        _, reports = nu_continuation(case.problem(mesh()))
+        _, reports = nu_continuation(case.problem(mesh(), nu))
         rows[name] = (len(factored), sum(r.iterations for r in reports), len(reports),
                       sum(not r.converged for r in reports))
     print("\n| flow | `splu` | Newton its | trials | rejected |\n|---|---|---|---|---|")

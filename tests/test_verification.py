@@ -1,5 +1,7 @@
 """Manufactured cases, error norms, convergence tables, flow diagnostics."""
 
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -139,7 +141,7 @@ def _vortex_at(x, y, nu):
 
 class TestVortexCase:
     def test_velocity_matches_direct_polynomial(self):
-        case = case_vortex_2d(1.0)
+        case = case_vortex_2d()
         rng = np.random.default_rng(21)
         pts = rng.random((50, 2))
         x, y = pts[:, 0], pts[:, 1]
@@ -153,23 +155,23 @@ class TestVortexCase:
         assert np.abs(case.exact(pts)[0] - want).max() < 1e-13
 
     def test_center_is_stagnation_point(self):
-        case = case_vortex_2d(1.0)
+        case = case_vortex_2d()
         assert np.abs(case.exact(np.array([[0.5, 0.5]]))[0]).max() == 0.0
 
     def test_pressure_formula(self):
-        case = case_vortex_2d(1.0)
+        case = case_vortex_2d()
         pts = np.array([[0.25, 0.75], [1.0, 1.0], [0.0, 0.0]])
         want = 10 * (2 * pts[:, 0] - 1) * (2 * pts[:, 1] - 1)
         assert np.abs(case.exact(pts)[2] - want).max() < 1e-13
 
     def test_divergence_free(self):
-        case = case_vortex_2d(1.0)
+        case = case_vortex_2d()
         rng = np.random.default_rng(22)
         pts = 0.1 + 0.8 * rng.random((100, 2))
         assert np.abs(_fd_divergence4(_velocity(case), pts)).max() < 1e-12
 
     def test_gradient_matches_finite_differences(self):
-        case = case_vortex_2d(1.0)
+        case = case_vortex_2d()
         rng = np.random.default_rng(23)
         pts = 0.05 + 0.9 * rng.random((30, 2))
         J = _fd_jacobian(_velocity(case), pts)
@@ -178,7 +180,7 @@ class TestVortexCase:
 
     @pytest.mark.parametrize("nu", [1.0, 1e-2, 1e-5])
     def test_body_force_matches_momentum_equation(self, nu):
-        case = case_vortex_2d(nu)
+        case = case_vortex_2d()
         rng = np.random.default_rng(24)
         pts = 0.05 + 0.9 * rng.random((20, 2))
         u = case.exact(pts)[0]
@@ -196,7 +198,7 @@ class TestVortexCase:
 
     @pytest.mark.parametrize("nu", [1.0, 1e-5])
     def test_closed_forms_match_pointwise_oracle(self, shuffled_mesh, nu):
-        case = case_vortex_2d(nu)
+        case = case_vortex_2d()
         pts = quadrature_rule(5).physical_points(shuffled_mesh())  # (NT, 7, 2)
         got = [*case.exact(pts)[:2], case.body_force(pts) + nu * case.force_per_nu(pts)]
         want = [np.empty_like(g) for g in got]
@@ -208,12 +210,27 @@ class TestVortexCase:
             assert np.abs(g - w).max() <= 1e-14 * max(1.0, np.abs(w).max())
 
     def test_problem_is_pure_dirichlet(self):
-        case = case_vortex_2d(1.0)
-        prob = case.problem(build_rect_uniform(4, 4))
+        case = case_vortex_2d()
+        prob = case.problem(build_rect_uniform(4, 4), 1.0)
         assert prob.null_space.closed
         _, p, _ = solve_saddle(prob, prob.newton_system(None))
         assert abs(prob.mesh.areas @ p) <= 1e-14 * np.abs(p).max()
         assert prob.nu == 1.0
+
+
+class TestNuFreeCases:
+    """A case is the data of one flow at every viscosity: problem(mesh, nu)
+    is the one place where it meets one."""
+
+    def test_flow_case_has_no_viscosity_field(self):
+        assert "nu" not in {f.name for f in dataclasses.fields(FlowCase)}
+
+    @pytest.mark.parametrize("make", [case_vortex_2d, case_noflow, case_cavity, case_step])
+    def test_constructors_take_no_viscosity(self, make):
+        assert not {"nu", "re"} & set(inspect.signature(make).parameters)
+
+    def test_problem_takes_mesh_and_nu(self):
+        assert list(inspect.signature(FlowCase.problem).parameters) == ["self", "mesh", "nu"]
 
 
 class TestInconsistentCaseRejected:
@@ -222,7 +239,6 @@ class TestInconsistentCaseRejected:
         with pytest.raises(VerificationError, match="force"):
             FlowCase(
                 name="broken",
-                nu=1.0,
                 exact=noflow.exact,
                 body_force=lambda xy: np.zeros_like(xy),
                 dirichlet=noflow.dirichlet,
@@ -233,7 +249,6 @@ class TestInconsistentCaseRejected:
         with pytest.raises(VerificationError, match="divergence"):
             FlowCase(
                 name="broken",
-                nu=1.0,
                 # u = (x, 0) with its true gradient: only the divergence is wrong
                 exact=lambda xy: (
                     np.stack([xy[..., 0], np.zeros_like(xy[..., 1])], axis=-1),
@@ -249,16 +264,24 @@ class TestInconsistentCaseRejected:
     def test_each_force_part_checked_on_its_own_scale(self, part, named):
         # a 1e-4 slip in the viscous part is 1e-9 of the force at nu =
         # 1e-5, below a check of the sum; each part is checked alone
-        vortex = case_vortex_2d(1e-5)
+        vortex = case_vortex_2d()
         fields = {f: getattr(vortex, f) for f in ("exact", "body_force", "force_per_nu")}
         right = fields[part]
         fields[part] = lambda xy: (1.0 + 1e-4) * right(xy)
         with pytest.raises(VerificationError, match=f"{named} deviates"):
-            FlowCase(name="broken", nu=1e-5, dirichlet=vortex.dirichlet, **fields)
+            FlowCase(name="broken", dirichlet=vortex.dirichlet, **fields)
+
+    def test_viscous_term_folded_into_body_force(self):
+        # the body force of one nu is the force at no other: a case holds
+        # the force per unit nu apart, or it is refused
+        vortex = case_vortex_2d()
+        with pytest.raises(VerificationError, match="force per unit nu deviates"):
+            FlowCase(name="folded", dirichlet=vortex.dirichlet, exact=vortex.exact,
+                     body_force=lambda xy: vortex.body_force(xy) + vortex.force_per_nu(xy))
 
     def test_missing_body_force_is_zero(self):
         noflow = case_noflow()
-        rest = dict(name="rest", nu=1.0, dirichlet=noflow.dirichlet)
+        rest = dict(name="rest", dirichlet=noflow.dirichlet)
         FlowCase(**rest, exact=lambda xy: (*noflow.exact(xy)[:2], np.full(xy.shape[:-1], 2.0)))
         with pytest.raises(VerificationError, match="force"):
             FlowCase(**rest, exact=noflow.exact)
@@ -287,7 +310,7 @@ class TestNoflowCase:
         pts = rng.random((40, 2))
         u, grad, _ = case.exact(pts)
         assert np.abs(u).max() == 0.0 and np.abs(grad).max() == 0.0
-        assert case.nu == 1.0
+        assert case.problem(build_rect_uniform(2, 2), 1.0).nu == 1.0
 
 
 class TestCavityCase:
@@ -331,7 +354,7 @@ class TestCavityCase:
 
 class TestStepCase:
     def test_parabolic_inlet_profile(self):
-        case = case_step(re=100)
+        case = case_step()
         inlet = dict(case.dirichlet)[(TAG_INLET,)]
         pts = np.array([[-4.0, 1.0], [-4.0, 1.5], [-4.0, 2.0]])
         vals = inlet(pts)
@@ -346,15 +369,14 @@ class TestStepCase:
         assert mean == pytest.approx(1.0, rel=1e-12)
 
     def test_constant_inlet_variant(self):
-        case = case_step(re=100, inlet="constant")
+        case = case_step(inlet="constant")
         inlet = dict(case.dirichlet)[(TAG_INLET,)]
         vals = inlet(np.array([[-4.0, 1.3]]))
         assert vals[0] == pytest.approx((1.0, 0.0), abs=1e-15)
 
-    def test_reynolds_sets_viscosity_and_outflow(self):
-        case = case_step(re=100)
-        assert case.nu == pytest.approx(0.01, rel=1e-15)
-        assert case.neumann_tags == (TAG_OUTLET,)
+    def test_outlet_is_traction_free(self):
+        # Re = 1/nu is the CLI's rule: tests/test_cli.py covers it
+        assert case_step().neumann_tags == (TAG_OUTLET,)
 
 
 class TestErrorNorms:
@@ -394,7 +416,7 @@ class TestErrorNorms:
         n = int((0.75 * _NORM_BLOCK) ** 0.5)
         mesh = build_rect_uniform(n, n)
         assert _NORM_BLOCK < mesh.num_triangles < 2 * _NORM_BLOCK
-        case = case_vortex_2d(1.0)
+        case = case_vortex_2d()
         rng = np.random.default_rng(7)
         field = interpolate(mesh, _velocity(case))
         vertex_values(mesh, field)[:] += 1e-3 * rng.standard_normal((mesh.num_vertices, 2))
@@ -420,7 +442,7 @@ class TestErrorNorms:
     def test_exact_evaluated_once_per_block(self):
         mesh = build_rect_uniform(48, 48)
         assert mesh.num_triangles == 4608  # four full blocks and a partial one
-        case = case_vortex_2d(1.0)
+        case = case_vortex_2d()
         calls = []
 
         def spy(X):
