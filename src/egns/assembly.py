@@ -36,7 +36,7 @@ from .eg_space import (DofMap, dof_count, edge_trace, edge_values, element_curl,
                        element_ops, energy_operators, vertex_values)
 from .mesh import per_mesh
 from .nullspace import null_space
-from .quadrature import quadrature_rule
+from .quadrature import LOAD_RULE
 from .reconstruction import rt_scale
 
 logger = logging.getLogger(__name__)
@@ -140,11 +140,11 @@ def assemble_load(mesh, f):
     edge scalars, which is what makes gradient forces drop out on the
     discretely divergence-free subspace.
     """
-    rule = quadrature_rule(5)
-    X = rule.physical_points(mesh)
+    points, w = LOAD_RULE
+    X = points @ mesh.vertices[mesh.triangles]
     fv = np.asarray(f(X.reshape(-1, 2)), dtype=float).reshape(X.shape)
-    fx = mesh.areas * np.einsum("q,tqd,tqd->t", rule.weights, fv, X)
-    f1 = mesh.areas[:, None] * np.einsum("q,tqd->td", rule.weights, fv)
+    fx = mesh.areas * np.einsum("q,tqd,tqd->t", w, fv, X)
+    f1 = mesh.areas[:, None] * np.einsum("q,tqd->td", w, fv)
     P = mesh.vertices[mesh.triangles]  # vertex k is opposite local edge k
     vals = rt_scale(mesh) * (fx[:, None] - np.einsum("tkd,td->tk", P, f1))
     return _scatter(element_ops(mesh)["l2g"][:, 6:], vals, dof_count(mesh))

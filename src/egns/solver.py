@@ -403,7 +403,8 @@ def nu_continuation(problem, config=None):
     while state is None:
         current *= 10.0
         if current > 1.0:
-            give_up(failure, "no start from rest up to nu = 1 converged")
+            tried = ", ".join(f"{r.nu:g}" for r in reports)  # all from rest so far
+            give_up(failure, f"no start from rest converged (tried nu = {tried})")
         state, failure = trial(current, None)
 
     step = controlled = math.inf  # the next trial's step in log(nu), the controlled one

@@ -1,12 +1,14 @@
 """Command line interface: config parsing, VTK export, subcommand contracts."""
 
 import gc
+import importlib
 import logging
 import os
 import re
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,6 +355,15 @@ class TestMainPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(path) in err
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_console_script_resolves(self):
+        # the installed `egns` is pyproject.toml's [project.scripts] entry;
+        # read by hand, as Python 3.10 has no tomllib
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        entries = re.findall(r'^(\S+) = "([\w.]+):(\w+)"$', section, re.M)
+        assert entries == [("egns", "egns.cli", "main")]
+        assert getattr(importlib.import_module(entries[0][1]), entries[0][2]) is main
 
     def test_help_describes_every_command(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")  # one line per command

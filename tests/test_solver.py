@@ -22,7 +22,7 @@ from egns.mesh import (
     build_rect_uniform,
     build_step_domain,
 )
-from egns.quadrature import quadrature_rule, refined_rule
+from egns.quadrature import NORM_RULE
 from egns.eg_space import dof_count, energy_norm, energy_operators, vertex_values
 from egns.assembly import (
     _viscous_unit,
@@ -221,11 +221,11 @@ def _assembled_residual(problem, x, pressure):
 
 
 def _l2_force_norm(mesh, f):
-    rule = refined_rule(quadrature_rule(8))
-    X = rule.physical_points(mesh)
+    points, weights = NORM_RULE
+    X = points @ mesh.vertices[mesh.triangles]
     fv = np.asarray(f(X.reshape(-1, 2))).reshape(X.shape)
     return float(
-        np.sqrt((mesh.areas * np.einsum("q,tqd->t", rule.weights, fv**2)).sum())
+        np.sqrt((mesh.areas * np.einsum("q,tqd->t", weights, fv**2)).sum())
     )
 
 
@@ -1200,6 +1200,22 @@ class TestContinuation:
         assert ei.value.stage == 1
         assert "stage 1 (nu=1)" in str(ei.value)
         assert ei.value.report.nu == 1.0
+
+    @pytest.mark.parametrize("target, tried", [(2.0, "2"), (1e-3, "0.01, 0.1, 1")],
+                             ids=["one-start", "every-start"])
+    def test_failed_start_names_the_viscosities_tried(self, fail_first_solve_at,
+                                                      target, tried):
+        # every start from rest fails once: at the target alone when it is
+        # above 1, else at 1e-2 and tenfold up to 1; the message names them
+        starts = [max(target, egns.solver._NU_START)]
+        while starts[-1] * 10.0 <= 1.0:
+            starts.append(starts[-1] * 10.0)
+        for start in starts:
+            fail_first_solve_at(start)
+        with pytest.raises(NonConvergenceError) as ei:
+            nu_continuation(_cavity_problem(4, target))
+        assert f"no start from rest converged (tried nu = {tried}): " in str(ei.value)
+        assert ei.value.stage == len(starts) - 1
 
     def test_step_floor_is_attributed(self, monkeypatch, fail_first_solve_at):
         # with a floor above every step, the first failed trial ends the

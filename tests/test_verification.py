@@ -18,7 +18,7 @@ from egns.mesh import (
     build_rect_uniform,
 )
 from egns.eg_space import element_ops, interpolate, vertex_values
-from egns.quadrature import quadrature_rule, refined_rule
+from egns.quadrature import LOAD_RULE, NORM_RULE
 from egns.solver import solve_saddle
 from egns.verification import (
     _NORM_BLOCK,
@@ -199,7 +199,8 @@ class TestVortexCase:
     @pytest.mark.parametrize("nu", [1.0, 1e-5])
     def test_closed_forms_match_pointwise_oracle(self, shuffled_mesh, nu):
         case = case_vortex_2d()
-        pts = quadrature_rule(5).physical_points(shuffled_mesh())  # (NT, 7, 2)
+        mesh = shuffled_mesh()
+        pts = LOAD_RULE[0] @ mesh.vertices[mesh.triangles]  # (NT, 7, 2)
         got = [*case.exact(pts)[:2], case.body_force(pts) + nu * case.force_per_nu(pts)]
         want = [np.empty_like(g) for g in got]
         for idx in np.ndindex(pts.shape[:-1]):
@@ -423,11 +424,11 @@ class TestErrorNorms:
         pressure = rng.standard_normal(mesh.num_triangles)
 
         # the unblocked sums over every triangle at once
-        rule = refined_rule(quadrature_rule(8))
-        X, w = rule.physical_points(mesh), rule.weights
+        points, w = NORM_RULE
+        X = points @ mesh.vertices[mesh.triangles]
         V = vertex_values(mesh, field)[mesh.triangles]
         u, grad, p = case.exact(X)
-        du = u - np.einsum("qk,tkd->tqd", rule.points, V)
+        du = u - np.einsum("qk,tkd->tqd", points, V)
         g0 = np.einsum("tkd,tke->tde", V, element_ops(mesh)["gradl"])
         dg = grad - g0[:, None]
         dp = p - pressure[:, None]
@@ -477,9 +478,9 @@ class TestVelocityNormHelpers:
         mesh = shuffled_mesh(seed)
         rng = np.random.default_rng(seed)
         field = _vertex_field(mesh, rng.standard_normal((mesh.num_vertices, 2)))
-        rule = quadrature_rule(5)
-        u0 = rule.points @ vertex_values(mesh, field)[mesh.triangles]
-        want = np.einsum("q,tqd,tqd->t", rule.weights, u0, u0)
+        points, weights = LOAD_RULE
+        u0 = points @ vertex_values(mesh, field)[mesh.triangles]
+        want = np.einsum("q,tqd,tqd->t", weights, u0, u0)
         assert np.abs(_mean_sq(mesh, field) - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_norm_of_constant_field(self):
