@@ -28,10 +28,9 @@ tags to one of::
     outflow                          zero-traction outlet
 
 Exit codes: 0 success, 1 solver or check failure, 2 config/mesh error.
-The environment variable EGNS_THREADS caps the worker count used by the
-converge subcommand, which starts its levels largest first;
-EGNS_THREADS=1 runs them one after another. Each level returns the heap
-it freed to the system when it ends.
+The converge subcommand runs its levels largest first, one thread per CPU
+this process may run on (`taskset -c 0` runs them one after another).
+Each level returns the heap it freed to the system when it ends.
 """
 
 from __future__ import annotations
@@ -162,11 +161,15 @@ def load_config(path, command=None) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal (no % interpolation), and every key is in a named section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
+        with path.open(encoding="utf-8") as f:  # an unreadable file is an i/o error
+            parser.read_file(f)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if parser.defaults():
+        raise ConfigError("unknown config section [DEFAULT]")
 
     cfg = RunConfig()
     for section in parser.sections():
@@ -219,19 +222,10 @@ def _resolve_nu(cfg: RunConfig, default: Optional[float] = None) -> float:
 
 
 def worker_count(jobs: int) -> int:
-    """Workers for level-parallel runs: EGNS_THREADS, else the CPUs this
-    process may run on."""
-    env = os.environ.get("EGNS_THREADS", "")
-    cap = None
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            logger.warning("ignoring unparsable EGNS_THREADS=%r", env)
-    if cap is None:
-        affinity = getattr(os, "sched_getaffinity", None)  # not on every OS
-        cap = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(jobs, cap))
+    """Workers for level-parallel runs: at most one per CPU this process
+    may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every OS
+    return max(1, min(jobs, len(affinity(0)) if affinity else os.cpu_count() or 1))
 
 
 try:  # glibc's

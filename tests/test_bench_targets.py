@@ -12,6 +12,7 @@ factorizations and the fill of the factor those calls return."""
 
 import ast
 import importlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,7 @@ def test_cli_commands_are_the_five_callables():
     assert all(callable(fn) for fn in egns.cli.COMMANDS.values())
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", [1, 2])
 def test_converge_submits_every_level_to_the_pool(tmp_path, monkeypatch, threads):
     submitted = []
 
@@ -82,7 +83,7 @@ def test_converge_submits_every_level_to_the_pool(tmp_path, monkeypatch, threads
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(egns.cli, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setenv("EGNS_THREADS", threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
     config = tmp_path / "run.ini"
     config.write_text("[mesh]\nlevels = 2 4 3\n")
     assert egns.cli.main(["converge", "--config", str(config), "--out", str(tmp_path)]) == 0

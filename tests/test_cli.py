@@ -170,34 +170,33 @@ class TestLoadConfig:
             load_config(_cfg(tmp_path, "[physics]\ncontinuation = maybe\n", "c.ini"))
 
 
+def _cpus(monkeypatch, k):
+    """Let this process run on k CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
 class TestWorkerCount:
-    def test_serial_forces_one(self, monkeypatch):
-        monkeypatch.setenv("EGNS_THREADS", "1")
-        assert worker_count(4) == 1
-
-    def test_env_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("EGNS_THREADS", "3")
-        assert worker_count(8) == 3
-
     def test_jobs_cap(self, monkeypatch):
-        monkeypatch.setenv("EGNS_THREADS", "16")
+        _cpus(monkeypatch, 16)
         assert worker_count(2) == 2
 
     def test_affinity_caps_workers(self, monkeypatch):
-        monkeypatch.delenv("EGNS_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
         assert worker_count(8) == 2
 
     def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delenv("EGNS_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert worker_count(8) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert worker_count(8) == 1
 
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("EGNS_THREADS", "lots")
-        assert worker_count(4) >= 1
+    def test_environment_sets_nothing(self, monkeypatch):
+        # the affinity mask alone sizes the pool
+        monkeypatch.setenv("EGNS_THREADS", "1")
+        _cpus(monkeypatch, 2)
+        assert worker_count(4) == 2
 
 
 def _reference_vtk(mesh, fld, pressure):
@@ -375,6 +374,51 @@ class TestMainPlumbing:
             assert re.search(rf"^ +{name} +\w", out, re.M), out
 
 
+class TestLiteralNamedKeys:
+    # a value is literal, so % is an ordinary character, and a key is read
+    # only from its named section: [DEFAULT] is refused, not inherited
+    def test_percent_in_a_value(self, tmp_path, capsys):
+        path = _cfg(tmp_path, "[physics]\ninlet = 50%\n")
+        assert main(["step", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: [physics] inlet: unknown inlet profile '50%'\n"
+        assert "Traceback" not in err
+
+    def test_percent_in_a_mesh_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = _cfg(tmp_path, "[mesh]\ngenerator = import\npath = a%(x)s.m2d\n")
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "a%(x)s.m2d" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nresolution = 4\n",  # would run on the default 32x32 mesh
+        "[DEFAULT]\nnu = 1e-3\n\n[mesh]\nresolution = 4\n",  # would name [mesh]
+    ], ids=["alone", "beside-mesh"])
+    def test_default_section_refused(self, tmp_path, capsys, text):
+        path = _cfg(tmp_path, text)
+        assert main(["noflow", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: unknown config section [DEFAULT]\n"
+        assert "Traceback" not in err
+
+    def test_unreadable_file(self, tmp_path, capsys, monkeypatch):
+        # the file exists but cannot be opened: an i/o error, not a run on
+        # the defaults. Patched, as chmod does not stop root
+        path, real_open = _cfg(tmp_path, "[mesh]\nresolution = 4\n"), Path.open
+
+        def refuse(self, *args, **kwargs):
+            if self == Path(path):
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", refuse)
+        assert main(["noflow", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"i/o error: [Errno 13] Permission denied: {path!r}\n"
+
+
 class TestCommandKeys:
     @pytest.mark.parametrize(
         "command, section, key, value",
@@ -475,7 +519,7 @@ class TestNoflowCommand:
 
 class TestConvergeCommand:
     def test_two_levels(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("EGNS_THREADS", "1")
+        _cpus(monkeypatch, 1)
         path = _cfg(tmp_path, "[mesh]\nlevels = 8 16\n")
         rc = main(["converge", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
@@ -501,7 +545,7 @@ class TestConvergeCommand:
 
     @pytest.mark.parametrize("levels, blank", [("8 4", False), ("8 8", True)])
     def test_unordered_levels_write_table(self, tmp_path, monkeypatch, levels, blank):
-        monkeypatch.setenv("EGNS_THREADS", "1")
+        _cpus(monkeypatch, 1)
         path = _cfg(tmp_path, f"[mesh]\nlevels = {levels}\n")
         assert main(["converge", "--config", path, "--out", str(tmp_path)]) == 0
         csv = (tmp_path / "convergence.csv").read_text().splitlines()
@@ -559,15 +603,15 @@ class TestConvergeCommand:
         # the failure is seen. The other levels never start.
         for levels in (range(1, 11), range(10, 0, -1)):
             path = _cfg(tmp_path, "[mesh]\nlevels = " + " ".join(map(str, levels)) + "\n")
-            for threads, most in (("2", 3), ("1", 2)):
+            for threads, most in ((2, 3), (1, 2)):
                 started.clear()
-                monkeypatch.setenv("EGNS_THREADS", threads)
+                _cpus(monkeypatch, threads)
                 rc = main(["converge", "--config", path, "--out", str(tmp_path)])
                 assert rc == 1
                 assert "level n=10 failed: fails at once" in capsys.readouterr().err
                 assert 1 <= len(started) <= most, (list(levels), threads)
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_finished_level_freed_before_heap_release(self, tmp_path, monkeypatch, threads):
         # each worker hands its level's pages back once the level, its LU
         # and operators are freed: at every release the level the calling
@@ -585,7 +629,7 @@ class TestConvergeCommand:
             released.append((n, ref() is None))
             return 0
 
-        monkeypatch.setenv("EGNS_THREADS", threads)
+        _cpus(monkeypatch, threads)
         monkeypatch.setattr(egns.cli, "build_rect_uniform", tracked_mesh)
         monkeypatch.setattr(egns.cli, "_malloc_trim", spied_trim)
         path = _cfg(tmp_path, "[mesh]\nlevels = 4 12 8 6\n")

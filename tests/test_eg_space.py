@@ -384,8 +384,8 @@ class TestDofMap:
     (("NORM_RULE",), ("quadrature.py", "verification.py:error_norms")),
     # the RT0 basis is integrated against by element moments, never evaluated
     (("rt_basis(",), ()),
-    # the environment sets one thing: the worker cap of egns converge
-    (("os.environ", "getenv("), ("cli.py:worker_count",)),
+    # every setting comes from its config key: nothing reads the environment
+    (("os.environ", "getenv("), ()),
     # threads only serve egns converge's levels
     (("ThreadPoolExecutor(",), ("cli.py:cmd_converge",)),
     # a problem owns its viscosity: only the continuation moves it
