@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -257,23 +257,20 @@ def apply_dirichlet(dof_map, A, B, rhs_u, rhs_p):
 
 @dataclass
 class SteadyProblem:
-    """A steady flow problem: geometry, viscosity, forcing, boundary data.
+    """A steady flow problem: a flow case on a mesh at a viscosity.
 
-    dirichlet is an ordered list of (tags, u_D) segments; neumann_tags
-    name the traction-free outflow sides.  The load is L0 + nu L1, L0 from
-    body_force and L1 from force_per_nu.  L0, L1, the Dirichlet dof map and
-    the divergence-free basis are computed once per problem instance and
-    reused; with_nu returns a new instance that shares all four, since none
-    depends on nu.  Problems on one mesh with the same constrained dofs
-    share one basis.
+    case is a verification.FlowCase, or any object with its dirichlet,
+    neumann_tags, body_force and force_per_nu.  The load is L0 + nu L1, L0
+    from body_force and L1 from force_per_nu.  L0, L1, the Dirichlet dof
+    map and the divergence-free basis are computed once per problem
+    instance and reused; with_nu returns a new instance that shares all
+    four, since none depends on nu.  Problems on one mesh with the same
+    constrained dofs share one basis.
     """
 
     mesh: object
     nu: float
-    body_force: object = None
-    dirichlet: list = field(default_factory=list)
-    neumann_tags: tuple = ()
-    force_per_nu: object = None
+    case: object
 
     def __post_init__(self):
         if not 0 < self.nu < np.inf:  # also NaN
@@ -288,7 +285,7 @@ class SteadyProblem:
     def _loads(self):  # L0 and L1, None for a force not given
         with np.errstate(over="ignore", invalid="ignore"):  # load_vector names it
             return [None if f is None else assemble_load(self.mesh, f)
-                    for f in (self.body_force, self.force_per_nu)]
+                    for f in (self.case.body_force, self.case.force_per_nu)]
 
     @cached_property
     def load_vector(self):
@@ -319,10 +316,10 @@ class SteadyProblem:
         ValueError.
         """
         mesh = self.mesh
-        if not self.dirichlet:
+        if not self.case.dirichlet:
             raise ValueError("no Dirichlet segment: at rest the viscous form "
                              "alone leaves constant velocities free")
-        dm = dirichlet_dof_map(mesh, self.dirichlet)
+        dm = dirichlet_dof_map(mesh, self.case.dirichlet)
         be = mesh.boundary_edge_indices
         if edge_values(mesh, dm.constrained)[be].all():
             flux = float(mesh.edge_lengths[be] @ edge_values(mesh, dm.values)[be])
@@ -347,7 +344,7 @@ class SteadyProblem:
 
     def _values(self, y):  # r + vec_N: the convection and outflow values
         return (_convection_value(self.mesh, y)[2]
-                + _neumann_value(self.mesh, self.neumann_tags, y)[1])
+                + _neumann_value(self.mesh, self.case.neumann_tags, y)[1])
 
     def _momentum_mass(self, x):
         # nu V x + (r + vec_N)(x) - load, B x and those values; rest (None): x = v, no values
@@ -396,9 +393,9 @@ class SteadyProblem:
         data, blocks = self.nu * ns.viscous, None
         if x is not None:
             blocks = assemble_convection_newton(self.mesh, x)
-            if self.neumann_tags:
-                _, t, k, cols = _outflow_edges(self.mesh, tuple(self.neumann_tags))
-                blocks[t, k, cols] += assemble_neumann(self.mesh, self.neumann_tags, x)
+            if self.case.neumann_tags:
+                _, t, k, cols = _outflow_edges(self.mesh, tuple(self.case.neumann_tags))
+                blocks[t, k, cols] += assemble_neumann(self.mesh, self.case.neumann_tags, x)
             data = data + ns.reduce(blocks)
 
         def jacobian(y):

@@ -128,15 +128,16 @@ class NewtonConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not 0 < self.rel_tol < math.inf:  # also NaN
-            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
+        if not np.finfo(float).eps <= self.rel_tol < math.inf:  # also NaN
+            raise ValueError("rel_tol must be finite and at least machine epsilon "
+                             f"{np.finfo(float).eps:.3g}, got {self.rel_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass
 class SolveReport:
-    """One Newton solve, or one trial stage of nu_continuation (with nu).
+    """One Newton solve, or one trial stage of nu_continuation, at nu.
 
     records holds one dict per iteration: update (relative Newton update),
     residual (at the kept iterate, NaN if the update test ended the solve),
@@ -149,8 +150,8 @@ class SolveReport:
 
     records: list
     wall_time: float
-    converged: bool = True
-    nu: float | None = None
+    converged: bool
+    nu: float  # the viscosity of the problem solved
 
     @property
     def iterations(self):
@@ -285,7 +286,7 @@ def newton_solve(problem, config=None, initial=None):
 
     problem needs newton_system(x, at_x), the Newton system at the velocity
     dof vector x (None = zero velocity), residual(x, pressure),
-    mesh, dof_map and null_space; every iterate is x + lambda dx, dx from
+    mesh, nu, dof_map and null_space; every iterate is x + lambda dx, dx from
     solve_saddle or the last LU.  initial, whose constrained entries give
     way to the problem's Dirichlet values, and the result are (x,
     pressure) pairs; returns (result, report).  Raises
@@ -306,7 +307,7 @@ def newton_solve(problem, config=None, initial=None):
     prev, records, lu = np.concatenate([x[free], p]), [], None
 
     def report(converged=True):
-        return SolveReport(records, time.perf_counter() - t0, converged)
+        return SolveReport(records, time.perf_counter() - t0, converged, problem.nu)
 
     while len(records) < config.max_iter:
         factored = lu is None
@@ -385,7 +386,6 @@ def nu_continuation(problem, config=None):
             failure = None
         except NonConvergenceError as exc:
             state, report, failure = None, exc.report, exc
-        report.nu = trial_nu
         reports.append(report)
         logger.info("continuation stage %d: nu=%.6g %s after %d iterations",
                     len(reports) - 1, trial_nu,

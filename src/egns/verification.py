@@ -148,6 +148,8 @@ def _check_manufactured(case: "FlowCase") -> None:
 class FlowCase:
     """Boundary data and forcing of one flow, with its exact solution if known.
 
+    dirichlet is an ordered list of (tags, u_D) segments, and later segments
+    win at shared vertices; neumann_tags name the traction-free outflow sides.
     All field callables take points with shape (..., 2); the forces return
     (..., 2). exact returns the tuple (u (..., 2), grad u (..., 2, 2) with
     [i, j] = du_i/dx_j, p (...,)) of fresh arrays, which the caller may
@@ -169,14 +171,7 @@ class FlowCase:
             _check_manufactured(self)
 
     def problem(self, mesh: Mesh2D, nu: float) -> SteadyProblem:
-        return SteadyProblem(
-            mesh,
-            nu,
-            body_force=self.body_force,
-            dirichlet=list(self.dirichlet),
-            neumann_tags=self.neumann_tags,
-            force_per_nu=self.force_per_nu,
-        )
+        return SteadyProblem(mesh, nu, self)
 
 
 def constant_velocity(ux: float, uy: float) -> VectorFn:

@@ -16,7 +16,6 @@ from egns.quadrature import LOAD_RULE
 from egns.eg_space import dof_count, energy_norm, energy_operators, interpolate, vertex_values
 from egns.assembly import (
     _viscous_unit,
-    SteadyProblem,
     apply_dirichlet,
     assemble_convection_newton,
     assemble_divergence,
@@ -25,7 +24,7 @@ from egns.assembly import (
     dirichlet_dof_map,
 )
 from egns.solver import newton_solve, solve_saddle
-from egns.verification import case_vortex_2d
+from egns.verification import FlowCase, case_vortex_2d
 
 ALL_SIDES = (TAG_BOTTOM, TAG_RIGHT, TAG_TOP, TAG_LEFT)
 
@@ -125,9 +124,9 @@ class TestViscous:
     def test_linear_in_viscosity(self):
         # the momentum residual SteadyProblem writes moves with nu by nu V x
         mesh = build_rect_uniform(3, 3)
-        prob = SteadyProblem(mesh, nu=1.0, body_force=lambda X: np.cos(X),
-                             dirichlet=[((TAG_BOTTOM, TAG_TOP, TAG_LEFT), lambda X: X**2)],
-                             neumann_tags=(TAG_RIGHT,))
+        prob = FlowCase(name="mixed", body_force=lambda X: np.cos(X),
+                        dirichlet=[((TAG_BOTTOM, TAG_TOP, TAG_LEFT), lambda X: X**2)],
+                        neumann_tags=(TAG_RIGHT,)).problem(mesh, 1.0)
         x = _random_field(mesh, np.random.default_rng(3))
         p = np.zeros(mesh.num_triangles)
         nu1, nu2 = 0.3, 1.7
@@ -428,10 +427,10 @@ class TestDirichlet:
         mesh = build_rect_uniform(4, 4)
         walls = lambda xy: np.zeros_like(xy)
         lid = lambda xy: np.broadcast_to((1.0, 0.0), xy.shape)
-        prob = SteadyProblem(
-            mesh=mesh, nu=1.0,
+        prob = FlowCase(
+            name="cavity",
             dirichlet=[((TAG_BOTTOM, TAG_LEFT, TAG_RIGHT), walls), ((TAG_TOP,), lid)],
-        )
+        ).problem(mesh, 1.0)
         with caplog.at_level(logging.INFO, logger="egns.assembly"):
             prob.newton_system(None)
             prob.newton_system(np.zeros(dof_count(mesh)))
@@ -490,7 +489,7 @@ class TestDirichlet:
         monkeypatch.setattr(
             scipy.sparse.linalg, "splu", lambda *a, **k: factorizations.append(a)
         )
-        prob = SteadyProblem(mesh=mesh, nu=1.0, dirichlet=[(ALL_SIDES, u_d)])
+        prob = FlowCase(name="leaky", dirichlet=[(ALL_SIDES, u_d)]).problem(mesh, 1.0)
         with pytest.raises(ValueError, match="incompatible: net boundary flux 2"):
             prob.dof_map
         with pytest.raises(ValueError, match="incompatible"):
@@ -524,10 +523,10 @@ class TestDirichlet:
 class TestSteadyProblem:
     def test_pure_dirichlet_gets_mean_constraint(self):
         mesh = build_rect_uniform(2, 2)
-        prob = SteadyProblem(
-            mesh=mesh, nu=1.0, body_force=lambda xy: xy,  # grad |x|^2 / 2
+        prob = FlowCase(
+            name="gradient", body_force=lambda xy: xy,  # grad |x|^2 / 2
             dirichlet=[(ALL_SIDES, lambda xy: np.zeros_like(xy))],
-        )
+        ).problem(mesh, 1.0)
         assert prob.null_space.closed
         assert np.array_equal(prob.null_space.areas, mesh.areas)
         _, p, _ = solve_saddle(prob, prob.newton_system(None))
@@ -536,11 +535,11 @@ class TestSteadyProblem:
 
     def test_neumann_disables_mean_constraint(self):
         mesh = build_rect_uniform(2, 2)
-        prob = SteadyProblem(
-            mesh=mesh, nu=1.0, body_force=None,
+        prob = FlowCase(
+            name="outflow", body_force=None,
             dirichlet=[((TAG_BOTTOM, TAG_TOP, TAG_LEFT), lambda xy: np.zeros_like(xy))],
             neumann_tags=(TAG_RIGHT,),
-        )
+        ).problem(mesh, 1.0)
         assert not prob.null_space.closed
         # outflow edge scalars stay free
         nv = mesh.num_vertices
@@ -550,10 +549,10 @@ class TestSteadyProblem:
 
     def test_matrix_market_export(self, tmp_path):
         mesh = build_rect_uniform(2, 2)
-        prob = SteadyProblem(
-            mesh=mesh, nu=1.0, body_force=None,
+        prob = FlowCase(
+            name="rest", body_force=None,
             dirichlet=[(ALL_SIDES, lambda xy: np.zeros_like(xy))],
-        )
+        ).problem(mesh, 1.0)
         A, B = prob.nu * _viscous_unit(mesh), assemble_divergence(mesh)  # A at rest
         export_matrix_market(A, B, tmp_path / "sys")
         a = scipy.io.mmread(tmp_path / "sys_A.mtx")
@@ -577,10 +576,10 @@ class TestSteadyProblem:
         for name in ("assemble_load", "dirichlet_dof_map", "null_space"):
             monkeypatch.setattr(egns.assembly, name, counted(name))
         mesh = build_rect_uniform(2, 2)
-        prob = SteadyProblem(
-            mesh=mesh, nu=1.0, body_force=lambda xy: np.ones_like(xy),
+        prob = FlowCase(
+            name="uniform-force", body_force=lambda xy: np.ones_like(xy),
             dirichlet=[(ALL_SIDES, lambda xy: np.zeros_like(xy))],
-        )
+        ).problem(mesh, 1.0)
         stages = [prob.with_nu(0.5), prob.with_nu(0.25).with_nu(0.125)]
         assert [p.nu for p in stages] == [0.5, 0.125]
         # the first with_nu builds all three, once
@@ -596,8 +595,9 @@ class TestSteadyProblem:
         # assemblies shared by every copy; the dof map and basis are shared too
         calls.clear()
         per_nu = lambda xy: np.stack([xy[..., 1], -xy[..., 0]], axis=-1)
-        viscous = dataclasses.replace(prob, nu=2.0, force_per_nu=per_nu)
-        L0, L1 = load(mesh, prob.body_force), load(mesh, per_nu)
+        viscous = dataclasses.replace(
+            prob, nu=2.0, case=dataclasses.replace(prob.case, force_per_nu=per_nu))
+        L0, L1 = load(mesh, prob.case.body_force), load(mesh, per_nu)
         for p in [viscous, *(viscous.with_nu(nu) for nu in (0.5, 1e-3))]:
             p.newton_system(None)
             assert np.array_equal(p.load_vector, L0 + p.nu * L1)
@@ -624,8 +624,9 @@ def test_per_mesh_matrices_own_exactly_their_entries(name):
     # COO-sized buffers when more than half of the entries survive
     mesh = build_rect_uniform(8, 8)
     M = {"viscous": _viscous_unit, "divergence": assemble_divergence,
-         "null-space": lambda mesh: SteadyProblem(
-             mesh, 1.0, dirichlet=[(ALL_SIDES, lambda xy: np.zeros_like(xy))]).null_space.Z,
+         "null-space": lambda mesh: FlowCase(
+             name="rest", dirichlet=[(ALL_SIDES, lambda xy: np.zeros_like(xy))],
+         ).problem(mesh, 1.0).null_space.Z,
          }[name](mesh)
     for a in (M.data, M.indices):  # a view holds its base's bytes
         assert a.size == M.nnz and (a if a.base is None else a.base).nbytes == a.nbytes

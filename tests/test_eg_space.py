@@ -395,9 +395,12 @@ class TestDofMap:
     # the paper's curl acts on the continuous part: element_curl, and the
     # convection Jacobian's block of its coefficients
     (('"curl"]',), ("eg_space.py", "assembly.py:assemble_convection_newton")),
+    # a flow is described once, by its case: only FlowCase.problem binds it
+    # to a mesh and a viscosity
+    (("SteadyProblem(",), ("verification.py:FlowCase",)),
 ], ids=["dof-layout", "per-mesh-cache", "edge-sign", "energy-blocks", "data-quadrature",
         "norm-quadrature", "rt-moments", "environment", "one-pool", "viscosity",
-        "exact-fields", "curl"])
+        "exact-fields", "curl", "one-flow-description"])
 def test_each_rule_has_one_owner(spellings, owners):
     # an owner is a module, or "module:name" for one top-level definition in
     # it; an import statement names what its module uses, so it is no hit

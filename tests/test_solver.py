@@ -42,6 +42,7 @@ from egns.solver import (
     solve_saddle,
 )
 from egns.verification import (
+    FlowCase,
     case_cavity,
     case_noflow,
     case_step,
@@ -60,18 +61,18 @@ def _zero_bc(xy):
 
 def _homogeneous_problem(n, nu, f=None):
     mesh = build_rect_uniform(n, n)
-    return SteadyProblem(
-        mesh=mesh, nu=nu, body_force=f, dirichlet=[(ALL_SIDES, _zero_bc)],
-    )
+    return FlowCase(
+        name="homogeneous", body_force=f, dirichlet=[(ALL_SIDES, _zero_bc)],
+    ).problem(mesh, nu)
 
 
 def _cavity_problem(n, nu, f=None, speed=1.0):
     mesh = build_rect_uniform(n, n)
     lid = lambda xy: np.broadcast_to((speed, 0.0), xy.shape)
-    return SteadyProblem(
-        mesh=mesh, nu=nu, body_force=f,
+    return FlowCase(
+        name="cavity", body_force=f,
         dirichlet=[((TAG_BOTTOM, TAG_LEFT, TAG_RIGHT), _zero_bc), ((TAG_TOP,), lid)],
-    )
+    ).problem(mesh, nu)
 
 
 def _smooth_force(xy):
@@ -88,11 +89,11 @@ def _jacobian(problem, x):
         l2g, nv = egns.assembly.element_ops(mesh)["l2g"], mesh.num_vertices
         A = A + egns.assembly._sparse(l2g[:, 6:], l2g, assemble_convection_newton(mesh, x),
                                       A.shape)
-        if problem.neumann_tags:
+        if problem.case.neumann_tags:
             # one 1x4 block per edge, on its row and its ends' v0x and v0y
-            sel = egns.assembly._outflow_edges(mesh, problem.neumann_tags)[0]
+            sel = egns.assembly._outflow_edges(mesh, problem.case.neumann_tags)[0]
             ab = mesh.edges[sel]
-            block = assemble_neumann(mesh, problem.neumann_tags, x)[:, None, :]
+            block = assemble_neumann(mesh, problem.case.neumann_tags, x)[:, None, :]
             A = A + egns.assembly._sparse((2 * nv + sel)[:, None],
                                           np.concatenate([ab, nv + ab], axis=1), block, A.shape)
     return A
@@ -170,26 +171,25 @@ def _layout(name, nu):
             x = xy[..., 0]
             return 8.0 * nu * np.stack([np.ones_like(x), np.sin(np.pi * x)], axis=-1)
 
-        return SteadyProblem(
-            mesh=build_rect_uniform(12, 4, bounds=(0.0, 0.0, 3.0, 1.0)), nu=nu,
-            body_force=force, dirichlet=[((TAG_BOTTOM, TAG_TOP), _zero_bc)],
+        return FlowCase(
+            name="channel", body_force=force, dirichlet=[((TAG_BOTTOM, TAG_TOP), _zero_bc)],
             neumann_tags=(TAG_LEFT, TAG_RIGHT),
-        )
+        ).problem(build_rect_uniform(12, 4, bounds=(0.0, 0.0, 3.0, 1.0)), nu)
     if name == "corner":
         # outflow on two adjacent sides: corner elements have two free
         # boundary edges
-        return SteadyProblem(
-            mesh=square, nu=nu, body_force=lambda xy: np.ones_like(xy),
+        return FlowCase(
+            name="corner", body_force=lambda xy: np.ones_like(xy),
             dirichlet=[((TAG_TOP, TAG_LEFT), _zero_bc)],
             neumann_tags=(TAG_BOTTOM, TAG_RIGHT),
-        )
+        ).problem(square, nu)
     assert name == "hole"
     lid = lambda xy: np.broadcast_to((1.0, 0.0), xy.shape)
     swirl = lambda xy: np.stack([0.5 - xy[..., 1], xy[..., 0] - 0.5], axis=-1)
-    return SteadyProblem(
-        mesh=_holed_square(10), nu=nu, body_force=swirl,
+    return FlowCase(
+        name="hole", body_force=swirl,
         dirichlet=[((TAG_BOTTOM, TAG_RIGHT, TAG_LEFT, 5), _zero_bc), ((TAG_TOP,), lid)],
-    )
+    ).problem(_holed_square(10), nu)
 
 
 LAYOUTS = ["vortex", "step", "cavity_f1", "cavity_f2", "noflow", "channel", "hole"]
@@ -240,6 +240,15 @@ class TestNewtonConfig:
             NewtonConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             NewtonConfig(max_iter=0)
+
+    def test_rel_tol_below_machine_epsilon(self):
+        # no update test below eps can pass: the solve would end in a
+        # failed line search at the roundoff floor, named as something else
+        with pytest.raises(ValueError,
+                           match="at least machine epsilon 2.22e-16, got 1e-20"):
+            NewtonConfig(rel_tol=1e-20)
+        eps = np.finfo(float).eps
+        assert NewtonConfig(rel_tol=eps).rel_tol == eps
 
 
 @pytest.mark.parametrize(
@@ -743,9 +752,9 @@ class TestNullSpaceSolve:
         # free: named before any factorization, not as a failed solve
         factorizations = []
         monkeypatch.setattr(spla, "splu", lambda *a, **k: factorizations.append(a))
-        prob = SteadyProblem(mesh=build_rect_uniform(4, 4), nu=1.0,
-                             body_force=lambda xy: np.ones_like(xy),
-                             neumann_tags=neumann_tags)
+        prob = FlowCase(name="unbounded", dirichlet=[],
+                        body_force=lambda xy: np.ones_like(xy),
+                        neumann_tags=neumann_tags).problem(build_rect_uniform(4, 4), 1.0)
         for build in (lambda: prob.dof_map, lambda: prob.null_space,
                       lambda: newton_solve(prob)):
             with pytest.raises(ValueError, match="no Dirichlet segment"):
@@ -832,8 +841,8 @@ class TestReducedMatrix:
         f1, f2 = (case_cavity(f).problem(mesh, 1.0) for f in ("f1", "f2"))
         assert f1.null_space is f2.null_space
         assert built == [1]
-        channel = SteadyProblem(mesh=mesh, nu=1.0, dirichlet=[((TAG_BOTTOM, TAG_TOP), _zero_bc)],
-                                neumann_tags=(TAG_LEFT, TAG_RIGHT))
+        channel = FlowCase(name="channel", dirichlet=[((TAG_BOTTOM, TAG_TOP), _zero_bc)],
+                           neumann_tags=(TAG_LEFT, TAG_RIGHT)).problem(mesh, 1.0)
         assert channel.null_space is not f1.null_space
         assert built == [1, 1]
 
@@ -921,10 +930,10 @@ class TestNewtonSolve:
         )
         mesh = build_rect_uniform(4, 4)
         lid = lambda xy: np.broadcast_to((np.inf, 0.0), xy.shape)
-        prob = SteadyProblem(
-            mesh=mesh, nu=1.0,
+        prob = FlowCase(
+            name="infinite-lid",
             dirichlet=[((TAG_BOTTOM, TAG_LEFT, TAG_RIGHT), _zero_bc), ((TAG_TOP,), lid)],
-        )
+        ).problem(mesh, 1.0)
         with pytest.raises(ValueError, match=r"Dirichlet data on tags \(3,\)"):
             newton_solve(prob, NewtonConfig(max_iter=5))
         assert solves == []
@@ -949,10 +958,9 @@ class TestNewtonSolve:
 
     def test_linear_problem_converges_in_one_iteration(self):
         # uniform flow has no curl, so convection adds no value term
-        prob = SteadyProblem(
-            mesh=build_rect_uniform(8, 8), nu=1.0,
-            dirichlet=[(ALL_SIDES, constant_velocity(1.0, 0.0))],
-        )
+        prob = FlowCase(
+            name="uniform", dirichlet=[(ALL_SIDES, constant_velocity(1.0, 0.0))],
+        ).problem(build_rect_uniform(8, 8), 1.0)
         (field, _), report = newton_solve(prob)
         assert report.iterations == 1
         # the residual test ends it: the first update is the whole flow
@@ -1040,6 +1048,7 @@ class TestNewtonSolve:
             newton_solve(prob, NewtonConfig(max_iter=1))
         err = ei.value
         assert err.report.iterations == 1
+        assert err.report.nu == prob.nu and not err.report.converged
         assert err.best is not None
         field, pressure = err.best
         assert np.abs(vertex_values(prob.mesh, field)).max() > 0
@@ -1109,12 +1118,13 @@ class TestNewtonSolve:
         assert 1 <= report.factorizations < report.iterations
 
     def test_per_iteration_records_match_history(self):
-        _, report = newton_solve(_cavity_problem(6, 0.1))
+        prob = _cavity_problem(6, 0.1)
+        _, report = newton_solve(prob)
         fields = [f.name for f in dataclasses.fields(SolveReport)]
         assert fields == ["records", "wall_time", "converged", "nu"]
         assert len(report.records) == report.iterations
         assert [r["step"] for r in report.records] == [1.0] * report.iterations
-        assert report.converged and report.nu is None
+        assert report.converged and report.nu == prob.nu
 
 
 class TestDamping:
@@ -1310,18 +1320,21 @@ class TestStepControl:
 
 # the hard flows' cost from rest, pinned exactly: splu calls, Newton
 # iterations, trial stages and rejected ones.  A change that moves a row
-# repins it and lists old -> new in CHANGES.md
+# repins it and lists old -> new in CHANGES.md.  Beside the counts, the
+# answer: ||u_h|| and the area-weighted L2 norm of p minus its mean, pinned
+# to a relative 1e-7 from a rel_tol = 1e-12 solve (the default solve is
+# within 7e-10 of them)
 LEDGER = {
     "step h=0.25 Re=400": ((lambda: build_step_domain(0.25), case_step(), 1 / 400),
-                           (69, 97, 8, 3)),
+                           (69, 97, 8, 3), (4.321107424, 1.450462258)),
     "step h=0.125 Re=400": ((lambda: build_step_domain(0.125), case_step(), 1 / 400),
-                            (28, 37, 2, 0)),
+                            (28, 37, 2, 0), (4.834505218, 2.006131596)),
     "cavity f1 8x8 Re=4000": ((lambda: build_rect_uniform(8, 8), case_cavity("f1"), 1 / 4000),
-                              (27, 53, 6, 2)),
+                              (27, 53, 6, 2), (0.1999259302, 0.01266067248)),
     "cavity f1 32x32 Re=400": ((lambda: build_rect_uniform(32, 32), case_cavity("f1"), 1 / 400),
-                               (6, 13, 2, 0)),
+                               (6, 13, 2, 0), (0.2719856711, 0.07551673711)),
     "cavity f1 64x64 Re=4000": ((lambda: build_rect_uniform(64, 64), case_cavity("f1"),
-                                 1 / 4000), (35, 50, 6, 2)),
+                                 1 / 4000), (35, 50, 6, 2), (0.2372788936, 0.04665472875)),
 }
 
 
@@ -1329,13 +1342,18 @@ LEDGER = {
 def test_hard_flow_ledger(monkeypatch):
     factored = []
     monkeypatch.setattr(spla, "splu", lambda *a, **k: factored.append(1) or _SPLU(*a, **k))
-    rows = {}
-    for name, ((mesh, case, nu), _) in LEDGER.items():
+    rows, answers = {}, {}
+    for name, ((build, case, nu), _, _) in LEDGER.items():
         factored.clear()
-        _, reports = nu_continuation(case.problem(mesh(), nu))
+        mesh = build()
+        (u, p), reports = nu_continuation(case.problem(mesh, nu))
         rows[name] = (len(factored), sum(r.iterations for r in reports), len(reports),
                       sum(not r.converged for r in reports))
+        dp = p - (mesh.areas @ p) / mesh.areas.sum()
+        answers[name] = (velocity_l2_norm(mesh, u), float(np.sqrt(mesh.areas @ dp**2)))
     print("\n| flow | `splu` | Newton its | trials | rejected |\n|---|---|---|---|---|")
     for name, row in rows.items():
         print(f"| {name} | " + " | ".join(map(str, row)) + " |")
-    assert rows == {name: counts for name, (_, counts) in LEDGER.items()}
+    assert rows == {name: counts for name, (_, counts, _) in LEDGER.items()}
+    assert answers == {name: pytest.approx(pins, rel=1e-7)
+                       for name, (_, _, pins) in LEDGER.items()}
