@@ -309,11 +309,11 @@ class SteadyProblem:
     def dof_map(self):
         """The Dirichlet dof map.
 
-        A problem without a Dirichlet segment raises ValueError: its
-        linearization at rest is singular.  When Dirichlet data covers the
-        whole boundary, the net prescribed boundary flux must vanish up to
-        roundoff, or no velocity has zero divergence; a violation raises
-        ValueError.
+        A problem without a Dirichlet segment raises ValueError: its linearization
+        at rest is singular.  So does a Dirichlet or outflow tag that selects no
+        boundary edge, naming it.  When Dirichlet data covers the whole boundary,
+        the net prescribed boundary flux must vanish up to roundoff, or no velocity
+        has zero divergence; a violation raises ValueError.
         """
         mesh = self.mesh
         if not self.case.dirichlet:
@@ -321,6 +321,10 @@ class SteadyProblem:
                              "alone leaves constant velocities free")
         dm = dirichlet_dof_map(mesh, self.case.dirichlet)
         be = mesh.boundary_edge_indices
+        named = [t for tags, _ in self.case.dirichlet for t in tags] + list(self.case.neumann_tags)
+        missing = np.setdiff1d(named, mesh.boundary_tags[be]).tolist()
+        if missing:
+            raise ValueError(f"boundary tags {missing} named by the case select no boundary edge")
         if edge_values(mesh, dm.constrained)[be].all():
             flux = float(mesh.edge_lengths[be] @ edge_values(mesh, dm.values)[be])
             perimeter = float(mesh.edge_lengths[be].sum())

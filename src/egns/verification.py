@@ -9,8 +9,8 @@ Typos in hand-derived forcing terms surface immediately instead of as
 mysterious convergence-rate losses.
 
 Error norms integrate the continuous velocity part against the exact
-fields with a refined high-order quadrature so that the quadrature error
-sits far below the discretization error being measured.
+fields with a degree-8 quadrature so that the quadrature error sits far
+below the discretization error being measured.
 """
 
 from __future__ import annotations
@@ -321,7 +321,7 @@ def case_step(inlet: str = "parabolic") -> FlowCase:
     )
 
 
-# triangles per error_norms pass: its 64-point temporaries, under 10 MB,
+# triangles per error_norms pass: its 16-point temporaries, about 2.5 MB,
 # then fit in the heap the solve before them freed: no new peak
 _NORM_BLOCK = 1024
 
@@ -332,7 +332,7 @@ def error_norms(mesh: Mesh2D, solution, exact: ExactFn):
 
     ``solution`` is a (dof vector, element pressures) pair and ``exact`` a
     FlowCase's exact solution. It is called once per block of _NORM_BLOCK
-    triangles, on the degree-8 rule refined once, and the discrete fields
+    triangles, on the points of the degree-8 rule, and the discrete fields
     are subtracted in place from the arrays it returns.
     """
     u, p_h = solution

@@ -1,5 +1,5 @@
-"""Shared test meshes, the RT0 basis and a classical load as oracles,
-and a forced continuation failure."""
+"""Shared test meshes, the RT0 basis, a classical load and a force's L2
+norm as oracles, and a forced continuation failure."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 import egns.solver
 from egns.eg_space import dof_count, vertex_values
 from egns.mesh import Mesh2D, build_rect_uniform
-from egns.quadrature import LOAD_RULE
+from egns.quadrature import LOAD_RULE, NORM_RULE
 from egns.reconstruction import rt_scale
 
 
@@ -75,6 +75,20 @@ def classical_load():
         return vec
 
     return load
+
+
+@pytest.fixture
+def force_l2_norm():
+    """The L2 norm of a force f, (N, 2) -> (N, 2), on a mesh by the
+    degree-8 rule: the right side of the energy stability bound."""
+
+    def norm(mesh, f):
+        points, weights = NORM_RULE
+        X = points @ mesh.vertices[mesh.triangles]
+        fv = np.asarray(f(X.reshape(-1, 2))).reshape(X.shape)
+        return float(np.sqrt(mesh.areas @ np.einsum("q,tqd->t", weights, fv**2)))
+
+    return norm
 
 
 @pytest.fixture

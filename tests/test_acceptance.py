@@ -35,7 +35,7 @@ from egns.mesh import (
     build_rect_uniform,
     build_step_domain,
 )
-from egns.quadrature import LOAD_RULE, NORM_RULE
+from egns.quadrature import LOAD_RULE
 from egns.reconstruction import reconstruct
 from egns.solver import newton_solve, nu_continuation
 from egns.verification import (
@@ -76,15 +76,6 @@ def rt_divergence_all(mesh, u):
     coeff = u[2 * mesh.num_vertices + mesh.triangle_edges]
     L = mesh.edge_lengths[mesh.triangle_edges]
     return (L * mesh.triangle_edge_sign * coeff).sum(axis=1) / mesh.areas
-
-
-def _force_l2_norm(mesh, f):
-    points, weights = NORM_RULE
-    X = points @ mesh.vertices[mesh.triangles]
-    fv = np.asarray(f(X.reshape(-1, 2))).reshape(X.shape)
-    return float(
-        np.sqrt((mesh.areas * np.einsum("q,tqd->t", weights, fv**2)).sum())
-    )
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +172,7 @@ def test_gradient_forcing_leaves_velocity_invariant():
     assert wall <= 120.0, f"invariance run took {wall:.0f}s"
 
 
-def test_discrete_structure_property_suite(vortex_nu1):
+def test_discrete_structure_property_suite(vortex_nu1, force_l2_norm):
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     mesh = build_rect_uniform(4, 4)
@@ -267,7 +258,7 @@ def test_discrete_structure_property_suite(vortex_nu1):
     case, nu = case_vortex_2d(), 1.0
     force = lambda xy: case.body_force(xy) + nu * case.force_per_nu(xy)
     for mesh_l, (u_l, _) in vortex_nu1["runs"]:
-        bound = 1.01 * _force_l2_norm(mesh_l, force) / nu
+        bound = 1.01 * force_l2_norm(mesh_l, force) / nu
         assert energy_norm(mesh_l, u_l) <= bound, "energy stability violated"
 
     wall = time.perf_counter() - t0

@@ -504,6 +504,25 @@ class TestDirichlet:
         with pytest.raises(ValueError, match=r"tags \(1, 2, 3, 4\) select no bound"):
             prob.dof_map
 
+    @pytest.mark.parametrize("walls, outflow", [
+        ((TAG_BOTTOM, TAG_TOP), (TAG_LEFT, 99)),
+        ((TAG_BOTTOM, TAG_TOP, 99), (TAG_LEFT, TAG_RIGHT)),
+    ], ids=["outflow", "dirichlet"])
+    def test_tag_selecting_no_edge_beside_others_named(self, monkeypatch, walls, outflow):
+        # a channel pushed by a body force: a tag 99 beside tags that do
+        # select edges would otherwise be dropped, and a different flow solved
+        factorizations = []
+        monkeypatch.setattr(
+            scipy.sparse.linalg, "splu", lambda *a, **k: factorizations.append(a)
+        )
+        case = FlowCase(name="channel", dirichlet=[(walls, lambda xy: np.zeros_like(xy))],
+                        neumann_tags=outflow,
+                        body_force=lambda xy: np.broadcast_to((1.0, 0.0), xy.shape))
+        prob = case.problem(build_rect_uniform(8, 8), 1.0)
+        with pytest.raises(ValueError, match=r"boundary tags \[99\] named by the case"):
+            newton_solve(prob)
+        assert factorizations == []
+
     @pytest.mark.parametrize("where", ["vertex", "edge"])
     def test_non_finite_data_names_tags(self, where):
         mesh = build_rect_uniform(4, 4)

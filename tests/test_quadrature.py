@@ -11,16 +11,6 @@ from egns.quadrature import EDGE_RULE, LOAD_RULE, NORM_RULE
 TRIANGLE_RULES = {5: LOAD_RULE, 8: NORM_RULE}
 
 
-def _degree_eight_table():
-    """The table NORM_RULE refines, from its last quarter: the central
-    sub-triangle, whose barycentric corners (0, 1/2, 1/2), (1/2, 0, 1/2)
-    and (1/2, 1/2, 0) form a matrix with the inverse below."""
-    points, weights = NORM_RULE
-    quarter = points.shape[0] // 4
-    inverse = np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
-    return points[3 * quarter:] @ inverse, 4.0 * weights[3 * quarter:]
-
-
 def _reference_integral(m, n):
     # integral of x^m y^n over the triangle (0,0),(1,0),(0,1)
     return math.factorial(m) * math.factorial(n) / math.factorial(m + n + 2)
@@ -53,30 +43,10 @@ def test_weights_positive_and_sum_to_one(degree):
 
 
 def test_degree_eight_rule_integrates_x4y4():
-    for rule in (_degree_eight_table(), NORM_RULE):
-        got = _rule_integral(rule, 4, 4)
-        assert got == pytest.approx(_reference_integral(4, 4), abs=1e-15)
-
-
-def test_refined_rule_keeps_exactness_degree():
-    # NORM_RULE is the degree-8 table on each sub-triangle, a quarter of
-    # the weight on each; the table it refines is exact to degree 8 too
     points, weights = NORM_RULE
-    table = _degree_eight_table()
-    assert points.shape == (4 * table[0].shape[0], 3)
-    assert weights.sum() == pytest.approx(1.0, abs=1e-13)
-    assert np.array_equal(weights, np.tile(weights[: table[1].size], 4))
-    for m in range(9):
-        for n in range(9 - m):
-            got = _rule_integral(table, m, n)
-            assert got == pytest.approx(_reference_integral(m, n), abs=1e-14)
-
-
-def test_refined_rule_shrinks_degree_ten_error():
-    exact = _reference_integral(5, 5)
-    err_base = abs(_rule_integral(_degree_eight_table(), 5, 5) - exact)
-    err_ref = abs(_rule_integral(NORM_RULE, 5, 5) - exact)
-    assert err_ref < err_base / 100
+    assert points.shape == (16, 3) and weights.shape == (16,)
+    got = _rule_integral(NORM_RULE, 4, 4)
+    assert got == pytest.approx(_reference_integral(4, 4), abs=1e-15)
 
 
 def test_physical_points_shape():

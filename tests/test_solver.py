@@ -22,7 +22,6 @@ from egns.mesh import (
     build_rect_uniform,
     build_step_domain,
 )
-from egns.quadrature import NORM_RULE
 from egns.eg_space import dof_count, energy_norm, energy_operators, vertex_values
 from egns.assembly import (
     _viscous_unit,
@@ -218,15 +217,6 @@ def _assembled_residual(problem, x, pressure):
     ru, rp, scale = egns.solver._norms(problem.dof_map.free_indices(),
                                        momentum - B.T @ pressure, mass, rhs_u, rhs_p)
     return max(ru, rp) / scale
-
-
-def _l2_force_norm(mesh, f):
-    points, weights = NORM_RULE
-    X = points @ mesh.vertices[mesh.triangles]
-    fv = np.asarray(f(X.reshape(-1, 2))).reshape(X.shape)
-    return float(
-        np.sqrt((mesh.areas * np.einsum("q,tqd->t", weights, fv**2)).sum())
-    )
 
 
 class TestNewtonConfig:
@@ -1098,10 +1088,10 @@ class TestNewtonSolve:
         rel = velocity_l2_difference(mesh, u_a, u_b) / velocity_l2_norm(mesh, u_a)
         assert rel <= 1e-8
 
-    def test_velocity_stability_bound(self):
+    def test_velocity_stability_bound(self, force_l2_norm):
         prob = _homogeneous_problem(8, 1.0, f=_smooth_force)
         (field, _), _ = newton_solve(prob)
-        fnorm = _l2_force_norm(prob.mesh, _smooth_force)
+        fnorm = force_l2_norm(prob.mesh, _smooth_force)
         assert energy_norm(prob.mesh, field) <= 1.01 * fnorm / prob.nu
 
     def test_report_log_serialization(self):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import egns.verification
 from egns.mesh import (
     TAG_BOTTOM,
     TAG_INLET,
@@ -19,7 +20,7 @@ from egns.mesh import (
 )
 from egns.eg_space import element_ops, interpolate, vertex_values
 from egns.quadrature import LOAD_RULE, NORM_RULE
-from egns.solver import solve_saddle
+from egns.solver import newton_solve, solve_saddle
 from egns.verification import (
     _NORM_BLOCK,
     _mean_sq,
@@ -454,6 +455,26 @@ class TestErrorNorms:
         error_norms(mesh, (field, np.zeros(mesh.num_triangles)), spy)
         assert len(calls) == -(-mesh.num_triangles // _NORM_BLOCK) == 5
         assert [c[0] for c in calls] == [_NORM_BLOCK] * 4 + [512]
+
+    @pytest.mark.parametrize("n, bound", [(8, 2e-8), (16, 1e-9)])
+    def test_norm_rule_accurate_where_outputs_read_it(self, monkeypatch, n, bound):
+        # against the degree-8 rule on the four sub-triangles, a quarter of
+        # the weight each: from n = 8 up the plain rule's error sits below
+        # every digit convergence.csv prints (the degree-5 rule's does not)
+        points, w = NORM_RULE
+        corners = np.array([
+            [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
+            [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
+            [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
+            [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+        ])
+        refined = np.concatenate(points @ corners), np.tile(w / 4.0, 4)
+        case, mesh = case_vortex_2d(), build_rect_uniform(n, n)
+        solution, _ = newton_solve(case.problem(mesh, 1.0))
+        got = error_norms(mesh, solution, case.exact)
+        monkeypatch.setattr(egns.verification, "NORM_RULE", refined)
+        want = error_norms(mesh, solution, case.exact)
+        assert got == pytest.approx(want, rel=bound, abs=0.0)
 
 
 def test_readme_quick_start_runs(capsys):
